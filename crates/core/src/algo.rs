@@ -1,27 +1,32 @@
-//! The NWC algorithm (paper Algorithm 1), shared by NWC and kNWC.
+//! The NWC algorithm (paper Algorithm 1): the crate's one best-first
+//! search loop, shared by NWC, kNWC, constrained, weighted and sharded
+//! queries.
 //!
 //! The search is a best-first traversal over the R\*-tree (priority queue
 //! holding both index nodes and objects in ascending `MINDIST`/distance
 //! order). Nodes are pruned by DIP/DEP before expansion; objects have
 //! their search region built (reduced/skipped by SRR, cancelled by DEP),
 //! queried (through IWP when enabled), and their candidate windows
-//! scanned. The sink abstraction lets the same loop serve the single-best
-//! NWC query and the top-k kNWC query.
+//! scanned. Two seams let the same loop serve every query: a
+//! [`GroupSink`] decides which offered groups to keep (the single best
+//! for NWC, the top-k list for kNWC), and a [`Qualifier`] decides what
+//! makes a window qualified (an object count or a weight sum) together
+//! with the DEP bound that matches it.
 
 use crate::anytime::{AnytimeNwc, Approx};
-use crate::candidates::{scan_candidates, GroupSink};
+use crate::candidates::{CountTest, GroupSink, Qualifier};
 use crate::index::NwcIndex;
-use crate::query::{NwcQuery, QueryError};
+use crate::query::{unrecoverable, NwcQuery, QueryError};
 use crate::result::{NwcResult, SearchStats};
 use crate::scheme::Scheme;
 use crate::scratch::QueryScratch;
 use nwc_geom::window::{
-    extended_mbr, node_window_lower_bound, reduced_search_region, search_region,
+    extended_mbr, node_window_lower_bound, reduced_search_region, search_region, WindowSpec,
 };
-use nwc_geom::{Quadrant, Rect};
-use nwc_rtree::{BrowseItem, Budget, CancelKind, CancelToken, Entry};
+use nwc_geom::{Point, Quadrant, Rect};
+use nwc_rtree::{BrowseItem, Budget, CancelKind, Entry, TreeError};
 
-/// How the shared traversal loop stopped.
+/// How the search loop stopped.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum SearchEnd {
     /// The frontier drained: the sink saw every candidate the scheme's
@@ -40,7 +45,205 @@ pub(crate) enum SearchEnd {
     },
 }
 
+impl SearchEnd {
+    /// The all-or-nothing contract of the non-anytime APIs: a budget
+    /// trip is a typed error ([`budget_error`]).
+    pub(crate) fn or_error(self) -> Result<(), QueryError> {
+        match self {
+            SearchEnd::Complete => Ok(()),
+            SearchEnd::Exhausted { kind, .. } => Err(budget_error(kind)),
+        }
+    }
+}
+
+/// The best-first search of Algorithm 1, over `trees[owner]`.
+///
+/// The owner's tree drives the traversal. Every candidate window is
+/// answered by the **union** of all trees' window queries: the owner
+/// through its IWP when the scheme asks and the tree has it, every other
+/// tree from its root. An unsharded index passes itself as the only
+/// tree; the sharded planner passes its shard slice, and the sink then
+/// carries the cross-shard bound.
+///
+/// DEP and IWP only prune I/O; neither changes an answer. So a scheme
+/// whose structure is absent — never built, or invalidated by a write —
+/// skips that pruning on every path instead of failing.
+///
+/// An expired [`Budget`] is not an error: the search stops where it is
+/// (pins released, scratch intact, stats finalized for the covered
+/// prefix) and reports [`SearchEnd::Exhausted`] with its best-first
+/// frontier key, from which the anytime APIs derive their quality
+/// bound. Only disk failures return `Err`, with every pin released.
+///
+/// I/O attribution relies on the tree I/O counters being *per thread*,
+/// not per tree: the `snapshot()`/`since()` window around the union
+/// query charges this search's [`SearchStats`] for the accesses it
+/// caused on other trees too, so per-shard counters sum to a scatter's
+/// exact total. The same property makes an I/O allowance a *per-worker*
+/// budget under a scatter — each worker meters the accesses of the
+/// searches it runs.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
+    trees: &[NwcIndex],
+    owner: usize,
+    q: Point,
+    spec: &WindowSpec,
+    scheme: Scheme,
+    qualifier: &Q,
+    sink: &mut S,
+    scratch: &mut QueryScratch,
+    budget: &Budget,
+) -> Result<(SearchStats, SearchEnd), QueryError> {
+    let Some(own) = trees.get(owner) else {
+        return Ok((SearchStats::default(), SearchEnd::Complete));
+    };
+    let iwp = if scheme.needs_iwp() { own.iwp() } else { None };
+    let tree = own.tree();
+    let io = tree.stats();
+    let mut stats = SearchStats::default();
+    let hits0 = io.hits_snapshot();
+    let errors0 = io.error_snapshot();
+    // The loop and the browser each diff this thread's access tally
+    // from their own base, so the I/O allowance covers traversal and
+    // window queries alike.
+    let budget_base = io.snapshot();
+    let mut browser = tree.browse_with(q, &mut scratch.browser);
+    if budget.is_armed() {
+        browser.set_budget(budget.clone());
+    }
+    let neighbors = &mut scratch.neighbors;
+    let mut end = SearchEnd::Complete;
+    'search: while let Some(item) = browser.next() {
+        // Best-first key of the item in hand: the frontier lower bound
+        // should the budget expire while processing it.
+        let key = item.key();
+        match item {
+            BrowseItem::Node { id, mbr, .. } => {
+                if scheme.dip && node_window_lower_bound(&q, &mbr, spec) > sink.threshold() {
+                    stats.nodes_pruned_by_dip += 1;
+                    continue;
+                }
+                if scheme.dep && qualifier.too_sparse(&extended_mbr(&q, &mbr, spec)) {
+                    stats.nodes_pruned_by_dep += 1;
+                    continue;
+                }
+                let snap = io.snapshot();
+                let expanded = browser.try_expand(id);
+                stats.io_traversal += io.since(snap);
+                match expanded {
+                    Ok(()) => {}
+                    Err(TreeError::Cancelled(kind)) => {
+                        end = SearchEnd::Exhausted { kind, frontier: key };
+                        break 'search;
+                    }
+                    Err(other) => return Err(other.into()),
+                }
+            }
+            BrowseItem::Object { entry, leaf, .. } => {
+                stats.objects_visited += 1;
+                let quad = Quadrant::of(&q, &entry.point);
+                // Algorithm 1 line 14: build SR_p (reduced when SRR on).
+                let sr: Option<Rect> = if scheme.srr {
+                    reduced_search_region(&q, &entry.point, spec, sink.threshold())
+                } else {
+                    Some(search_region(&entry.point, quad, spec))
+                };
+                let Some(sr) = sr else {
+                    stats.skipped_by_srr += 1;
+                    continue;
+                };
+                if scheme.dep && qualifier.too_sparse(&sr) {
+                    stats.skipped_by_dep += 1;
+                    continue;
+                }
+                if let Some(kind) = budget.exceeded(|| io.since(budget_base)) {
+                    end = SearchEnd::Exhausted { kind, frontier: key };
+                    break 'search;
+                }
+                stats.window_queries += 1;
+                neighbors.clear();
+                let snap = io.snapshot();
+                // Owner first (leaf-anchored IWP when available), then
+                // the union over every other tree from its root — tree
+                // contents are disjoint, so the append-union has no
+                // duplicates and equals the single-tree result set.
+                // Trees whose live-point bounding box misses `sr` are
+                // skipped without touching them: every live point lies
+                // inside its tree's bounds (insert expands them, remove
+                // never shrinks), so such a tree cannot contribute a
+                // neighbor. STR tiles are near disjoint, so candidate
+                // windows — much smaller than a tile — cross into other
+                // shards only near tile seams, and the cross-shard root
+                // re-descents that would otherwise dominate sharded I/O
+                // almost all vanish.
+                match iwp {
+                    Some(iwp) => iwp.try_window_query_into(tree, leaf, &sr, neighbors)?,
+                    None => tree.try_window_query_into(&sr, neighbors)?,
+                }
+                for (j, other) in trees.iter().enumerate() {
+                    if j != owner && other.bounds().intersects(&sr) {
+                        other.tree().try_window_query_into(&sr, neighbors)?;
+                    }
+                }
+                stats.io_window_queries += io.since(snap);
+                qualifier.scan(
+                    &q,
+                    spec,
+                    &entry,
+                    quad,
+                    neighbors,
+                    &mut scratch.by_dist,
+                    sink,
+                    &mut stats,
+                );
+            }
+        }
+    }
+    browser.recycle(&mut scratch.browser);
+    // Attributed accounting: the tree counter is shared across
+    // concurrent queries, so the query's own total is the sum of its
+    // attributed phases, not a raw counter diff.
+    stats.io_total = stats.io_traversal + stats.io_window_queries;
+    // On a disk-backed tree some of those accesses were buffer hits (no
+    // physical I/O); on an arena tree this is always 0.
+    stats.buffer_hits = io.hits_since(hits0);
+    // Degradation profile: retries issued and transient failures
+    // recovered from, attributed to this query like the I/O split.
+    let errors = io.errors_since(errors0);
+    stats.retries = errors.retries;
+    stats.transient_errors = errors.transient_errors;
+    Ok((stats, end))
+}
+
 impl NwcIndex {
+    /// [`best_first`] with this index as the only tree, qualifying
+    /// windows by object count against its own density grid.
+    pub(crate) fn search<S: GroupSink>(
+        &self,
+        query: &NwcQuery,
+        scheme: Scheme,
+        sink: &mut S,
+        scratch: &mut QueryScratch,
+        budget: &Budget,
+    ) -> Result<(SearchStats, SearchEnd), QueryError> {
+        let test = CountTest {
+            grid: self.grid(),
+            n: query.n,
+            measure: query.measure,
+        };
+        best_first(
+            std::slice::from_ref(self),
+            0,
+            query.q,
+            &query.spec,
+            scheme,
+            &test,
+            sink,
+            scratch,
+            budget,
+        )
+    }
+
     /// Answers `NWC(q, l, w, n)` under the given optimization scheme.
     ///
     /// Returns `None` when no `l × w` window anywhere contains `n`
@@ -49,8 +252,8 @@ impl NwcIndex {
     ///
     /// # Panics
     ///
-    /// Panics when the scheme needs a structure the index was built
-    /// without (density grid for DEP, pointer augmentation for IWP).
+    /// Panics on a disk read that fails after every retry; use
+    /// [`NwcIndex::try_nwc`] to handle that case.
     pub fn nwc(&self, query: &NwcQuery, scheme: Scheme) -> Option<NwcResult> {
         self.nwc_full(query, scheme).0
     }
@@ -129,238 +332,28 @@ impl NwcIndex {
         scheme: Scheme,
         scratch: &mut QueryScratch,
     ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
-        self.try_nwc_full_cancel(query, scheme, scratch, &CancelToken::none())
+        self.try_nwc_full_cancel(query, scheme, scratch, &Budget::none())
     }
 
     /// As [`NwcIndex::try_nwc_full_with`], additionally observing a
-    /// cooperative [`CancelToken`]. Once the token fires the search
-    /// stops at its next cancellation point (a node expansion or a
-    /// window query — so cancellation latency is bounded by one node
-    /// access plus one window query) and returns
-    /// [`QueryError::Deadline`] or [`QueryError::Cancelled`]. The index
-    /// and the calling thread remain fully usable afterwards: every
-    /// page pin is released and the scratch buffers are intact.
+    /// cooperative [`Budget`]. Once it expires the search stops at its
+    /// next cancellation point (a node expansion or a window query — so
+    /// the latency of a trip is bounded by one node access plus one
+    /// window query) and returns [`QueryError::Deadline`] or
+    /// [`QueryError::Cancelled`]. The index and the calling thread
+    /// remain fully usable afterwards: every page pin is released and
+    /// the scratch buffers are intact.
     pub fn try_nwc_full_cancel(
         &self,
         query: &NwcQuery,
         scheme: Scheme,
         scratch: &mut QueryScratch,
-        cancel: &CancelToken,
+        cancel: &Budget,
     ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
         let mut sink = BestSink::new();
-        let stats = self.try_run_search_cancel(query, scheme, &mut sink, scratch, cancel)?;
-        let result = sink.best.map(|(objects, window)| NwcResult {
-            objects,
-            distance: sink.dist_best,
-            window,
-            stats,
-        });
-        Ok((result, stats))
-    }
-
-    /// The shared traversal loop. Public within the crate for `knwc`.
-    pub(crate) fn run_search<S: GroupSink>(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        sink: &mut S,
-    ) -> SearchStats {
-        self.run_search_with(query, scheme, sink, &mut QueryScratch::default())
-    }
-
-    /// [`NwcIndex::run_search`] with caller-provided working memory: the
-    /// frontier heap, neighbor buffer and distance ranking all come from
-    /// `scratch`, so the loop itself stays allocation-free once the
-    /// buffers are warm.
-    pub(crate) fn run_search_with<S: GroupSink>(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        sink: &mut S,
-        scratch: &mut QueryScratch,
-    ) -> SearchStats {
-        match self.try_run_search_with(query, scheme, sink, scratch) {
-            Ok(stats) => stats,
-            Err(e) => unrecoverable(e),
-        }
-    }
-
-    /// The fallible traversal loop behind every query API. An `Err`
-    /// means a disk read exhausted its retries (or hit corruption)
-    /// mid-search: the traversal stops where it was, every page pin is
-    /// already released, and the per-thread error counters the loop
-    /// would have folded into [`SearchStats`] stay on the tree's
-    /// [`IoStats`](nwc_rtree::IoStats).
-    pub(crate) fn try_run_search_with<S: GroupSink>(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        sink: &mut S,
-        scratch: &mut QueryScratch,
-    ) -> Result<SearchStats, QueryError> {
-        self.try_run_search_cancel(query, scheme, sink, scratch, &CancelToken::none())
-    }
-
-    /// [`NwcIndex::try_run_search_with`] plus a cooperative
-    /// [`CancelToken`]: checked by the [`Browser`](nwc_rtree::Browser)
-    /// before every node expansion and by this loop before every window
-    /// query, the two I/O-bearing steps of the search. A tripped token
-    /// surfaces as [`QueryError::Deadline`] / [`QueryError::Cancelled`]
-    /// (the anytime APIs use [`NwcIndex::try_run_search_budget`] instead
-    /// to keep the best-so-far state).
-    pub(crate) fn try_run_search_cancel<S: GroupSink>(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        sink: &mut S,
-        scratch: &mut QueryScratch,
-        cancel: &CancelToken,
-    ) -> Result<SearchStats, QueryError> {
-        let budget = Budget::from(cancel.clone());
-        match self.try_run_search_budget(query, scheme, sink, scratch, &budget)? {
-            (stats, SearchEnd::Complete) => Ok(stats),
-            (_, SearchEnd::Exhausted { kind, .. }) => Err(budget_error(kind)),
-        }
-    }
-
-    /// The budgeted traversal loop behind everything. Runs until the
-    /// frontier drains or `budget` expires; an expired budget is **not**
-    /// an error — the search stops where it is (pins released, scratch
-    /// intact, stats finalized for the covered prefix) and the caller
-    /// receives [`SearchEnd::Exhausted`] with the frontier key, from
-    /// which the anytime APIs derive their quality bound. Disk failures
-    /// still surface as `Err`.
-    pub(crate) fn try_run_search_budget<S: GroupSink>(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        sink: &mut S,
-        scratch: &mut QueryScratch,
-        budget: &Budget,
-    ) -> Result<(SearchStats, SearchEnd), QueryError> {
-        let grid = if scheme.needs_grid() {
-            Some(self.grid().unwrap_or_else(|| {
-                panic!("scheme {scheme} needs the density grid; build the index with one")
-            }))
-        } else {
-            None
-        };
-        let iwp = if scheme.needs_iwp() {
-            Some(self.iwp().unwrap_or_else(|| {
-                panic!("scheme {scheme} needs the IWP augmentation; build the index with it")
-            }))
-        } else {
-            None
-        };
-
-        let tree = self.tree();
-        let io = tree.stats();
-        let mut stats = SearchStats::default();
-        let hits0 = io.hits_snapshot();
-        let errors0 = io.error_snapshot();
-        let q = query.q;
-        let spec = query.spec;
-        let n = query.n;
-
-        // The loop and the browser each diff this thread's access tally
-        // from their own base, so the I/O allowance covers traversal and
-        // window queries alike.
-        let budget_base = io.snapshot();
-        let mut browser = tree.browse_with(q, &mut scratch.browser);
-        if budget.is_armed() {
-            browser.set_budget(budget.clone());
-        }
-        let mut end = SearchEnd::Complete;
-        let neighbors = &mut scratch.neighbors;
-        'search: while let Some(item) = browser.next() {
-            // Best-first key of the item in hand: the frontier lower
-            // bound should the budget expire while processing it.
-            let key = item.key();
-            match item {
-                BrowseItem::Node { id, mbr, .. } => {
-                    if scheme.dip
-                        && node_window_lower_bound(&q, &mbr, &spec) > sink.threshold()
-                    {
-                        stats.nodes_pruned_by_dip += 1;
-                        continue;
-                    }
-                    if let Some(grid) = grid {
-                        if grid.count_upper_bound(&extended_mbr(&q, &mbr, &spec)) < n {
-                            stats.nodes_pruned_by_dep += 1;
-                            continue;
-                        }
-                    }
-                    let snap = io.snapshot();
-                    match browser.try_expand(id) {
-                        Ok(()) => {}
-                        Err(nwc_rtree::TreeError::Cancelled(kind)) => {
-                            end = SearchEnd::Exhausted { kind, frontier: key };
-                            break 'search;
-                        }
-                        Err(other) => return Err(other.into()),
-                    }
-                    stats.io_traversal += io.since(snap);
-                }
-                BrowseItem::Object { entry, leaf, .. } => {
-                    stats.objects_visited += 1;
-                    let quad = Quadrant::of(&q, &entry.point);
-                    // Algorithm 1 line 14: build SR_p (reduced when SRR on).
-                    let sr: Option<Rect> = if scheme.srr {
-                        reduced_search_region(&q, &entry.point, &spec, sink.threshold())
-                    } else {
-                        Some(search_region(&entry.point, quad, &spec))
-                    };
-                    let Some(sr) = sr else {
-                        stats.skipped_by_srr += 1;
-                        continue;
-                    };
-                    if let Some(grid) = grid {
-                        if grid.count_upper_bound(&sr) < n {
-                            stats.skipped_by_dep += 1;
-                            continue;
-                        }
-                    }
-                    if let Some(kind) = budget.exceeded(|| io.since(budget_base)) {
-                        end = SearchEnd::Exhausted { kind, frontier: key };
-                        break 'search;
-                    }
-                    stats.window_queries += 1;
-                    neighbors.clear();
-                    let snap = io.snapshot();
-                    match iwp {
-                        Some(iwp) => iwp.try_window_query_into(tree, leaf, &sr, neighbors)?,
-                        None => tree.try_window_query_into(&sr, neighbors)?,
-                    }
-                    stats.io_window_queries += io.since(snap);
-                    scan_candidates(
-                        &q,
-                        &spec,
-                        n,
-                        query.measure,
-                        &entry,
-                        quad,
-                        neighbors,
-                        &mut scratch.by_dist,
-                        sink,
-                        &mut stats,
-                    );
-                }
-            }
-        }
-        browser.recycle(&mut scratch.browser);
-        // Attributed accounting: the tree counter is shared across
-        // concurrent queries, so the query's own total is the sum of its
-        // attributed phases, not a raw counter diff.
-        stats.io_total = stats.io_traversal + stats.io_window_queries;
-        // On a disk-backed tree some of those accesses were buffer hits
-        // (no physical I/O); on an arena tree this is always 0.
-        stats.buffer_hits = io.hits_since(hits0);
-        // Degradation profile: retries issued and transient failures
-        // recovered from, attributed to this query like the I/O split.
-        let errors = io.errors_since(errors0);
-        stats.retries = errors.retries;
-        stats.transient_errors = errors.transient_errors;
-        Ok((stats, end))
+        let (stats, end) = self.search(query, scheme, &mut sink, scratch, cancel)?;
+        end.or_error()?;
+        Ok((sink.into_result(stats), stats))
     }
 
     /// Anytime `NWC(q, l, w, n)`: runs until `budget` expires and
@@ -391,7 +384,7 @@ impl NwcIndex {
         let io = self.tree().stats();
         let io0 = io.snapshot();
         let mut sink = BestSink::approx(approx.shrink());
-        let (stats, end) = self.try_run_search_budget(query, scheme, &mut sink, scratch, budget)?;
+        let (stats, end) = self.search(query, scheme, &mut sink, scratch, budget)?;
         let spent = crate::anytime::BudgetSpent {
             elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             io: io.since(io0),
@@ -405,14 +398,8 @@ impl NwcIndex {
         let dist_best = sink.dist_best;
         let lower_bound = crate::anytime::combine_lower_bound(dist_best, approx.shrink(), frontier);
         let error_bound = crate::anytime::gap(dist_best, lower_bound);
-        let answer = sink.best.map(|(objects, window)| NwcResult {
-            objects,
-            distance: dist_best,
-            window,
-            stats,
-        });
         Ok(AnytimeNwc {
-            answer,
+            answer: sink.into_result(stats),
             stats,
             lower_bound,
             error_bound,
@@ -422,24 +409,15 @@ impl NwcIndex {
     }
 }
 
-/// Maps a budget trip to the legacy error the pre-anytime `try_*_cancel`
-/// APIs promise. An I/O allowance can only reach these APIs through a
-/// `Budget`-derived token, where it plays the role of a spent deadline.
-pub(crate) fn budget_error(kind: CancelKind) -> QueryError {
+/// Maps a budget trip to the error the all-or-nothing `try_*_cancel`
+/// APIs promise. An I/O allowance plays the role of a spent deadline
+/// there.
+fn budget_error(kind: CancelKind) -> QueryError {
     match kind {
         CancelKind::Deadline => QueryError::Deadline,
         CancelKind::Stopped => QueryError::Cancelled,
         CancelKind::IoBudget => QueryError::Deadline,
     }
-}
-
-/// The infallible query APIs keep their historical panic on a disk read
-/// that survives the whole retry budget — callers that can handle the
-/// failure use the `try_*` twins.
-#[cold]
-#[inline(never)]
-pub(crate) fn unrecoverable(e: QueryError) -> ! {
-    panic!("unrecoverable disk read failure during search (use the try_* query APIs to handle this): {e}")
 }
 
 /// One ulp above `x` for finite non-negative `x` (identity on `+inf`).
@@ -521,6 +499,17 @@ impl BestSink {
             best_ids: Vec::new(),
             shrink,
         }
+    }
+
+    /// The kept group as a query answer carrying `stats`.
+    pub(crate) fn into_result(self, stats: SearchStats) -> Option<NwcResult> {
+        let distance = self.dist_best;
+        self.best.map(|(objects, window)| NwcResult {
+            objects,
+            distance,
+            window,
+            stats,
+        })
     }
 }
 
@@ -693,14 +682,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "density grid")]
-    fn dep_without_grid_panics() {
+    fn dep_without_grid_answers_like_nwc() {
         let cfg = crate::IndexConfig {
             grid_cell_size: None,
             ..Default::default()
         };
         let idx = NwcIndex::build_with(cluster_world(), cfg);
         let query = NwcQuery::new(pt(0.0, 0.0), WindowSpec::square(8.0), 3);
-        idx.nwc(&query, Scheme::DEP);
+        let (dep, dep_stats) = idx.try_nwc_full(&query, Scheme::DEP).unwrap();
+        let (plain, plain_stats) = idx.try_nwc_full(&query, Scheme::NWC).unwrap();
+        let dep = dep.expect("a 3-cluster exists");
+        let plain = plain.expect("a 3-cluster exists");
+        assert_eq!(dep.ids(), plain.ids());
+        assert_eq!(dep.distance, plain.distance);
+        assert_eq!(dep.window, plain.window);
+        // Without the grid DEP prunes nothing: the search is plain NWC.
+        assert_eq!(dep_stats, plain_stats);
     }
 }

@@ -15,6 +15,7 @@
 use crate::measure::DistanceMeasure;
 use crate::result::SearchStats;
 use nwc_geom::{window::candidate_window, window::WindowSpec, Point, Quadrant, Rect};
+use nwc_grid::DensityGrid;
 use nwc_rtree::Entry;
 
 /// Consumer of qualified object groups. NWC keeps the single best group;
@@ -31,73 +32,112 @@ pub(crate) trait GroupSink {
     fn offer(&mut self, group: Vec<Entry>, score: f64, window: Rect, stats: &mut SearchStats);
 }
 
-/// Scans every candidate window generated by `p` against the search
-/// region contents `neighbors` (which must contain `p` itself and every
-/// object of the queried region). `by_dist` is caller-provided working
-/// memory for the distance ranking (cleared and rebuilt here); passing
-/// a reused buffer makes the scan allocation-free when warm.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_candidates<S: GroupSink>(
-    q: &Point,
-    spec: &WindowSpec,
-    n: usize,
-    measure: DistanceMeasure,
+/// What makes a candidate window *qualified*, paired with the DEP bound
+/// that matches it: an object count with the density grid (plain NWC),
+/// or a weight sum with the weight grid (weighted NWC).
+pub(crate) trait Qualifier {
+    /// DEP: whether no window inside `region` can qualify. `false` when
+    /// the bounding grid is absent — DEP only prunes I/O, so skipping it
+    /// never changes an answer.
+    fn too_sparse(&self, region: &Rect) -> bool;
+
+    /// Scans every candidate window `p` generates over the search region
+    /// contents `neighbors` and offers each qualified group to `sink`.
+    #[allow(clippy::too_many_arguments)]
+    fn scan<S: GroupSink>(
+        &self,
+        q: &Point,
+        spec: &WindowSpec,
+        p: &Entry,
+        quad: Quadrant,
+        neighbors: &mut [Entry],
+        by_dist: &mut Vec<(f64, u32, Entry)>,
+        sink: &mut S,
+        stats: &mut SearchStats,
+    );
+}
+
+/// The paper's qualification: a window holding at least `n` objects,
+/// the group scored by `measure`, DEP bounded by the density grid.
+pub(crate) struct CountTest<'a> {
+    pub(crate) grid: Option<&'a DensityGrid>,
+    pub(crate) n: usize,
+    pub(crate) measure: DistanceMeasure,
+}
+
+impl Qualifier for CountTest<'_> {
+    fn too_sparse(&self, region: &Rect) -> bool {
+        self.grid
+            .is_some_and(|grid| grid.count_upper_bound(region) < self.n)
+    }
+
+    /// `neighbors` must contain `p` itself and every object of the
+    /// queried region. `by_dist` is caller-provided working memory for
+    /// the distance ranking (cleared and rebuilt here); passing a reused
+    /// buffer makes the scan allocation-free when warm.
+    fn scan<S: GroupSink>(
+        &self,
+        q: &Point,
+        spec: &WindowSpec,
+        p: &Entry,
+        quad: Quadrant,
+        neighbors: &mut [Entry],
+        by_dist: &mut Vec<(f64, u32, Entry)>,
+        sink: &mut S,
+        stats: &mut SearchStats,
+    ) {
+        let (n, measure) = (self.n, self.measure);
+        if neighbors.len() < n {
+            return;
+        }
+        // Sort by y once; all window counting and slicing works off this.
+        neighbors.sort_by(|a, b| a.point.y.total_cmp(&b.point.y));
+        // Pre-rank neighbors by distance once per object: per-window
+        // group selection then scans this ranking and keeps the first n
+        // members of the window's y-slice, instead of re-sorting every
+        // slice. On dense search regions (hot clusters) this is the
+        // difference between O(windows · |SR| log |SR|) and
+        // O(windows · n + misses).
+        by_dist.clear();
+        by_dist.extend(neighbors.iter().map(|&e| (e.point.dist2(q), e.id, e)));
+        by_dist.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+
+        // Windows whose y-slice is identical produce identical groups;
+        // skip re-evaluating them once one has been offered.
+        let mut last_offered: Option<(usize, usize)> = None;
+        for_each_partner(neighbors, p, quad, |partner_y| {
+            evaluate_window(
+                q, spec, n, measure, p, quad, neighbors, by_dist, partner_y,
+                &mut last_offered, sink, stats,
+            );
+        });
+    }
+}
+
+/// Calls `visit` once per distinct partner `y` on the side of `p` its
+/// quadrant admits, walking away from `p`: at or above it for a
+/// top-edge quadrant, at or below it otherwise (Algorithm 1 line 18
+/// skips the rest). Equal `y`s yield the same window, so each is
+/// visited once. `neighbors` must be sorted by `y`.
+pub(crate) fn for_each_partner(
+    neighbors: &[Entry],
     p: &Entry,
     quad: Quadrant,
-    neighbors: &mut [Entry],
-    by_dist: &mut Vec<(f64, u32, Entry)>,
-    sink: &mut S,
-    stats: &mut SearchStats,
+    mut visit: impl FnMut(f64),
 ) {
-    if neighbors.len() < n {
-        return;
-    }
-    // Sort by y once; all window counting and slicing works off this.
-    neighbors.sort_by(|a, b| a.point.y.total_cmp(&b.point.y));
-    // Pre-rank neighbors by distance once per object: per-window group
-    // selection then scans this ranking and keeps the first n members of
-    // the window's y-slice, instead of re-sorting every slice. On dense
-    // search regions (hot clusters) this is the difference between
-    // O(windows · |SR| log |SR|) and O(windows · n + misses).
-    by_dist.clear();
-    by_dist.extend(neighbors.iter().map(|&e| (e.point.dist2(q), e.id, e)));
-    by_dist.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-
-    // Windows whose y-slice is identical produce identical groups; skip
-    // re-evaluating them once one has been offered.
-    let mut last_offered: Option<(usize, usize)> = None;
-
-    let on_top = quad.partner_on_top_edge();
-    if on_top {
-        // Partners at or above p (Algorithm 1 line 18 skips the rest).
+    let mut prev_y = f64::NAN;
+    let mut step = |y: f64| {
+        if y != prev_y {
+            prev_y = y;
+            visit(y);
+        }
+    };
+    if quad.partner_on_top_edge() {
         let start = neighbors.partition_point(|e| e.point.y < p.point.y);
-        let mut prev_y = f64::NAN;
-        for idx in start..neighbors.len() {
-            let partner_y = neighbors[idx].point.y;
-            if partner_y == prev_y {
-                continue; // identical window already evaluated
-            }
-            prev_y = partner_y;
-            evaluate_window(
-                q, spec, n, measure, p, quad, neighbors, by_dist, partner_y,
-                &mut last_offered, sink, stats,
-            );
-        }
+        neighbors[start..].iter().for_each(|e| step(e.point.y));
     } else {
-        // Partners at or below p, walked downward.
         let end = neighbors.partition_point(|e| e.point.y <= p.point.y);
-        let mut prev_y = f64::NAN;
-        for idx in (0..end).rev() {
-            let partner_y = neighbors[idx].point.y;
-            if partner_y == prev_y {
-                continue;
-            }
-            prev_y = partner_y;
-            evaluate_window(
-                q, spec, n, measure, p, quad, neighbors, by_dist, partner_y,
-                &mut last_offered, sink, stats,
-            );
-        }
+        neighbors[..end].iter().rev().for_each(|e| step(e.point.y));
     }
 }
 
@@ -174,6 +214,14 @@ mod tests {
         }
     }
 
+    fn count(n: usize) -> CountTest<'static> {
+        CountTest {
+            grid: None,
+            n,
+            measure: DistanceMeasure::Max,
+        }
+    }
+
     fn entries(pts: &[(f64, f64)]) -> Vec<Entry> {
         pts.iter()
             .enumerate()
@@ -199,11 +247,9 @@ mod tests {
             offers: vec![],
         };
         let mut stats = SearchStats::default();
-        scan_candidates(
+        count(3).scan(
             &q,
             &spec,
-            3,
-            DistanceMeasure::Max,
             &p,
             Quadrant::I,
             &mut neighbors,
@@ -236,11 +282,9 @@ mod tests {
             offers: vec![],
         };
         let mut stats = SearchStats::default();
-        scan_candidates(
+        count(2).scan(
             &q,
             &spec,
-            2,
-            DistanceMeasure::Max,
             &p,
             Quadrant::I,
             &mut neighbors,
@@ -264,11 +308,9 @@ mod tests {
             offers: vec![],
         };
         let mut stats = SearchStats::default();
-        scan_candidates(
+        count(3).scan(
             &q,
             &spec,
-            3,
-            DistanceMeasure::Max,
             &p,
             Quadrant::IV,
             &mut neighbors,
@@ -295,11 +337,9 @@ mod tests {
             offers: vec![],
         };
         let mut stats = SearchStats::default();
-        scan_candidates(
+        count(1).scan(
             &q,
             &spec,
-            1,
-            DistanceMeasure::Max,
             &p,
             Quadrant::I,
             &mut neighbors,
@@ -322,11 +362,9 @@ mod tests {
             offers: vec![],
         };
         let mut stats = SearchStats::default();
-        scan_candidates(
+        count(3).scan(
             &q,
             &spec,
-            3,
-            DistanceMeasure::Max,
             &p,
             Quadrant::I,
             &mut neighbors,

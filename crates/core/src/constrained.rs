@@ -20,11 +20,12 @@
 
 use crate::candidates::GroupSink;
 use crate::index::NwcIndex;
-use crate::query::NwcQuery;
+use crate::query::{unrecoverable, NwcQuery};
 use crate::result::{NwcResult, SearchStats};
 use crate::scheme::Scheme;
+use crate::scratch::QueryScratch;
 use nwc_geom::Rect;
-use nwc_rtree::Entry;
+use nwc_rtree::{Budget, Entry};
 
 impl NwcIndex {
     /// Answers `NWC(q, l, w, n)` restricted to groups whose objects all
@@ -42,7 +43,17 @@ impl NwcIndex {
             dist_best: f64::INFINITY,
             best: None,
         };
-        let stats = self.run_search(query, scheme, &mut sink);
+        let searched = self.search(
+            query,
+            scheme,
+            &mut sink,
+            &mut QueryScratch::default(),
+            &Budget::none(),
+        );
+        let stats = match searched {
+            Ok((stats, _)) => stats,
+            Err(e) => unrecoverable(e),
+        };
         sink.best.map(|(objects, window)| NwcResult {
             objects,
             distance: sink.dist_best,

@@ -40,7 +40,7 @@ use crate::query::{KnwcQuery, NwcQuery, QueryError};
 use crate::result::{NwcResult, SearchStats};
 use crate::scheme::Scheme;
 use crate::scratch::QueryScratch;
-use nwc_rtree::{Budget, CancelToken};
+use nwc_rtree::Budget;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -131,12 +131,12 @@ impl<'i> QueryEngine<'i> {
     }
 
     /// As [`QueryEngine::try_nwc_batch`], additionally observing a
-    /// cooperative [`CancelToken`]. Once the token fires, each query —
+    /// cooperative [`Budget`]. Once it expires, each query —
     /// in-flight or not yet started — stops at its next cancellation
     /// point and reports its own typed [`AnytimeNwc`] partial: the
     /// best-so-far answer it had at that moment with an individually
     /// valid `error_bound`, rather than one blanket error for the whole
-    /// batch. Slots finished before the token fired are complete
+    /// batch. Slots finished before the budget expired are complete
     /// (`exhausted == None`) and bit-identical to
     /// [`QueryEngine::try_nwc_batch`]; `Err` slots are reserved for
     /// disk failures. The workers and the index stay fully usable.
@@ -144,9 +144,9 @@ impl<'i> QueryEngine<'i> {
         &self,
         queries: &[NwcQuery],
         scheme: Scheme,
-        cancel: &CancelToken,
+        cancel: &Budget,
     ) -> Vec<Result<AnytimeNwc, QueryError>> {
-        self.try_nwc_batch_budget(queries, scheme, &Budget::from(cancel.clone()), Approx::exact())
+        self.try_nwc_batch_budget(queries, scheme, cancel, Approx::exact())
     }
 
     /// As [`QueryEngine::try_nwc_batch_cancel`] with the full anytime
@@ -173,9 +173,9 @@ impl<'i> QueryEngine<'i> {
         &self,
         queries: &[KnwcQuery],
         scheme: Scheme,
-        cancel: &CancelToken,
+        cancel: &Budget,
     ) -> Vec<Result<AnytimeKnwc, QueryError>> {
-        self.try_knwc_batch_budget(queries, scheme, &Budget::from(cancel.clone()), Approx::exact())
+        self.try_knwc_batch_budget(queries, scheme, cancel, Approx::exact())
     }
 
     /// As [`QueryEngine::try_nwc_batch_budget`] for kNWC queries.

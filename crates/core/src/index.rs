@@ -14,9 +14,11 @@ pub struct IndexConfig {
     /// R\*-tree shape (default: the paper's 50 entries per node).
     pub tree_params: TreeParams,
     /// Density-grid cell size (default 25, per §5: "the grid cell size is
-    /// set to 25"); `None` skips building the grid (DEP unavailable).
+    /// set to 25"); `None` skips building the grid (DEP then prunes
+    /// nothing).
     pub grid_cell_size: Option<f64>,
-    /// Whether to build the IWP pointer augmentation (default true).
+    /// Whether to build the IWP pointer augmentation (default true;
+    /// without it IWP queries run plain window queries).
     pub build_iwp: bool,
     /// `true` (default) bulk-loads with STR; `false` builds by repeated
     /// R\* insertion, as the original Java implementation would.
@@ -167,6 +169,12 @@ pub enum IndexUpdateError {
     /// partially updated: drop the index without committing — the page
     /// file still holds the last committed state — and reopen.
     Io(DiskReadError),
+    /// The point to insert has a NaN or infinite coordinate. The index
+    /// is unchanged.
+    NonFinitePoint,
+    /// Every `u32` object id has been handed out. The index is
+    /// unchanged.
+    IdsExhausted,
 }
 
 impl std::fmt::Display for IndexUpdateError {
@@ -180,6 +188,10 @@ impl std::fmt::Display for IndexUpdateError {
                 )
             }
             IndexUpdateError::Io(e) => write!(f, "disk read failed: {e}"),
+            IndexUpdateError::NonFinitePoint => {
+                write!(f, "cannot index a point with a non-finite coordinate")
+            }
+            IndexUpdateError::IdsExhausted => write!(f, "every u32 object id is in use"),
         }
     }
 }
@@ -191,9 +203,9 @@ impl From<TreeError> for IndexUpdateError {
         match e {
             TreeError::ReadOnly => IndexUpdateError::ReadOnly,
             TreeError::Io(e) => IndexUpdateError::Io(e),
-            // Updates never arm a cancellation token; keep the
-            // conversion total by reporting the cancellation as a
-            // page-less read failure rather than panicking.
+            // Updates never arm a budget; keep the conversion total by
+            // reporting the cancellation as a page-less read failure
+            // rather than panicking.
             TreeError::Cancelled(kind) => IndexUpdateError::Io(nwc_rtree::DiskReadError {
                 page: u32::MAX,
                 detail: kind.to_string(),
@@ -481,19 +493,22 @@ impl NwcIndex {
     // The NWC paper works over static datasets, but a deployed index
     // must absorb churn (shops open and close). Updates keep the tree
     // (R* insert/delete) and the density grid in sync; the IWP pointer
-    // augmentation is positional and is invalidated instead — call
-    // [`NwcIndex::rebuild_iwp`] before the next IWP/NWC* query.
+    // augmentation is positional and is invalidated instead — queries
+    // skip IWP pruning until [`NwcIndex::rebuild_iwp`].
     // ------------------------------------------------------------------
 
     /// Adds an object, returning its id. Invalidates the IWP
-    /// augmentation (if any) until [`NwcIndex::rebuild_iwp`]. On a
+    /// augmentation (if any) until [`NwcIndex::rebuild_iwp`]; IWP
+    /// queries fall back to plain window queries meanwhile. On a
     /// *writable* disk-backed index the tree mutation lands in the
     /// in-memory overlay — call [`NwcIndex::commit`] to make it
     /// durable; on a read-only one this returns
     /// [`IndexUpdateError::ReadOnly`] with every structure untouched.
+    /// A non-finite point returns [`IndexUpdateError::NonFinitePoint`]
+    /// and a full id space [`IndexUpdateError::IdsExhausted`], both
+    /// with the index unchanged.
     pub fn insert(&mut self, point: Point) -> Result<u32, IndexUpdateError> {
-        assert!(point.is_finite(), "cannot index non-finite point {point:?}");
-        let id = u32::try_from(self.points.len()).expect("object id overflow");
+        let id = self.check_insert(point)?;
         // The tree mutates first: if it refuses, no derived structure
         // has been touched and the index stays consistent.
         self.tree.insert(id, point)?;
@@ -508,6 +523,15 @@ impl NwcIndex {
         Ok(id)
     }
 
+    /// The id [`NwcIndex::insert`] would give `point`, or the typed
+    /// reason it would refuse it — checked before anything mutates.
+    pub(crate) fn check_insert(&self, point: Point) -> Result<u32, IndexUpdateError> {
+        if !point.is_finite() {
+            return Err(IndexUpdateError::NonFinitePoint);
+        }
+        u32::try_from(self.points.len()).map_err(|_| IndexUpdateError::IdsExhausted)
+    }
+
     /// As [`NwcIndex::insert`], but the object id is assigned by the
     /// caller (the sharded index allocates ids globally so shards never
     /// collide). The id must not be live in this index. The id → point
@@ -517,7 +541,9 @@ impl NwcIndex {
         id: u32,
         point: Point,
     ) -> Result<(), IndexUpdateError> {
-        assert!(point.is_finite(), "cannot index non-finite point {point:?}");
+        if !point.is_finite() {
+            return Err(IndexUpdateError::NonFinitePoint);
+        }
         assert!(!self.is_live(id), "id {id} is already live in this shard");
         self.tree.insert(id, point)?;
         if self.points.len() <= id as usize {
@@ -578,8 +604,8 @@ impl NwcIndex {
     /// A commit that actually flushed dirty nodes invalidates the IWP
     /// augmentation (like [`NwcIndex::insert`]): shadow paging assigns
     /// fresh page ids to the flushed nodes, and the IWP's leaf pointers
-    /// are positional. Call [`NwcIndex::rebuild_iwp`] before the next
-    /// IWP/NWC* query.
+    /// are positional. Until [`NwcIndex::rebuild_iwp`], IWP/NWC* queries
+    /// answer through plain window queries.
     pub fn commit(&mut self) -> Result<(), IndexUpdateError> {
         let dirty = self
             .tree

@@ -91,10 +91,13 @@ impl StreamingIngestor {
     /// Inserts `point`, evicting the oldest live object first when the
     /// window is full. Returns the new object's id.
     ///
+    /// A point the index would refuse (non-finite, or no id left) is
+    /// rejected before anything is evicted, so the window is unchanged.
     /// On a disk-backed index an I/O error mid-update can leave the
     /// uncommitted overlay partially applied; discard the ingestor and
     /// reopen from the last committed state.
     pub fn push(&mut self, point: Point) -> Result<u32, IndexUpdateError> {
+        self.index.check_insert(point)?;
         while self.window.len() >= self.config.capacity {
             // Evict before inserting so capacity also bounds the
             // index's transient size.
@@ -218,6 +221,29 @@ mod tests {
         let hit = ing.index().nwc(&q, Scheme::NWC).expect("cluster exists");
         assert_eq!(hit.objects.len(), 8);
         assert!(hit.objects.iter().all(|e| e.point.x >= 799.0));
+    }
+
+    #[test]
+    fn non_finite_push_is_rejected_before_eviction() {
+        let idx = NwcIndex::build(base_points(4));
+        let mut ing = StreamingIngestor::new(
+            idx,
+            IngestConfig {
+                capacity: 4,
+                commit_every: 0,
+            },
+        );
+        for bad in [pt(f64::NAN, 1.0), pt(1.0, f64::INFINITY)] {
+            assert_eq!(ing.push(bad), Err(IndexUpdateError::NonFinitePoint));
+        }
+        // The full window evicted nothing for the rejected pushes.
+        assert_eq!(ing.evicted(), 0);
+        assert_eq!(ing.window_len(), 4);
+        assert!((0..4).all(|id| ing.index().is_live(id)));
+        assert_eq!(ing.index().len(), 4);
+        // The next valid push evicts the oldest as usual.
+        assert_eq!(ing.push(pt(1.0, 1.0)), Ok(4));
+        assert!(!ing.index().is_live(0));
     }
 
     #[test]

@@ -28,13 +28,15 @@
 //! brute-force greedy answer; the experiments use the pruned variant,
 //! exactly as the paper does.
 
+use crate::algo::SearchEnd;
 use crate::candidates::GroupSink;
 use crate::index::NwcIndex;
-use crate::query::KnwcQuery;
+use crate::query::{unrecoverable, KnwcQuery, QueryError};
 use crate::result::SearchStats;
+use crate::scheme::Scheme;
 use crate::scratch::QueryScratch;
 use nwc_geom::Rect;
-use nwc_rtree::{Entry, ObjectId};
+use nwc_rtree::{Budget, Entry, ObjectId};
 
 /// One group of a kNWC answer.
 #[derive(Clone, Debug)]
@@ -71,7 +73,7 @@ impl NwcIndex {
     /// with the current k-th group distance as §3.4 prescribes. The
     /// paper's experiments use `kNWC+` (= `Scheme::NWC_PLUS`) and `kNWC*`
     /// (= `Scheme::NWC_STAR`).
-    pub fn knwc(&self, query: &KnwcQuery, scheme: crate::Scheme) -> KnwcResult {
+    pub fn knwc(&self, query: &KnwcQuery, scheme: Scheme) -> KnwcResult {
         self.knwc_impl(query, scheme, true, &mut QueryScratch::default())
     }
 
@@ -82,65 +84,55 @@ impl NwcIndex {
     pub fn knwc_with(
         &self,
         query: &KnwcQuery,
-        scheme: crate::Scheme,
+        scheme: Scheme,
         scratch: &mut QueryScratch,
     ) -> KnwcResult {
         self.knwc_impl(query, scheme, true, scratch)
     }
 
     /// As [`NwcIndex::knwc`], surfacing disk read failures as
-    /// [`QueryError`](crate::QueryError) instead of panicking (see
-    /// [`NwcIndex::try_nwc`]). On an error the index remains usable.
-    pub fn try_knwc(
-        &self,
-        query: &KnwcQuery,
-        scheme: crate::Scheme,
-    ) -> Result<KnwcResult, crate::QueryError> {
-        self.try_knwc_impl(
-            query,
-            scheme,
-            true,
-            &mut QueryScratch::default(),
-            &nwc_rtree::CancelToken::none(),
-        )
+    /// [`QueryError`] instead of panicking (see [`NwcIndex::try_nwc`]).
+    /// On an error the index remains usable.
+    pub fn try_knwc(&self, query: &KnwcQuery, scheme: Scheme) -> Result<KnwcResult, QueryError> {
+        self.try_knwc_with(query, scheme, &mut QueryScratch::default())
     }
 
     /// As [`NwcIndex::try_knwc`] with scratch reuse.
     pub fn try_knwc_with(
         &self,
         query: &KnwcQuery,
-        scheme: crate::Scheme,
+        scheme: Scheme,
         scratch: &mut QueryScratch,
-    ) -> Result<KnwcResult, crate::QueryError> {
-        self.try_knwc_impl(query, scheme, true, scratch, &nwc_rtree::CancelToken::none())
+    ) -> Result<KnwcResult, QueryError> {
+        self.try_knwc_cancel(query, scheme, scratch, &Budget::none())
     }
 
     /// As [`NwcIndex::try_knwc_with`], additionally observing a
-    /// cooperative [`CancelToken`](nwc_rtree::CancelToken) — see
-    /// [`NwcIndex::try_nwc_full_cancel`] for the cancellation contract.
+    /// cooperative [`Budget`] — see [`NwcIndex::try_nwc_full_cancel`]
+    /// for the cancellation contract.
     pub fn try_knwc_cancel(
         &self,
         query: &KnwcQuery,
-        scheme: crate::Scheme,
+        scheme: Scheme,
         scratch: &mut QueryScratch,
-        cancel: &nwc_rtree::CancelToken,
-    ) -> Result<KnwcResult, crate::QueryError> {
+        cancel: &Budget,
+    ) -> Result<KnwcResult, QueryError> {
         self.try_knwc_impl(query, scheme, true, scratch, cancel)
     }
 
     /// Anytime `kNWC`: runs until `budget` expires and returns the
     /// groups found so far with a proven quality bound (see
     /// [`AnytimeKnwc`](crate::AnytimeKnwc)) instead of erroring. With
-    /// [`Approx::exact`](crate::Approx::exact) and
-    /// [`Budget::none`](nwc_rtree::Budget::none) the groups and logical
-    /// I/O are bit-identical to [`NwcIndex::try_knwc`].
+    /// [`Approx::exact`](crate::Approx::exact) and [`Budget::none`] the
+    /// groups and logical I/O are bit-identical to
+    /// [`NwcIndex::try_knwc`].
     pub fn try_knwc_anytime(
         &self,
         query: &KnwcQuery,
-        scheme: crate::Scheme,
-        budget: &nwc_rtree::Budget,
+        scheme: Scheme,
+        budget: &Budget,
         approx: crate::Approx,
-    ) -> Result<crate::AnytimeKnwc, crate::QueryError> {
+    ) -> Result<crate::AnytimeKnwc, QueryError> {
         self.try_knwc_anytime_with(query, scheme, &mut QueryScratch::default(), budget, approx)
     }
 
@@ -148,46 +140,38 @@ impl NwcIndex {
     pub fn try_knwc_anytime_with(
         &self,
         query: &KnwcQuery,
-        scheme: crate::Scheme,
+        scheme: Scheme,
         scratch: &mut QueryScratch,
-        budget: &nwc_rtree::Budget,
+        budget: &Budget,
         approx: crate::Approx,
-    ) -> Result<crate::AnytimeKnwc, crate::QueryError> {
+    ) -> Result<crate::AnytimeKnwc, QueryError> {
         let started = std::time::Instant::now();
         let io = self.tree().stats();
         let io0 = io.snapshot();
-        let mut sink = GroupsSink {
-            core: GroupsCore::approx(query.k, query.m, true, approx.shrink()),
-            idbuf: std::mem::take(&mut scratch.ids),
-        };
-        let searched =
-            self.try_run_search_budget(&query.base, scheme, &mut sink, scratch, budget);
-        sink.idbuf.clear();
-        scratch.ids = std::mem::take(&mut sink.idbuf);
-        let (stats, end) = searched?;
+        let core = GroupsCore::approx(query.k, query.m, true, approx.shrink());
+        let (result, end) = self.knwc_search(query, scheme, core, scratch, budget)?;
         let spent = crate::BudgetSpent {
             elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             io: io.since(io0),
         };
-        let groups = sink.core.groups();
         // The bound brackets the k-th selected score; with fewer than k
         // groups it is infinite unless the search completed (in which
         // case no k-th group exists at all and the gap is zero).
-        let kth = if groups.len() == query.k {
-            groups.last().map_or(f64::INFINITY, |g| g.distance)
+        let kth = if result.groups.len() == query.k {
+            result.groups.last().map_or(f64::INFINITY, |g| g.distance)
         } else {
             f64::INFINITY
         };
         let (frontier_key, exhausted) = match end {
-            crate::algo::SearchEnd::Complete => (f64::INFINITY, None),
-            crate::algo::SearchEnd::Exhausted { kind, frontier } => (frontier, Some(kind)),
+            SearchEnd::Complete => (f64::INFINITY, None),
+            SearchEnd::Exhausted { kind, frontier } => (frontier, Some(kind)),
         };
         let slack = crate::anytime::frontier_slack(query.base.measure, &query.base.spec);
         let frontier = crate::anytime::frontier_lower_bound(frontier_key, slack);
         let lower_bound = crate::anytime::combine_lower_bound(kth, approx.shrink(), frontier);
         let error_bound = crate::anytime::gap(kth, lower_bound);
         Ok(crate::AnytimeKnwc {
-            result: KnwcResult { groups, stats },
+            result,
             lower_bound,
             error_bound,
             spent,
@@ -201,7 +185,7 @@ impl NwcIndex {
     /// [`oracle::knwc_brute_force`](crate::oracle::knwc_brute_force)).
     /// DEP/IWP still apply if the scheme enables them — they never drop
     /// qualified windows.
-    pub fn knwc_exact(&self, query: &KnwcQuery, scheme: crate::Scheme) -> KnwcResult {
+    pub fn knwc_exact(&self, query: &KnwcQuery, scheme: Scheme) -> KnwcResult {
         self.knwc_impl(query, scheme, false, &mut QueryScratch::default())
     }
 
@@ -211,10 +195,10 @@ impl NwcIndex {
     pub(crate) fn try_knwc_exact_with(
         &self,
         query: &KnwcQuery,
-        scheme: crate::Scheme,
+        scheme: Scheme,
         scratch: &mut QueryScratch,
-    ) -> Result<KnwcResult, crate::QueryError> {
-        self.try_knwc_impl(query, scheme, false, scratch, &nwc_rtree::CancelToken::none())
+    ) -> Result<KnwcResult, QueryError> {
+        self.try_knwc_impl(query, scheme, false, scratch, &Budget::none())
     }
 
     /// Answers a kNWC query with the paper's §3.4 Steps 1–5 implemented
@@ -223,13 +207,23 @@ impl NwcIndex {
     /// matches [`NwcIndex::knwc`], but an eviction cascade can leave it
     /// with fewer/different groups (see the module docs), which is why
     /// the buffered variant is the default.
-    pub fn knwc_paper_steps(&self, query: &KnwcQuery, scheme: crate::Scheme) -> KnwcResult {
+    pub fn knwc_paper_steps(&self, query: &KnwcQuery, scheme: Scheme) -> KnwcResult {
         let mut sink = PaperStepsSink {
             k: query.k,
             m: query.m,
             groups: Vec::with_capacity(query.k),
         };
-        let stats = self.run_search(&query.base, scheme, &mut sink);
+        let searched = self.search(
+            &query.base,
+            scheme,
+            &mut sink,
+            &mut QueryScratch::default(),
+            &Budget::none(),
+        );
+        let stats = match searched {
+            Ok((stats, _)) => stats,
+            Err(e) => unrecoverable(e),
+        };
         KnwcResult {
             groups: sink
                 .groups
@@ -247,41 +241,56 @@ impl NwcIndex {
     fn knwc_impl(
         &self,
         query: &KnwcQuery,
-        scheme: crate::Scheme,
+        scheme: Scheme,
         prune: bool,
         scratch: &mut QueryScratch,
     ) -> KnwcResult {
-        match self.try_knwc_impl(query, scheme, prune, scratch, &nwc_rtree::CancelToken::none()) {
+        match self.try_knwc_impl(query, scheme, prune, scratch, &Budget::none()) {
             Ok(r) => r,
-            Err(e) => crate::algo::unrecoverable(e),
+            Err(e) => unrecoverable(e),
         }
     }
 
     fn try_knwc_impl(
         &self,
         query: &KnwcQuery,
-        scheme: crate::Scheme,
+        scheme: Scheme,
         prune: bool,
         scratch: &mut QueryScratch,
-        cancel: &nwc_rtree::CancelToken,
-    ) -> Result<KnwcResult, crate::QueryError> {
+        cancel: &Budget,
+    ) -> Result<KnwcResult, QueryError> {
+        let core = GroupsCore::new(query.k, query.m, prune);
+        let (result, end) = self.knwc_search(query, scheme, core, scratch, cancel)?;
+        end.or_error()?;
+        Ok(result)
+    }
+
+    /// The search loop with the buffered greedy top-k sink over `core`.
+    fn knwc_search(
+        &self,
+        query: &KnwcQuery,
+        scheme: Scheme,
+        core: GroupsCore,
+        scratch: &mut QueryScratch,
+        budget: &Budget,
+    ) -> Result<(KnwcResult, SearchEnd), QueryError> {
         // The sink borrows the scratch's id buffer for its set-identity
-        // checks; the traversal buffers stay with the scratch. Returned
-        // below so the capacity survives into the next query.
+        // checks; the traversal buffers stay with the scratch.
         let mut sink = GroupsSink {
-            core: GroupsCore::new(query.k, query.m, prune),
+            core,
             idbuf: std::mem::take(&mut scratch.ids),
         };
-        let searched = self.try_run_search_cancel(&query.base, scheme, &mut sink, scratch, cancel);
+        let searched = self.search(&query.base, scheme, &mut sink, scratch, budget);
         // Failed or not, the id buffer goes back to the scratch so its
         // capacity survives into the next query.
         sink.idbuf.clear();
         scratch.ids = std::mem::take(&mut sink.idbuf);
-        let stats = searched?;
-        Ok(KnwcResult {
+        let (stats, end) = searched?;
+        let result = KnwcResult {
             groups: sink.core.groups(),
             stats,
-        })
+        };
+        Ok((result, end))
     }
 }
 

@@ -27,7 +27,7 @@ pub enum QueryError {
     /// search has been released — but this query has no answer.
     Io(DiskReadError),
     /// The query's deadline passed mid-search (cooperative cancellation
-    /// via [`CancelToken`](nwc_rtree::CancelToken)). The index and the
+    /// via a [`Budget`](nwc_rtree::Budget)). The index and the
     /// calling thread remain fully usable: every pin is released and no
     /// state is torn down — the query simply has no answer.
     Deadline,
@@ -62,6 +62,16 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
+/// The infallible query APIs keep their historical panic on a disk read
+/// that survives the whole retry budget — callers that can handle the
+/// failure use the `try_*` twins. This is core's one deliberate panic
+/// on the query path.
+#[cold]
+#[inline(never)]
+pub(crate) fn unrecoverable(e: QueryError) -> ! {
+    panic!("unrecoverable disk read failure during search (use the try_* query APIs to handle this): {e}")
+}
+
 impl From<nwc_rtree::TreeError> for QueryError {
     fn from(e: nwc_rtree::TreeError) -> Self {
         match e {
@@ -73,9 +83,9 @@ impl From<nwc_rtree::TreeError> for QueryError {
                 QueryError::Cancelled
             }
             // The anytime paths intercept I/O-budget trips before they
-            // become errors; this arm only fires when a legacy `try_*`
-            // API is handed a Budget-derived token, where "budget spent"
-            // is closest to a spent deadline.
+            // become errors; this arm only fires when an all-or-nothing
+            // `try_*` API is handed an I/O allowance, where "budget
+            // spent" is closest to a spent deadline.
             nwc_rtree::TreeError::Cancelled(nwc_rtree::CancelKind::IoBudget) => {
                 QueryError::Deadline
             }

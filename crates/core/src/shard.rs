@@ -63,14 +63,13 @@
 //!
 //! Everything outside `#[cfg(test)]` in this module is panic-free by
 //! policy (same bar as the serving layer): failures surface as typed
-//! errors, and a scheme requesting a structure the index was built
-//! without (density grid, IWP) degrades by skipping that optimization
-//! instead of panicking — the K = 1 delegation path keeps the
-//! single-tree panic semantics.
+//! errors. A scheme requesting a structure the index lacks (density
+//! grid, IWP) skips that pruning, for every K, exactly as the unsharded
+//! index does — the search loop is the same one ([`best_first`]).
 
-use crate::algo::{budget_error, canonical_less, tie_inclusive, BestSink, SearchEnd};
+use crate::algo::{best_first, canonical_less, tie_inclusive, BestSink, SearchEnd};
 use crate::anytime::{AnytimeKnwc, AnytimeNwc, Approx, BudgetSpent};
-use crate::candidates::{scan_candidates, GroupSink};
+use crate::candidates::{CountTest, GroupSink};
 use crate::engine::scatter_map;
 use crate::index::{grid_bounds, DiskIndexConfig, IndexConfig, IndexOpenError, IndexUpdateError};
 use crate::knwc::{GroupsCore, KnwcResult};
@@ -79,14 +78,9 @@ use crate::result::{NwcResult, SearchStats};
 use crate::scheme::Scheme;
 use crate::scratch::QueryScratch;
 use crate::NwcIndex;
-use nwc_geom::window::{
-    extended_mbr, node_window_lower_bound, reduced_search_region, search_region,
-};
-use nwc_geom::{Point, Quadrant, Rect};
+use nwc_geom::{Point, Rect};
 use nwc_grid::DensityGrid;
-use nwc_rtree::{
-    str_partition, BrowseItem, Budget, CancelKind, CancelToken, DiskError, Entry, ObjectId,
-};
+use nwc_rtree::{str_partition, Budget, CancelKind, DiskError, Entry, ObjectId};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -425,7 +419,7 @@ impl ShardedNwcIndex {
         let grid = grid_cell_size
             .map(|cell| DensityGrid::from_cell_size(grid_bounds(&bounds), cell, &all_points));
         Ok(ShardedNwcIndex {
-            next_id: owner.len() as u32,
+            next_id: id_after(&owner),
             shards,
             grid,
             owner,
@@ -442,7 +436,7 @@ impl ShardedNwcIndex {
                 *slot = 0;
             }
         }
-        let next_id = owner.len() as u32;
+        let next_id = id_after(&owner);
         ShardedNwcIndex {
             shards: vec![single],
             grid: None,
@@ -544,11 +538,11 @@ impl ShardedNwcIndex {
         query: &NwcQuery,
         scheme: Scheme,
     ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
-        self.try_nwc_full_cancel(query, scheme, &mut QueryScratch::new(), &CancelToken::none())
+        self.try_nwc_full_cancel(query, scheme, &mut QueryScratch::new(), &Budget::none())
     }
 
     /// As [`ShardedNwcIndex::try_nwc_full`] with a cooperative
-    /// [`CancelToken`] (the cancellation contract of
+    /// [`Budget`] (the cancellation contract of
     /// [`NwcIndex::try_nwc_full_cancel`], checked per shard). `scratch`
     /// serves the K = 1 delegation path; a K > 1 scatter gives each
     /// worker its own scratch.
@@ -557,7 +551,7 @@ impl ShardedNwcIndex {
         query: &NwcQuery,
         scheme: Scheme,
         scratch: &mut QueryScratch,
-        cancel: &CancelToken,
+        cancel: &Budget,
     ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
         if let [single] = self.shards.as_slice() {
             // K = 1: bit-identical to the unsharded path, stats included.
@@ -575,7 +569,7 @@ impl ShardedNwcIndex {
         query: &NwcQuery,
         scheme: Scheme,
     ) -> Result<ShardedNwcAnswer, ShardScatterError> {
-        self.try_nwc_scatter_cancel(query, scheme, &CancelToken::none())
+        self.try_nwc_scatter_cancel(query, scheme, &Budget::none())
     }
 
     /// As [`ShardedNwcIndex::try_nwc_scatter`] with cancellation.
@@ -583,7 +577,7 @@ impl ShardedNwcIndex {
         &self,
         query: &NwcQuery,
         scheme: Scheme,
-        cancel: &CancelToken,
+        cancel: &Budget,
     ) -> Result<ShardedNwcAnswer, ShardScatterError> {
         if let [single] = self.shards.as_slice() {
             let (result, stats) = single
@@ -602,27 +596,17 @@ impl ShardedNwcIndex {
         // order identically to their bit patterns, so fetch_min on the
         // bits IS min on the scores.
         let bound = AtomicU64::new(f64::INFINITY.to_bits());
-        let outcome = gather_strict(self.scatter(
-            query,
-            scheme,
-            &Budget::from(cancel.clone()),
-            || SharedBestSink {
+        let (per_shard, stats, sinks) =
+            gather_strict(self.scatter(query, scheme, cancel, || SharedBestSink {
                 bound: &bound,
                 shrink: 1.0,
                 local: BestSink::new(),
-            },
-        ))?;
+            }))?;
         // Deterministic merge: min score, ties by canonical
         // (sorted ids, window) — independent of shard order.
         let mut best: Option<(f64, Vec<u32>, Vec<Entry>, Rect)> = None;
-        for (_, _, sink) in &outcome {
+        for sink in &sinks {
             merge_best(&mut best, &sink.local);
-        }
-        let mut per_shard = vec![SearchStats::default(); self.shards.len()];
-        let mut stats = SearchStats::default();
-        for (shard, s, _) in &outcome {
-            per_shard[*shard] = *s;
-            stats.accumulate(s);
         }
         let result = best.map(|(distance, _, objects, window)| NwcResult {
             objects,
@@ -692,44 +676,14 @@ impl ShardedNwcIndex {
             shrink,
             local: BestSink::approx(shrink),
         });
-        let slack = crate::anytime::frontier_slack(query.measure, &query.spec);
-        let mut per_shard = vec![SearchStats::default(); self.shards.len()];
-        let mut stats = SearchStats::default();
-        let mut frontier = f64::INFINITY;
-        let mut exhausted: Option<CancelKind> = None;
-        let mut degraded = Vec::new();
         let mut best: Option<(f64, Vec<u32>, Vec<Entry>, Rect)> = None;
-        for o in outcomes {
-            merge_best(&mut best, &o.sink.local);
-            match o.result {
-                Ok((s, end)) => {
-                    if let Some(slot) = per_shard.get_mut(o.shard) {
-                        *slot = s;
-                    }
-                    stats.accumulate(&s);
-                    if let SearchEnd::Exhausted {
-                        kind,
-                        frontier: key,
-                    } = end
-                    {
-                        exhausted = prefer_kind(exhausted, kind);
-                        frontier =
-                            frontier.min(crate::anytime::frontier_lower_bound(key, slack));
-                    }
-                }
-                Err(e) => {
-                    frontier = frontier.min(self.shard_fallback_bound(o.shard, query, slack));
-                    degraded.push((o.shard, e));
-                }
-            }
-        }
+        let gathered = self.gather_anytime(outcomes, query, |sink| {
+            merge_best(&mut best, &sink.local);
+        });
         let dist_best = best.as_ref().map_or(f64::INFINITY, |(d, ..)| *d);
-        let lower_bound = crate::anytime::combine_lower_bound(dist_best, shrink, frontier);
-        let error_bound = crate::anytime::gap(dist_best, lower_bound);
-        let spent = BudgetSpent {
-            elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            io: stats.io_total,
-        };
+        let lower_bound =
+            crate::anytime::combine_lower_bound(dist_best, shrink, gathered.frontier);
+        let stats = gathered.stats;
         let answer = best.map(|(distance, _, objects, window)| NwcResult {
             objects,
             distance,
@@ -741,12 +695,12 @@ impl ShardedNwcIndex {
                 answer,
                 stats,
                 lower_bound,
-                error_bound,
-                spent,
-                exhausted,
+                error_bound: crate::anytime::gap(dist_best, lower_bound),
+                spent: spent_since(started, &stats),
+                exhausted: gathered.exhausted,
             },
-            per_shard,
-            degraded,
+            per_shard: gathered.per_shard,
+            degraded: gathered.degraded,
         })
     }
 
@@ -784,36 +738,7 @@ impl ShardedNwcIndex {
             cached: &cached,
             idbuf: Vec::new(),
         });
-        let slack = crate::anytime::frontier_slack(query.base.measure, &query.base.spec);
-        let mut per_shard = vec![SearchStats::default(); self.shards.len()];
-        let mut stats = SearchStats::default();
-        let mut frontier = f64::INFINITY;
-        let mut exhausted: Option<CancelKind> = None;
-        let mut degraded = Vec::new();
-        for o in outcomes {
-            match o.result {
-                Ok((s, end)) => {
-                    if let Some(slot) = per_shard.get_mut(o.shard) {
-                        *slot = s;
-                    }
-                    stats.accumulate(&s);
-                    if let SearchEnd::Exhausted {
-                        kind,
-                        frontier: key,
-                    } = end
-                    {
-                        exhausted = prefer_kind(exhausted, kind);
-                        frontier =
-                            frontier.min(crate::anytime::frontier_lower_bound(key, slack));
-                    }
-                }
-                Err(e) => {
-                    frontier =
-                        frontier.min(self.shard_fallback_bound(o.shard, &query.base, slack));
-                    degraded.push((o.shard, e));
-                }
-            }
-        }
+        let gathered = self.gather_anytime(outcomes, &query.base, |_| {});
         let core = match core.into_inner() {
             Ok(c) => c,
             Err(poisoned) => poisoned.into_inner(),
@@ -824,23 +749,64 @@ impl ShardedNwcIndex {
         } else {
             f64::INFINITY
         };
-        let lower_bound = crate::anytime::combine_lower_bound(kth, shrink, frontier);
-        let error_bound = crate::anytime::gap(kth, lower_bound);
-        let spent = BudgetSpent {
-            elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            io: stats.io_total,
-        };
+        let lower_bound = crate::anytime::combine_lower_bound(kth, shrink, gathered.frontier);
+        let stats = gathered.stats;
         Ok(ShardedAnytimeKnwc {
             anytime: AnytimeKnwc {
                 result: KnwcResult { groups, stats },
                 lower_bound,
-                error_bound,
-                spent,
-                exhausted,
+                error_bound: crate::anytime::gap(kth, lower_bound),
+                spent: spent_since(started, &stats),
+                exhausted: gathered.exhausted,
             },
-            per_shard,
-            degraded,
+            per_shard: gathered.per_shard,
+            degraded: gathered.degraded,
         })
+    }
+
+    /// Folds anytime scatter outcomes into one ledger, handing every
+    /// shard's sink to `merge` first — groups found by a shard that
+    /// later tripped or failed are real and still count. Bound merge: a
+    /// budget-exhausted shard contributes its slack-adjusted frontier
+    /// key, a failed shard its [`ShardedNwcIndex::shard_fallback_bound`],
+    /// a completed shard nothing.
+    fn gather_anytime<S>(
+        &self,
+        outcomes: Vec<ShardOutcome<S>>,
+        query: &NwcQuery,
+        mut merge: impl FnMut(&S),
+    ) -> AnytimeGather {
+        let slack = crate::anytime::frontier_slack(query.measure, &query.spec);
+        let mut g = AnytimeGather {
+            per_shard: vec![SearchStats::default(); self.shards.len()],
+            stats: SearchStats::default(),
+            frontier: f64::INFINITY,
+            exhausted: None,
+            degraded: Vec::new(),
+        };
+        for o in outcomes {
+            merge(&o.sink);
+            match o.result {
+                Ok((s, end)) => {
+                    if let Some(slot) = g.per_shard.get_mut(o.shard) {
+                        *slot = s;
+                    }
+                    g.stats.accumulate(&s);
+                    if let SearchEnd::Exhausted { kind, frontier } = end {
+                        g.exhausted = prefer_kind(g.exhausted, kind);
+                        g.frontier = g
+                            .frontier
+                            .min(crate::anytime::frontier_lower_bound(frontier, slack));
+                    }
+                }
+                Err(e) => {
+                    let fallback = self.shard_fallback_bound(o.shard, query, slack);
+                    g.frontier = g.frontier.min(fallback);
+                    g.degraded.push((o.shard, e));
+                }
+            }
+        }
+        g
     }
 
     /// The bound contribution of a shard that failed before reporting a
@@ -867,7 +833,7 @@ impl ShardedNwcIndex {
         query: &KnwcQuery,
         scheme: Scheme,
     ) -> Result<KnwcResult, QueryError> {
-        self.try_knwc_cancel(query, scheme, &mut QueryScratch::new(), &CancelToken::none())
+        self.try_knwc_cancel(query, scheme, &mut QueryScratch::new(), &Budget::none())
     }
 
     /// As [`ShardedNwcIndex::try_knwc`] with cancellation and a scratch
@@ -877,7 +843,7 @@ impl ShardedNwcIndex {
         query: &KnwcQuery,
         scheme: Scheme,
         scratch: &mut QueryScratch,
-        cancel: &CancelToken,
+        cancel: &Budget,
     ) -> Result<KnwcResult, QueryError> {
         if let [single] = self.shards.as_slice() {
             return single.try_knwc_cancel(query, scheme, scratch, cancel);
@@ -899,7 +865,7 @@ impl ShardedNwcIndex {
             // Delegate through the cancel-free exact path.
             return single.try_knwc_exact_with(query, scheme, &mut scratch);
         }
-        Ok(self.knwc_scatter(query, scheme, false, &CancelToken::none())?.result)
+        Ok(self.knwc_scatter(query, scheme, false, &Budget::none())?.result)
     }
 
     /// The fully detailed kNWC scatter (per-shard counters), pruned.
@@ -908,7 +874,7 @@ impl ShardedNwcIndex {
         query: &KnwcQuery,
         scheme: Scheme,
     ) -> Result<ShardedKnwcAnswer, ShardScatterError> {
-        self.knwc_scatter(query, scheme, true, &CancelToken::none())
+        self.knwc_scatter(query, scheme, true, &Budget::none())
     }
 
     fn knwc_scatter(
@@ -916,7 +882,7 @@ impl ShardedNwcIndex {
         query: &KnwcQuery,
         scheme: Scheme,
         prune: bool,
-        cancel: &CancelToken,
+        cancel: &Budget,
     ) -> Result<ShardedKnwcAnswer, ShardScatterError> {
         if let [single] = self.shards.as_slice() {
             let mut scratch = QueryScratch::new();
@@ -934,22 +900,12 @@ impl ShardedNwcIndex {
         }
         let core = Mutex::new(GroupsCore::new(query.k, query.m, prune));
         let cached = AtomicU64::new(f64::INFINITY.to_bits());
-        let outcome = gather_strict(self.scatter(
-            &query.base,
-            scheme,
-            &Budget::from(cancel.clone()),
-            || SharedGroupsSink {
+        let (per_shard, stats, _) =
+            gather_strict(self.scatter(&query.base, scheme, cancel, || SharedGroupsSink {
                 core: &core,
                 cached: &cached,
                 idbuf: Vec::new(),
-            },
-        ))?;
-        let mut per_shard = vec![SearchStats::default(); self.shards.len()];
-        let mut stats = SearchStats::default();
-        for (shard, s, _) in &outcome {
-            per_shard[*shard] = *s;
-            stats.accumulate(s);
-        }
+            }))?;
         let core = match core.into_inner() {
             Ok(c) => c,
             Err(poisoned) => poisoned.into_inner(),
@@ -973,7 +929,7 @@ impl ShardedNwcIndex {
     /// every shard reports its own outcome — complete, budget-exhausted
     /// at a frontier key, or failed — with its sink (whose partial
     /// contents stay usable either way).
-    fn scatter<'b, S, MkS>(
+    fn scatter<S, MkS>(
         &self,
         query: &NwcQuery,
         scheme: Scheme,
@@ -983,15 +939,13 @@ impl ShardedNwcIndex {
     where
         S: GroupSink + Send,
         MkS: Fn() -> S + Sync,
-        S: 'b,
     {
         let shards = &self.shards;
-        // DEP prunes with the *global* grid only; a scheme asking for a
-        // structure the index lacks degrades to not applying it.
-        let grid = if scheme.needs_grid() {
-            self.grid.as_ref()
-        } else {
-            None
+        // DEP prunes with the *global* grid only (see the module docs).
+        let test = CountTest {
+            grid: self.grid.as_ref(),
+            n: query.n,
+            measure: query.measure,
         };
         // Schedule shards in ascending distance from the query point:
         // the tile containing `q` runs first and establishes a
@@ -1010,7 +964,17 @@ impl ShardedNwcIndex {
         scatter_map(self.threads, shards.len(), |j, scratch| {
             let i = order[j];
             let mut sink = mk_sink();
-            let result = shard_search(i, shards, grid, query, scheme, &mut sink, scratch, budget);
+            let result = best_first(
+                shards,
+                i,
+                query.q,
+                &query.spec,
+                scheme,
+                &test,
+                &mut sink,
+                scratch,
+                budget,
+            );
             ShardOutcome {
                 shard: i,
                 result,
@@ -1130,7 +1094,7 @@ impl ShardedNwcIndex {
             .grid_cell_size
             .map(|cell| DensityGrid::from_cell_size(grid_bounds(&bounds), cell, &all_points));
         Ok(ShardedNwcIndex {
-            next_id: owner.len() as u32,
+            next_id: id_after(&owner),
             shards,
             grid,
             owner,
@@ -1148,13 +1112,19 @@ impl ShardedNwcIndex {
     /// on a tie/outside point). Same contract as [`NwcIndex::insert`]:
     /// on writable disk shards the mutation lands in the shard overlay
     /// (call [`ShardedNwcIndex::commit_all`]); read-only shards return
-    /// [`IndexUpdateError::ReadOnly`] untouched. Invalidates that
-    /// shard's IWP until [`ShardedNwcIndex::rebuild_iwp`].
+    /// [`IndexUpdateError::ReadOnly`] untouched, and a non-finite point
+    /// or a full id space returns its typed error with the index
+    /// unchanged. Invalidates that shard's IWP until
+    /// [`ShardedNwcIndex::rebuild_iwp`].
     pub fn insert(&mut self, point: Point) -> Result<u32, IndexUpdateError> {
-        let shard = self.route(point);
+        if !point.is_finite() {
+            return Err(IndexUpdateError::NonFinitePoint);
+        }
         let id = self.next_id;
+        let next_id = id.checked_add(1).ok_or(IndexUpdateError::IdsExhausted)?;
+        let shard = self.route(point);
         self.shards[shard].insert_assigned(id, point)?;
-        self.next_id += 1;
+        self.next_id = next_id;
         if self.owner.len() <= id as usize {
             self.owner.resize(id as usize + 1, NO_OWNER);
         }
@@ -1235,6 +1205,12 @@ impl std::fmt::Debug for ShardedNwcIndex {
     }
 }
 
+/// The first id past the id → shard table (`u32::MAX` when the table
+/// already spans every id, so the next insert reports exhaustion).
+fn id_after(owner: &[u32]) -> u32 {
+    u32::try_from(owner.len()).unwrap_or(u32::MAX)
+}
+
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -1303,171 +1279,30 @@ fn read_manifest(dir: &Path) -> Result<Vec<PathBuf>, ShardedStoreError> {
 }
 
 // ----------------------------------------------------------------------
-// The per-shard search loop.
-// ----------------------------------------------------------------------
-
-/// One shard's best-first search: the owner's tree drives the
-/// traversal; every candidate window is answered by the **union** of
-/// all shard trees' window queries (owner through its IWP when the
-/// scheme asks and the shard has it). Mirrors the single-tree loop of
-/// [`crate::algo`], with the sink carrying the cross-shard bound.
-///
-/// An expired [`Budget`] is not an error: the search stops and reports
-/// [`SearchEnd::Exhausted`] with its best-first frontier key, exactly
-/// like [`NwcIndex::try_run_search_budget`]. Only disk failures return
-/// `Err`.
-///
-/// I/O attribution relies on the tree I/O counters being *per thread*,
-/// not per tree: the `snapshot()`/`since()` window around the union
-/// query charges this shard's [`SearchStats`] for the accesses it
-/// caused on other shards' trees too, so the per-shard counters sum to
-/// the scatter's exact total. The same property makes an I/O allowance
-/// a *per-worker* budget under K > 1 — each scatter worker meters the
-/// accesses of the shard searches it runs.
-#[allow(clippy::too_many_arguments)]
-fn shard_search<S: GroupSink>(
-    owner: usize,
-    shards: &[NwcIndex],
-    grid: Option<&DensityGrid>,
-    query: &NwcQuery,
-    scheme: Scheme,
-    sink: &mut S,
-    scratch: &mut QueryScratch,
-    budget: &Budget,
-) -> Result<(SearchStats, SearchEnd), QueryError> {
-    let Some(own) = shards.get(owner) else {
-        // Unreachable: scatter indexes 0..len.
-        return Ok((SearchStats::default(), SearchEnd::Complete));
-    };
-    let tree = own.tree();
-    let io = tree.stats();
-    let mut stats = SearchStats::default();
-    let hits0 = io.hits_snapshot();
-    let errors0 = io.error_snapshot();
-    let budget_base = io.snapshot();
-    let q = query.q;
-    let spec = query.spec;
-    let n = query.n;
-    // Degrade, never panic: a scheme whose structure is missing simply
-    // skips that optimization (the K = 1 delegation path keeps the
-    // single-tree panic semantics instead).
-    let iwp = if scheme.needs_iwp() { own.iwp() } else { None };
-
-    let mut browser = tree.browse_with(q, &mut scratch.browser);
-    if budget.is_armed() {
-        browser.set_budget(budget.clone());
-    }
-    let neighbors = &mut scratch.neighbors;
-    let mut end = SearchEnd::Complete;
-    'search: while let Some(item) = browser.next() {
-        // Best-first key of the item in hand: the frontier position a
-        // budget trip hands to the anytime bound arithmetic.
-        let key = item.key();
-        match item {
-            BrowseItem::Node { id, mbr, .. } => {
-                if scheme.dip && node_window_lower_bound(&q, &mbr, &spec) > sink.threshold() {
-                    stats.nodes_pruned_by_dip += 1;
-                    continue;
-                }
-                if let Some(grid) = grid {
-                    if grid.count_upper_bound(&extended_mbr(&q, &mbr, &spec)) < n {
-                        stats.nodes_pruned_by_dep += 1;
-                        continue;
-                    }
-                }
-                let snap = io.snapshot();
-                match browser.try_expand(id) {
-                    Ok(()) => {}
-                    Err(nwc_rtree::TreeError::Cancelled(kind)) => {
-                        end = SearchEnd::Exhausted {
-                            kind,
-                            frontier: key,
-                        };
-                        stats.io_traversal += io.since(snap);
-                        break 'search;
-                    }
-                    Err(other) => return Err(other.into()),
-                }
-                stats.io_traversal += io.since(snap);
-            }
-            BrowseItem::Object { entry, leaf, .. } => {
-                stats.objects_visited += 1;
-                let quad = Quadrant::of(&q, &entry.point);
-                let sr: Option<Rect> = if scheme.srr {
-                    reduced_search_region(&q, &entry.point, &spec, sink.threshold())
-                } else {
-                    Some(search_region(&entry.point, quad, &spec))
-                };
-                let Some(sr) = sr else {
-                    stats.skipped_by_srr += 1;
-                    continue;
-                };
-                if let Some(grid) = grid {
-                    if grid.count_upper_bound(&sr) < n {
-                        stats.skipped_by_dep += 1;
-                        continue;
-                    }
-                }
-                if let Some(kind) = budget.exceeded(|| io.since(budget_base)) {
-                    end = SearchEnd::Exhausted {
-                        kind,
-                        frontier: key,
-                    };
-                    break 'search;
-                }
-                stats.window_queries += 1;
-                neighbors.clear();
-                let snap = io.snapshot();
-                // Owner first (leaf-anchored IWP when available), then
-                // the union over every other shard from its root —
-                // shard contents are disjoint, so the append-union has
-                // no duplicates and equals the single-tree result set.
-                // Shards whose live-point bounding box misses `sr` are
-                // skipped without touching their tree: every live point
-                // lies inside its shard's bounds (insert expands them,
-                // remove never shrinks), so a non-intersecting shard
-                // cannot contribute a neighbor. STR tiles are near
-                // disjoint, so candidate windows — much smaller than a
-                // tile — cross into other shards only near tile seams,
-                // and the cross-shard root re-descents that would
-                // otherwise dominate sharded I/O almost all vanish.
-                match iwp {
-                    Some(iwp) => iwp.try_window_query_into(tree, leaf, &sr, neighbors)?,
-                    None => tree.try_window_query_into(&sr, neighbors)?,
-                }
-                for (j, other) in shards.iter().enumerate() {
-                    if j != owner && other.bounds().intersects(&sr) {
-                        other.tree().try_window_query_into(&sr, neighbors)?;
-                    }
-                }
-                stats.io_window_queries += io.since(snap);
-                scan_candidates(
-                    &q,
-                    &spec,
-                    n,
-                    query.measure,
-                    &entry,
-                    quad,
-                    neighbors,
-                    &mut scratch.by_dist,
-                    sink,
-                    &mut stats,
-                );
-            }
-        }
-    }
-    browser.recycle(&mut scratch.browser);
-    stats.io_total = stats.io_traversal + stats.io_window_queries;
-    stats.buffer_hits = io.hits_since(hits0);
-    let errors = io.errors_since(errors0);
-    stats.retries = errors.retries;
-    stats.transient_errors = errors.transient_errors;
-    Ok((stats, end))
-}
-
-// ----------------------------------------------------------------------
 // Scatter outcomes and gather helpers.
 // ----------------------------------------------------------------------
+
+/// What an anytime scatter spent and where it stopped, merged over the
+/// shards (see [`ShardedNwcIndex::gather_anytime`]).
+struct AnytimeGather {
+    per_shard: Vec<SearchStats>,
+    stats: SearchStats,
+    /// Lower bound on every group no shard covered.
+    frontier: f64,
+    /// The strongest budget trip any shard reported.
+    exhausted: Option<CancelKind>,
+    /// Shards whose search failed outright.
+    degraded: Vec<(usize, QueryError)>,
+}
+
+/// The spend of a scatter that started at `started` and charged
+/// `stats.io_total` logical accesses.
+fn spent_since(started: std::time::Instant, stats: &SearchStats) -> BudgetSpent {
+    BudgetSpent {
+        elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+        io: stats.io_total,
+    }
+}
 
 /// What one shard's search produced: its end state (or failure) plus
 /// its sink, whose partial contents stay usable either way.
@@ -1478,28 +1313,37 @@ struct ShardOutcome<S> {
 }
 
 /// The legacy all-or-nothing gather: budget trips are failures (mapped
-/// by [`budget_error`]) exactly as the pre-anytime scatter promised,
-/// and any failure fails the whole scatter with per-shard detail.
+/// by [`SearchEnd::or_error`]) exactly as the pre-anytime scatter promised,
+/// and any failure fails the whole scatter with per-shard detail. On
+/// success returns the counters by shard, their exact aggregate, and
+/// the sinks.
 fn gather_strict<S>(
     outcomes: Vec<ShardOutcome<S>>,
-) -> Result<Vec<(usize, SearchStats, S)>, ShardScatterError> {
+) -> Result<(Vec<SearchStats>, SearchStats, Vec<S>), ShardScatterError> {
+    let mut per_shard = vec![SearchStats::default(); outcomes.len()];
+    let mut total = SearchStats::default();
     let mut completed = Vec::with_capacity(outcomes.len());
+    let mut sinks = Vec::with_capacity(outcomes.len());
     let mut failures = Vec::new();
     for o in outcomes {
-        match o.result {
-            Ok((stats, SearchEnd::Complete)) => completed.push((o.shard, stats, o.sink)),
-            Ok((_, SearchEnd::Exhausted { kind, .. })) => {
-                failures.push((o.shard, budget_error(kind)))
+        match o.result.and_then(|(stats, end)| end.or_error().map(|()| stats)) {
+            Ok(stats) => {
+                if let Some(slot) = per_shard.get_mut(o.shard) {
+                    *slot = stats;
+                }
+                total.accumulate(&stats);
+                completed.push((o.shard, stats));
+                sinks.push(o.sink);
             }
             Err(e) => failures.push((o.shard, e)),
         }
     }
     if failures.is_empty() {
-        Ok(completed)
+        Ok((per_shard, total, sinks))
     } else {
         Err(ShardScatterError {
             failures,
-            completed: completed.into_iter().map(|(i, s, _)| (i, s)).collect(),
+            completed,
         })
     }
 }
@@ -1751,6 +1595,24 @@ mod tests {
         assert!(!idx.remove(id).unwrap());
         assert_eq!(idx.owner_of(id), None);
         assert_eq!(idx.len(), 200);
+    }
+
+    #[test]
+    fn bad_inserts_are_typed_and_leave_the_index_unchanged() {
+        for k in [1usize, 4] {
+            let mut idx = ShardedNwcIndex::build(world(200), k);
+            for bad in [pt(f64::NAN, 1.0), pt(1.0, f64::NEG_INFINITY)] {
+                assert_eq!(idx.insert(bad), Err(IndexUpdateError::NonFinitePoint), "k={k}");
+            }
+            assert_eq!(idx.len(), 200, "k={k}");
+            assert_eq!(idx.next_id, 200, "k={k}");
+            // The last id is never handed out: exhaustion is reported
+            // before any shard is touched.
+            idx.next_id = u32::MAX;
+            assert_eq!(idx.insert(pt(5.0, 5.0)), Err(IndexUpdateError::IdsExhausted), "k={k}");
+            assert_eq!(idx.len(), 200, "k={k}");
+            assert_eq!(idx.next_id, u32::MAX, "k={k}");
+        }
     }
 
     #[test]

@@ -21,15 +21,18 @@
 //! greedy selection without a per-window optimality claim (same status
 //! as in the unweighted paper semantics).
 
+use crate::algo::{best_first, BestSink};
+use crate::candidates::{for_each_partner, GroupSink, Qualifier};
+use crate::index::{grid_bounds, IndexConfig, NwcIndex};
 use crate::measure::DistanceMeasure;
+use crate::query::unrecoverable;
 use crate::result::{NwcResult, SearchStats};
 use crate::scheme::Scheme;
-use nwc_geom::window::{
-    extended_mbr, node_window_lower_bound, reduced_search_region, search_region, WindowSpec,
-};
+use crate::scratch::QueryScratch;
+use nwc_geom::window::WindowSpec;
 use nwc_geom::{Point, Quadrant, Rect};
 use nwc_grid::WeightGrid;
-use nwc_rtree::{BrowseItem, Entry, IwpIndex, RStarTree, TreeParams};
+use nwc_rtree::{Budget, Entry};
 
 /// A weighted NWC query: `NWC_w(q, l, w, W)`.
 #[derive(Clone, Copy, Debug)]
@@ -64,13 +67,13 @@ impl WeightedQuery {
     }
 }
 
-/// An index over weighted points answering [`WeightedQuery`]s.
+/// An index over weighted points answering [`WeightedQuery`]s: an
+/// [`NwcIndex`] (tree and IWP, no count grid) plus the weights and the
+/// weight-sum grid DEP prunes with.
 pub struct WeightedNwcIndex {
-    points: Vec<Point>,
+    index: NwcIndex,
     weights: Vec<f64>,
-    tree: RStarTree,
-    wgrid: Option<WeightGrid>,
-    iwp: Option<IwpIndex>,
+    wgrid: WeightGrid,
 }
 
 impl WeightedNwcIndex {
@@ -79,28 +82,25 @@ impl WeightedNwcIndex {
     ///
     /// # Panics
     ///
-    /// Panics on empty input, length mismatch, or invalid weights.
+    /// Panics on empty input, length mismatch, non-finite points, or
+    /// invalid weights.
     pub fn build(points: Vec<Point>, weights: Vec<f64>) -> Self {
-        assert!(!points.is_empty(), "cannot index an empty dataset");
         assert_eq!(points.len(), weights.len(), "points/weights mismatch");
-        let bounds = Rect::bounding(points.iter().copied()).expect("non-empty");
-        let grid_bounds = {
-            let space = Rect::new(Point::new(0.0, 0.0), Point::new(10_000.0, 10_000.0));
-            if space.contains_rect(&bounds) {
-                space
-            } else {
-                bounds.inflate(bounds.width().max(1.0) * 1e-9, bounds.height().max(1.0) * 1e-9)
-            }
+        let config = IndexConfig {
+            grid_cell_size: None,
+            ..IndexConfig::default()
         };
-        let tree = RStarTree::bulk_load_with_params(&points, TreeParams::default());
-        let wgrid = Some(WeightGrid::from_cell_size(grid_bounds, 25.0, &points, &weights));
-        let iwp = Some(IwpIndex::build(&tree));
+        let index = NwcIndex::build_with(points, config);
+        let wgrid = WeightGrid::from_cell_size(
+            grid_bounds(&index.bounds()),
+            25.0,
+            index.points(),
+            &weights,
+        );
         WeightedNwcIndex {
-            points,
+            index,
             weights,
-            tree,
             wgrid,
-            iwp,
         }
     }
 
@@ -111,125 +111,72 @@ impl WeightedNwcIndex {
 
     /// The indexed points.
     pub fn points(&self) -> &[Point] {
-        &self.points
+        self.index.points()
     }
 
     /// Answers the weighted query under a scheme. Returns the group and
     /// its total weight, or `None` when no window reaches `min_weight`.
     pub fn query(&self, query: &WeightedQuery, scheme: Scheme) -> Option<(NwcResult, f64)> {
-        let tree = &self.tree;
-        let io = tree.stats();
-        let mut stats = SearchStats::default();
-        let hits0 = io.hits_snapshot();
-        let q = query.q;
-        let spec = query.spec;
-        let min_w = query.min_weight;
-
-        let grid = scheme.needs_grid().then(|| {
-            self.wgrid
-                .as_ref()
-                .expect("weighted DEP needs the weight grid")
-        });
-        let iwp = scheme.needs_iwp().then(|| {
-            self.iwp.as_ref().expect("weighted IWP needs the pointer augmentation")
-        });
-
-        let mut dist_best = f64::INFINITY;
-        let mut best: Option<(Vec<Entry>, Rect, f64)> = None;
-
-        let mut browser = tree.browse(q);
-        let mut neighbors: Vec<Entry> = Vec::new();
-        while let Some(item) = browser.next() {
-            match item {
-                BrowseItem::Node { id, mbr, .. } => {
-                    if scheme.dip && node_window_lower_bound(&q, &mbr, &spec) > dist_best {
-                        stats.nodes_pruned_by_dip += 1;
-                        continue;
-                    }
-                    if let Some(grid) = grid {
-                        if grid.weight_upper_bound(&extended_mbr(&q, &mbr, &spec)) < min_w {
-                            stats.nodes_pruned_by_dep += 1;
-                            continue;
-                        }
-                    }
-                    let snap = io.snapshot();
-                    browser.expand(id);
-                    stats.io_traversal += io.since(snap);
-                }
-                BrowseItem::Object { entry, leaf, .. } => {
-                    stats.objects_visited += 1;
-                    let quad = Quadrant::of(&q, &entry.point);
-                    let sr = if scheme.srr {
-                        reduced_search_region(&q, &entry.point, &spec, dist_best)
-                    } else {
-                        Some(search_region(&entry.point, quad, &spec))
-                    };
-                    let Some(sr) = sr else {
-                        stats.skipped_by_srr += 1;
-                        continue;
-                    };
-                    if let Some(grid) = grid {
-                        if grid.weight_upper_bound(&sr) < min_w {
-                            stats.skipped_by_dep += 1;
-                            continue;
-                        }
-                    }
-                    stats.window_queries += 1;
-                    neighbors.clear();
-                    let snap = io.snapshot();
-                    match iwp {
-                        Some(iwp) => iwp.window_query_into(tree, leaf, &sr, &mut neighbors),
-                        None => tree.window_query_into(&sr, &mut neighbors),
-                    }
-                    stats.io_window_queries += io.since(snap);
-                    self.scan_weighted(
-                        &q,
-                        &spec,
-                        min_w,
-                        query.measure,
-                        &entry,
-                        quad,
-                        &mut neighbors,
-                        &mut dist_best,
-                        &mut best,
-                        &mut stats,
-                    );
-                }
-            }
-        }
-        // Attributed accounting (see algo.rs): sum of phases, safe under
-        // concurrent queries on the shared counter.
-        stats.io_total = stats.io_traversal + stats.io_window_queries;
-        stats.buffer_hits = io.hits_since(hits0);
-        best.map(|(objects, window, total_weight)| {
-            (
-                NwcResult {
-                    objects,
-                    distance: dist_best,
-                    window,
-                    stats,
-                },
-                total_weight,
-            )
+        let test = WeightTest {
+            grid: &self.wgrid,
+            weights: &self.weights,
+            min_weight: query.min_weight,
+            measure: query.measure,
+        };
+        let mut sink = BestSink::new();
+        let searched = best_first(
+            std::slice::from_ref(&self.index),
+            0,
+            query.q,
+            &query.spec,
+            scheme,
+            &test,
+            &mut sink,
+            &mut QueryScratch::default(),
+            &Budget::none(),
+        );
+        let stats = match searched {
+            Ok((stats, _)) => stats,
+            Err(e) => unrecoverable(e),
+        };
+        sink.into_result(stats).map(|result| {
+            let total_weight = result
+                .objects
+                .iter()
+                .fold(0.0, |acc, e| acc + self.weights[e.id as usize]);
+            (result, total_weight)
         })
+    }
+}
+
+/// Weighted qualification: a window whose objects weigh at least
+/// `min_weight` in total, DEP bounded by the weight-sum grid.
+struct WeightTest<'a> {
+    grid: &'a WeightGrid,
+    weights: &'a [f64],
+    min_weight: f64,
+    measure: DistanceMeasure,
+}
+
+impl Qualifier for WeightTest<'_> {
+    fn too_sparse(&self, region: &Rect) -> bool {
+        self.grid.weight_upper_bound(region) < self.min_weight
     }
 
     /// Weighted candidate-window scan: prefix weight sums over the
     /// y-sorted search-region contents.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_weighted(
+    fn scan<S: GroupSink>(
         &self,
         q: &Point,
         spec: &WindowSpec,
-        min_w: f64,
-        measure: DistanceMeasure,
         p: &Entry,
         quad: Quadrant,
         neighbors: &mut [Entry],
-        dist_best: &mut f64,
-        best: &mut Option<(Vec<Entry>, Rect, f64)>,
+        _by_dist: &mut Vec<(f64, u32, Entry)>,
+        sink: &mut S,
         stats: &mut SearchStats,
     ) {
+        let min_w = self.min_weight;
         neighbors.sort_by(|a, b| a.point.y.total_cmp(&b.point.y));
         let prefix: Vec<f64> = std::iter::once(0.0)
             .chain(neighbors.iter().scan(0.0, |acc, e| {
@@ -238,7 +185,7 @@ impl WeightedNwcIndex {
             }))
             .collect();
 
-        let mut consider = |partner_y: f64| {
+        for_each_partner(neighbors, p, quad, |partner_y| {
             stats.candidate_windows += 1;
             let win = nwc_geom::window::candidate_window(&p.point, partner_y, quad, spec);
             let lo = neighbors.partition_point(|e| e.point.y < win.min.y);
@@ -247,7 +194,7 @@ impl WeightedNwcIndex {
                 return;
             }
             stats.qualified_windows += 1;
-            if win.mindist(q) >= *dist_best {
+            if win.mindist(q) >= sink.threshold() {
                 return;
             }
             // Greedy: closest objects until the weight threshold is met.
@@ -266,33 +213,9 @@ impl WeightedNwcIndex {
                 }
             }
             debug_assert!(acc >= min_w);
-            let score = measure.score(q, &group, spec);
-            if score < *dist_best {
-                *dist_best = score;
-                *best = Some((group, win, acc));
-                stats.best_updates += 1;
-            }
-        };
-
-        if quad.partner_on_top_edge() {
-            let start = neighbors.partition_point(|e| e.point.y < p.point.y);
-            let mut prev = f64::NAN;
-            for e in &neighbors[start..] {
-                if e.point.y != prev {
-                    prev = e.point.y;
-                    consider(e.point.y);
-                }
-            }
-        } else {
-            let end = neighbors.partition_point(|e| e.point.y <= p.point.y);
-            let mut prev = f64::NAN;
-            for e in neighbors[..end].iter().rev() {
-                if e.point.y != prev {
-                    prev = e.point.y;
-                    consider(e.point.y);
-                }
-            }
-        }
+            let score = self.measure.score(q, &group, spec);
+            sink.offer(group, score, win, stats);
+        });
     }
 }
 
@@ -368,11 +291,19 @@ mod tests {
         for n in [2usize, 4, 8] {
             let wq = WeightedQuery::new(pt(30.0, 30.0), WindowSpec::square(12.0), n as f64);
             let nq = crate::NwcQuery::new(pt(30.0, 30.0), WindowSpec::square(12.0), n);
-            let a = widx.query(&wq, Scheme::NWC_STAR).map(|(r, _)| r.distance);
-            let b = idx.nwc(&nq, Scheme::NWC_STAR).map(|r| r.distance);
+            let a = widx.query(&wq, Scheme::NWC_STAR).map(|(r, _)| r);
+            let b = idx.nwc(&nq, Scheme::NWC_STAR);
             match (a, b) {
                 (None, None) => {}
-                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9, "n={n}: {x} vs {y}"),
+                (Some(x), Some(y)) => {
+                    assert!((x.distance - y.distance).abs() < 1e-9, "n={n}");
+                    // Same loop, same pruning: unit weights cost exactly
+                    // the node accesses plain NWC costs (only the scans'
+                    // window counts differ — the count scan skips regions
+                    // holding fewer than n objects outright).
+                    assert_eq!(x.stats.io_total, y.stats.io_total, "n={n}");
+                    assert_eq!(x.stats.window_queries, y.stats.window_queries, "n={n}");
+                }
                 other => panic!("n={n}: {other:?}"),
             }
         }

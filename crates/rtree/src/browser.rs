@@ -169,20 +169,14 @@ impl<'t> Browser<'t> {
         }
     }
 
-    /// Arms cooperative cancellation: every subsequent
-    /// [`Browser::try_expand`] first checks `token` and returns
-    /// [`TreeError`](crate::TreeError)`::Cancelled` — with no pin held
-    /// and the frontier intact — once it fires. See
-    /// [`CancelToken`](crate::CancelToken).
-    pub fn set_cancel(&mut self, token: crate::CancelToken) {
-        self.set_budget(crate::Budget::from(token));
-    }
-
     /// Arms a cooperative [`Budget`](crate::Budget): deadline, stop
-    /// flag, and/or logical-I/O allowance. The allowance is measured
-    /// from this call (the calling thread's access tally), so arm the
-    /// budget on the thread that runs the traversal, before it starts
-    /// charging I/O.
+    /// flag, and/or logical-I/O allowance. Every subsequent
+    /// [`Browser::try_expand`] first checks it and returns
+    /// [`TreeError`](crate::TreeError)`::Cancelled` — with no pin held
+    /// and the frontier intact — once it expires. The allowance is
+    /// measured from this call (the calling thread's access tally), so
+    /// arm the budget on the thread that runs the traversal, before it
+    /// starts charging I/O.
     pub fn set_budget(&mut self, budget: crate::Budget) {
         self.io_base = self.tree.stats().snapshot();
         self.budget = budget;

@@ -1,45 +1,49 @@
-//! Cooperative cancellation for long-running traversals.
+//! Cooperative budgets for long-running traversals.
 //!
 //! A query over a disk-backed tree can run for an unbounded time (cold
-//! pool, slow device, retry backoff). A serving layer needs two ways to
-//! stop one without tearing anything down:
+//! pool, slow device, retry backoff). A serving layer needs ways to
+//! stop one without tearing anything down, and the anytime query APIs
+//! need to cap what one may spend. A [`Budget`] carries up to three
+//! independent limits:
 //!
 //! - a **deadline** — the per-request latency budget, checked against
-//!   the monotonic clock, and
+//!   the monotonic clock;
 //! - a **stop flag** — an external signal (client disconnected, request
-//!   shed mid-batch, server draining) shared by any number of queries.
+//!   shed mid-batch, server draining) shared by any number of queries;
+//! - a **logical I/O allowance** — a maximum number of charged node
+//!   accesses, measured against the calling thread's access tally
+//!   (physical reads and buffer hits alike, the paper's metric).
 //!
-//! Both ride in a [`CancelToken`]. The token is *cooperative*: nothing
-//! is interrupted preemptively. The traversal checks it at its I/O
-//! boundaries — [`Browser::try_expand`](crate::Browser::try_expand)
-//! checks before every node expansion, and the NWC search loop in
-//! `nwc-core` additionally checks before every window query — so
-//! cancellation latency is bounded by one node access plus one window
-//! query, and a cancelled search unwinds through the ordinary error
-//! path: pins released, pool exact, the worker thread fully reusable.
+//! The budget is *cooperative*: nothing is interrupted preemptively.
+//! The traversal checks it at its I/O boundaries —
+//! [`Browser::try_expand`](crate::Browser::try_expand) checks before
+//! every node expansion, and the NWC search loop in `nwc-core`
+//! additionally checks before every window query — so the latency of a
+//! trip is bounded by one node access plus one window query, and a
+//! tripped search unwinds with pins released, pool exact, the worker
+//! thread fully reusable. What happens next is the caller's choice: the
+//! `try_*_cancel` query APIs turn a trip into a typed error, while the
+//! anytime APIs return the best answer found so far with a proven
+//! error bound.
 //!
-//! Checking costs one relaxed atomic load for the flag and one
-//! `Instant::now()` for the deadline; with neither armed
-//! ([`CancelToken::none`]) the check is two branch-predicted `None`
-//! tests, which keeps the token out of the hot path's way for the
-//! in-process batch workloads that never cancel.
+//! With nothing armed ([`Budget::none`], the default) a check is three
+//! branch-predicted `None` tests, which keeps the budget out of the hot
+//! path's way for the in-process batch workloads that never stop early.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Why a traversal was cancelled (or, for a [`Budget`], which budget
-/// dimension ran out).
+/// Which limit of a [`Budget`] stopped a traversal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CancelKind {
-    /// The token's deadline passed: the query exceeded its latency
-    /// budget.
+    /// The deadline passed: the query exceeded its latency budget.
     Deadline,
-    /// The token's stop flag was raised: the caller no longer wants the
-    /// answer (disconnect, shed, shutdown).
+    /// The stop flag was raised: the caller no longer wants the answer
+    /// (disconnect, shed, shutdown).
     Stopped,
-    /// The budget's logical-I/O allowance was spent: the query charged
-    /// as many node accesses as the caller was willing to pay for.
+    /// The logical-I/O allowance was spent: the query charged as many
+    /// node accesses as the caller was willing to pay for.
     IoBudget,
 }
 
@@ -54,8 +58,8 @@ impl std::fmt::Display for CancelKind {
 }
 
 /// A shared, clonable stop signal. Raise it once with
-/// [`CancelFlag::stop`] and every [`CancelToken`] carrying a clone
-/// observes it on its next check.
+/// [`CancelFlag::stop`] and every [`Budget`] carrying a clone observes
+/// it on its next check.
 #[derive(Clone, Debug, Default)]
 pub struct CancelFlag(Arc<AtomicBool>);
 
@@ -76,106 +80,18 @@ impl CancelFlag {
     }
 }
 
-/// A deadline and/or stop flag checked cooperatively by traversals.
-/// See the module docs. `CancelToken::default()` (= [`CancelToken::none`])
-/// never cancels.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    deadline: Option<Instant>,
-    flag: Option<CancelFlag>,
-}
-
-impl CancelToken {
-    /// A token that never cancels (the default for every in-process
-    /// query API).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// A token that cancels once the monotonic clock passes `deadline`.
-    pub fn with_deadline(deadline: Instant) -> Self {
-        CancelToken {
-            deadline: Some(deadline),
-            flag: None,
-        }
-    }
-
-    /// A token observing an external stop flag.
-    pub fn with_flag(flag: &CancelFlag) -> Self {
-        CancelToken {
-            deadline: None,
-            flag: Some(flag.clone()),
-        }
-    }
-
-    /// Adds (or replaces) a deadline on this token.
-    #[must_use]
-    pub fn deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Adds (or replaces) a stop flag on this token.
-    #[must_use]
-    pub fn flag(mut self, flag: &CancelFlag) -> Self {
-        self.flag = Some(flag.clone());
-        self
-    }
-
-    /// Whether the token can ever cancel (false for [`CancelToken::none`]).
-    pub fn is_armed(&self) -> bool {
-        self.deadline.is_some() || self.flag.is_some()
-    }
-
-    /// The armed deadline, if any.
-    pub fn deadline_at(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Checks the token: `Some(kind)` when the traversal should stop.
-    /// The stop flag wins over the deadline when both fire (a stop is
-    /// an explicit instruction; the deadline is a budget).
-    #[inline]
-    pub fn cancelled(&self) -> Option<CancelKind> {
-        if let Some(flag) = &self.flag {
-            if flag.is_stopped() {
-                return Some(CancelKind::Stopped);
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Some(CancelKind::Deadline);
-            }
-        }
-        None
-    }
-}
-
-/// What a traversal may spend before it must stop: the generalization
-/// of [`CancelToken`] behind the anytime/budgeted query APIs.
-///
-/// A budget carries up to three independent limits:
-///
-/// - a **wall-clock deadline** (the token's deadline),
-/// - an **external stop flag** (the token's flag), and
-/// - a **logical I/O allowance** — a maximum number of charged node
-///   accesses, measured against the calling thread's access tally
-///   (physical reads and buffer hits alike, the paper's metric).
-///
-/// Like the token it generalizes, a budget is cooperative: traversals
-/// check it at their I/O boundaries, and an expired budget unwinds
-/// through the ordinary error path with every pin released. The
-/// difference is what the *caller* does with the trip: the legacy
-/// `try_*_cancel` APIs turn it into a typed error, while the anytime
-/// APIs catch it and return the best answer found so far together with
-/// a proven error bound. `Budget::default()` (= [`Budget::none`])
-/// never expires, and an unarmed budget costs the hot path nothing
-/// beyond the unarmed token's two branch-predicted tests.
+/// What a traversal may spend before it must stop: a deadline, a stop
+/// flag and a logical-I/O allowance, each optional. See the module
+/// docs. `Budget::default()` (= [`Budget::none`]) never expires.
 #[derive(Clone, Debug, Default)]
 pub struct Budget {
-    token: CancelToken,
+    deadline: Option<Instant>,
+    flag: Option<CancelFlag>,
     io_limit: Option<u64>,
 }
+
+/// The name the pre-anytime cancellation APIs use for a [`Budget`].
+pub type CancelToken = Budget;
 
 impl Budget {
     /// A budget that never expires (the default for every in-process
@@ -186,41 +102,32 @@ impl Budget {
 
     /// A budget expiring once the monotonic clock passes `deadline`.
     pub fn with_deadline(deadline: Instant) -> Self {
-        Budget {
-            token: CancelToken::with_deadline(deadline),
-            io_limit: None,
-        }
+        Budget::none().deadline(deadline)
     }
 
     /// A budget observing an external stop flag.
     pub fn with_flag(flag: &CancelFlag) -> Self {
-        Budget {
-            token: CancelToken::with_flag(flag),
-            io_limit: None,
-        }
+        Budget::none().flag(flag)
     }
 
     /// A budget allowing at most `limit` charged logical node accesses.
     /// A limit of 0 expires before the first access: the query returns
     /// an empty bounded answer without touching the tree.
     pub fn with_io_limit(limit: u64) -> Self {
-        Budget {
-            token: CancelToken::none(),
-            io_limit: Some(limit),
-        }
+        Budget::none().io_limit(limit)
     }
 
     /// Adds (or replaces) a deadline on this budget.
     #[must_use]
     pub fn deadline(mut self, deadline: Instant) -> Self {
-        self.token = self.token.deadline(deadline);
+        self.deadline = Some(deadline);
         self
     }
 
     /// Adds (or replaces) a stop flag on this budget.
     #[must_use]
     pub fn flag(mut self, flag: &CancelFlag) -> Self {
-        self.token = self.token.flag(flag);
+        self.flag = Some(flag.clone());
         self
     }
 
@@ -233,23 +140,17 @@ impl Budget {
 
     /// Whether the budget can ever expire (false for [`Budget::none`]).
     pub fn is_armed(&self) -> bool {
-        self.token.is_armed() || self.io_limit.is_some()
+        self.deadline.is_some() || self.flag.is_some() || self.io_limit.is_some()
     }
 
     /// The armed deadline, if any.
     pub fn deadline_at(&self) -> Option<Instant> {
-        self.token.deadline_at()
+        self.deadline
     }
 
     /// The armed logical-I/O allowance, if any.
     pub fn io_allowance(&self) -> Option<u64> {
         self.io_limit
-    }
-
-    /// The flag/deadline portion of the budget, for code paths that
-    /// only understand tokens.
-    pub fn token(&self) -> &CancelToken {
-        &self.token
     }
 
     /// Checks the budget: `Some(kind)` when the traversal should stop.
@@ -260,7 +161,7 @@ impl Budget {
     /// because it costs one integer compare versus a clock read.
     #[inline]
     pub fn exceeded<F: FnOnce() -> u64>(&self, io_spent: F) -> Option<CancelKind> {
-        if let Some(flag) = &self.token.flag {
+        if let Some(flag) = &self.flag {
             if flag.is_stopped() {
                 return Some(CancelKind::Stopped);
             }
@@ -270,21 +171,12 @@ impl Budget {
                 return Some(CancelKind::IoBudget);
             }
         }
-        if let Some(deadline) = self.token.deadline {
+        if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 return Some(CancelKind::Deadline);
             }
         }
         None
-    }
-}
-
-impl From<CancelToken> for Budget {
-    fn from(token: CancelToken) -> Self {
-        Budget {
-            token,
-            io_limit: None,
-        }
     }
 }
 
@@ -294,31 +186,33 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn unarmed_token_never_cancels() {
-        let t = CancelToken::none();
-        assert!(!t.is_armed());
-        assert_eq!(t.cancelled(), None);
+    fn unarmed_budget_never_expires_and_never_reads_the_tally() {
+        let b = Budget::none();
+        assert!(!b.is_armed());
+        assert_eq!(b.exceeded(|| panic!("tally read without an I/O limit")), None);
     }
 
     #[test]
     fn deadline_fires_once_passed() {
-        let t = CancelToken::with_deadline(Instant::now() + Duration::from_secs(600));
-        assert!(t.is_armed());
-        assert_eq!(t.cancelled(), None);
-        let t = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        assert_eq!(t.cancelled(), Some(CancelKind::Deadline));
+        let b = Budget::with_deadline(Instant::now() + Duration::from_secs(600));
+        assert!(b.is_armed());
+        assert!(b.deadline_at().is_some());
+        assert_eq!(b.io_allowance(), None);
+        assert_eq!(b.exceeded(|| 0), None);
+        let b = Budget::with_deadline(Instant::now() - Duration::from_millis(1));
+        assert_eq!(b.exceeded(|| 0), Some(CancelKind::Deadline));
     }
 
     #[test]
     fn flag_fires_for_every_clone_and_wins_over_deadline() {
         let flag = CancelFlag::new();
-        let t1 = CancelToken::with_flag(&flag);
-        let t2 = t1.clone().deadline(Instant::now() - Duration::from_millis(1));
-        assert_eq!(t1.cancelled(), None);
+        let b1 = Budget::with_flag(&flag);
+        let b2 = b1.clone().deadline(Instant::now() - Duration::from_millis(1));
+        assert_eq!(b1.exceeded(|| 0), None);
         flag.stop();
-        assert_eq!(t1.cancelled(), Some(CancelKind::Stopped));
+        assert_eq!(b1.exceeded(|| 0), Some(CancelKind::Stopped));
         // Both armed and fired: the explicit stop wins.
-        assert_eq!(t2.cancelled(), Some(CancelKind::Stopped));
+        assert_eq!(b2.exceeded(|| 0), Some(CancelKind::Stopped));
     }
 
     #[test]
@@ -326,13 +220,6 @@ mod tests {
         assert!(CancelKind::Deadline.to_string().contains("deadline"));
         assert!(CancelKind::Stopped.to_string().contains("stopped"));
         assert!(CancelKind::IoBudget.to_string().contains("budget"));
-    }
-
-    #[test]
-    fn unarmed_budget_never_expires_and_never_reads_the_tally() {
-        let b = Budget::none();
-        assert!(!b.is_armed());
-        assert_eq!(b.exceeded(|| panic!("tally read without an I/O limit")), None);
     }
 
     #[test]
@@ -360,15 +247,5 @@ mod tests {
         assert_eq!(b.exceeded(|| 0), Some(CancelKind::Deadline));
         flag.stop();
         assert_eq!(b.exceeded(|| 5), Some(CancelKind::Stopped));
-    }
-
-    #[test]
-    fn budget_from_token_preserves_the_token_limits() {
-        let t = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        let b = Budget::from(t);
-        assert!(b.is_armed());
-        assert!(b.deadline_at().is_some());
-        assert_eq!(b.io_allowance(), None);
-        assert_eq!(b.exceeded(|| 0), Some(CancelKind::Deadline));
     }
 }

@@ -21,10 +21,10 @@ pub enum TreeError {
     /// exhausted, corruption, or a quarantined page). Returned by the
     /// fallible `try_*` query APIs; never produced by an arena tree.
     Io(crate::disk::DiskReadError),
-    /// The traversal's [`CancelToken`](crate::CancelToken) fired: the
-    /// query's deadline passed or its stop flag was raised. The tree is
-    /// untouched — no pin is held, the traversal simply stopped at a
-    /// cancellation point.
+    /// The traversal's [`Budget`](crate::Budget) expired: its deadline
+    /// passed, its stop flag was raised or its I/O allowance was spent.
+    /// The tree is untouched — no pin is held, the traversal simply
+    /// stopped at a cancellation point.
     Cancelled(crate::CancelKind),
 }
 

@@ -25,7 +25,7 @@ use nwc_core::{
     MetricsSnapshot, NwcIndex, NwcQuery, NwcResult, QueryError, QueryScratch, Scheme, SearchStats,
     ShardedNwcIndex, ShardedStoreError,
 };
-use nwc_rtree::{Budget, CancelToken};
+use nwc_rtree::Budget;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
@@ -102,7 +102,7 @@ impl ServedIndex {
         query: &NwcQuery,
         scheme: Scheme,
         scratch: &mut QueryScratch,
-        cancel: &CancelToken,
+        cancel: &Budget,
     ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
         match self {
             ServedIndex::Single(i) => i.try_nwc_full_cancel(query, scheme, scratch, cancel),
@@ -116,7 +116,7 @@ impl ServedIndex {
         query: &KnwcQuery,
         scheme: Scheme,
         scratch: &mut QueryScratch,
-        cancel: &CancelToken,
+        cancel: &Budget,
     ) -> Result<KnwcResult, QueryError> {
         match self {
             ServedIndex::Single(i) => i.try_knwc_cancel(query, scheme, scratch, cancel),
@@ -469,7 +469,7 @@ mod tests {
         let mut scratch = QueryScratch::new();
         let (result, _) = generation
             .index
-            .try_nwc_full_cancel(&query, Scheme::NWC_PLUS, &mut scratch, &CancelToken::none())
+            .try_nwc_full_cancel(&query, Scheme::NWC_PLUS, &mut scratch, &Budget::none())
             .expect("sharded generation answers");
         assert!(result.is_some());
         drop(generation);

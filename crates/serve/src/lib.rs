@@ -10,7 +10,7 @@
 //! - **[`server`]** — a `std`-only TCP server: per-connection readers,
 //!   a bounded admission queue that sheds load with a typed
 //!   retry-after, and a fixed worker pool running queries under
-//!   cooperative [`CancelToken`](nwc_core::CancelToken) deadlines, so
+//!   cooperative [`Budget`](nwc_core::Budget) deadlines, so
 //!   a slow query costs its caller a typed `Deadline` response, never
 //!   a worker;
 //! - **[`handle`]** — the epoch handle behind zero-downtime index

@@ -19,7 +19,7 @@
 //!   request is rejected with a typed `Shed` + retry-after once the
 //!   queue is full or the estimated wait (depth × EMA service time ÷
 //!   workers) crosses the configured bound.
-//! - **Workers** pop queries, arm a [`CancelToken`] with the request
+//! - **Workers** pop queries, arm a [`Budget`] with the request
 //!   deadline plus the server stop flag, and run the `try_*` engine
 //!   paths on whatever generation [`IndexHandle::load`] returns. A
 //!   deadline firing surfaces as `QueryError::Deadline` → a typed
@@ -40,7 +40,7 @@ use crate::protocol::{
     PartialReason, ProtoError, QuerySpec, Request, Response, WireGroup, WireObject,
 };
 use nwc_core::{
-    Approx, Budget, CancelFlag, CancelKind, CancelToken, DiskIndexConfig, KnwcQuery, NwcQuery,
+    Approx, Budget, CancelFlag, CancelKind, DiskIndexConfig, KnwcQuery, NwcQuery,
     QueryError, QueryScratch, Scheme, SearchStats, WindowSpec,
 };
 use nwc_geom::pt;
@@ -355,7 +355,7 @@ impl Server {
     }
 
     /// Raises the stop flag: stop accepting, cancel in-flight queries
-    /// via their tokens, answer queued-but-unstarted queries with
+    /// via their budgets, answer queued-but-unstarted queries with
     /// `Stopped`, and joins every server thread.
     pub fn shutdown(mut self) {
         self.shared.stop.stop();
@@ -690,7 +690,7 @@ fn wire_groups_knwc(result: nwc_core::KnwcResult) -> (Vec<WireGroup>, SearchStat
     (groups, stats)
 }
 
-/// The fixed worker: pops queries, runs them with an armed token on
+/// The fixed worker: pops queries, runs them with an armed budget on
 /// the loaded generation, answers, repeats. Never tears down on a
 /// per-query failure.
 fn worker_loop(shared: &Arc<Shared>, wid: usize) {
@@ -753,7 +753,7 @@ fn worker_loop(shared: &Arc<Shared>, wid: usize) {
     }
 }
 
-/// The pre-anytime worker path: an armed [`CancelToken`], a deadline
+/// The pre-anytime worker path: an armed [`Budget`], a deadline
 /// trip surfacing as a typed `Deadline` response. Requests without the
 /// anytime extension keep this behavior bit-for-bit.
 fn run_legacy(
@@ -762,15 +762,15 @@ fn run_legacy(
     job: &Job,
     scratch: &mut QueryScratch,
 ) -> Response {
-    // Arm the token with the request deadline and the server stop
+    // Arm the budget with the request deadline and the server stop
     // flag; the engine checks it at every expand/window boundary.
-    let mut token = CancelToken::with_flag(&shared.stop);
+    let mut budget = Budget::with_flag(&shared.stop);
     if let Some(deadline) = job.deadline {
-        token = token.deadline(deadline);
+        budget = budget.deadline(deadline);
     }
     match &job.kind {
         JobKind::Nwc(query) => {
-            match index.try_nwc_full_cancel(query, job.scheme, scratch, &token) {
+            match index.try_nwc_full_cancel(query, job.scheme, scratch, &budget) {
                 Ok((result, stats)) => {
                     if result.is_none() {
                         shared.counters.no_answer.fetch_add(1, Ordering::Relaxed);
@@ -784,7 +784,7 @@ fn run_legacy(
             }
         }
         JobKind::Knwc(query) => {
-            match index.try_knwc_cancel(query, job.scheme, scratch, &token) {
+            match index.try_knwc_cancel(query, job.scheme, scratch, &budget) {
                 Ok(result) => {
                     let (groups, stats) = wire_groups_knwc(result);
                     Response::Groups { groups, stats }

@@ -19,10 +19,18 @@ cargo test -q
 step "lint: cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+# The benchmark package lives outside the workspace and calls the
+# library only through its adapter (nwc-benchmark/src/sut.rs); its own
+# tests prove every API it depends on still compiles and behaves.
+step "benchmark: cargo test --manifest-path nwc-benchmark/Cargo.toml"
+cargo test -q --offline --manifest-path nwc-benchmark/Cargo.toml
+
 # The disk query read path must stay panic-free: every failure routes
-# through TreeError::Io / QueryError::Io (tests below the #[cfg(test)]
-# marker are exempt; the infallible wrappers in tree.rs are the one
-# deliberate panic site and are not query-read-path code). The I/O
+# through TreeError::Io / QueryError::Io (tests below the top-level
+# #[cfg(test)] marker are exempt — it is matched at line start, so a
+# doc comment naming the attribute does not end the scan early; the
+# infallible wrappers in tree.rs are the one deliberate panic site and
+# are not query-read-path code). The I/O
 # executor is held to the same bar: its completion threads must never
 # unwind (a panicking worker would strand in-flight pages forever).
 # The serving layer joins the list: a panicking worker or reader thread
@@ -36,17 +44,20 @@ cargo clippy --workspace -- -D warnings
 # failures surface as typed ShardScatterError). The anytime layer joins
 # too: cancel.rs sits under every budget check on the hot descent, and
 # anytime.rs computes the bounds a partial answer's soundness rests on
-# — a panic there would turn graceful degradation into a crash.
+# — a panic there would turn graceful degradation into a crash. algo.rs
+# joins too: it holds the crate's one search loop, which every query
+# path runs (the infallible APIs' deliberate panic lives in query.rs).
 step "lint: no panic paths in the disk query read path"
 for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
          crates/rtree/src/query.rs crates/rtree/src/iwp.rs \
          crates/rtree/src/node.rs crates/rtree/src/cancel.rs \
          crates/store/src/executor.rs \
-         crates/core/src/shard.rs crates/core/src/anytime.rs \
+         crates/core/src/algo.rs crates/core/src/shard.rs \
+         crates/core/src/anytime.rs \
          crates/serve/src/protocol.rs crates/serve/src/histogram.rs \
          crates/serve/src/handle.rs crates/serve/src/server.rs \
          crates/serve/src/client.rs; do
-  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'panic!|unwrap\(\)|\.expect\(|unreachable!'; then
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'panic!|unwrap\(\)|\.expect\(|unreachable!'; then
     echo "error: panic-capable call in non-test section of $f" >&2
     exit 1
   fi

@@ -122,7 +122,7 @@ fn removed_objects_never_appear_in_results() {
 }
 
 #[test]
-fn iwp_scheme_panics_until_rebuilt_after_update() {
+fn iwp_scheme_falls_back_until_rebuilt_after_update() {
     let pts: Vec<Point> = (0..100)
         .map(|i| Point::new((i % 10) as f64, (i / 10) as f64))
         .collect();
@@ -130,13 +130,16 @@ fn iwp_scheme_panics_until_rebuilt_after_update() {
     index.insert(Point::new(50.0, 50.0)).unwrap();
     assert!(index.iwp().is_none(), "update must invalidate IWP");
     let query = NwcQuery::new(Point::new(0.0, 0.0), WindowSpec::square(4.0), 2);
-    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        index.nwc(&query, Scheme::NWC_STAR)
-    }))
-    .is_err();
-    assert!(panicked, "NWC* without IWP must refuse loudly");
+    // IWP only prunes I/O: without it NWC* answers through plain window
+    // queries, exactly like NWC+ with DEP.
+    let fallback = index.try_nwc(&query, Scheme::NWC_STAR).unwrap().expect("pair exists");
+    let reference = index.nwc(&query, Scheme::NWC_PLUS).expect("pair exists");
+    assert_eq!(fallback.ids(), reference.ids());
+    assert_eq!(fallback.distance, reference.distance);
     index.rebuild_iwp();
-    assert!(index.nwc(&query, Scheme::NWC_STAR).is_some());
+    let rebuilt = index.nwc(&query, Scheme::NWC_STAR).expect("pair exists");
+    assert_eq!(rebuilt.ids(), fallback.ids());
+    assert_eq!(rebuilt.distance, fallback.distance);
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! `SearchStats` (a field-for-field `Eq` comparison, including every
 //! I/O counter) must come out identical.
 
-use nwc::core::{CancelFlag, CancelKind, CancelToken, QueryScratch};
+use nwc::core::{CancelFlag, CancelKind, QueryScratch};
 use nwc::prelude::*;
 use proptest::prelude::*;
 
@@ -98,7 +98,7 @@ proptest! {
         let engine = QueryEngine::new(&index).with_threads(3);
 
         // Exact mode, unarmed budget: bit-identical to the plain batch.
-        let exact = engine.try_nwc_batch_cancel(&queries, Scheme::NWC_STAR, &CancelToken::none());
+        let exact = engine.try_nwc_batch_cancel(&queries, Scheme::NWC_STAR, &Budget::none());
         prop_assert_eq!(exact.len(), want.len());
         for (i, (slot, (wr, ws))) in exact.iter().zip(&want).enumerate() {
             let a = slot.as_ref().expect("arena batches cannot fail");
@@ -116,7 +116,7 @@ proptest! {
         let flag = CancelFlag::new();
         flag.stop();
         let tripped =
-            engine.try_nwc_batch_cancel(&queries, Scheme::NWC_STAR, &CancelToken::with_flag(&flag));
+            engine.try_nwc_batch_cancel(&queries, Scheme::NWC_STAR, &Budget::with_flag(&flag));
         prop_assert_eq!(tripped.len(), want.len());
         for (i, (slot, (wr, _))) in tripped.iter().zip(&want).enumerate() {
             let a = slot.as_ref().expect("a tripped flag is a partial, not an error");

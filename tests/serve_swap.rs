@@ -16,7 +16,7 @@
 //!   observe an external stop flag without tearing down the scope.
 
 use nwc::prelude::*;
-use nwc_core::{CancelFlag, CancelKind, CancelToken, QueryEngine, QueryError};
+use nwc_core::{Budget, CancelFlag, CancelKind, QueryEngine, QueryError};
 use nwc_serve::{IndexHandle, QueryOutcome, ServeClient, Server, ServerConfig};
 use nwc_store::{FaultPlan, FaultStore, FileStore, RetryPolicy, StoreError};
 use std::path::PathBuf;
@@ -239,7 +239,7 @@ fn hot_swap_survives_transient_store_faults_under_load() {
                         &query,
                         Scheme::NWC_STAR,
                         &mut scratch,
-                        &CancelToken::none(),
+                        &Budget::none(),
                     ) {
                         Ok((Some(result), _)) => {
                             let lo = result.objects.iter().all(|o| o.point.x < 4_500.0);
@@ -582,7 +582,7 @@ fn engine_batches_accept_external_cancel_flag() {
 
     // Unarmed token ≡ the plain batch API.
     let plain = engine.try_nwc_batch(&queries, Scheme::NWC_STAR);
-    let unarmed = engine.try_nwc_batch_cancel(&queries, Scheme::NWC_STAR, &CancelToken::none());
+    let unarmed = engine.try_nwc_batch_cancel(&queries, Scheme::NWC_STAR, &Budget::none());
     assert_eq!(plain.len(), unarmed.len());
     for (a, b) in plain.iter().zip(&unarmed) {
         let a = a.as_ref().expect("in-memory batch cannot fail");
@@ -602,7 +602,7 @@ fn engine_batches_accept_external_cancel_flag() {
     let flag = CancelFlag::new();
     flag.stop();
     let cancelled =
-        engine.try_nwc_batch_cancel(&queries, Scheme::NWC_STAR, &CancelToken::with_flag(&flag));
+        engine.try_nwc_batch_cancel(&queries, Scheme::NWC_STAR, &Budget::with_flag(&flag));
     assert_eq!(cancelled.len(), queries.len());
     for slot in &cancelled {
         let p = slot.as_ref().expect("a tripped flag is not an error");
@@ -619,14 +619,14 @@ fn engine_batches_accept_external_cancel_flag() {
         .map(|q| KnwcQuery::new(q.q, q.spec, 4, 3, 1))
         .collect();
     let cancelled =
-        engine.try_knwc_batch_cancel(&kq, Scheme::NWC_PLUS, &CancelToken::with_flag(&flag));
+        engine.try_knwc_batch_cancel(&kq, Scheme::NWC_PLUS, &Budget::with_flag(&flag));
     for slot in &cancelled {
         let p = slot.as_ref().expect("a tripped flag is not an error");
         assert_eq!(p.exhausted, Some(CancelKind::Stopped));
         assert!(p.result.groups.is_empty());
         assert_eq!(p.error_bound, f64::INFINITY);
     }
-    let fine = engine.try_knwc_batch_cancel(&kq, Scheme::NWC_PLUS, &CancelToken::none());
+    let fine = engine.try_knwc_batch_cancel(&kq, Scheme::NWC_PLUS, &Budget::none());
     assert!(fine
         .iter()
         .all(|r| r.as_ref().is_ok_and(|p| p.is_complete())));
@@ -771,7 +771,7 @@ fn deadline_mid_search_releases_pins_and_index_survives() {
     let query = NwcQuery::new(Point::new(5_000.0, 5_000.0), WindowSpec::square(600.0), 6);
     let mut scratch = nwc_core::QueryScratch::new();
     let token =
-        CancelToken::with_deadline(std::time::Instant::now() + Duration::from_millis(1));
+        Budget::with_deadline(std::time::Instant::now() + Duration::from_millis(1));
     match index.try_nwc_full_cancel(&query, Scheme::NWC_STAR, &mut scratch, &token) {
         Err(QueryError::Deadline) => {}
         Ok(_) => panic!("a 1 ms budget at 500 µs/read cannot finish"),
@@ -782,7 +782,7 @@ fn deadline_mid_search_releases_pins_and_index_survives() {
 
     // Same query, no deadline: the index is fully usable.
     let (result, _) = index
-        .try_nwc_full_cancel(&query, Scheme::NWC_STAR, &mut scratch, &CancelToken::none())
+        .try_nwc_full_cancel(&query, Scheme::NWC_STAR, &mut scratch, &Budget::none())
         .expect("index survives a cancelled search");
     assert!(result.is_some());
 

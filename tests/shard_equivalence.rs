@@ -14,8 +14,12 @@
 //!    shards' counters survive, no page pin leaks anywhere, and the
 //!    index keeps answering (the `Browser::try_expand` release
 //!    guarantees, exercised through the scatter path).
+//! 5. **Missing structures** — after insert, remove and a dirty commit
+//!    (which drop IWP), and on a build without grid and IWP, every
+//!    scheme still answers exactly like the oracle, unsharded and K = 1
+//!    alike.
 
-use nwc::core::{ShardScatterError, ShardedNwcIndex};
+use nwc::core::{IndexConfig, ShardScatterError, ShardedNwcIndex};
 use nwc::prelude::*;
 use nwc::rtree::BrowseItem;
 use nwc::store::{FaultPlan, FaultStore, FileStore, RetryPolicy};
@@ -504,4 +508,140 @@ fn dead_page_in_one_shard_is_a_typed_partial_failure_with_no_pin_leaks() {
         recovered.result.as_ref().map(|r| r.ids()),
         "recovered scatter must answer like the original"
     );
+}
+
+// ---------------------------------------------------------------------
+// Missing structures after writes.
+// ---------------------------------------------------------------------
+
+/// Every write invalidates IWP, and a lean build has neither IWP nor a
+/// density grid. Both only prune I/O, so under every Table-3 scheme the
+/// unsharded index and its K = 1 twin must keep answering — exactly the
+/// oracle's answer over the live set, with bit-identical `SearchStats`.
+fn assert_write_state_answers(single: &NwcIndex, k1: &ShardedNwcIndex, ctx: &str) {
+    let live: Vec<u32> = (0..single.points().len() as u32)
+        .filter(|&id| single.is_live(id))
+        .collect();
+    let live_points: Vec<Point> = live.iter().map(|&id| single.points()[id as usize]).collect();
+    assert_eq!(k1.len(), live.len(), "{ctx}: K = 1 twin diverged");
+    for (qi, &q) in Dataset::query_points(3, 83).iter().enumerate() {
+        let query = NwcQuery::new(q, WindowSpec::square(70.0), 3);
+        let kquery = KnwcQuery::new(q, WindowSpec::square(70.0), 3, 2, 1);
+        // Oracle ids are positions in `live`, which ascends with the
+        // object id, so the canonical tie-break order carries over.
+        let want = nwc::core::oracle::nwc_brute_force(&live_points, &query).map(|g| {
+            let mut ids: Vec<u32> = g.id_set().iter().map(|&pos| live[pos as usize]).collect();
+            ids.sort_unstable();
+            (ids, g.distance)
+        });
+        for scheme in Scheme::TABLE3 {
+            let ctx = format!("{ctx}/{scheme}/q{qi}");
+            let (got, stats) = single.try_nwc_full(&query, scheme).expect("unsharded answers");
+            let (got1, stats1) = k1.try_nwc_full(&query, scheme).expect("K = 1 answers");
+            let got_key = got.as_ref().map(|r| {
+                let mut ids = r.ids();
+                ids.sort_unstable();
+                (ids, r.distance)
+            });
+            assert_eq!(got_key, want, "{ctx}: unsharded answer differs from the oracle");
+            assert_same(&got, &got1, &ctx);
+            assert_eq!(stats, stats1, "{ctx}: K = 1 stats must be bit-identical");
+
+            let groups = single.try_knwc(&kquery, scheme).expect("unsharded kNWC answers");
+            let groups1 = k1.try_knwc(&kquery, scheme).expect("K = 1 kNWC answers");
+            assert_eq!(
+                groups.groups.first().map(|g| g.distance),
+                want.as_ref().map(|w| w.1),
+                "{ctx}: the first kNWC group must be the NWC optimum"
+            );
+            assert_eq!(groups.stats, groups1.stats, "{ctx}: K = 1 kNWC stats differ");
+            assert_eq!(groups.groups.len(), groups1.groups.len(), "{ctx}");
+            for (a, b) in groups.groups.iter().zip(&groups1.groups) {
+                assert_eq!(a.id_set(), b.id_set(), "{ctx}");
+                assert_eq!(a.distance, b.distance, "{ctx}");
+            }
+        }
+    }
+}
+
+/// Drives an index and its K = 1 twin through insert, remove and a
+/// dirty commit, checking every scheme after each write.
+fn check_writes_without_structures(
+    mut single: NwcIndex,
+    mut k1: ShardedNwcIndex,
+    backend: &str,
+    disk: bool,
+) {
+    let near = Dataset::query_points(3, 83)[0];
+    // Insert: a tight cluster near the first query point.
+    for i in 0..3 {
+        let p = Point::new(near.x + i as f64, near.y + 0.5 * i as f64);
+        let id = single.insert(p).expect("insert");
+        assert_eq!(k1.insert(p), Ok(id), "{backend}: twins assign the same id");
+    }
+    assert!(single.iwp().is_none() && !k1.iwp_ready(), "{backend}: insert drops IWP");
+    assert_write_state_answers(&single, &k1, &format!("{backend}/insert"));
+
+    // Remove, starting from rebuilt IWP so the removal is what drops it.
+    single.rebuild_iwp();
+    k1.rebuild_iwp();
+    for id in [1u32, 5, 9] {
+        assert!(single.remove(id).expect("remove"));
+        assert!(k1.remove(id).expect("remove"));
+    }
+    assert!(single.iwp().is_none() && !k1.iwp_ready(), "{backend}: remove drops IWP");
+    assert_write_state_answers(&single, &k1, &format!("{backend}/remove"));
+
+    // Commit of a dirty overlay: on disk the flush itself drops IWP; in
+    // memory the commit is a no-op and the insert already dropped it.
+    single.rebuild_iwp();
+    k1.rebuild_iwp();
+    let p = Point::new(near.x + 3.0, near.y + 2.0);
+    let id = single.insert(p).expect("insert");
+    assert_eq!(k1.insert(p), Ok(id));
+    if disk {
+        single.rebuild_iwp();
+        k1.rebuild_iwp();
+    }
+    single.commit().expect("commit");
+    k1.commit_all().expect("commit");
+    assert!(single.iwp().is_none() && !k1.iwp_ready(), "{backend}: dirty commit drops IWP");
+    assert_write_state_answers(&single, &k1, &format!("{backend}/commit"));
+}
+
+#[test]
+fn missing_structures_keep_every_scheme_answering() {
+    let points = seeded_points(400, 83);
+    // Built without grid and IWP: DEP and IWP have nothing to prune with.
+    let lean = IndexConfig {
+        grid_cell_size: None,
+        build_iwp: false,
+        ..IndexConfig::default()
+    };
+    assert_write_state_answers(
+        &NwcIndex::build_with(points.clone(), lean),
+        &ShardedNwcIndex::build_with(points.clone(), 1, lean),
+        "lean",
+    );
+
+    check_writes_without_structures(
+        NwcIndex::build(points.clone()),
+        ShardedNwcIndex::build(points.clone(), 1),
+        "arena",
+        false,
+    );
+
+    // Writable page files: one per twin, so each has its own pool and
+    // overlay and both see the same access history.
+    let dir = temp_dir("writes");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let built = NwcIndex::build(points);
+    let (a, b) = (dir.join("single.pages"), dir.join("k1.pages"));
+    built.save_tree_writable(&a).expect("save");
+    built.save_tree_writable(&b).expect("save");
+    let single = NwcIndex::open_disk(&a, DiskIndexConfig::default()).expect("open");
+    let twin = NwcIndex::open_disk(&b, DiskIndexConfig::default()).expect("open");
+    let k1 = ShardedNwcIndex::from_shards(vec![twin], None).expect("K = 1");
+    check_writes_without_structures(single, k1, "disk", true);
+    std::fs::remove_dir_all(&dir).ok();
 }
