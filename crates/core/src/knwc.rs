@@ -145,6 +145,7 @@ impl NwcIndex {
         budget: &Budget,
         approx: crate::Approx,
     ) -> Result<crate::AnytimeKnwc, QueryError> {
+        query.validate()?;
         let started = std::time::Instant::now();
         let io = self.tree().stats();
         let io0 = io.snapshot();
@@ -259,6 +260,7 @@ impl NwcIndex {
         scratch: &mut QueryScratch,
         cancel: &Budget,
     ) -> Result<KnwcResult, QueryError> {
+        query.validate()?;
         let core = GroupsCore::new(query.k, query.m, prune);
         let (result, end) = self.knwc_search(query, scheme, core, scratch, cancel)?;
         end.or_error()?;
@@ -362,15 +364,20 @@ impl GroupsCore {
     /// canonical `(score, ids)` buffer order — not traversal order —
     /// decides the selection.
     pub(crate) fn threshold(&self) -> f64 {
-        if !self.prune {
-            return f64::INFINITY;
+        match self.pruning_kth() {
+            Some(kth) => crate::algo::tie_inclusive(kth * self.shrink),
+            None => f64::INFINITY,
         }
-        if self.selected.len() == self.k {
-            let kth = self.buffer[*self.selected.last().unwrap()].score;
-            crate::algo::tie_inclusive(kth * self.shrink)
-        } else {
-            f64::INFINITY
+    }
+
+    /// The k-th selected score once pruning applies: `None` when pruning
+    /// is off or fewer than k groups are selected (always for `k = 0`).
+    fn pruning_kth(&self) -> Option<f64> {
+        if !self.prune || self.selected.len() != self.k {
+            return None;
         }
+        let &last = self.selected.last()?;
+        self.buffer.get(last).map(|g| g.score)
     }
 
     /// Offers one candidate group. `idbuf` is the caller's reusable
@@ -386,11 +393,8 @@ impl GroupsCore {
         // Fast reject: strictly beyond the k-th score cannot affect the
         // greedy selection; exact ties enter the buffer so the canonical
         // order decides.
-        if self.prune && self.selected.len() == self.k {
-            let kth = self.buffer[*self.selected.last().unwrap()].score;
-            if score > kth {
-                return;
-            }
+        if self.pruning_kth().is_some_and(|kth| score > kth) {
+            return;
         }
         // Build the sorted id set in the reused buffer; only clone it
         // into owned storage when the group is actually kept.

@@ -180,14 +180,29 @@ impl KnwcQuery {
         m: usize,
         measure: DistanceMeasure,
     ) -> Result<Self, QueryError> {
-        let base = NwcQuery::try_new(q, spec, n, measure)?;
-        if k == 0 {
+        let query = KnwcQuery {
+            base: NwcQuery::try_new(q, spec, n, measure)?,
+            k,
+            m,
+        };
+        query.validate()?;
+        Ok(query)
+    }
+
+    /// Checks `k ≥ 1` and `m < n`. The fields are public, so a struct
+    /// literal can skip [`KnwcQuery::try_new`]; every fallible kNWC
+    /// entry point re-checks with this and returns the same errors.
+    pub(crate) fn validate(&self) -> Result<(), QueryError> {
+        if self.k == 0 {
             return Err(QueryError::ZeroCount("k"));
         }
-        if m >= n {
-            return Err(QueryError::OverlapBoundTooLarge { m, n });
+        if self.m >= self.base.n {
+            return Err(QueryError::OverlapBoundTooLarge {
+                m: self.m,
+                n: self.base.n,
+            });
         }
-        Ok(KnwcQuery { base, k, m })
+        Ok(())
     }
 }
 

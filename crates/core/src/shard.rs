@@ -714,6 +714,7 @@ impl ShardedNwcIndex {
         budget: &Budget,
         approx: Approx,
     ) -> Result<ShardedAnytimeKnwc, QueryError> {
+        query.validate()?;
         if let [single] = self.shards.as_slice() {
             let anytime = single.try_knwc_anytime_with(
                 query,
@@ -884,6 +885,12 @@ impl ShardedNwcIndex {
         prune: bool,
         cancel: &Budget,
     ) -> Result<ShardedKnwcAnswer, ShardScatterError> {
+        // An invalid query fails before any shard runs; like the K = 1
+        // delegation below, its error is reported as shard 0's.
+        query.validate().map_err(|e| ShardScatterError {
+            failures: vec![(0, e)],
+            completed: Vec::new(),
+        })?;
         if let [single] = self.shards.as_slice() {
             let mut scratch = QueryScratch::new();
             let result = if prune {

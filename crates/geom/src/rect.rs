@@ -96,9 +96,13 @@ impl Rect {
     }
 
     /// Whether `p` lies inside the (closed) rectangle.
+    ///
+    /// All four comparisons are evaluated (non-short-circuit `&`), so a
+    /// scan over many points compiles to a branch-free mask instead of
+    /// a chain of data-dependent, poorly predicted branches.
     #[inline]
     pub fn contains_point(&self, p: &Point) -> bool {
-        self.min.x <= p.x && p.x <= self.max.x && self.min.y <= p.y && p.y <= self.max.y
+        (self.min.x <= p.x) & (p.x <= self.max.x) & (self.min.y <= p.y) & (p.y <= self.max.y)
     }
 
     /// Whether `other` is entirely inside `self` (boundaries may touch).
@@ -111,12 +115,13 @@ impl Rect {
     }
 
     /// Whether the two (closed) rectangles share at least one point.
+    /// Branch-free like [`Rect::contains_point`].
     #[inline]
     pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
+        (self.min.x <= other.max.x)
+            & (other.min.x <= self.max.x)
+            & (self.min.y <= other.max.y)
+            & (other.min.y <= self.max.y)
     }
 
     /// The intersection rectangle, or `None` when disjoint.

@@ -26,10 +26,42 @@ use crate::tree::RStarTree;
 use crate::{Entry, NodeId};
 use nwc_geom::{MbrSoa, Rect};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Stack-buffer width for the batched overlap-target intersection test
 /// (matches the chunk width of the window-query kernels).
 const MASK_CHUNK: usize = 128;
+
+/// Multiplicative (Fibonacci) hasher for [`NodeId`] keys. The IWP
+/// tables are probed once per window query, where SipHash showed up in
+/// profiles. Node ids are assigned by the tree itself (arena slots and
+/// page numbers, never query input), so one multiply spreads them well
+/// enough and collision resistance buys nothing.
+#[derive(Clone, Copy, Default)]
+struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by node id, hashed with [`NodeIdHasher`].
+type NodeMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
 
 /// The overlapping pointers of one pointed node, stored as a
 /// structure-of-arrays pair so the per-query "which overlap targets
@@ -67,9 +99,9 @@ impl IwpStorage {
 pub struct IwpIndex {
     /// `bp_1..bp_r` per leaf, ordered leaf-first, root-last; each entry
     /// carries the pointed node's MBR (the `mbr_i^b` of the paper).
-    backward: HashMap<NodeId, Vec<(NodeId, Rect)>>,
+    backward: NodeMap<Vec<(NodeId, Rect)>>,
     /// Overlapping pointers per pointed node (the `(op_j, mbr_j^o)`).
-    overlaps: HashMap<NodeId, OverlapList>,
+    overlaps: NodeMap<OverlapList>,
     storage: IwpStorage,
 }
 
@@ -87,9 +119,9 @@ impl IwpIndex {
         // each ancestor's MBR so backward pointers need no second read;
         // pointed nodes remember (level, mbr) for the overlap phase (the
         // ancestor at depth d sits at level h − d).
-        let mut backward: HashMap<NodeId, Vec<(NodeId, Rect)>> = HashMap::new();
+        let mut backward: NodeMap<Vec<(NodeId, Rect)>> = NodeMap::default();
         let mut pointed: Vec<NodeId> = Vec::new();
-        let mut pointed_info: HashMap<NodeId, (u32, Rect)> = HashMap::new();
+        let mut pointed_info: NodeMap<(u32, Rect)> = NodeMap::default();
         let mut by_level: HashMap<u32, Vec<(NodeId, Rect)>> = HashMap::new();
 
         let mut path: Vec<(NodeId, Rect)> = Vec::new();
@@ -127,7 +159,7 @@ impl IwpIndex {
 
         // Overlapping pointers: same-level nodes with intersecting MBRs.
         // A per-level x-interval sweep keeps this near-linear.
-        let mut overlaps: HashMap<NodeId, OverlapList> = HashMap::new();
+        let mut overlaps: NodeMap<OverlapList> = NodeMap::default();
         let mut overlap_count = 0usize;
         for level_nodes in by_level.values_mut() {
             level_nodes.sort_by(|a, b| a.1.min.x.total_cmp(&b.1.min.x));

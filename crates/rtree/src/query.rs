@@ -16,6 +16,22 @@ use nwc_geom::{Point, Rect};
 /// page holds at most 112 branches, so one chunk covers a whole page.
 const MASK_CHUNK: usize = 128;
 
+/// Leaf-scan chunk width: one bit of a `u64` inside-mask per entry.
+const LEAF_CHUNK: usize = 64;
+
+/// Bit `i` is set iff `chunk[i]` lies inside `rect` (`chunk.len() ≤ 64`).
+///
+/// Built with no data-dependent branch: a window query's leaf scan hits
+/// only a few percent of the entries it tests, so a short-circuit
+/// `filter` mispredicts on nearly every hit. The set bits are then
+/// walked in ascending order, which preserves entry order.
+#[inline]
+fn leaf_inside_mask(chunk: &[Entry], rect: &Rect) -> u64 {
+    chunk.iter().enumerate().fold(0, |mask, (i, e)| {
+        mask | (u64::from(rect.contains_point(&e.point)) << i)
+    })
+}
+
 /// Window-intersection flags for `branches[base..base + mask.len()]`,
 /// written into `mask`: one batched kernel call over the node's SoA MBR
 /// view when present (disk nodes), the scalar predicate otherwise.
@@ -105,7 +121,14 @@ impl RStarTree {
         let node = self.try_read_node(start)?;
         match &node.kind {
             NodeKind::Leaf(entries) => {
-                out.extend(entries.iter().filter(|e| rect.contains_point(&e.point)));
+                for chunk in entries.chunks(LEAF_CHUNK) {
+                    let mut mask = leaf_inside_mask(chunk, rect);
+                    out.reserve(mask.count_ones() as usize);
+                    while mask != 0 {
+                        out.extend(chunk.get(mask.trailing_zeros() as usize));
+                        mask &= mask - 1;
+                    }
+                }
             }
             NodeKind::Internal(branches) => {
                 let mut budget = self.readahead();
@@ -171,9 +194,9 @@ impl RStarTree {
         let node = self.try_read_node(id)?;
         match &node.kind {
             NodeKind::Leaf(entries) => Ok(entries
-                .iter()
-                .filter(|e| rect.contains_point(&e.point))
-                .count()),
+                .chunks(LEAF_CHUNK)
+                .map(|chunk| leaf_inside_mask(chunk, rect).count_ones() as usize)
+                .sum()),
             NodeKind::Internal(branches) => {
                 let mut budget = self.readahead();
                 let mut mask = [false; MASK_CHUNK];
@@ -236,6 +259,7 @@ impl RStarTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TreeParams;
     use nwc_geom::{pt, rect};
 
     fn sample_tree() -> (RStarTree, Vec<Point>) {
@@ -265,6 +289,66 @@ mod tests {
                 .map(|(i, _)| i as u32)
                 .collect();
             assert_eq!(got, want, "window {wq:?}");
+        }
+    }
+
+    /// The top-down descent with an entry-order, short-circuit
+    /// `filter(contains_point)` leaf scan: the sequence the chunked,
+    /// branch-free scan must reproduce exactly.
+    fn reference_window(t: &RStarTree, id: NodeId, wq: &Rect, out: &mut Vec<Entry>) {
+        let node = t.peek_node(id);
+        match &node.kind {
+            NodeKind::Leaf(entries) => {
+                out.extend(entries.iter().filter(|e| wq.contains_point(&e.point)));
+            }
+            NodeKind::Internal(branches) => {
+                for b in branches.iter().filter(|b| b.mbr.intersects(wq)) {
+                    reference_window(t, b.child, wq, out);
+                }
+            }
+        }
+    }
+
+    /// `n` points on a 9-wide integer lattice with repeated rows, so
+    /// windows with integer corners put points on every edge and corner
+    /// and some locations hold duplicates.
+    fn lattice(n: usize) -> Vec<Point> {
+        (0..n)
+            .map(|i| pt((i % 9) as f64, ((i / 9) % 12) as f64))
+            .collect()
+    }
+
+    #[test]
+    fn chunked_leaf_scan_preserves_entry_order_across_chunk_boundaries() {
+        let windows = [
+            rect(2.0, 3.0, 6.0, 7.0),     // lattice points on all four edges
+            rect(0.0, 0.0, 8.0, 11.0),    // the full extent, corners included
+            rect(0.0, 0.0, 0.0, 0.0),     // degenerate: one corner point
+            rect(4.0, 5.0, 4.0, 5.0),     // degenerate: an interior point
+            rect(3.0, 0.0, 3.0, 11.0),    // zero width, along a column
+            rect(0.0, 6.0, 8.0, 6.0),     // zero height, along a row
+            rect(2.5, 2.5, 2.75, 2.75),   // between lattice points
+            rect(-5.0, -5.0, -1.0, -1.0), // outside
+            rect(8.0, 11.0, 20.0, 20.0),  // touches only the far corner
+        ];
+        // 1..128 are single-leaf trees whose leaf straddles (or exactly
+        // fills) the 64-entry chunks; the larger ones add internal nodes
+        // above partially and fully packed leaves.
+        for n in [1usize, 63, 64, 65, 127, 128, 129, 1000] {
+            let pts = lattice(n);
+            let t = RStarTree::bulk_load_with_params(&pts, TreeParams::with_max_entries(128));
+            if n <= 128 {
+                assert_eq!(t.node_count(), 1, "n = {n} must fit one leaf");
+            }
+            for wq in windows {
+                let mut want = Vec::new();
+                reference_window(&t, t.root(), &wq, &mut want);
+                let got = t.window_query(&wq);
+                assert_eq!(got, want, "n = {n}, window {wq:?}");
+                assert_eq!(t.window_count(&wq), got.len(), "n = {n}, window {wq:?}");
+                let brute = pts.iter().filter(|p| wq.contains_point(p)).count();
+                assert_eq!(got.len(), brute, "n = {n}, window {wq:?}");
+            }
         }
     }
 

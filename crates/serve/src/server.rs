@@ -369,20 +369,30 @@ impl Server {
 }
 
 /// Accepts connections until the stop flag rises; each connection gets
-/// a detached reader thread (it exits on disconnect or stop).
+/// a reader thread (it exits on disconnect or stop). The readers are
+/// joined before returning: each holds the served index, so once
+/// [`Server::shutdown`] has joined this loop the index — and the page
+/// file locks it holds — is released, and the files can be reopened.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.stop.is_stopped() {
         match listener.accept() {
             Ok((stream, _)) => {
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
                 let shared = Arc::clone(shared);
-                std::thread::spawn(move || reader_loop(stream, &shared));
+                readers.retain(|r| !r.is_finished());
+                readers.push(std::thread::spawn(move || reader_loop(stream, &shared)));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
+    }
+    for r in readers {
+        // A panicked reader already dropped its connection; the join
+        // only waits for the others to notice the stop flag.
+        let _ = r.join();
     }
 }
 

@@ -47,13 +47,19 @@ cargo test -q --offline --manifest-path nwc-benchmark/Cargo.toml
 # — a panic there would turn graceful degradation into a crash. algo.rs
 # joins too: it holds the crate's one search loop, which every query
 # path runs (the infallible APIs' deliberate panic lives in query.rs).
+# knwc.rs joins too: its top-k core is shared by the unsharded, sharded
+# and anytime kNWC paths, and a panic in it would poison the sharded
+# planner's mutex; candidates.rs, weighted.rs, ingest.rs and scratch.rs
+# sit on the same query and push paths.
 step "lint: no panic paths in the disk query read path"
 for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
          crates/rtree/src/query.rs crates/rtree/src/iwp.rs \
          crates/rtree/src/node.rs crates/rtree/src/cancel.rs \
          crates/store/src/executor.rs \
          crates/core/src/algo.rs crates/core/src/shard.rs \
-         crates/core/src/anytime.rs \
+         crates/core/src/anytime.rs crates/core/src/knwc.rs \
+         crates/core/src/candidates.rs crates/core/src/weighted.rs \
+         crates/core/src/ingest.rs crates/core/src/scratch.rs \
          crates/serve/src/protocol.rs crates/serve/src/histogram.rs \
          crates/serve/src/handle.rs crates/serve/src/server.rs \
          crates/serve/src/client.rs; do
@@ -64,22 +70,33 @@ for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
 done
 echo "ok: disk query read path is panic-free outside tests"
 
+# Tiny-scale experiment smokes run with target/bench-smoke/ as their
+# working directory: the experiments write to the relative path
+# results/, so the committed results/BENCH_*.json trajectory is never
+# overwritten by 3-query numbers.
+SMOKE_OUT=target/bench-smoke/results
+bench_smoke() {
+  mkdir -p target/bench-smoke
+  (cd target/bench-smoke &&
+     NWC_SCALE=0.02 NWC_QUERIES=3 cargo run --release -p nwc-bench -- "$@")
+}
+
 if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   step "smoke: throughput experiment (tiny scale)"
-  NWC_SCALE=0.02 NWC_QUERIES=3 cargo run --release -p nwc-bench -- throughput
-  test -s results/BENCH_throughput.json
-  echo "ok: results/BENCH_throughput.json written"
+  bench_smoke throughput
+  test -s "$SMOKE_OUT"/BENCH_throughput.json
+  echo "ok: $SMOKE_OUT/BENCH_throughput.json written"
 
   step "smoke: disk mode (persist, reopen, buffer sweep)"
   cargo run --release --example persist_and_query
-  NWC_SCALE=0.02 NWC_QUERIES=3 cargo run --release -p nwc-bench -- buffer
-  test -s results/BENCH_buffer.json
-  grep -q '"peak_resident_nodes"' results/BENCH_buffer.json
-  echo "ok: results/BENCH_buffer.json written (with resident-node gauge)"
+  bench_smoke buffer
+  test -s "$SMOKE_OUT"/BENCH_buffer.json
+  grep -q '"peak_resident_nodes"' "$SMOKE_OUT"/BENCH_buffer.json
+  echo "ok: $SMOKE_OUT/BENCH_buffer.json written (with resident-node gauge)"
 
   step "smoke: readahead + clustered layout (sweep covers both, counters present)"
-  grep -q '"layout": "clustered"' results/BENCH_buffer.json
-  grep -q '"prefetch_batches"' results/BENCH_buffer.json
+  grep -q '"layout": "clustered"' "$SMOKE_OUT"/BENCH_buffer.json
+  grep -q '"prefetch_batches"' "$SMOKE_OUT"/BENCH_buffer.json
   echo "ok: layout/readahead cells recorded in the sweep"
 
   step "smoke: demand paging (tiny pool, answers match arena)"
@@ -100,18 +117,18 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   echo "ok: overlapped readahead bit-identical under faults and fault-free"
 
   step "smoke: fault-injection sweep (tiny scale)"
-  NWC_SCALE=0.02 NWC_QUERIES=3 cargo run --release -p nwc-bench -- faults
-  test -s results/BENCH_faults.json
-  grep -q '"prefetch_errors"' results/BENCH_faults.json
-  echo "ok: results/BENCH_faults.json written (with retry/readahead-error counters)"
+  bench_smoke faults
+  test -s "$SMOKE_OUT"/BENCH_faults.json
+  grep -q '"prefetch_errors"' "$SMOKE_OUT"/BENCH_faults.json
+  echo "ok: $SMOKE_OUT/BENCH_faults.json written (with retry/readahead-error counters)"
 
   step "smoke: kernel + overlapped-I/O sweep (tiny scale)"
   cargo test -q --release --test kernel_equivalence
-  NWC_SCALE=0.02 NWC_QUERIES=3 cargo run --release -p nwc-bench -- kernels
-  test -s results/BENCH_kernels.json
-  grep -q '"backend"' results/BENCH_kernels.json
-  grep -q '"overlap_us"' results/BENCH_kernels.json
-  echo "ok: results/BENCH_kernels.json written (backend + overlap counters)"
+  bench_smoke kernels
+  test -s "$SMOKE_OUT"/BENCH_kernels.json
+  grep -q '"backend"' "$SMOKE_OUT"/BENCH_kernels.json
+  grep -q '"overlap_us"' "$SMOKE_OUT"/BENCH_kernels.json
+  echo "ok: $SMOKE_OUT/BENCH_kernels.json written (backend + overlap counters)"
 
   step "smoke: serving layer (concurrent clients, deadlines, hot-swap)"
   cargo run --release --bin nwc-serve -- --self-test
@@ -119,11 +136,11 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   echo "ok: serve self-test and hot-swap suite passed"
 
   step "smoke: serve load sweep (tiny scale)"
-  NWC_SCALE=0.02 NWC_QUERIES=3 cargo run --release -p nwc-bench -- serve
-  test -s results/BENCH_serve.json
-  grep -q '"capacity_qps"' results/BENCH_serve.json
-  grep -q '"p999_us"' results/BENCH_serve.json
-  echo "ok: results/BENCH_serve.json written (capacity + tail latency)"
+  bench_smoke serve
+  test -s "$SMOKE_OUT"/BENCH_serve.json
+  grep -q '"capacity_qps"' "$SMOKE_OUT"/BENCH_serve.json
+  grep -q '"p999_us"' "$SMOKE_OUT"/BENCH_serve.json
+  echo "ok: $SMOKE_OUT/BENCH_serve.json written (capacity + tail latency)"
 
   step "smoke: writable disk mode (mutate, commit, reopen ≡ arena)"
   cargo test -q --release --test disk_equivalence writable
@@ -131,27 +148,27 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   echo "ok: mutate-save-reopen equivalence and crash kill-point matrix passed"
 
   step "smoke: streaming ingest sweep (tiny scale)"
-  NWC_SCALE=0.02 NWC_QUERIES=3 cargo run --release -p nwc-bench -- ingest
-  test -s results/BENCH_ingest.json
-  grep -q '"ingest_per_s"' results/BENCH_ingest.json
-  grep -q '"reopen_ms"' results/BENCH_ingest.json
-  echo "ok: results/BENCH_ingest.json written (throughput + recovery time)"
+  bench_smoke ingest
+  test -s "$SMOKE_OUT"/BENCH_ingest.json
+  grep -q '"ingest_per_s"' "$SMOKE_OUT"/BENCH_ingest.json
+  grep -q '"reopen_ms"' "$SMOKE_OUT"/BENCH_ingest.json
+  echo "ok: $SMOKE_OUT/BENCH_ingest.json written (throughput + recovery time)"
 
   step "smoke: sharded scatter-gather (oracle equivalence, faults, disk dirs)"
   cargo test -q --release --test shard_equivalence
-  NWC_SCALE=0.02 NWC_QUERIES=3 cargo run --release -p nwc-bench -- shard
-  test -s results/BENCH_shard.json
-  grep -q '"pool_split"' results/BENCH_shard.json
-  grep -q '"io_ratio_vs_unsharded"' results/BENCH_shard.json
-  grep -q '"cores"' results/BENCH_shard.json
-  echo "ok: results/BENCH_shard.json written (split + I/O ratio + core honesty)"
+  bench_smoke shard
+  test -s "$SMOKE_OUT"/BENCH_shard.json
+  grep -q '"pool_split"' "$SMOKE_OUT"/BENCH_shard.json
+  grep -q '"io_ratio_vs_unsharded"' "$SMOKE_OUT"/BENCH_shard.json
+  grep -q '"cores"' "$SMOKE_OUT"/BENCH_shard.json
+  echo "ok: $SMOKE_OUT/BENCH_shard.json written (split + I/O ratio + core honesty)"
 
   step "smoke: anytime/approximate sweep (tiny scale)"
-  NWC_SCALE=0.02 NWC_QUERIES=3 cargo run --release -p nwc-bench -- approx
-  test -s results/BENCH_approx.json
-  grep -q '"exact_recall": 1' results/BENCH_approx.json
-  grep -q '"bound_violations": 0' results/BENCH_approx.json
-  echo "ok: results/BENCH_approx.json written (exact mode bit-identical, bounds sound)"
+  bench_smoke approx
+  test -s "$SMOKE_OUT"/BENCH_approx.json
+  grep -q '"exact_recall": 1' "$SMOKE_OUT"/BENCH_approx.json
+  grep -q '"bound_violations": 0' "$SMOKE_OUT"/BENCH_approx.json
+  echo "ok: $SMOKE_OUT/BENCH_approx.json written (exact mode bit-identical, bounds sound)"
 fi
 
 step "verify: all checks passed"

@@ -14,10 +14,15 @@
 //!   `true` exactly like the scalar predicate;
 //! - NaN-free extreme coordinates (huge magnitudes, subnormals, signed
 //!   zeros, asymmetric ranges) where a fused-multiply-add or an
-//!   unordered compare would diverge from the scalar op sequence.
+//!   unordered compare would diverge from the scalar op sequence;
+//! - whole window queries: the arena tree (scalar branch predicate) and
+//!   the disk-backed tree (batched SoA kernel) return the same entries
+//!   in the same order through the chunked, branch-free leaf scan.
 
+use nwc::core::{DiskIndexConfig, IndexConfig, NwcIndex};
 use nwc::geom::window::{search_region, WindowSpec};
 use nwc::geom::{intersects_window_batch, kernel_backend, mindist_batch, MbrSoa, Point, Quadrant, Rect};
+use nwc::rtree::TreeParams;
 
 /// Deterministic, NaN-free MBR soup: jittered lattice boxes, degenerate
 /// point-boxes, thin slivers — the population a branch array really holds.
@@ -223,6 +228,51 @@ fn range_kernels_agree_with_full_pass() {
                 assert_eq!(m[i], full_m[base + i], "chunk {chunk} at {}", base + i);
             }
             base += len;
+        }
+    }
+}
+
+#[test]
+fn arena_and_disk_window_queries_return_identical_sequences() {
+    // 100-entry nodes: leaves straddle the 64-entry scan chunks, and the
+    // disk tree's internal nodes take the batched kernel while the
+    // arena's take the scalar predicate.
+    let points: Vec<Point> = (0..6000u64)
+        .map(|i| {
+            let s = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+            // Quarter-unit lattice: window edges land exactly on points.
+            Point::new((s % 2000) as f64 * 0.25, ((s >> 16) % 1600) as f64 * 0.25)
+        })
+        .collect();
+    let config = IndexConfig {
+        tree_params: TreeParams::with_max_entries(100),
+        ..IndexConfig::default()
+    };
+    let arena = NwcIndex::build_with(points.clone(), config);
+    let path = std::env::temp_dir().join(format!("nwc-kernel-eq-{}.pages", std::process::id()));
+    arena.save_tree(&path).expect("save");
+    let disk = NwcIndex::open_disk(&path, DiskIndexConfig::default()).expect("open");
+    std::fs::remove_file(&path).ok();
+
+    let anchors = [Point::new(0.0, 0.0), Point::new(250.25, 200.0), Point::new(499.75, 399.75)];
+    let specs = [
+        WindowSpec::square(8.0),
+        WindowSpec::square(60.0),
+        WindowSpec::new(120.0, 40.0),
+        WindowSpec::new(7.5, 400.0),
+    ];
+    for (ai, q) in anchors.iter().enumerate() {
+        for (si, spec) in specs.iter().enumerate() {
+            for quad in [Quadrant::I, Quadrant::II, Quadrant::III, Quadrant::IV] {
+                let w = search_region(q, quad, spec);
+                let tag = format!("anchor{ai}/spec{si}/{quad:?}");
+                let a: Vec<u32> = arena.tree().window_query(&w).iter().map(|e| e.id).collect();
+                let d: Vec<u32> = disk.tree().window_query(&w).iter().map(|e| e.id).collect();
+                assert_eq!(a, d, "{tag}: arena and disk id sequences differ");
+                let brute = points.iter().filter(|p| w.contains_point(p)).count();
+                assert_eq!(a.len(), brute, "{tag}: wrong answer size");
+                assert_eq!(disk.tree().window_count(&w), brute, "{tag}: count differs");
+            }
         }
     }
 }

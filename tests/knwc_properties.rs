@@ -6,7 +6,7 @@
 //! and optimality of the first group — rather than exact set equality
 //! with a particular greedy tie-breaking.
 
-use nwc::core::{oracle, KnwcQuery};
+use nwc::core::{oracle, KnwcQuery, QueryError};
 use nwc::prelude::*;
 use proptest::prelude::*;
 
@@ -120,5 +120,58 @@ proptest! {
             (a, b) => prop_assert!(false, "{:?} vs {:?}",
                 a.map(|g| g.distance), b.map(|r| r.distance)),
         }
+    }
+}
+
+/// A struct literal bypasses `KnwcQuery::try_new`; `k = 0` must still be
+/// a typed error on every fallible path, not a panic in the top-k sink.
+fn zero_k_literal() -> (Vec<Point>, KnwcQuery) {
+    let points: Vec<Point> = (0..200)
+        .map(|i| Point::new((i % 20) as f64 * 3.0, (i / 20) as f64 * 7.0))
+        .collect();
+    let valid = KnwcQuery::new(Point::new(30.0, 30.0), WindowSpec::square(10.0), 4, 2, 1);
+    (points, KnwcQuery { k: 0, ..valid })
+}
+
+#[test]
+fn zero_k_literal_is_a_typed_error_unsharded() {
+    let (points, query) = zero_k_literal();
+    let index = NwcIndex::build(points);
+    for scheme in [Scheme::NWC, Scheme::NWC_PLUS, Scheme::NWC_STAR] {
+        assert_eq!(index.try_knwc(&query, scheme).unwrap_err(), QueryError::ZeroCount("k"));
+    }
+    let overlap = KnwcQuery { k: 2, m: 4, ..query };
+    assert_eq!(
+        index.try_knwc(&overlap, Scheme::NWC_STAR).unwrap_err(),
+        QueryError::OverlapBoundTooLarge { m: 4, n: 4 }
+    );
+}
+
+#[test]
+fn zero_k_literal_is_a_typed_error_sharded() {
+    let (points, query) = zero_k_literal();
+    for shards in [1, 4] {
+        let index = ShardedNwcIndex::build(points.clone(), shards);
+        let got = index.try_knwc(&query, Scheme::NWC_STAR).unwrap_err();
+        assert_eq!(got, QueryError::ZeroCount("k"), "K = {shards}");
+        let got = index.try_knwc_exact(&query, Scheme::NWC_STAR).unwrap_err();
+        assert_eq!(got, QueryError::ZeroCount("k"), "K = {shards} exact");
+    }
+}
+
+#[test]
+fn zero_k_literal_is_a_typed_error_anytime() {
+    let (points, query) = zero_k_literal();
+    let index = NwcIndex::build(points.clone());
+    let got = index
+        .try_knwc_anytime(&query, Scheme::NWC_STAR, &Budget::none(), Approx::exact())
+        .unwrap_err();
+    assert_eq!(got, QueryError::ZeroCount("k"));
+    for shards in [1, 4] {
+        let sharded = ShardedNwcIndex::build(points.clone(), shards);
+        let got = sharded
+            .try_knwc_anytime(&query, Scheme::NWC_STAR, &Budget::none(), Approx::exact())
+            .unwrap_err();
+        assert_eq!(got, QueryError::ZeroCount("k"), "K = {shards}");
     }
 }
