@@ -12,6 +12,7 @@ use crate::table::Table;
 use nwc_analysis::{NwcCostModel, TreeModel};
 use nwc_core::{IndexConfig, NwcIndex, Scheme, WindowSpec};
 use nwc_datagen::Dataset;
+use nwc_grid::PAPER_GRID_CELL;
 
 /// Default query parameters from §5: `n = 8`, window `8 × 8`.
 pub const DEFAULT_N: usize = 8;
@@ -106,6 +107,7 @@ pub fn fig9(ctx: &ExperimentContext) -> Table {
         let mut index = NwcIndex::build_with(
             ds.points.clone(),
             IndexConfig {
+                grid_cell_size: Some(PAPER_GRID_CELL),
                 build_iwp: false,
                 ..Default::default()
             },
@@ -332,7 +334,7 @@ pub fn storage(ctx: &ExperimentContext) -> Table {
             "dataset",
             "tree nodes",
             "grid cells",
-            "grid KB",
+            "grid heap KB",
             "backward ptrs",
             "overlap ptrs",
             "IWP KB",
@@ -441,6 +443,7 @@ pub fn ablation_build(ctx: &ExperimentContext) -> Table {
         let index = NwcIndex::build_with(
             ds.points.clone(),
             IndexConfig {
+                grid_cell_size: Some(PAPER_GRID_CELL),
                 bulk_load: bulk,
                 build_iwp: false,
                 ..Default::default()

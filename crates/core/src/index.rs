@@ -13,8 +13,10 @@ use std::path::Path;
 pub struct IndexConfig {
     /// R\*-tree shape (default: the paper's 50 entries per node).
     pub tree_params: TreeParams,
-    /// Density-grid cell size (default 25, per §5: "the grid cell size is
-    /// set to 25"); `None` skips building the grid (DEP then prunes
+    /// Density-grid cell size (default 12.5, half the paper's 25 — see
+    /// [`nwc_grid::PAPER_GRID_CELL`]; in the normalized 10,000-wide
+    /// space each cell then nests in a paper cell, so DEP's bounds are
+    /// never looser); `None` skips building the grid (DEP then prunes
     /// nothing).
     pub grid_cell_size: Option<f64>,
     /// Whether to build the IWP pointer augmentation (default true;
@@ -29,7 +31,7 @@ impl Default for IndexConfig {
     fn default() -> Self {
         IndexConfig {
             tree_params: TreeParams::default(),
-            grid_cell_size: Some(25.0),
+            grid_cell_size: Some(12.5),
             build_iwp: true,
             bulk_load: true,
         }
@@ -86,7 +88,7 @@ impl Default for DiskIndexConfig {
             memory_budget_bytes: None,
             prefetch: 0,
             pool_shards: None,
-            grid_cell_size: Some(25.0),
+            grid_cell_size: Some(12.5),
             build_iwp: true,
             retry: RetryPolicy::default(),
             io_threads: 0,

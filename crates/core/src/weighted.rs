@@ -93,7 +93,7 @@ impl WeightedNwcIndex {
         let index = NwcIndex::build_with(points, config);
         let wgrid = WeightGrid::from_cell_size(
             grid_bounds(&index.bounds()),
-            25.0,
+            nwc_grid::PAPER_GRID_CELL,
             index.points(),
             &weights,
         );

@@ -50,12 +50,14 @@ cargo test -q --offline --manifest-path nwc-benchmark/Cargo.toml
 # knwc.rs joins too: its top-k core is shared by the unsharded, sharded
 # and anytime kNWC paths, and a panic in it would poison the sharded
 # planner's mutex; candidates.rs, weighted.rs, ingest.rs and scratch.rs
-# sit on the same query and push paths.
+# sit on the same query and push paths. The density grids join too:
+# DEP's count bound runs once per search region, on every query.
 step "lint: no panic paths in the disk query read path"
 for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
          crates/rtree/src/query.rs crates/rtree/src/iwp.rs \
          crates/rtree/src/node.rs crates/rtree/src/cancel.rs \
          crates/store/src/executor.rs \
+         crates/grid/src/lib.rs crates/grid/src/weight.rs \
          crates/core/src/algo.rs crates/core/src/shard.rs \
          crates/core/src/anytime.rs crates/core/src/knwc.rs \
          crates/core/src/candidates.rs crates/core/src/weighted.rs \

@@ -207,7 +207,7 @@ fn stats(args: &[String]) -> Result<(), String> {
     );
     if let Some(grid) = index.grid() {
         println!(
-            "density grid: {}x{} cells, {} KB",
+            "density grid: {}x{} cells, {} KB heap",
             grid.cells_per_side(),
             grid.cells_per_side(),
             grid.bytes() / 1024

@@ -2,7 +2,8 @@
 //! agreement, I/O orderings the paper's evaluation depends on, and
 //! storage accounting.
 
-use nwc::core::SearchStats;
+use nwc::core::{IndexConfig, SearchStats};
+use nwc::grid::PAPER_GRID_CELL;
 use nwc::prelude::*;
 
 fn trio() -> Vec<Dataset> {
@@ -100,11 +101,18 @@ fn dep_is_stronger_on_uniformish_data_than_clustered() {
 #[test]
 fn storage_overheads_are_reported() {
     let ds = Dataset::gaussian(20_000, 5_000.0, 2_000.0, 3);
-    let index = NwcIndex::build(ds.points.clone());
-    // DEP grid: paper reports ~312 KB for the 400×400 grid.
+    let index = NwcIndex::build_with(
+        ds.points.clone(),
+        IndexConfig {
+            grid_cell_size: Some(PAPER_GRID_CELL),
+            ..Default::default()
+        },
+    );
+    // DEP grid: paper reports ~312 KB (2 bytes per cell) for the
+    // 400×400 grid; the two-level grid's heap footprint stays below it.
     let grid = index.grid().expect("grid built by default");
     assert_eq!(grid.cell_count(), 160_000);
-    assert_eq!(grid.bytes(), 320_000);
+    assert!(grid.bytes() <= 320_000, "grid heap {} B", grid.bytes());
     // IWP pointers: a few per leaf plus overlaps.
     let iwp = index.iwp().expect("iwp built by default");
     let s = iwp.storage();

@@ -75,4 +75,52 @@ proptest! {
         let fine = DensityGrid::build(bounds, 16, &points);
         prop_assert!(fine.count_upper_bound(&query) <= coarse.count_upper_bound(&query));
     }
+
+    #[test]
+    fn grid_bound_is_safe_after_every_update(
+        cells in 1usize..50,
+        initial in proptest::collection::vec(lattice_point(), 0..100),
+        script in proptest::collection::vec(
+            (0u8..5, -10.0f64..71.0, -10.0f64..71.0, any::<prop::sample::Index>()),
+            0..900,
+        ),
+        queries in proptest::collection::vec(
+            (-10.0f64..65.0, -10.0f64..65.0, 0.0f64..70.0, 0.0f64..70.0),
+            1..6,
+        ),
+    ) {
+        let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(61.0, 61.0));
+        let mut grid = DensityGrid::build(bounds, cells, &initial);
+        let mut live = initial;
+        let queries: Vec<Rect> = queries
+            .into_iter()
+            .map(|(x, y, w, h)| Rect::new(Point::new(x, y), Point::new(x + w, y + h)))
+            .collect();
+        for (kind, x, y, pick) in script {
+            let added = match kind {
+                // Most inserts hit one spot, so its cell often passes
+                // 255 and is later drained by removals.
+                0..=2 => Some(Point::new(30.5, 30.5)),
+                // Others land anywhere, beyond the bounds included
+                // (clamped into border cells).
+                3 => Some(Point::new(x, y)),
+                _ => None,
+            };
+            match added {
+                Some(p) => {
+                    grid.add_point(&p);
+                    live.push(p);
+                }
+                None if !live.is_empty() => {
+                    let gone = live.swap_remove(pick.index(live.len()));
+                    grid.remove_point(&gone);
+                }
+                None => {}
+            }
+            for q in &queries {
+                let actual = live.iter().filter(|p| q.contains_point(p)).count();
+                prop_assert!(grid.count_upper_bound(q) >= actual);
+            }
+        }
+    }
 }
