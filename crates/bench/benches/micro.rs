@@ -1,7 +1,6 @@
-//! Micro-benchmarks of the disk-path primitives behind the buffer
-//! sweep: buffer-pool hit/miss service time, lock-stripe contention
-//! under concurrent access, and the MINDIST kernel every best-first
-//! descent runs per branch.
+//! Micro-benchmarks of the disk-path primitives: buffer-pool hit/miss
+//! service time, lock-stripe contention under concurrent access, and
+//! the MINDIST kernel every best-first descent runs per branch.
 //!
 //! The container these benches usually run in has a single core, so the
 //! contention group understates what sharding buys on real multi-core
@@ -9,7 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use nwc_geom::{MbrSoa, Point, Rect};
-use nwc_store::{BufferPool, IoExecutor, MemStore, PageStore};
+use nwc_store::BufferPool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,16 +34,6 @@ fn pool_paths(c: &mut Criterion) {
         b.iter(|| {
             next = (next + 1) % 128; // 2x capacity: every access evicts
             pool.access(black_box(next), fill).unwrap()
-        })
-    });
-
-    let pool = BufferPool::new(64);
-    let page = [0u8; nwc_store::PAGE_SIZE];
-    let mut next = 0u32;
-    g.bench_function("admit_prefetched", |b| {
-        b.iter(|| {
-            next = (next + 1) % 128;
-            pool.admit_prefetched(black_box(next), &page)
         })
     });
     g.finish();
@@ -93,10 +82,8 @@ fn contention(c: &mut Criterion) {
     g.finish();
 }
 
-/// The MINDIST kernel: per-branch work of every best-first expansion
-/// and readahead ranking pass — scalar loop vs the batched SoA kernel
-/// (the `mindist/batched_over_scalar` ratio is what BENCH_kernels.json
-/// reports as the microbench speedup).
+/// The MINDIST kernel: per-branch work of every best-first expansion —
+/// scalar loop vs the batched SoA kernel.
 fn mindist_kernel(c: &mut Criterion) {
     let rects: Vec<Rect> = (0..256)
         .map(|i| {
@@ -146,39 +133,6 @@ fn mindist_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-/// Submit→complete round trip through the I/O executor: the fixed
-/// overhead a readahead run pays to leave the query thread. Submitting
-/// a no-op job and waiting for idle bounds the queue+wakeup cost; the
-/// read-run variant adds the buffer allocation and MemStore copy.
-fn executor_round_trip(c: &mut Criterion) {
-    let mut g = c.benchmark_group("executor");
-    let exec = IoExecutor::new(1);
-    g.bench_function("submit_complete_noop", |b| {
-        b.iter(|| {
-            exec.submit(Box::new(|| {}));
-            exec.wait_idle();
-        })
-    });
-
-    const RUN_PAGES: usize = 8;
-    let pages: Vec<[u8; nwc_store::PAGE_SIZE]> = (0..64).map(|_| [0u8; nwc_store::PAGE_SIZE]).collect();
-    let store: Arc<dyn PageStore> = Arc::new(MemStore::new(pages, 0, [0; 4]).unwrap());
-    g.bench_function("submit_complete_read_run_8p", |b| {
-        b.iter(|| {
-            exec.submit_read_run(
-                Arc::clone(&store),
-                0,
-                RUN_PAGES,
-                Box::new(|res, _| {
-                    res.unwrap();
-                }),
-            );
-            exec.wait_idle();
-        })
-    });
-    g.finish();
-}
-
 fn fast_config() -> Criterion {
     Criterion::default()
         .without_plots()
@@ -191,6 +145,6 @@ fn fast_config() -> Criterion {
 criterion_group! {
     name = micro;
     config = fast_config();
-    targets = pool_paths, contention, mindist_kernel, executor_round_trip
+    targets = pool_paths, contention, mindist_kernel
 }
 criterion_main!(micro);

@@ -12,12 +12,9 @@
 #![forbid(unsafe_code)]
 
 pub mod approx;
-pub mod buffer;
 pub mod context;
-pub mod faults;
 pub mod figures;
 pub mod ingest;
-pub mod kernels;
 pub mod runner;
 pub mod serve;
 pub mod shard;

@@ -7,8 +7,7 @@
 //!
 //! EXPERIMENT: all (default) | table2 | table3 | fig8 | fig9 | fig10 |
 //!             fig11 | fig12 | fig13 | fig14 | storage | model |
-//!             ablations | throughput | buffer | faults | kernels | serve |
-//!             ingest | shard | approx
+//!             ablations | throughput | serve | ingest | shard | approx
 //!
 //! Environment:
 //!   NWC_SCALE    fraction of the paper's dataset cardinalities (0.2)
@@ -20,9 +19,7 @@
 //! `cargo run --release -p nwc-bench > EXPERIMENTS-run.md` captures a
 //! full report.
 
-use nwc_bench::{
-    approx, buffer, faults, figures, ingest, kernels, serve, shard, throughput, ExperimentContext,
-};
+use nwc_bench::{approx, figures, ingest, serve, shard, throughput, ExperimentContext};
 
 fn main() {
     let ctx = ExperimentContext::from_env();
@@ -80,15 +77,6 @@ fn main() {
     }
     if want("throughput") {
         println!("{}", throughput::throughput(&ctx));
-    }
-    if want("buffer") {
-        println!("{}", buffer::buffer(&ctx));
-    }
-    if want("faults") {
-        println!("{}", faults::faults(&ctx));
-    }
-    if want("kernels") {
-        println!("{}", kernels::kernels(&ctx));
     }
     if want("serve") {
         println!("{}", serve::serve(&ctx));

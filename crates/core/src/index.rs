@@ -51,13 +51,6 @@ pub struct DiskIndexConfig {
     /// with [`DiskIndexConfig::pool_capacity`] by taking the smaller,
     /// never below one frame.
     pub memory_budget_bytes: Option<u64>,
-    /// Readahead width: on a query descent into an internal node, up
-    /// to this many of its most promising children are read ahead in
-    /// batched runs and admitted to the pool unpinned (default 0 =
-    /// off). Prefetch reads sit outside the demand I/O counters, so
-    /// logical I/O — the paper's metric — is unaffected; only the
-    /// physical-read/buffer-hit split shifts.
-    pub prefetch: usize,
     /// Number of buffer-pool lock stripes; `None` (default) picks
     /// automatically (1 on small pools or single-core hosts). Aggregate
     /// hit/miss/eviction accounting is exact regardless of the count.
@@ -72,13 +65,6 @@ pub struct DiskIndexConfig {
     /// Exhausting the budget quarantines the page and surfaces a typed
     /// error through the `try_*` query APIs.
     pub retry: RetryPolicy,
-    /// I/O worker threads for overlapped readahead (default 0 =
-    /// readahead stays synchronous on the query thread). With ≥ 1,
-    /// readahead runs are submitted to a completion thread pool and the
-    /// query keeps descending while the device is busy; answers and
-    /// logical I/O are bit-identical either way. No effect when
-    /// [`DiskIndexConfig::prefetch`] is 0.
-    pub io_threads: usize,
 }
 
 impl Default for DiskIndexConfig {
@@ -86,12 +72,10 @@ impl Default for DiskIndexConfig {
         DiskIndexConfig {
             pool_capacity: None,
             memory_budget_bytes: None,
-            prefetch: 0,
             pool_shards: None,
             grid_cell_size: Some(12.5),
             build_iwp: true,
             retry: RetryPolicy::default(),
-            io_threads: 0,
         }
     }
 }
@@ -116,9 +100,7 @@ impl DiskIndexConfig {
         DiskOptions {
             pool_capacity: self.effective_pool_capacity(),
             pool_shards: self.pool_shards,
-            prefetch: self.prefetch,
             retry: self.retry,
-            io_threads: self.io_threads,
         }
     }
 }
@@ -325,10 +307,8 @@ impl NwcIndex {
 
     /// As [`NwcIndex::save_tree`], assigning page ids according to
     /// `layout` (see [`PageLayout`]). [`PageLayout::Clustered`] places
-    /// sibling leaves on consecutive pages so the readahead of
-    /// [`DiskIndexConfig::prefetch`] coalesces into fewer, longer
-    /// vectored reads. Answers and logical I/O are identical under
-    /// every layout.
+    /// sibling leaves on consecutive pages. Answers and logical I/O are
+    /// identical under every layout.
     pub fn save_tree_with_layout(
         &self,
         path: impl AsRef<Path>,

@@ -16,44 +16,58 @@ use crate::index::NwcIndex;
 use crate::result::SearchStats;
 use nwc_store::{FaultStats, PoolStats};
 
-/// Point-in-time copy of the tree/storage I/O counters (logical and
-/// physical sides). On an arena-backed index the storage-level gauges
-/// (`physical_reads`, `io_errors`, `prefetch_batches`,
-/// `peak_resident_nodes`) are zero.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IoCounters {
+/// Declares [`IoCounters`] from one field table. Each row is a field,
+/// its doc and its serialized name; the struct, [`IoCounters::accumulate`]
+/// and the `io_*` lines of [`MetricsSnapshot::for_each`] all expand from
+/// the table, so they cannot drift apart.
+macro_rules! io_counters {
+    ($($(#[$doc:meta])* $field:ident => $name:literal,)+) => {
+        /// Point-in-time copy of the tree/storage I/O counters (logical
+        /// and physical sides). On an arena-backed index the
+        /// storage-level gauges (`physical_reads`, `io_errors`,
+        /// `peak_resident_nodes`) are zero.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct IoCounters {
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        impl IoCounters {
+            /// Adds `other`'s counters into `self`, field by field (used
+            /// to aggregate per-shard captures).
+            pub fn accumulate(&mut self, other: &IoCounters) {
+                $(self.$field += other.$field;)+
+            }
+
+            /// Visits every counter as a `(name, value)` pair, in table
+            /// order.
+            fn for_each(&self, f: &mut impl FnMut(&'static str, u64)) {
+                $(f($name, self.$field);)+
+            }
+        }
+    };
+}
+
+io_counters! {
     /// Logical node accesses (physical reads + buffer hits) — the
     /// paper's "nodes visited" metric.
-    pub accesses: u64,
+    accesses => "io_accesses",
     /// Physical node reads (pool misses that hit the store; every
     /// access on an arena tree).
-    pub node_reads: u64,
+    node_reads => "io_node_reads",
     /// Accesses served by the buffer pool without physical I/O.
-    pub buffer_hits: u64,
-    /// Speculative pages read by readahead (outside `accesses`).
-    pub prefetch_reads: u64,
-    /// Demand accesses served from readahead-admitted pages.
-    pub prefetch_hits: u64,
-    /// Readahead batches that failed and were swallowed.
-    pub prefetch_errors: u64,
-    /// Readahead batches issued by the storage layer.
-    pub prefetch_batches: u64,
-    /// Demand faults that waited on an in-flight overlapped read.
-    pub inflight_hits: u64,
-    /// Microseconds of device time overlapped with query work.
-    pub overlap_us: u64,
+    buffer_hits => "io_buffer_hits",
     /// Re-attempted page reads.
-    pub retries: u64,
+    retries => "io_retries",
     /// Failed-then-recovered read attempts.
-    pub transient_errors: u64,
+    transient_errors => "io_transient_errors",
     /// Pages quarantined after exhausting their retry budget.
-    pub quarantined_pages: u64,
-    /// Store-level physical page reads (demand + readahead).
-    pub physical_reads: u64,
+    quarantined_pages => "io_quarantined_pages",
+    /// Store-level physical page reads.
+    physical_reads => "io_physical_reads",
     /// Page reads that surfaced a hard error to a query.
-    pub io_errors: u64,
+    io_errors => "io_errors",
     /// High-water mark of resident decoded nodes.
-    pub peak_resident_nodes: u64,
+    peak_resident_nodes => "io_peak_resident_nodes",
 }
 
 /// Every stats surface of the stack in one plain-data struct. See the
@@ -75,28 +89,6 @@ pub struct MetricsSnapshot {
     pub faults: Option<FaultStats>,
 }
 
-impl IoCounters {
-    /// Adds `other`'s counters into `self`, field by field (used to
-    /// aggregate per-shard captures).
-    pub fn accumulate(&mut self, other: &IoCounters) {
-        self.accesses += other.accesses;
-        self.node_reads += other.node_reads;
-        self.buffer_hits += other.buffer_hits;
-        self.prefetch_reads += other.prefetch_reads;
-        self.prefetch_hits += other.prefetch_hits;
-        self.prefetch_errors += other.prefetch_errors;
-        self.prefetch_batches += other.prefetch_batches;
-        self.inflight_hits += other.inflight_hits;
-        self.overlap_us += other.overlap_us;
-        self.retries += other.retries;
-        self.transient_errors += other.transient_errors;
-        self.quarantined_pages += other.quarantined_pages;
-        self.physical_reads += other.physical_reads;
-        self.io_errors += other.io_errors;
-        self.peak_resident_nodes += other.peak_resident_nodes;
-    }
-}
-
 impl MetricsSnapshot {
     /// Captures the index's I/O and (when disk-backed) pool counters.
     pub fn capture(index: &NwcIndex) -> Self {
@@ -105,18 +97,12 @@ impl MetricsSnapshot {
             accesses: io.accesses(),
             node_reads: io.node_reads(),
             buffer_hits: io.buffer_hits(),
-            prefetch_reads: io.prefetch_reads(),
-            prefetch_hits: io.prefetch_hits(),
-            prefetch_errors: io.prefetch_errors(),
-            inflight_hits: io.inflight_hits(),
-            overlap_us: io.overlap_us(),
             retries: io.retries(),
             transient_errors: io.transient_errors(),
             quarantined_pages: io.quarantined_pages(),
             ..IoCounters::default()
         };
         let pool = index.tree().storage().map(|storage| {
-            c.prefetch_batches = storage.prefetch_batches();
             c.physical_reads = storage.physical_reads();
             c.io_errors = storage.io_errors();
             c.peak_resident_nodes = storage.peak_resident_nodes() as u64;
@@ -150,9 +136,6 @@ impl MetricsSnapshot {
                 total.capacity = total.capacity.saturating_add(p.capacity);
                 total.resident += p.resident;
                 total.pinned += p.pinned;
-                total.prefetched += p.prefetched;
-                total.prefetch_hits += p.prefetch_hits;
-                total.prefetch_waste += p.prefetch_waste;
             }
         }
         agg
@@ -193,22 +176,7 @@ impl MetricsSnapshot {
         f("search_best_updates", s.best_updates);
         f("search_retries", s.retries);
         f("search_transient_errors", s.transient_errors);
-        let io = &self.io;
-        f("io_accesses", io.accesses);
-        f("io_node_reads", io.node_reads);
-        f("io_buffer_hits", io.buffer_hits);
-        f("io_prefetch_reads", io.prefetch_reads);
-        f("io_prefetch_hits", io.prefetch_hits);
-        f("io_prefetch_errors", io.prefetch_errors);
-        f("io_prefetch_batches", io.prefetch_batches);
-        f("io_inflight_hits", io.inflight_hits);
-        f("io_overlap_us", io.overlap_us);
-        f("io_retries", io.retries);
-        f("io_transient_errors", io.transient_errors);
-        f("io_quarantined_pages", io.quarantined_pages);
-        f("io_physical_reads", io.physical_reads);
-        f("io_errors", io.io_errors);
-        f("io_peak_resident_nodes", io.peak_resident_nodes);
+        self.io.for_each(&mut f);
         if let Some(p) = &self.pool {
             f("pool_hits", p.hits);
             f("pool_misses", p.misses);
@@ -216,9 +184,6 @@ impl MetricsSnapshot {
             f("pool_capacity", pool_gauge(p.capacity));
             f("pool_resident", p.resident as u64);
             f("pool_pinned", p.pinned as u64);
-            f("pool_prefetched", p.prefetched);
-            f("pool_prefetch_hits", p.prefetch_hits);
-            f("pool_prefetch_waste", p.prefetch_waste);
         }
         if let Some(ft) = &self.faults {
             f("fault_transient", ft.transient);
@@ -320,6 +285,73 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert_eq!(json.matches('"').count(), 2 * json_names.len());
         assert!(text.contains("fault_transient 0"));
+    }
+
+    #[test]
+    fn sharded_capture_is_the_per_shard_sum_of_every_field() {
+        let pts: Vec<_> = (0..1200)
+            .map(|i| pt(((i * 37) % 997) as f64, ((i * 53) % 991) as f64))
+            .collect();
+        let dir = std::env::temp_dir().join(format!("nwc-metrics-sum-{}", std::process::id()));
+        crate::ShardedNwcIndex::build(pts, 3)
+            .save_to_dir(&dir)
+            .unwrap();
+        let config = crate::DiskIndexConfig {
+            pool_capacity: Some(24),
+            ..Default::default()
+        };
+        let index = crate::ShardedNwcIndex::open_dir(&dir, config).unwrap();
+        for q in [pt(100.0, 100.0), pt(500.0, 480.0), pt(900.0, 50.0)] {
+            let query = crate::NwcQuery::new(q, crate::WindowSpec::square(40.0), 4);
+            index.try_nwc(&query, crate::Scheme::NWC_STAR).unwrap();
+        }
+        let agg = MetricsSnapshot::capture_sharded(&index);
+        let shards: Vec<MetricsSnapshot> = index
+            .shards()
+            .iter()
+            .map(MetricsSnapshot::capture)
+            .collect();
+
+        // Every IoCounters field, through the same table the struct
+        // is declared from.
+        let mut want: Vec<(&str, u64)> = Vec::new();
+        for snap in &shards {
+            let mut i = 0;
+            snap.io.for_each(&mut |name, value| {
+                match want.get_mut(i) {
+                    Some(slot) => slot.1 += value,
+                    None => want.push((name, value)),
+                }
+                i += 1;
+            });
+        }
+        let mut got = Vec::new();
+        agg.io.for_each(&mut |name, value| got.push((name, value)));
+        assert_eq!(got, want);
+        assert!(agg.io.accesses > 0 && agg.io.physical_reads > 0);
+
+        // Every PoolStats field: the destructuring is exhaustive, so a
+        // new field fails to compile here until it is summed.
+        let mut sum = PoolStats::default();
+        for snap in &shards {
+            let PoolStats {
+                hits,
+                misses,
+                evictions,
+                capacity,
+                resident,
+                pinned,
+            } = snap.pool.unwrap();
+            sum.hits += hits;
+            sum.misses += misses;
+            sum.evictions += evictions;
+            sum.capacity += capacity;
+            sum.resident += resident;
+            sum.pinned += pinned;
+        }
+        assert_eq!(agg.pool, Some(sum));
+        assert!(sum.misses > 0 && sum.capacity == 24);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

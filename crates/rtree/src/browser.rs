@@ -243,19 +243,11 @@ impl<'t> Browser<'t> {
             }
             NodeKind::Internal(branches) => {
                 let child_level = node.level - 1;
-                let readahead = self.tree.readahead();
                 // MINDIST for the whole node in chunked batches: the
                 // kernel runs over the page's SoA MBR view when present
                 // (disk nodes build one at decode time), falling back to
-                // the scalar predicate on arena nodes. Each distance is
-                // computed exactly once and reused for both the heap
-                // push and prefetch ranking. The chunk buffer lives on
-                // the stack so arena traversals stay allocation-free.
-                let mut ranked: Vec<(f64, u32)> = if readahead > 0 {
-                    Vec::with_capacity(branches.len())
-                } else {
-                    Vec::new()
-                };
+                // the scalar predicate on arena nodes. The chunk buffer
+                // lives on the stack so traversals stay allocation-free.
                 let mut dists = [0.0f64; MINDIST_CHUNK];
                 let mut base = 0;
                 while base < branches.len() {
@@ -282,21 +274,8 @@ impl<'t> Browser<'t> {
                                 mindist,
                             },
                         });
-                        if readahead > 0 {
-                            ranked.push((mindist, b.child.0));
-                        }
                     }
                     base += len;
-                }
-                if readahead > 0 {
-                    // Best-first pops children in ascending MINDIST, so
-                    // prefetch the nearest few now while the parent's
-                    // page is still warm. Advisory: logical I/O counters
-                    // never move.
-                    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    let mut pages: Vec<u32> =
-                        ranked.into_iter().take(readahead).map(|(_, p)| p).collect();
-                    self.tree.prefetch_pages(&mut pages);
                 }
             }
         }

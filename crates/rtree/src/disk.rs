@@ -119,10 +119,7 @@ use crate::page::{decode_node, encode_node, PageLayout};
 use crate::tree::{RStarTree, TreeError};
 use crate::{IoStats, NodeId, PageError, TreeParams, PAGE_SIZE};
 use nwc_geom::{Point, Rect};
-use nwc_store::{
-    Access, BufferPool, FileStore, InflightTable, IoExecutor, PageStore, PoolStats, RetryPolicy,
-    StoreError,
-};
+use nwc_store::{Access, BufferPool, FileStore, PageStore, PoolStats, RetryPolicy, StoreError};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -198,8 +195,8 @@ impl std::fmt::Display for DiskReadError {
 impl std::error::Error for DiskReadError {}
 
 /// Configuration for opening a disk-backed tree. The `Default` value
-/// reproduces `open_from_path(path, None)`: an unbounded single-shard
-/// pool with readahead off.
+/// reproduces `open_from_path(path, None)`: an unbounded pool with the
+/// default retry policy.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DiskOptions {
     /// Buffer pool capacity in pages; `None` = unbounded (every page
@@ -209,23 +206,11 @@ pub struct DiskOptions {
     /// (1 on small pools or single-core hosts, up to 8 otherwise).
     /// Clamped so no shard ends up smaller than a root-to-leaf path.
     pub pool_shards: Option<usize>,
-    /// Readahead width: on a query descent into an internal node, up to
-    /// this many of its most promising children are read ahead in
-    /// batched runs and admitted unpinned. 0 disables readahead.
-    /// Prefetch reads never touch the demand I/O counters (see
-    /// [`IoStats`]), so logical I/O is unaffected.
-    pub prefetch: usize,
     /// Retry budget and backoff shape for post-open page reads (see the
     /// module docs, "Error policy after open"). The default retries
     /// transient failures a few times with capped backoff;
     /// [`RetryPolicy::no_retries`] restores fail-on-first-error.
     pub retry: RetryPolicy,
-    /// I/O worker threads for overlapped readahead. 0 (the default)
-    /// keeps readahead synchronous on the query thread; ≥ 1 moves every
-    /// readahead run onto a completion thread pool so the query keeps
-    /// descending while the device is busy (see the module docs,
-    /// "Overlapped readahead"). No effect when `prefetch` is 0.
-    pub io_threads: usize,
 }
 
 /// The automatic shard count: one stripe per core up to 8, but never so
@@ -325,14 +310,6 @@ impl NodeCache {
     }
 }
 
-/// Overlapped readahead: the worker pool physical reads run on, plus
-/// the in-flight table that dedupes them against each other and against
-/// demand faults.
-struct OverlappedIo {
-    executor: IoExecutor,
-    inflight: Arc<InflightTable>,
-}
-
 /// Copy-on-write mutation state of a *writable* disk-backed tree: the
 /// dirty-node overlay plus the shadow allocator's free lists. `None`
 /// when the underlying store is read-only. Mutated only through
@@ -374,8 +351,8 @@ impl WriteState {
 /// pool in front of it, the decoded-node cache evicted in lock-step
 /// with the pool, and the root metadata captured by the open scan.
 pub struct TreeStorage {
-    store: Arc<dyn PageStore>,
-    pool: Arc<BufferPool>,
+    store: Box<dyn PageStore>,
+    pool: BufferPool,
     cache: Arc<NodeCache>,
     n_pages: u32,
     root_level: u32,
@@ -383,16 +360,6 @@ pub struct TreeStorage {
     node_count: usize,
     /// Page-id assignment order recorded in the file header.
     layout: PageLayout,
-    /// Max pages read ahead per faulting internal node (0 = off).
-    prefetch: usize,
-    /// Vectored readahead calls issued (each covers ≥ 1 contiguous
-    /// pages) — fewer batches per prefetched page means a better
-    /// clustered layout. `Arc` so overlapped completions can tally
-    /// after the submitting call returned.
-    prefetch_batches: Arc<AtomicU64>,
-    /// Overlapped-readahead machinery: present iff `io_threads > 0` and
-    /// readahead is on. `None` keeps the synchronous PR-4 pipeline.
-    io: Option<OverlappedIo>,
     /// Page reads that failed *after* a successful open (device errors,
     /// post-open truncation). Counts every failed attempt, whether or
     /// not a retry later recovered it. Failed attempts are *not*
@@ -443,17 +410,6 @@ impl TreeStorage {
         if let Some(detail) = self.quarantined_detail(page) {
             return Err(DiskReadError { page, detail });
         }
-        if let Some(io) = &self.io {
-            // An overlapped readahead for this very page may be mid
-            // flight: wait for its completion (which admits the bytes
-            // into the pool) instead of racing it with a second
-            // physical read. The pool access below then classifies the
-            // page as a prefetch hit — or, if the run failed, misses
-            // and demand-reads it with full retry protection.
-            if io.inflight.wait_done(page) {
-                stats.record_inflight_hit();
-            }
-        }
         let attempts = self.retry.attempts();
         let mut failed = 0u64;
         let mut last_error = String::new();
@@ -473,12 +429,6 @@ impl TreeStorage {
                 Ok((access, _cached, Ok((node, release)))) => {
                     match access {
                         Access::Hit => stats.record_buffer_hit(),
-                        Access::PrefetchHit => {
-                            // A logical hit like any other — plus an
-                            // attribution tick for the readahead report.
-                            stats.record_buffer_hit();
-                            stats.record_prefetch_hit();
-                        }
                         Access::Miss => stats.record_node_read(),
                     }
                     stats.record_transient_errors(failed);
@@ -656,152 +606,9 @@ impl TreeStorage {
         q
     }
 
-    /// Reads up to [`DiskOptions::prefetch`] of the given candidate
-    /// pages ahead of demand and admits them into the pool as unpinned
-    /// prefetch frames. `candidates` must be in priority order (most
-    /// likely to be visited first); already-resident pages are skipped,
-    /// the survivors are coalesced into contiguous runs, and each run is
-    /// one vectored, **uncounted** store read — demand `physical_reads`
-    /// and the logical hit/miss accounting are untouched (the pages are
-    /// tallied in [`IoStats::prefetch_reads`] instead). Readahead is
-    /// advisory: a failed run is simply skipped (the demand path will
-    /// re-read — counted, checksummed, retried — if the page is ever
-    /// actually needed).
-    pub(crate) fn prefetch_pages(&self, candidates: &mut Vec<u32>, stats: &Arc<IoStats>) {
-        // Cap by half the pool so readahead can never flush the frames
-        // the current descent path is actively using.
-        let limit = self.prefetch.min(self.pool.capacity() / 2);
-        if limit == 0 || candidates.is_empty() {
-            return;
-        }
-        if let Some(w) = &self.write {
-            // Overlay-resident nodes are served from memory, and temp
-            // ids (>= n_pages) have no backing page at all: neither may
-            // reach the device.
-            candidates.retain(|&p| p < self.n_pages && !w.overlay.contains_key(&p));
-            if candidates.is_empty() {
-                return;
-            }
-        }
-        candidates.truncate(limit);
-        candidates.retain(|&p| !self.pool.contains(p));
-        if candidates.is_empty() {
-            return;
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        if let Some(io) = &self.io {
-            // Overlapped path: register the survivors as in flight
-            // (dropping any page another thread is already reading),
-            // then hand each coalesced run to the executor and return
-            // without touching the device. Completions admit the pages
-            // unpinned and tally exactly like the synchronous path.
-            candidates.retain(|&p| io.inflight.begin(p));
-            let mut i = 0;
-            while i < candidates.len() {
-                let mut j = i + 1;
-                while j < candidates.len() && candidates[j] == candidates[j - 1] + 1 {
-                    j += 1;
-                }
-                let run: Vec<u32> = candidates[i..j].to_vec();
-                let pool = Arc::clone(&self.pool);
-                let stats = Arc::clone(stats);
-                let inflight = Arc::clone(&io.inflight);
-                let batches = Arc::clone(&self.prefetch_batches);
-                io.executor.submit_read_run(
-                    Arc::clone(&self.store),
-                    run[0],
-                    run.len(),
-                    Box::new(move |result, elapsed| match result {
-                        Ok(bytes) => {
-                            stats.record_overlap(elapsed);
-                            batches.fetch_add(1, Ordering::Relaxed);
-                            for (k, &page) in run.iter().enumerate() {
-                                stats.record_prefetch_read();
-                                // Admit before clearing the in-flight
-                                // entry so a demand fault that waited on
-                                // this page finds its bytes resident.
-                                pool.admit_prefetched(
-                                    page,
-                                    &bytes[k * PAGE_SIZE..(k + 1) * PAGE_SIZE],
-                                );
-                                inflight.complete(page);
-                            }
-                        }
-                        Err(_) => {
-                            // Readahead never retries: tally the failed
-                            // batch and release the waiters — a demand
-                            // fault re-reads counted, checksummed and
-                            // retried if the pages are ever needed.
-                            stats.record_prefetch_error();
-                            for &page in &run {
-                                inflight.complete(page);
-                            }
-                        }
-                    }),
-                );
-                i = j;
-            }
-            return;
-        }
-        let mut buf = vec![0u8; candidates.len() * PAGE_SIZE];
-        let mut i = 0;
-        while i < candidates.len() {
-            let mut j = i + 1;
-            while j < candidates.len() && candidates[j] == candidates[j - 1] + 1 {
-                j += 1;
-            }
-            let run = &candidates[i..j];
-            let bytes = &mut buf[..run.len() * PAGE_SIZE];
-            if self.store.read_run_uncounted(run[0], bytes).is_ok() {
-                self.prefetch_batches.fetch_add(1, Ordering::Relaxed);
-                for (k, &page) in run.iter().enumerate() {
-                    stats.record_prefetch_read();
-                    self.pool
-                        .admit_prefetched(page, &bytes[k * PAGE_SIZE..(k + 1) * PAGE_SIZE]);
-                }
-            } else {
-                // Swallowed by design, but never silently: the failed
-                // batch is tallied so a flaky device shows up in the
-                // readahead report even though no query failed.
-                stats.record_prefetch_error();
-            }
-            i = j;
-        }
-    }
-
-    /// The configured readahead width (0 = off).
-    pub(crate) fn prefetch_limit(&self) -> usize {
-        self.prefetch
-    }
-
-    /// I/O worker threads serving overlapped readahead (0 = readahead
-    /// is synchronous on the query thread).
-    pub fn io_threads(&self) -> usize {
-        self.io.as_ref().map_or(0, |io| io.executor.threads())
-    }
-
-    /// Blocks until every overlapped readahead submitted so far has
-    /// completed (a no-op on the synchronous backend). Benchmarks call
-    /// this before reading counters so trailing completions are not
-    /// attributed to the next cell.
-    pub fn wait_io_idle(&self) {
-        if let Some(io) = &self.io {
-            io.executor.wait_idle();
-        }
-    }
-
     /// The page-id assignment order recorded in the file header.
     pub fn layout(&self) -> PageLayout {
         self.layout
-    }
-
-    /// Vectored readahead reads issued since open or the last
-    /// [`TreeStorage::reset`]. Divide [`IoStats::prefetch_reads`] by
-    /// this for the mean run length — the figure a clustered layout
-    /// improves.
-    pub fn prefetch_batches(&self) -> u64 {
-        self.prefetch_batches.load(Ordering::Relaxed)
     }
 
     /// Level of the root node (captured at open; leaves are level 0).
@@ -848,12 +655,6 @@ impl TreeStorage {
     /// zeroes the pool, store and residency counters: the next access
     /// sequence measures from a cold buffer.
     pub fn reset(&self) {
-        // Let in-flight overlapped reads land first, so no completion
-        // repopulates the pool or bumps a counter after the zeroing
-        // below.
-        if let Some(io) = &self.io {
-            io.executor.wait_idle();
-        }
         self.pool.clear();
         // The evict hook emptied the map page-by-page; the explicit
         // clear keeps the invariant obvious and drops nothing extra.
@@ -861,7 +662,6 @@ impl TreeStorage {
         self.pool.reset_stats();
         self.store.reset_counters();
         self.io_errors.store(0, Ordering::Relaxed);
-        self.prefetch_batches.store(0, Ordering::Relaxed);
         self.cache.resident_peak.store(0, Ordering::Relaxed);
         self.lock_quarantine().clear();
     }
@@ -1242,7 +1042,7 @@ impl RStarTree {
     }
 
     /// As [`RStarTree::open_from_path`], with full control over the
-    /// buffer pool and readahead (see [`DiskOptions`]).
+    /// buffer pool and retry policy (see [`DiskOptions`]).
     pub fn open_from_path_with(
         path: impl AsRef<Path>,
         options: DiskOptions,
@@ -1267,7 +1067,7 @@ impl RStarTree {
     }
 
     /// As [`RStarTree::open_from_store`], with full control over the
-    /// buffer pool and readahead (see [`DiskOptions`]).
+    /// buffer pool and retry policy (see [`DiskOptions`]).
     pub fn open_from_store_with(
         store: Box<dyn PageStore>,
         options: DiskOptions,
@@ -1377,24 +1177,15 @@ impl RStarTree {
         pool.set_evict_hook(Box::new(move |page| {
             hook_cache.lock_map().remove(&page);
         }));
-        // Overlapped readahead only makes sense when there is readahead
-        // to overlap; with prefetch off the executor would sit idle.
-        let io = (options.io_threads > 0 && options.prefetch > 0).then(|| OverlappedIo {
-            executor: IoExecutor::new(options.io_threads),
-            inflight: Arc::new(InflightTable::new()),
-        });
         tree.storage = Some(Box::new(TreeStorage {
-            store: Arc::from(store),
-            pool: Arc::new(pool),
+            store,
+            pool,
             cache,
             n_pages,
             root_level,
             root_mbr,
             node_count,
             layout,
-            prefetch: options.prefetch,
-            prefetch_batches: Arc::new(AtomicU64::new(0)),
-            io,
             io_errors: AtomicU64::new(0),
             retry: options.retry,
             quarantine: Mutex::new(HashMap::new()),
@@ -1612,143 +1403,6 @@ mod tests {
     }
 
     #[test]
-    fn readahead_converts_demand_misses_into_prefetch_hits() {
-        let tree = sample_tree(3000);
-        let w = rect(0.0, 0.0, 499.0, 491.0); // covers everything
-        tree.stats().reset();
-        tree.window_query(&w);
-        let arena_io = tree.stats().node_reads();
-
-        // Bounded pool (big enough not to thrash), readahead on, over a
-        // clustered file so runs coalesce.
-        let disk = RStarTree::open_from_store_with(
-            Box::new(mem_store_of_layout(&tree, PageLayout::Clustered)),
-            DiskOptions {
-                pool_capacity: Some(64),
-                pool_shards: Some(1),
-                prefetch: 16,
-                ..DiskOptions::default()
-            },
-        )
-        .unwrap();
-        let mut got: Vec<u32> = disk.window_query(&w).iter().map(|e| e.id).collect();
-        got.sort_unstable();
-        assert_eq!(got.len(), tree.len());
-
-        let storage = disk.storage().unwrap();
-        let s = storage.pool_stats();
-        // Logical I/O is bit-identical to the arena.
-        assert_eq!(disk.stats().accesses(), arena_io);
-        assert_eq!(s.hits + s.misses, arena_io);
-        // Demand physical reads stay aligned with pool misses (prefetch
-        // reads go through the uncounted store path).
-        assert_eq!(storage.physical_reads(), s.misses);
-        // The full-coverage scan visits every child it prefetched, so
-        // readahead must have converted a healthy share of would-be
-        // misses into hits.
-        assert!(s.prefetch_hits > 0, "readahead produced no hits: {s:?}");
-        assert_eq!(disk.stats().prefetch_hits(), s.prefetch_hits);
-        assert_eq!(disk.stats().buffer_hits(), s.hits);
-        assert!(
-            disk.stats().prefetch_reads() >= s.prefetched,
-            "every admitted frame was read by a prefetch batch"
-        );
-        // A healthy store swallows nothing.
-        assert_eq!(disk.stats().prefetch_errors(), 0);
-        // Clustered sibling leaves are contiguous: batches must coalesce
-        // (strictly fewer vectored calls than pages prefetched).
-        let batches = storage.prefetch_batches();
-        assert!(batches > 0);
-        assert!(
-            batches < disk.stats().prefetch_reads(),
-            "clustered runs should coalesce: {batches} batches for {} pages",
-            disk.stats().prefetch_reads()
-        );
-        // Fewer demand misses than a readahead-off open at the same
-        // capacity.
-        let baseline = RStarTree::open_from_store_with(
-            Box::new(mem_store_of_layout(&tree, PageLayout::Clustered)),
-            DiskOptions {
-                pool_capacity: Some(64),
-                pool_shards: Some(1),
-                prefetch: 0,
-                ..DiskOptions::default()
-            },
-        )
-        .unwrap();
-        baseline.window_query(&w);
-        let b = baseline.storage().unwrap().pool_stats();
-        assert_eq!(b.hits + b.misses, arena_io);
-        assert!(
-            s.misses < b.misses,
-            "readahead should cut demand misses: {} vs baseline {}",
-            s.misses,
-            b.misses
-        );
-        // The two resets rewind the readahead counters with everything
-        // else (storage owns the pool/batch tallies, IoStats the
-        // per-tree ones).
-        storage.reset();
-        disk.stats().reset();
-        let z = storage.pool_stats();
-        assert_eq!((z.prefetched, z.prefetch_hits, z.prefetch_waste), (0, 0, 0));
-        assert_eq!(storage.prefetch_batches(), 0);
-        assert_eq!(disk.stats().prefetch_reads(), 0);
-    }
-
-    #[test]
-    fn readahead_is_disabled_when_the_pool_is_too_small_to_share() {
-        let tree = sample_tree(3000);
-        let disk = RStarTree::open_from_store_with(
-            Box::new(mem_store_of(&tree)),
-            DiskOptions {
-                pool_capacity: Some(1),
-                pool_shards: Some(1),
-                prefetch: 16,
-                ..DiskOptions::default()
-            },
-        )
-        .unwrap();
-        let w = rect(10.0, 10.0, 200.0, 200.0);
-        let mut a: Vec<u32> = tree.window_query(&w).iter().map(|e| e.id).collect();
-        let mut b: Vec<u32> = disk.window_query(&w).iter().map(|e| e.id).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        // capacity/2 == 0: no speculative read may ever be issued.
-        assert_eq!(disk.stats().prefetch_reads(), 0);
-        assert_eq!(disk.storage().unwrap().pool_stats().prefetched, 0);
-        assert_eq!(disk.storage().unwrap().prefetch_batches(), 0);
-    }
-
-    #[test]
-    fn best_first_browse_prefetches_too() {
-        let tree = sample_tree(3000);
-        tree.stats().reset();
-        let arena_knn = tree.knn(pt(250.0, 250.0), 40);
-        let arena_io = tree.stats().node_reads();
-        let disk = RStarTree::open_from_store_with(
-            Box::new(mem_store_of_layout(&tree, PageLayout::Clustered)),
-            DiskOptions {
-                pool_capacity: Some(64),
-                pool_shards: Some(1),
-                prefetch: 8,
-                ..DiskOptions::default()
-            },
-        )
-        .unwrap();
-        let disk_knn = disk.knn(pt(250.0, 250.0), 40);
-        let ad: Vec<f64> = arena_knn.iter().map(|&(d, _)| d).collect();
-        let dd: Vec<f64> = disk_knn.iter().map(|&(d, _)| d).collect();
-        assert_eq!(ad, dd);
-        assert_eq!(disk.stats().accesses(), arena_io, "logical I/O unchanged");
-        assert!(
-            disk.stats().prefetch_reads() > 0,
-            "browser expansion should issue readahead"
-        );
-    }
-
-    #[test]
     fn transient_fault_is_retried_and_recovered() {
         use nwc_store::{FaultPlan, FaultStore, RetryPolicy};
         let tree = sample_tree(2000);
@@ -1893,46 +1547,6 @@ mod tests {
         assert_eq!(disk.stats().transient_errors(), 2);
         // Peeks stay uncharged even when they retry.
         assert_eq!(disk.stats().accesses(), 0);
-    }
-
-    #[test]
-    fn failed_prefetch_runs_are_counted_not_fatal() {
-        use nwc_store::{FaultPlan, FaultStore};
-        let tree = sample_tree(3000);
-        // A 30% seeded transient rate fails a healthy share of the
-        // readahead runs (each run spends one decision and is never
-        // retried) while the demand reads behind them recover via the
-        // 8-attempt budget. Deterministic: the seed fixes the schedule.
-        let fault = std::sync::Arc::new(FaultStore::new(
-            mem_store_of_layout(&tree, PageLayout::Clustered),
-            FaultPlan::default(),
-        ));
-        // Open clean (the open path has no retry in front of it), then
-        // arm the rate before the first query.
-        let disk = RStarTree::open_from_store_with(
-            Box::new(std::sync::Arc::clone(&fault)),
-            DiskOptions {
-                pool_capacity: Some(64),
-                pool_shards: Some(1),
-                prefetch: 16,
-                retry: nwc_store::RetryPolicy {
-                    max_attempts: 8,
-                    base_backoff: std::time::Duration::ZERO,
-                    max_backoff: std::time::Duration::ZERO,
-                },
-                ..DiskOptions::default()
-            },
-        )
-        .unwrap();
-        fault.set_plan(FaultPlan { transient_rate: 0.3, transient_burst: 1, ..FaultPlan::default() });
-        let w = rect(0.0, 0.0, 499.0, 491.0);
-        let mut got: Vec<u32> = disk.window_query(&w).iter().map(|e| e.id).collect();
-        got.sort_unstable();
-        assert_eq!(got.len(), tree.len());
-        assert!(
-            disk.stats().prefetch_errors() > 0,
-            "swallowed readahead failures must be tallied"
-        );
     }
 
     #[test]
@@ -2083,154 +1697,5 @@ mod tests {
         assert!(disk.storage().unwrap().free_pages() > 0);
         assert_eq!(disk.len(), 500);
         crate::validate::check_invariants(&disk).unwrap();
-    }
-
-    #[test]
-    fn overlapped_readahead_preserves_answers_and_logical_io() {
-        let tree = sample_tree(3000);
-        let w = rect(0.0, 0.0, 499.0, 491.0);
-        tree.stats().reset();
-        tree.window_query(&w);
-        let arena_io = tree.stats().node_reads();
-
-        let overlapped = RStarTree::open_from_store_with(
-            Box::new(mem_store_of_layout(&tree, PageLayout::Clustered)),
-            DiskOptions {
-                pool_capacity: Some(64),
-                pool_shards: Some(1),
-                prefetch: 16,
-                io_threads: 2,
-                ..DiskOptions::default()
-            },
-        )
-        .unwrap();
-        let storage = overlapped.storage().unwrap();
-        assert_eq!(storage.io_threads(), 2);
-
-        let mut got: Vec<u32> = overlapped.window_query(&w).iter().map(|e| e.id).collect();
-        got.sort_unstable();
-        let mut want: Vec<u32> = tree.window_query(&w).iter().map(|e| e.id).collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-
-        // Quiesce any still-airborne runs before reading counters.
-        storage.wait_io_idle();
-        // Logical I/O is bit-identical to the arena regardless of which
-        // thread performed the physical reads.
-        assert_eq!(overlapped.stats().accesses(), arena_io);
-        let s = storage.pool_stats();
-        assert_eq!(s.hits + s.misses, arena_io);
-        assert_eq!(s.pinned, 0, "queries must not leak pins");
-        // The executor actually carried readahead work, and its wall
-        // clock landed in the overlap counter.
-        assert!(overlapped.stats().prefetch_reads() > 0);
-        assert!(storage.prefetch_batches() > 0);
-        assert!(overlapped.stats().overlap_us() > 0 || overlapped.stats().prefetch_reads() == 0);
-        assert_eq!(overlapped.stats().prefetch_errors(), 0);
-    }
-
-    #[test]
-    fn overlapped_and_sync_readahead_answer_identically() {
-        let tree = sample_tree(2500);
-        let open = |io_threads: usize| {
-            RStarTree::open_from_store_with(
-                Box::new(mem_store_of_layout(&tree, PageLayout::Clustered)),
-                DiskOptions {
-                    pool_capacity: Some(48),
-                    pool_shards: Some(1),
-                    prefetch: 8,
-                    io_threads,
-                    ..DiskOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        let sync = open(0);
-        let over = open(2);
-        let windows = [
-            rect(0.0, 0.0, 499.0, 491.0),
-            rect(100.0, 100.0, 250.0, 300.0),
-            rect(400.0, 0.0, 499.0, 50.0),
-        ];
-        for w in &windows {
-            let mut a: Vec<u32> = sync.window_query(w).iter().map(|e| e.id).collect();
-            let mut b: Vec<u32> = over.window_query(w).iter().map(|e| e.id).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-            // Logical accounting never depends on the physical backend.
-            assert_eq!(sync.stats().accesses(), over.stats().accesses());
-        }
-        let storage = over.storage().unwrap();
-        storage.wait_io_idle();
-        assert_eq!(storage.pool_stats().pinned, 0);
-    }
-
-    #[test]
-    fn overlapped_reset_quiesces_and_restores_cold_state() {
-        let tree = sample_tree(2000);
-        let disk = RStarTree::open_from_store_with(
-            Box::new(mem_store_of_layout(&tree, PageLayout::Clustered)),
-            DiskOptions {
-                pool_capacity: Some(32),
-                pool_shards: Some(1),
-                prefetch: 8,
-                io_threads: 2,
-                ..DiskOptions::default()
-            },
-        )
-        .unwrap();
-        let w = rect(0.0, 0.0, 499.0, 491.0);
-        disk.window_query(&w);
-        let storage = disk.storage().unwrap();
-        storage.reset();
-        // Storage reset waits out in-flight completions, so nothing can
-        // land in the pool or bump a counter after the stats reset below.
-        disk.stats().reset();
-        assert_eq!(disk.stats().accesses(), 0);
-        assert_eq!(disk.stats().overlap_us(), 0);
-        assert_eq!(disk.stats().inflight_hits(), 0);
-        let s = storage.pool_stats();
-        assert_eq!(s.resident, 0);
-        assert_eq!(s.pinned, 0);
-        // The tree still answers after the cold restart.
-        assert_eq!(disk.window_query(&w).len(), tree.len());
-    }
-
-    #[test]
-    fn overlapped_backend_survives_faults_without_retrying_readahead() {
-        use nwc_store::{FaultPlan, FaultStore};
-        let tree = sample_tree(3000);
-        let fault = std::sync::Arc::new(FaultStore::new(
-            mem_store_of_layout(&tree, PageLayout::Clustered),
-            FaultPlan::default(),
-        ));
-        let disk = RStarTree::open_from_store_with(
-            Box::new(std::sync::Arc::clone(&fault)),
-            DiskOptions {
-                pool_capacity: Some(64),
-                pool_shards: Some(1),
-                prefetch: 16,
-                io_threads: 2,
-                retry: nwc_store::RetryPolicy {
-                    max_attempts: 8,
-                    base_backoff: std::time::Duration::ZERO,
-                    max_backoff: std::time::Duration::ZERO,
-                },
-            },
-        )
-        .unwrap();
-        fault.set_plan(FaultPlan { transient_rate: 0.3, transient_burst: 1, ..FaultPlan::default() });
-        let w = rect(0.0, 0.0, 499.0, 491.0);
-        let mut got: Vec<u32> = disk.window_query(&w).iter().map(|e| e.id).collect();
-        got.sort_unstable();
-        assert_eq!(got.len(), tree.len());
-        let storage = disk.storage().unwrap();
-        storage.wait_io_idle();
-        assert!(
-            disk.stats().prefetch_errors() > 0,
-            "swallowed readahead failures must be tallied on the overlapped path too"
-        );
-        assert_eq!(storage.pool_stats().pinned, 0);
     }
 }

@@ -96,12 +96,11 @@ impl std::error::Error for PageError {}
 /// keep their arena order, so traversal order — and with it the logical
 /// I/O reference string — is bit-identical across layouts. What changes
 /// is *where* on disk the pages a traversal touches together sit:
-/// [`PageLayout::Clustered`] makes the children of one parent (the very
-/// set readahead fetches on a fault) occupy consecutive page ids, so a
-/// batched readahead collapses into few contiguous runs instead of many
-/// scattered single-page reads. (Exactly contiguous for the leaf level,
-/// where most faults land — a pre-order DFS places a level-1 node's
-/// leaves back to back; higher siblings sit one subtree apart but stay
+/// [`PageLayout::Clustered`] makes the children of one parent occupy
+/// consecutive page ids, so the pages a traversal faults in together
+/// sit close on disk. (Exactly contiguous for the leaf level, where
+/// most faults land — a pre-order DFS places a level-1 node's leaves
+/// back to back; higher siblings sit one subtree apart but stay
 /// Hilbert-local.)
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PageLayout {

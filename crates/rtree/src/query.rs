@@ -131,13 +131,11 @@ impl RStarTree {
                 }
             }
             NodeKind::Internal(branches) => {
-                let mut budget = self.readahead();
                 let mut mask = [false; MASK_CHUNK];
                 let mut base = 0;
                 while base < branches.len() {
                     let len = MASK_CHUNK.min(branches.len() - base);
                     fill_intersect_mask(&node, branches, base, rect, &mut mask[..len]);
-                    self.prefetch_masked(&branches[base..base + len], &mask[..len], &mut budget);
                     for (i, b) in branches[base..base + len].iter().enumerate() {
                         if mask[i] {
                             self.try_window_query_from_into(b.child, rect, out)?;
@@ -148,28 +146,6 @@ impl RStarTree {
             }
         }
         Ok(())
-    }
-
-    /// Readahead for window traversals: batch-read the children this
-    /// node is about to recurse into (the masked-intersecting branches,
-    /// in recursion order, up to the remaining `budget`). Advisory — a
-    /// no-op on arena trees and when readahead is off, and logical I/O
-    /// counters never move.
-    fn prefetch_masked(&self, branches: &[Branch], mask: &[bool], budget: &mut usize) {
-        if *budget == 0 {
-            return;
-        }
-        let mut pages: Vec<u32> = branches
-            .iter()
-            .zip(mask)
-            .filter(|(_, &hit)| hit)
-            .take(*budget)
-            .map(|(b, _)| b.child.0)
-            .collect();
-        *budget -= pages.len();
-        if !pages.is_empty() {
-            self.prefetch_pages(&mut pages);
-        }
     }
 
     /// Counts the entries inside `rect` without materializing them.
@@ -198,14 +174,12 @@ impl RStarTree {
                 .map(|chunk| leaf_inside_mask(chunk, rect).count_ones() as usize)
                 .sum()),
             NodeKind::Internal(branches) => {
-                let mut budget = self.readahead();
                 let mut mask = [false; MASK_CHUNK];
                 let mut total = 0;
                 let mut base = 0;
                 while base < branches.len() {
                     let len = MASK_CHUNK.min(branches.len() - base);
                     fill_intersect_mask(&node, branches, base, rect, &mut mask[..len]);
-                    self.prefetch_masked(&branches[base..base + len], &mask[..len], &mut budget);
                     for (i, b) in branches[base..base + len].iter().enumerate() {
                         if mask[i] {
                             total += self.window_count_under(b.child, rect)?;

@@ -67,26 +67,13 @@ pub struct ErrorCounters {
 /// *thread-local* tally, so a query attributing its own phases sees
 /// exactly the accesses it issued — identical whether it runs alone or
 /// concurrently with other queries on the same tree.
-///
-/// Readahead counters ([`IoStats::prefetch_reads`] /
-/// [`IoStats::prefetch_hits`]) sit *outside* the logical-access
-/// accounting: a prefetch read is a speculative physical page read the
-/// query did not demand, so it moves neither [`IoStats::accesses`] nor
-/// the per-thread attribution tallies. Logical I/O therefore stays
-/// bit-identical with readahead on or off — only the demand
-/// physical/hit split shifts.
 #[derive(Debug, Default)]
 pub struct IoStats {
     node_reads: AtomicU64,
     buffer_hits: AtomicU64,
-    prefetch_reads: AtomicU64,
-    prefetch_hits: AtomicU64,
     retries: AtomicU64,
     transient_errors: AtomicU64,
     quarantined_pages: AtomicU64,
-    prefetch_errors: AtomicU64,
-    inflight_hits: AtomicU64,
-    overlap_us: AtomicU64,
 }
 
 impl IoStats {
@@ -126,37 +113,6 @@ impl IoStats {
         self.buffer_hits.load(Ordering::Relaxed)
     }
 
-    /// Records one speculative page read issued by readahead. Not a
-    /// logical access: neither [`IoStats::accesses`] nor the per-thread
-    /// tallies move.
-    #[inline]
-    pub fn record_prefetch_read(&self) {
-        self.prefetch_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a demand access that landed on a page readahead had
-    /// admitted. The access itself is recorded separately (as a buffer
-    /// hit); this tally just attributes it to prefetching.
-    #[inline]
-    pub fn record_prefetch_hit(&self) {
-        self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pages read speculatively by readahead since construction or the
-    /// last reset. Outside [`IoStats::accesses`].
-    #[inline]
-    pub fn prefetch_reads(&self) -> u64 {
-        self.prefetch_reads.load(Ordering::Relaxed)
-    }
-
-    /// Demand accesses served from readahead-admitted pages since
-    /// construction or the last reset. A subset of
-    /// [`IoStats::buffer_hits`].
-    #[inline]
-    pub fn prefetch_hits(&self) -> u64 {
-        self.prefetch_hits.load(Ordering::Relaxed)
-    }
-
     /// Records one re-attempted page read (the retry loop going around
     /// again). Not a logical access.
     #[inline]
@@ -186,15 +142,6 @@ impl IoStats {
         THREAD_QUARANTINED.with(|c| c.set(c.get() + 1));
     }
 
-    /// Records one failed readahead batch (swallowed by design — the
-    /// demand path re-reads, counted and retried, if the pages are ever
-    /// needed). No thread-local attribution: prefetching is advisory
-    /// background work, not part of any query's I/O.
-    #[inline]
-    pub fn record_prefetch_error(&self) {
-        self.prefetch_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Re-attempted page reads since construction or the last reset.
     #[inline]
     pub fn retries(&self) -> u64 {
@@ -212,48 +159,6 @@ impl IoStats {
     #[inline]
     pub fn quarantined_pages(&self) -> u64 {
         self.quarantined_pages.load(Ordering::Relaxed)
-    }
-
-    /// Failed (and swallowed) readahead batches since construction or
-    /// the last reset.
-    #[inline]
-    pub fn prefetch_errors(&self) -> u64 {
-        self.prefetch_errors.load(Ordering::Relaxed)
-    }
-
-    /// Records one demand fault that found its page's read already in
-    /// flight (overlapped readahead) and waited for the pending
-    /// completion instead of issuing a second physical read. The access
-    /// itself is charged separately, as the pool hit/miss it resolves
-    /// to — this tally only attributes the dedupe. No thread-local
-    /// attribution: like the prefetch counters, it sits outside logical
-    /// I/O.
-    #[inline]
-    pub fn record_inflight_hit(&self) {
-        self.inflight_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Demand faults that waited on an in-flight overlapped read since
-    /// construction or the last reset.
-    #[inline]
-    pub fn inflight_hits(&self) -> u64 {
-        self.inflight_hits.load(Ordering::Relaxed)
-    }
-
-    /// Adds `elapsed` device time spent inside overlapped readahead
-    /// workers — wall clock the query threads did *not* spend blocked on
-    /// the store. Saturating at `u64::MAX` microseconds.
-    #[inline]
-    pub fn record_overlap(&self, elapsed: std::time::Duration) {
-        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        self.overlap_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Total microseconds of device time overlapped with query work
-    /// since construction or the last reset.
-    #[inline]
-    pub fn overlap_us(&self) -> u64 {
-        self.overlap_us.load(Ordering::Relaxed)
     }
 
     /// Current values of the calling thread's error-path tallies (pair
@@ -321,14 +226,9 @@ impl IoStats {
     pub fn reset(&self) {
         self.node_reads.store(0, Ordering::Relaxed);
         self.buffer_hits.store(0, Ordering::Relaxed);
-        self.prefetch_reads.store(0, Ordering::Relaxed);
-        self.prefetch_hits.store(0, Ordering::Relaxed);
         self.retries.store(0, Ordering::Relaxed);
         self.transient_errors.store(0, Ordering::Relaxed);
         self.quarantined_pages.store(0, Ordering::Relaxed);
-        self.prefetch_errors.store(0, Ordering::Relaxed);
-        self.inflight_hits.store(0, Ordering::Relaxed);
-        self.overlap_us.store(0, Ordering::Relaxed);
     }
 }
 
@@ -371,38 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_counters_stay_outside_logical_accounting() {
-        let s = IoStats::new();
-        let snap = s.snapshot();
-        s.record_prefetch_read();
-        s.record_prefetch_read();
-        s.record_buffer_hit();
-        s.record_prefetch_hit();
-        assert_eq!(s.prefetch_reads(), 2);
-        assert_eq!(s.prefetch_hits(), 1);
-        // Only the demand buffer hit counts as a logical access.
-        assert_eq!(s.accesses(), 1);
-        assert_eq!(s.since(snap), 1);
-        s.reset();
-        assert_eq!((s.prefetch_reads(), s.prefetch_hits()), (0, 0));
-    }
-
-    #[test]
-    fn overlap_counters_stay_outside_logical_accounting() {
-        let s = IoStats::new();
-        let snap = s.snapshot();
-        s.record_inflight_hit();
-        s.record_overlap(std::time::Duration::from_micros(250));
-        s.record_overlap(std::time::Duration::from_micros(50));
-        assert_eq!(s.inflight_hits(), 1);
-        assert_eq!(s.overlap_us(), 300);
-        assert_eq!(s.accesses(), 0);
-        assert_eq!(s.since(snap), 0);
-        s.reset();
-        assert_eq!((s.inflight_hits(), s.overlap_us()), (0, 0));
-    }
-
-    #[test]
     fn error_counters_stay_outside_logical_accounting() {
         let s = IoStats::new();
         let snap = s.snapshot();
@@ -412,11 +280,9 @@ mod tests {
         s.record_transient_errors(2);
         s.record_transient_errors(0); // no-op
         s.record_quarantined();
-        s.record_prefetch_error();
         assert_eq!(s.retries(), 2);
         assert_eq!(s.transient_errors(), 2);
         assert_eq!(s.quarantined_pages(), 1);
-        assert_eq!(s.prefetch_errors(), 1);
         // None of it is a logical access.
         assert_eq!(s.accesses(), 0);
         assert_eq!(s.since(snap), 0);
@@ -427,7 +293,7 @@ mod tests {
         );
         s.reset();
         assert_eq!((s.retries(), s.transient_errors()), (0, 0));
-        assert_eq!((s.quarantined_pages(), s.prefetch_errors()), (0, 0));
+        assert_eq!(s.quarantined_pages(), 0);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::node::{Node, NodeKind};
 use crate::{Entry, IoStats, NodeId, TreeParams};
 use nwc_geom::{Point, Rect};
 use std::ops::Deref;
-use std::sync::Arc;
 
 /// An error from an [`RStarTree`] operation that could not proceed: a
 /// mutation of a read-only tree, or a disk-backed read that failed.
@@ -116,10 +115,7 @@ pub struct RStarTree {
     pub(crate) root: NodeId,
     pub(crate) len: usize,
     pub(crate) params: TreeParams,
-    /// Shared (`Arc`) so overlapped-readahead completions can keep
-    /// tallying into the same counters after the submitting call
-    /// returned; everything else reaches it through `&`.
-    pub(crate) stats: Arc<IoStats>,
+    pub(crate) stats: IoStats,
     /// `Some` for a disk-backed tree (see [`crate::disk`]): the arena is
     /// empty, node ids are page ids, node accesses fault pages in
     /// through the buffer pool, and mutations require a writable store
@@ -137,7 +133,7 @@ impl RStarTree {
             root: NodeId(0),
             len: 0,
             params,
-            stats: Arc::new(IoStats::new()),
+            stats: IoStats::new(),
             storage: None,
         };
         tree.root = tree.alloc(Node::new_leaf());
@@ -347,29 +343,6 @@ impl RStarTree {
                 self.stats.record_node_read();
                 Ok(NodeRef::Arena(&self.nodes[id.index()]))
             }
-        }
-    }
-
-    /// The readahead width configured for this tree (0 for arena trees
-    /// and disk trees opened without prefetch). Query code checks this
-    /// before assembling prefetch candidates, so the hot path stays
-    /// allocation-free whenever readahead is off.
-    #[inline]
-    pub(crate) fn readahead(&self) -> usize {
-        match &self.storage {
-            Some(storage) => storage.prefetch_limit(),
-            None => 0,
-        }
-    }
-
-    /// Reads up to [`RStarTree::readahead`] of `candidates` (page ids in
-    /// priority order) ahead of demand — a no-op on arena trees. See
-    /// [`crate::disk::TreeStorage::prefetch_pages`] for the accounting
-    /// contract (demand counters untouched).
-    #[inline]
-    pub(crate) fn prefetch_pages(&self, candidates: &mut Vec<u32>) {
-        if let Some(storage) = &self.storage {
-            storage.prefetch_pages(candidates, &self.stats);
         }
     }
 

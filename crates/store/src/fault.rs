@@ -1,9 +1,8 @@
 //! Deterministic fault injection for page stores.
 //!
 //! [`FaultStore`] wraps any [`PageStore`] and injects storage failures
-//! on a **seeded, scriptable** schedule, so the chaos tests and the
-//! `experiments faults` sweep exercise the retry/quarantine machinery
-//! reproducibly. The taxonomy mirrors how real disks fail:
+//! on a **seeded, scriptable** schedule, so the chaos tests exercise
+//! the retry/quarantine machinery reproducibly. The taxonomy mirrors how real disks fail:
 //!
 //! - **Transient errors** — the read fails, the retry succeeds (a busy
 //!   device, an interrupted syscall). Injected at a seeded rate, in
@@ -396,8 +395,7 @@ impl<S: PageStore> PageStore for FaultStore<S> {
 
     fn read_run_uncounted(&self, first: u32, buf: &mut [u8]) -> Result<(), StoreError> {
         // One decision for the whole run, salted by its first page; a
-        // permanent page anywhere in the run fails it (the caller's
-        // prefetch machinery treats run failure as "skip speculation").
+        // permanent page anywhere in the run fails it.
         assert_eq!(buf.len() % PAGE_SIZE, 0, "run buffer must be whole pages");
         let count = (buf.len() / PAGE_SIZE) as u32;
         self.delay();

@@ -20,8 +20,7 @@
 //!   read path consumes.
 //! - [`BufferPool`] — a fixed-capacity page cache with **exact LRU**
 //!   eviction, pin/unpin, and hit/miss/eviction counters. LRU (a stack
-//!   algorithm) makes hit rate provably non-decreasing in capacity,
-//!   which the buffer-sweep experiment depends on.
+//!   algorithm) makes hit rate provably non-decreasing in capacity.
 //!
 //! The crate is deliberately free-standing (no dependency on the tree
 //! crates): it stores opaque [`PAGE_SIZE`]-byte pages plus four `u64`
@@ -33,7 +32,6 @@
 
 mod checksum;
 mod error;
-mod executor;
 mod fault;
 mod pool;
 mod retry;
@@ -45,7 +43,6 @@ pub const PAGE_SIZE: usize = 4096;
 
 pub use checksum::crc32;
 pub use error::StoreError;
-pub use executor::{InflightTable, IoExecutor, ReadRunCompletion};
 pub use fault::{FaultPlan, FaultStats, FaultStore};
 pub use pool::{split_capacity, Access, BufferPool, PoolStats};
 pub use retry::RetryPolicy;

@@ -1,5 +1,5 @@
 //! A fixed-capacity buffer pool with LRU eviction, pinning, lock-striped
-//! shards, prefetch admission, and hit/miss/eviction accounting.
+//! shards, and hit/miss/eviction accounting.
 //!
 //! The pool is the layer that turns the paper's I/O metric physical:
 //! query code asks the pool for a page; a resident page is a **buffer
@@ -9,8 +9,9 @@
 //!
 //! Eviction is *exact* LRU — not the CLOCK approximation — because LRU
 //! is a stack algorithm: for a fixed reference string its hit count is
-//! non-decreasing in capacity (the inclusion property). The buffer-sweep
-//! experiment relies on that monotonicity; CLOCK does not guarantee it.
+//! non-decreasing in capacity (the inclusion property). The pool-capacity
+//! tests in `tests/demand_paging.rs` rely on that monotonicity; CLOCK
+//! does not guarantee it.
 //! (Pinning can perturb the victim choice, but pinned pages are the
 //! most recently used ones on a traversal path, which plain LRU would
 //! not victimize either except at degenerate capacities.) The LRU
@@ -30,18 +31,6 @@
 //! capacities grow monotonically with the total, the inclusion property
 //! holds *per shard* and therefore in aggregate. [`BufferPool::new`]
 //! remains exactly the single-shard pool.
-//!
-//! # Prefetch frames
-//!
-//! [`BufferPool::admit_prefetched`] inserts a page that was read ahead
-//! of demand (readahead) as an ordinary unpinned frame, flagged
-//! `prefetched`. Admission touches **no** hit/miss counter — logical I/O
-//! accounting is reserved for demand accesses. The first demand access
-//! to such a frame returns [`Access::PrefetchHit`] (counted as a normal
-//! hit plus a `prefetch_hits` tick) and clears the flag; a prefetched
-//! frame that is evicted or cleared before any demand access counts as
-//! `prefetch_waste`. So `prefetched == prefetch_hits + prefetch_waste +
-//! still-resident-untouched` at all times.
 //!
 //! All methods take `&self`: the frame tables live behind mutexes (loads
 //! included — misses on one shard are serialized, as the metadata of a
@@ -77,11 +66,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 pub enum Access {
     /// The page was resident: no physical I/O happened.
     Hit,
-    /// The page was resident because readahead admitted it and this is
-    /// the first demand access: no physical I/O happened *now* (the
-    /// prefetch already paid it, off the demand counters). Counted as a
-    /// hit.
-    PrefetchHit,
     /// The page was loaded by the supplied loader: one physical read.
     Miss,
 }
@@ -89,7 +73,7 @@ pub enum Access {
 /// A snapshot of the pool's counters and occupancy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Requests satisfied without I/O (including prefetch hits).
+    /// Requests satisfied without I/O.
     pub hits: u64,
     /// Requests that invoked the loader (physical reads).
     pub misses: u64,
@@ -103,12 +87,6 @@ pub struct PoolStats {
     /// value above zero after all guards have dropped indicates a pin
     /// leak.
     pub pinned: usize,
-    /// Pages admitted by [`BufferPool::admit_prefetched`].
-    pub prefetched: u64,
-    /// Prefetched pages that later served a demand access.
-    pub prefetch_hits: u64,
-    /// Prefetched pages evicted or cleared before any demand access.
-    pub prefetch_waste: u64,
 }
 
 impl PoolStats {
@@ -127,8 +105,6 @@ struct Frame {
     page: u32,
     pins: u32,
     last_used: u64,
-    /// Admitted by readahead and not yet demanded.
-    prefetched: bool,
     data: Box<[u8]>,
 }
 
@@ -185,9 +161,6 @@ pub struct BufferPool {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    prefetched: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_waste: AtomicU64,
 }
 
 impl BufferPool {
@@ -230,9 +203,6 @@ impl BufferPool {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            prefetched: AtomicU64::new(0),
-            prefetch_hits: AtomicU64::new(0),
-            prefetch_waste: AtomicU64::new(0),
         }
     }
 
@@ -360,15 +330,8 @@ impl BufferPool {
             if pin {
                 frame.pins += 1;
             }
-            let access = if frame.prefetched {
-                frame.prefetched = false;
-                self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                Access::PrefetchHit
-            } else {
-                Access::Hit
-            };
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((access, true, read(&frame.data, true)));
+            return Ok((Access::Hit, true, read(&frame.data, true)));
         }
 
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -384,7 +347,6 @@ impl BufferPool {
                 frame.page = page;
                 frame.pins = u32::from(pin);
                 frame.last_used = tick;
-                frame.prefetched = false;
                 inner.map.insert(page, idx);
                 let r = read(&inner.frames[idx].data, true);
                 Ok((Access::Miss, true, r))
@@ -399,41 +361,6 @@ impl BufferPool {
         }
     }
 
-    /// Admits a page read by readahead as an unpinned, `prefetched`
-    /// resident frame. No hit/miss counter moves — demand accounting is
-    /// untouched. Returns `false` (and admits nothing) when the page is
-    /// already resident or when every frame of its shard is pinned; an
-    /// eviction to make room is counted (and hooked) as usual.
-    pub fn admit_prefetched(&self, page: u32, bytes: &[u8]) -> bool {
-        assert_eq!(bytes.len(), PAGE_SIZE, "prefetch buffer must be one page");
-        let shard = self.shard_for(page);
-        let mut inner = self.lock_shard(shard);
-        if inner.map.contains_key(&page) {
-            return false;
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        let Some(idx) = self.claim_frame(shard.capacity, &mut inner) else {
-            return false;
-        };
-        let frame = &mut inner.frames[idx];
-        frame.data.copy_from_slice(bytes);
-        frame.page = page;
-        frame.pins = 0;
-        frame.last_used = tick;
-        frame.prefetched = true;
-        inner.map.insert(page, idx);
-        self.prefetched.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Whether `page` is currently resident. Touches no counter and no
-    /// LRU stamp — this is the readahead path's duplicate filter, not a
-    /// demand access.
-    pub fn contains(&self, page: u32) -> bool {
-        self.lock_shard(self.shard_for(page)).map.contains_key(&page)
-    }
-
     /// Finds a frame for a new page: a free slot, a new allocation under
     /// the shard's capacity, or the LRU unpinned victim (firing the
     /// evict hook). `None` when every frame is pinned.
@@ -446,7 +373,6 @@ impl BufferPool {
                 page: u32::MAX,
                 pins: 0,
                 last_used: 0,
-                prefetched: false,
                 data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
             });
             return Some(inner.frames.len() - 1);
@@ -459,9 +385,6 @@ impl BufferPool {
             .min_by_key(|(_, f)| f.last_used)
             .map(|(i, _)| i)?;
         let old_page = inner.frames[victim].page;
-        if inner.frames[victim].prefetched {
-            self.prefetch_waste.fetch_add(1, Ordering::Relaxed);
-        }
         inner.map.remove(&old_page);
         self.evictions.fetch_add(1, Ordering::Relaxed);
         self.fire_evict_hook(old_page);
@@ -473,8 +396,7 @@ impl BufferPool {
     /// commit-time invalidation: page ids freed by a shadow commit may
     /// be recycled by a later commit with different contents, so their
     /// stale frames must leave the pool first. Touches no hit/miss/
-    /// eviction counter — invalidation is not a capacity eviction —
-    /// but an untouched prefetched frame still counts as waste. The
+    /// eviction counter — invalidation is not a capacity eviction. The
     /// frame is dropped even if pinned (the caller guarantees no pins
     /// are outstanding; a stale pin on a recycled id would serve wrong
     /// data, which is strictly worse than an unbalanced unpin).
@@ -484,9 +406,6 @@ impl BufferPool {
         let Some(idx) = inner.map.remove(&page) else {
             return false;
         };
-        if inner.frames[idx].prefetched {
-            self.prefetch_waste.fetch_add(1, Ordering::Relaxed);
-        }
         inner.frames[idx].pins = 0;
         inner.free.push(idx);
         self.fire_evict_hook(page);
@@ -520,38 +439,26 @@ impl BufferPool {
 
     /// Drops every resident page (pins included), returning the pool to
     /// a cold state and firing the evict hook for each dropped page.
-    /// Untouched prefetched frames count as waste. Counters are
-    /// otherwise unaffected; pair with [`BufferPool::reset_stats`] for a
+    /// Counters are unaffected; pair with [`BufferPool::reset_stats`] for a
     /// fully fresh measurement.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             let mut inner = self.lock_shard(shard);
-            let dropped: Vec<(u32, bool)> = inner
-                .map
-                .iter()
-                .map(|(&page, &idx)| (page, inner.frames[idx].prefetched))
-                .collect();
-            inner.map.clear();
+            let dropped: Vec<u32> = inner.map.drain().map(|(page, _)| page).collect();
             inner.free.clear();
             inner.frames.clear();
             inner.tick = 0;
-            for (page, was_prefetched) in dropped {
-                if was_prefetched {
-                    self.prefetch_waste.fetch_add(1, Ordering::Relaxed);
-                }
+            for page in dropped {
                 self.fire_evict_hook(page);
             }
         }
     }
 
-    /// Zeroes the hit/miss/eviction/prefetch counters.
+    /// Zeroes the hit/miss/eviction counters.
     pub fn reset_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
-        self.prefetched.store(0, Ordering::Relaxed);
-        self.prefetch_hits.store(0, Ordering::Relaxed);
-        self.prefetch_waste.store(0, Ordering::Relaxed);
     }
 
     /// Current counters and occupancy (aggregated over every shard).
@@ -573,9 +480,6 @@ impl BufferPool {
             capacity: self.capacity,
             resident,
             pinned,
-            prefetched: self.prefetched.load(Ordering::Relaxed),
-            prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_waste: self.prefetch_waste.load(Ordering::Relaxed),
         }
     }
 }
@@ -620,12 +524,6 @@ mod tests {
             Ok(())
         })
         .unwrap()
-    }
-
-    fn stamped(page: u32) -> Vec<u8> {
-        let mut bytes = vec![0u8; PAGE_SIZE];
-        bytes[0..4].copy_from_slice(&page.to_le_bytes());
-        bytes
     }
 
     #[test]
@@ -768,66 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_admission_hit_and_waste_accounting() {
-        let pool = BufferPool::new(2);
-        assert!(pool.admit_prefetched(5, &stamped(5)));
-        assert!(pool.contains(5));
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.prefetched), (0, 0, 1), "admission is not a demand access");
-
-        // First demand access: a prefetch hit (counted as a hit), and
-        // the bytes are the admitted ones — no loader call.
-        let (a, byte) = pool
-            .with_page(5, |_| panic!("prefetched page must not reload"), |b| b[0])
-            .unwrap();
-        assert_eq!((a, byte), (Access::PrefetchHit, 5));
-        // Second access is an ordinary hit: the flag was consumed.
-        assert_eq!(touch(&pool, 5), Access::Hit);
-        let s = pool.stats();
-        assert_eq!((s.hits, s.prefetch_hits, s.prefetch_waste), (2, 1, 0));
-
-        // An admitted page that is evicted before any demand access is
-        // waste. Page 5 was just used, so 6 is the LRU victim.
-        assert!(pool.admit_prefetched(6, &stamped(6)));
-        touch(&pool, 5);
-        touch(&pool, 7); // evicts 6, untouched
-        let s = pool.stats();
-        assert_eq!((s.prefetched, s.prefetch_hits, s.prefetch_waste), (2, 1, 1));
-
-        // Re-admitting a resident page is refused.
-        assert!(!pool.admit_prefetched(5, &stamped(5)));
-        assert_eq!(pool.stats().prefetched, 2);
-    }
-
-    #[test]
-    fn prefetch_admission_never_displaces_pinned_frames() {
-        let pool = BufferPool::new(1);
-        pool.pin(1, |b| {
-            b[0] = 1;
-            Ok(())
-        })
-        .unwrap();
-        assert!(!pool.admit_prefetched(2, &stamped(2)), "all frames pinned");
-        assert!(!pool.contains(2));
-        assert_eq!(pool.stats().prefetched, 0);
-        assert_eq!(pool.stats().pinned, 1);
-        assert!(pool.unpin(1));
-        assert_eq!(pool.stats().pinned, 0);
-    }
-
-    #[test]
-    fn clear_counts_untouched_prefetched_frames_as_waste() {
-        let pool = BufferPool::new(4);
-        assert!(pool.admit_prefetched(1, &stamped(1)));
-        assert!(pool.admit_prefetched(2, &stamped(2)));
-        touch(&pool, 1); // consumes 1's prefetch flag
-        pool.clear();
-        let s = pool.stats();
-        assert_eq!((s.prefetched, s.prefetch_hits, s.prefetch_waste), (2, 1, 1));
-        assert_eq!(s.resident, 0);
-    }
-
-    #[test]
     fn pinned_pages_survive_eviction_pressure() {
         let pool = BufferPool::new(2);
         pool.pin(1, |b| {
@@ -902,7 +740,6 @@ mod tests {
         pool.reset_stats();
         let s = pool.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (0, 0, 0));
-        assert_eq!((s.prefetched, s.prefetch_hits, s.prefetch_waste), (0, 0, 0));
     }
 
     #[test]
@@ -922,20 +759,6 @@ mod tests {
         let mut rest = evicted.lock().unwrap().clone();
         rest.sort_unstable();
         assert_eq!(rest, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn evict_hook_sees_prefetched_departures_too() {
-        use std::sync::Arc;
-        let evicted = Arc::new(Mutex::new(Vec::new()));
-        let pool = BufferPool::new(1);
-        let sink = evicted.clone();
-        pool.set_evict_hook(Box::new(move |page| {
-            sink.lock().unwrap().push(page);
-        }));
-        assert!(pool.admit_prefetched(4, &stamped(4)));
-        touch(&pool, 9); // evicts the prefetched frame
-        assert_eq!(*evicted.lock().unwrap(), vec![4]);
     }
 
     #[test]
@@ -1006,10 +829,6 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..2_000u32 {
                     let page = (i * (t + 1)) % 16;
-                    if i % 37 == 0 {
-                        pool.admit_prefetched(page, &stamped(page));
-                        continue;
-                    }
                     pool.access(page, |buf| {
                         buf[0..4].copy_from_slice(&page.to_le_bytes());
                         Ok(())
@@ -1022,10 +841,7 @@ mod tests {
             h.join().unwrap();
         }
         let s = pool.stats();
-        // 4 threads × 2000 iterations, of which ⌈2000/37⌉ = 55 are
-        // prefetch admissions, not demand accesses.
-        assert_eq!(s.hits + s.misses, 4 * (2_000 - 55));
+        assert_eq!(s.hits + s.misses, 4 * 2_000);
         assert!(s.resident <= 8);
-        assert!(s.prefetch_hits + s.prefetch_waste <= s.prefetched);
     }
 }

@@ -154,14 +154,13 @@ pub trait PageStore: Send + Sync {
     fn read_page_uncounted(&self, page: u32, buf: &mut [u8]) -> Result<(), StoreError>;
 
     /// Reads `buf.len() / PAGE_SIZE` consecutive pages starting at
-    /// `first` into `buf` — the readahead primitive. Like
+    /// `first` into `buf` — a batched bookkeeping read. Like
     /// [`PageStore::read_page_uncounted`] this is **not** charged to the
-    /// physical-read counter: readahead accounting is the caller's job
-    /// (the demand counter must keep meaning "reads the queries forced",
-    /// so prefetch cannot pollute it). `buf` must be a whole number of
-    /// pages. The default implementation loops single-page reads;
-    /// backends with a cheaper batched path (one seek + one contiguous
-    /// read for [`FileStore`]) override it.
+    /// physical-read counter, which keeps meaning "reads the queries
+    /// forced". The tree's query path never calls it. `buf` must be a
+    /// whole number of pages. The default implementation loops
+    /// single-page reads; backends with a cheaper batched path (one
+    /// seek + one contiguous read for [`FileStore`]) override it.
     fn read_run_uncounted(&self, first: u32, buf: &mut [u8]) -> Result<(), StoreError> {
         assert_eq!(buf.len() % PAGE_SIZE, 0, "run buffer must be whole pages");
         for (i, chunk) in buf.chunks_mut(PAGE_SIZE).enumerate() {

@@ -30,9 +30,9 @@ cargo test -q --offline --manifest-path nwc-benchmark/Cargo.toml
 # #[cfg(test)] marker are exempt — it is matched at line start, so a
 # doc comment naming the attribute does not end the scan early; the
 # infallible wrappers in tree.rs are the one deliberate panic site and
-# are not query-read-path code). The I/O
-# executor is held to the same bar: its completion threads must never
-# unwind (a panicking worker would strand in-flight pages forever).
+# are not query-read-path code). The I/O counters, the retry policy and
+# the page checksum join too: every disk read on a query runs through
+# all three.
 # The serving layer joins the list: a panicking worker or reader thread
 # would silently strand client connections, so every serve source file
 # must route failures through typed responses instead. node.rs joins
@@ -56,7 +56,8 @@ step "lint: no panic paths in the disk query read path"
 for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
          crates/rtree/src/query.rs crates/rtree/src/iwp.rs \
          crates/rtree/src/node.rs crates/rtree/src/cancel.rs \
-         crates/store/src/executor.rs \
+         crates/rtree/src/stats.rs crates/store/src/retry.rs \
+         crates/store/src/checksum.rs \
          crates/grid/src/lib.rs crates/grid/src/weight.rs \
          crates/core/src/algo.rs crates/core/src/shard.rs \
          crates/core/src/anytime.rs crates/core/src/knwc.rs \
@@ -89,48 +90,24 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   test -s "$SMOKE_OUT"/BENCH_throughput.json
   echo "ok: $SMOKE_OUT/BENCH_throughput.json written"
 
-  step "smoke: disk mode (persist, reopen, buffer sweep)"
+  step "smoke: disk mode (persist, reopen)"
   cargo run --release --example persist_and_query
-  bench_smoke buffer
-  test -s "$SMOKE_OUT"/BENCH_buffer.json
-  grep -q '"peak_resident_nodes"' "$SMOKE_OUT"/BENCH_buffer.json
-  echo "ok: $SMOKE_OUT/BENCH_buffer.json written (with resident-node gauge)"
 
-  step "smoke: readahead + clustered layout (sweep covers both, counters present)"
-  grep -q '"layout": "clustered"' "$SMOKE_OUT"/BENCH_buffer.json
-  grep -q '"prefetch_batches"' "$SMOKE_OUT"/BENCH_buffer.json
-  echo "ok: layout/readahead cells recorded in the sweep"
-
-  step "smoke: demand paging (tiny pool, answers match arena)"
+  step "smoke: demand paging (pool capacity sweep, answers match arena)"
   cargo test -q --release --test demand_paging
-  echo "ok: pool capacity bounds resident decoded nodes"
+  echo "ok: logical I/O capacity-invariant, LRU monotone, residency bounded"
 
   step "smoke: sharded pool under concurrent batches"
   cargo test -q --release --test pool_stress
-  echo "ok: concurrent accounting exact across shards and readahead"
+  echo "ok: concurrent accounting exact across shards"
 
   step "smoke: chaos (fault injection, typed errors, recovery)"
   cargo test -q --release --test chaos
   echo "ok: transient faults invisible, permanent faults typed and recoverable"
 
-  step "smoke: chaos under the overlapped I/O backend (io_threads > 0)"
-  cargo test -q --release --test chaos overlapped_io
-  cargo test -q --release --test disk_equivalence overlapped_io
-  echo "ok: overlapped readahead bit-identical under faults and fault-free"
-
-  step "smoke: fault-injection sweep (tiny scale)"
-  bench_smoke faults
-  test -s "$SMOKE_OUT"/BENCH_faults.json
-  grep -q '"prefetch_errors"' "$SMOKE_OUT"/BENCH_faults.json
-  echo "ok: $SMOKE_OUT/BENCH_faults.json written (with retry/readahead-error counters)"
-
-  step "smoke: kernel + overlapped-I/O sweep (tiny scale)"
+  step "smoke: SIMD kernels match the scalar reference"
   cargo test -q --release --test kernel_equivalence
-  bench_smoke kernels
-  test -s "$SMOKE_OUT"/BENCH_kernels.json
-  grep -q '"backend"' "$SMOKE_OUT"/BENCH_kernels.json
-  grep -q '"overlap_us"' "$SMOKE_OUT"/BENCH_kernels.json
-  echo "ok: $SMOKE_OUT/BENCH_kernels.json written (backend + overlap counters)"
+  echo "ok: batched kernels bit-identical to scalar"
 
   step "smoke: serving layer (concurrent clients, deadlines, hot-swap)"
   cargo run --release --bin nwc-serve -- --self-test

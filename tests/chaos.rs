@@ -14,7 +14,7 @@ use nwc::core::{oracle, ShardedNwcIndex};
 use nwc::prelude::*;
 use nwc_core::QueryError;
 use nwc_rtree::BrowseItem;
-use nwc_store::{FaultPlan, FaultStore, FileStore, RetryPolicy};
+use nwc_store::{FaultPlan, FaultStats, FaultStore, FileStore, RetryPolicy};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,203 +88,112 @@ fn leaf_page_near(disk: &NwcIndex, q: Point) -> u32 {
 #[test]
 fn transient_faults_keep_every_scheme_bit_identical_to_arena() {
     let arena = NwcIndex::build(chaos_points(4_000));
-    let (disk, fault) = fault_backed(
-        &arena,
-        "transient",
-        DiskIndexConfig {
-            pool_capacity: Some(64),
-            pool_shards: Some(2),
-            prefetch: 8,
-            retry: fast_retry(12),
-            ..DiskIndexConfig::default()
-        },
-    );
-    // 2% of reads start a 2-failure burst; the 12-attempt budget makes
-    // non-recovery astronomically unlikely and the seed makes the
-    // sequential schedule reproducible.
-    fault.set_plan(FaultPlan {
-        transient_rate: 0.02,
-        transient_burst: 2,
-        seed: 0xDEC0_DE5E,
-        ..FaultPlan::default()
-    });
-
     let queries = chaos_queries();
-    let mut total_retries = 0;
-    let mut total_transient = 0;
-    for &scheme in Scheme::TABLE3.iter() {
-        for (qi, q) in queries.iter().enumerate() {
-            let (want, ws) = arena.nwc_full(q, scheme);
-            let (got, gs) = disk
-                .try_nwc_full(q, scheme)
-                .unwrap_or_else(|e| panic!("{scheme} q{qi}: transient fault leaked: {e}"));
-            match (&want, &got) {
-                (None, None) => {}
-                (Some(a), Some(d)) => {
-                    assert_eq!(a.ids(), d.ids(), "{scheme} q{qi}");
-                    assert_eq!(a.distance, d.distance, "{scheme} q{qi}");
-                }
-                _ => panic!("{scheme} q{qi}: one mode found a result, one did not"),
-            }
-            // Logical I/O is bit-identical: faults and retries live
-            // entirely outside the paper's metric.
-            assert_eq!(
-                SearchStats { buffer_hits: 0, retries: 0, transient_errors: 0, ..gs },
-                ws,
-                "{scheme} q{qi}: logical I/O diverged under transient faults"
-            );
-            total_retries += gs.retries;
-            total_transient += gs.transient_errors;
-        }
-    }
-    assert!(total_retries > 0, "the fault schedule never fired");
-    assert!(total_transient > 0, "no failure was attributed to a query");
-    assert!(fault.stats().transient > 0, "the store never injected");
-    assert!(
-        disk.tree().storage().expect("disk-backed").quarantine().is_empty(),
-        "transient faults must never quarantine a page"
-    );
-
-    // Same index, same plan, 4-thread engine: every slot still Ok and
-    // identical to the arena (which reads fail now depends on thread
-    // interleaving; answers and logical I/O must not).
-    let engine = QueryEngine::new(&disk).with_threads(4);
-    let batch = engine.try_nwc_batch(&queries, Scheme::NWC_STAR);
-    for (qi, (q, slot)) in queries.iter().zip(&batch).enumerate() {
-        let (got, gs) = slot
-            .as_ref()
-            .unwrap_or_else(|e| panic!("engine q{qi}: transient fault leaked: {e}"));
-        let (want, ws) = arena.nwc_full(q, Scheme::NWC_STAR);
-        assert_eq!(
-            want.map(|r| r.ids()),
-            got.as_ref().map(|r| r.ids()),
-            "engine q{qi}"
-        );
-        assert_eq!(
-            SearchStats { buffer_hits: 0, retries: 0, transient_errors: 0, ..*gs },
-            ws,
-            "engine q{qi}: logical I/O diverged"
-        );
-    }
-}
-
-#[test]
-fn overlapped_io_stays_bit_identical_under_transient_faults() {
-    // Same contract as the sync chaos test, but with readahead running
-    // on completion threads: mid-descent transient faults on the demand
-    // path retry as before, failed readahead runs are swallowed and
-    // tallied (never retried), and answers plus logical I/O stay
-    // bit-identical to the arena at 1 and 4 I/O threads.
-    let arena = NwcIndex::build(chaos_points(4_000));
-    let queries = chaos_queries();
-    for io_threads in [1usize, 4] {
+    // Rate 0 is the fault-free control: the same store wrapper, armed
+    // with a plan that never fires, must cost no retry at all.
+    for rate in [0.0, 0.02] {
         let (disk, fault) = fault_backed(
             &arena,
-            &format!("overlap{io_threads}"),
+            &format!("transient{rate}"),
             DiskIndexConfig {
                 pool_capacity: Some(64),
                 pool_shards: Some(2),
-                prefetch: 8,
-                io_threads,
                 retry: fast_retry(12),
                 ..DiskIndexConfig::default()
             },
         );
+        // 2% of reads start a 2-failure burst; the 12-attempt budget
+        // makes non-recovery astronomically unlikely and the seed makes
+        // the sequential schedule reproducible.
         fault.set_plan(FaultPlan {
-            transient_rate: 0.02,
+            transient_rate: rate,
             transient_burst: 2,
             seed: 0xDEC0_DE5E,
             ..FaultPlan::default()
         });
 
+        let mut total_retries = 0;
+        let mut total_transient = 0;
         for &scheme in Scheme::TABLE3.iter() {
             for (qi, q) in queries.iter().enumerate() {
                 let (want, ws) = arena.nwc_full(q, scheme);
                 let (got, gs) = disk.try_nwc_full(q, scheme).unwrap_or_else(|e| {
-                    panic!("io{io_threads}/{scheme} q{qi}: transient fault leaked: {e}")
+                    panic!("rate {rate}/{scheme} q{qi}: transient fault leaked: {e}")
                 });
                 match (&want, &got) {
                     (None, None) => {}
                     (Some(a), Some(d)) => {
-                        assert_eq!(a.ids(), d.ids(), "io{io_threads}/{scheme} q{qi}");
-                        assert_eq!(a.distance, d.distance, "io{io_threads}/{scheme} q{qi}");
+                        assert_eq!(a.ids(), d.ids(), "rate {rate}/{scheme} q{qi}");
+                        assert_eq!(a.distance, d.distance, "rate {rate}/{scheme} q{qi}");
                     }
-                    _ => panic!("io{io_threads}/{scheme} q{qi}: one mode found a result, one did not"),
+                    _ => panic!("rate {rate}/{scheme} q{qi}: one mode found a result, one did not"),
                 }
+                // Logical I/O is bit-identical: faults and retries live
+                // entirely outside the paper's metric.
                 assert_eq!(
                     SearchStats { buffer_hits: 0, retries: 0, transient_errors: 0, ..gs },
                     ws,
-                    "io{io_threads}/{scheme} q{qi}: logical I/O diverged"
+                    "rate {rate}/{scheme} q{qi}: logical I/O diverged under transient faults"
                 );
+                total_retries += gs.retries;
+                total_transient += gs.transient_errors;
             }
         }
+        let storage = disk.tree().storage().expect("disk-backed");
+        if rate == 0.0 {
+            assert_eq!(
+                (total_retries, total_transient),
+                (0, 0),
+                "fault-free run retried"
+            );
+            assert_eq!(
+                fault.stats(),
+                FaultStats::default(),
+                "rate 0 injected a fault"
+            );
+            assert_eq!(storage.io_errors(), 0);
+        } else {
+            assert!(total_retries > 0, "the fault schedule never fired");
+            assert!(total_transient > 0, "no failure was attributed to a query");
+            assert!(fault.stats().transient > 0, "the store never injected");
+        }
+        assert!(
+            storage.quarantine().is_empty(),
+            "rate {rate}: transient faults must never quarantine a page"
+        );
 
-        // 4-thread engine on top of the overlapped backend: workers and
-        // completion threads share the pool; every slot still Ok.
+        // Same index, same plan, 4-thread engine: every slot still Ok
+        // and identical to the arena (which reads fail now depends on
+        // thread interleaving; answers and logical I/O must not).
         let engine = QueryEngine::new(&disk).with_threads(4);
         let batch = engine.try_nwc_batch(&queries, Scheme::NWC_STAR);
         for (qi, (q, slot)) in queries.iter().zip(&batch).enumerate() {
-            let (got, _) = slot.as_ref().unwrap_or_else(|e| {
-                panic!("io{io_threads}/engine q{qi}: transient fault leaked: {e}")
+            let (got, gs) = slot.as_ref().unwrap_or_else(|e| {
+                panic!("rate {rate}/engine q{qi}: transient fault leaked: {e}")
             });
-            let (want, _) = arena.nwc_full(q, Scheme::NWC_STAR);
+            let (want, ws) = arena.nwc_full(q, Scheme::NWC_STAR);
             assert_eq!(
                 want.map(|r| r.ids()),
                 got.as_ref().map(|r| r.ids()),
-                "io{io_threads}/engine q{qi}"
+                "rate {rate}/engine q{qi}"
+            );
+            assert_eq!(
+                SearchStats { buffer_hits: 0, retries: 0, transient_errors: 0, ..*gs },
+                ws,
+                "rate {rate}/engine q{qi}: logical I/O diverged"
             );
         }
-
-        let storage = disk.tree().storage().expect("disk-backed");
-        storage.wait_io_idle();
-        assert_eq!(storage.pool_stats().pinned, 0, "io{io_threads}: leaked a pin");
-        assert!(
-            storage.quarantine().is_empty(),
-            "io{io_threads}: transient faults must never quarantine"
-        );
-        assert!(fault.stats().transient > 0, "io{io_threads}: the store never injected");
+        assert_eq!(storage.pool_stats().pinned, 0, "rate {rate}: leaked a pin");
+        if rate == 0.0 {
+            assert_eq!(
+                fault.stats(),
+                FaultStats::default(),
+                "rate 0 engine run injected a fault"
+            );
+            assert_eq!(disk.tree().stats().retries(), 0);
+            assert_eq!(disk.tree().stats().transient_errors(), 0);
+        }
     }
-}
-
-#[test]
-fn overlapped_io_preserves_quarantine_on_permanent_faults() {
-    // A permanently dead leaf under the overlapped backend: typed error,
-    // quarantined once, no pins leaked by either the query threads or
-    // the completion threads, and recovery after clearing the fault.
-    let arena = NwcIndex::build(chaos_points(3_000));
-    let (disk, fault) = fault_backed(
-        &arena,
-        "overlap-perm",
-        DiskIndexConfig {
-            pool_capacity: Some(64),
-            prefetch: 8,
-            io_threads: 2,
-            retry: fast_retry(3),
-            ..DiskIndexConfig::default()
-        },
-    );
-    let near = Point::new(700.0, 700.0);
-    let dead_leaf = leaf_page_near(&disk, near);
-    fault.fail_page_permanently(dead_leaf);
-
-    let q = NwcQuery::new(near, WindowSpec::square(300.0), 3);
-    match disk.try_nwc(&q, Scheme::NWC_STAR) {
-        Err(QueryError::Io(e)) => assert_eq!(e.page, dead_leaf),
-        other => panic!("expected Io error, got {other:?}"),
-    }
-    let storage = disk.tree().storage().expect("disk-backed");
-    storage.wait_io_idle();
-    let quarantined = storage.quarantine();
-    assert_eq!(quarantined.len(), 1);
-    assert_eq!(quarantined[0].0, dead_leaf);
-    assert_eq!(storage.pool_stats().pinned, 0, "error path leaked a pin");
-
-    fault.clear_faults();
-    storage.reset();
-    disk.tree().stats().reset();
-    let want = arena.nwc(&q, Scheme::NWC_STAR);
-    let got = disk.try_nwc(&q, Scheme::NWC_STAR).expect("healthy again");
-    assert_eq!(want.map(|r| r.ids()), got.map(|r| r.ids()), "after recovery");
 }
 
 #[test]
@@ -588,7 +497,6 @@ fn engine_collects_per_query_errors_without_tearing_down_the_batch() {
         DiskIndexConfig {
             pool_capacity: Some(48),
             pool_shards: Some(4),
-            prefetch: 8,
             retry: fast_retry(3),
             ..DiskIndexConfig::default()
         },

@@ -104,6 +104,76 @@ fn pool_capacity_bounds_resident_nodes_across_schemes() {
     assert_eq!(storage.physical_reads(), pool.misses);
 }
 
+/// Pool capacities swept, as fractions of the page file's page count.
+const CAPACITY_FRACTIONS: [f64; 5] = [0.01, 0.05, 0.10, 0.25, 1.0];
+
+#[test]
+fn pool_capacity_sweep_keeps_logical_io_and_lru_monotone() {
+    let ca = Dataset::paper_trio_scaled(1240, 100, 100, 2016)
+        .into_iter()
+        .find(|d| d.name == "CA")
+        .expect("CA dataset");
+    let arena = NwcIndex::build(ca.points);
+    let pages = arena.tree().node_count();
+    let queries: Vec<NwcQuery> = Dataset::query_points(3, 2016)
+        .into_iter()
+        .map(|q| NwcQuery::new(q, WindowSpec::square(200.0), 8))
+        .collect();
+    let run = |index: &NwcIndex, scheme: Scheme| -> u64 {
+        queries
+            .iter()
+            .map(|q| index.nwc_full(q, scheme).1.io_total)
+            .sum()
+    };
+    let arena_io: Vec<u64> = Scheme::TABLE3.iter().map(|&s| run(&arena, s)).collect();
+
+    for layout in [PageLayout::BottomUp, PageLayout::Clustered] {
+        let path = temp_pages("sweep");
+        arena.save_tree_with_layout(&path, layout).expect("save");
+        // Per scheme, the pool counters of the previous (smaller) cell.
+        let mut prev: Vec<Option<nwc::store::PoolStats>> = vec![None; Scheme::TABLE3.len()];
+        for frac in CAPACITY_FRACTIONS {
+            let frames = ((pages as f64 * frac).ceil() as usize).max(1);
+            let config = DiskIndexConfig {
+                pool_capacity: Some(frames),
+                // One stripe keeps LRU exact, so the inclusion property
+                // applies to the whole pool.
+                pool_shards: Some(1),
+                ..DiskIndexConfig::default()
+            };
+            let disk = NwcIndex::open_disk(&path, config).expect("open");
+            let storage = disk.tree().storage().expect("disk-backed");
+            for (si, &scheme) in Scheme::TABLE3.iter().enumerate() {
+                let name = format!("{scheme}/{layout:?}/{frames} frames");
+                // Each scheme measures from a cold pool.
+                storage.reset();
+                assert_eq!(
+                    run(&disk, scheme),
+                    arena_io[si],
+                    "{name}: logical I/O differs"
+                );
+                let pool = storage.pool_stats();
+                assert_eq!(pool.hits + pool.misses, arena_io[si], "{name}");
+                let peak = storage.peak_resident_nodes();
+                assert!(peak > 0, "{name}: gauge never moved");
+                if let Some(p) = prev[si] {
+                    assert!(pool.misses <= p.misses, "{name}: physical reads rose");
+                    assert!(pool.hits >= p.hits, "{name}: hits fell");
+                }
+                if frac == 1.0 {
+                    // The whole file fits: no eviction, and residency
+                    // stays within the frames.
+                    assert_eq!(pool.evictions, 0, "{name}");
+                    assert!(storage.physical_reads() as usize <= pages, "{name}");
+                    assert!(peak <= frames, "{name}: {peak} resident nodes");
+                }
+                prev[si] = Some(pool);
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 #[test]
 fn memory_budget_knob_translates_to_frames() {
     let frame = 2 * PAGE_SIZE as u64; // raw page + decoded node

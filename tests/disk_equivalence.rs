@@ -106,12 +106,11 @@ fn disk_results_and_io_match_arena_for_all_schemes() {
 }
 
 #[test]
-fn clustered_layout_and_readahead_keep_answers_and_logical_io_bit_identical() {
-    // The locality stack (clustered page layout + readahead) only
-    // rearranges physical I/O. Saved clustered, reopened with and
-    // without readahead, every scheme must return the same answers and
-    // the same per-query logical I/O as the arena — the acceptance bar
-    // for the whole optimization.
+fn clustered_layout_keeps_answers_and_logical_io_bit_identical() {
+    // The clustered page layout only relabels pages. Saved clustered,
+    // reopened with an unbounded pool and with a bounded sharded one,
+    // every scheme must return the same answers and the same per-query
+    // logical I/O as the arena.
     let points = seeded_points(1500, 59);
     let arena = NwcIndex::build(points);
     let path = temp_pages("clustered");
@@ -121,10 +120,9 @@ fn clustered_layout_and_readahead_keep_answers_and_logical_io_bit_identical() {
     let configs = [
         ("plain", DiskIndexConfig::default()),
         (
-            "readahead",
+            "bounded",
             DiskIndexConfig {
                 pool_capacity: Some(64),
-                prefetch: 16,
                 pool_shards: Some(2),
                 ..DiskIndexConfig::default()
             },
@@ -158,90 +156,14 @@ fn clustered_layout_and_readahead_keep_answers_and_logical_io_bit_identical() {
                 );
             }
         }
-        // Demand accounting is unchanged by readahead: prefetch reads
-        // go through an uncounted path, so physical demand reads still
-        // equal pool misses exactly.
+        // Physical demand reads equal pool misses exactly.
         let storage = disk.tree().storage().expect("disk-backed");
         let io = disk.tree().stats();
         let pool = storage.pool_stats();
         assert_eq!(pool.hits, io.buffer_hits(), "{tag}");
         assert_eq!(pool.misses, io.node_reads(), "{tag}");
         assert_eq!(storage.physical_reads(), pool.misses, "{tag}");
-        assert_eq!(io.prefetch_hits(), pool.prefetch_hits, "{tag}");
-        if config.prefetch == 0 {
-            assert_eq!(io.prefetch_reads(), 0, "{tag}: no readahead configured");
-        } else {
-            assert!(
-                io.prefetch_reads() > 0,
-                "{tag}: a 64-frame pool over this tree should prefetch"
-            );
-        }
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn overlapped_io_keeps_answers_and_logical_io_bit_identical() {
-    // The overlapped backend moves readahead onto completion threads;
-    // nothing about the answers or the logical I/O may change. Run the
-    // full Table-3 sweep at 1 and 4 I/O threads against the arena and a
-    // sync readahead open, on a cold pool each time.
-    let points = seeded_points(1500, 59);
-    let arena = NwcIndex::build(points);
-    let path = temp_pages("overlapped");
-    arena
-        .save_tree_with_layout(&path, PageLayout::Clustered)
-        .expect("save clustered");
-    for io_threads in [1usize, 4] {
-        let disk = NwcIndex::open_disk(
-            &path,
-            DiskIndexConfig {
-                pool_capacity: Some(64),
-                pool_shards: Some(2),
-                prefetch: 16,
-                io_threads,
-                ..DiskIndexConfig::default()
-            },
-        )
-        .expect("open overlapped");
-        let storage = disk.tree().storage().expect("disk-backed");
-        assert_eq!(storage.io_threads(), io_threads);
-        let queries = Dataset::query_points(4, 59);
-        for scheme in Scheme::TABLE3 {
-            for (qi, &q) in queries.iter().enumerate() {
-                let query = NwcQuery::new(q, WindowSpec::square(70.0), 4);
-                let (ra, sa) = arena.nwc_full(&query, scheme);
-                let (rd, sd) = disk.nwc_full(&query, scheme);
-                match (&ra, &rd) {
-                    (None, None) => {}
-                    (Some(a), Some(d)) => {
-                        assert_eq!(a.ids(), d.ids(), "io{io_threads}/{scheme}/q{qi}");
-                        assert_eq!(a.distance, d.distance, "io{io_threads}/{scheme}/q{qi}");
-                    }
-                    _ => panic!("io{io_threads}/{scheme}/q{qi}: one mode found a result, one did not"),
-                }
-                assert_eq!(
-                    SearchStats { buffer_hits: 0, ..sd },
-                    sa,
-                    "io{io_threads}/{scheme}/q{qi}: logical stats diverge"
-                );
-            }
-        }
-        // Quiesce before inspecting counters: the logical decomposition
-        // must hold no matter which thread did the physical reads.
-        storage.wait_io_idle();
-        let io = disk.tree().stats();
-        let pool = storage.pool_stats();
-        assert_eq!(pool.hits, io.buffer_hits(), "io{io_threads}");
-        assert_eq!(pool.misses, io.node_reads(), "io{io_threads}");
-        assert_eq!(storage.physical_reads(), pool.misses, "io{io_threads}");
-        assert_eq!(io.prefetch_hits(), pool.prefetch_hits, "io{io_threads}");
-        assert_eq!(pool.pinned, 0, "io{io_threads}: query path leaked a pin");
-        assert!(
-            io.prefetch_reads() > 0,
-            "io{io_threads}: overlapped readahead never ran"
-        );
-        assert_eq!(io.prefetch_errors(), 0, "io{io_threads}: healthy store");
+        assert_eq!(pool.pinned, 0, "{tag}: query path leaked a pin");
     }
     std::fs::remove_file(&path).ok();
 }

@@ -1,9 +1,9 @@
 //! Concurrency stress for the sharded buffer pool: parallel
 //! [`QueryEngine`] batches hammer one shared disk-backed tree (clustered
-//! layout, bounded sharded pool, readahead on) and every answer must
-//! match the in-memory arena, with the aggregate pool / I/O accounting
-//! exact afterwards — no access lost or double-counted across threads,
-//! shards, or speculative readahead admissions.
+//! layout, bounded sharded pool) and every answer must match the
+//! in-memory arena, with the aggregate pool / I/O accounting exact
+//! afterwards — no access lost or double-counted across threads or
+//! shards.
 
 use nwc::prelude::*;
 use nwc_store::{FaultPlan, FaultStore, FileStore, RetryPolicy};
@@ -36,7 +36,6 @@ fn concurrent_engine_batches_on_a_shared_disk_tree_stay_consistent() {
         &path,
         DiskIndexConfig {
             pool_capacity: Some(48),
-            prefetch: 8,
             pool_shards: Some(4),
             ..DiskIndexConfig::default()
         },
@@ -54,8 +53,8 @@ fn concurrent_engine_batches_on_a_shared_disk_tree_stay_consistent() {
         .collect();
 
     // Several rounds so later ones run against a warm, already-churned
-    // pool — eviction, readahead admission and demand faulting all
-    // interleave across the 4 worker threads.
+    // pool — eviction and demand faulting interleave across the 4
+    // worker threads.
     let engine = QueryEngine::new(&disk).with_threads(4);
     for round in 0..3 {
         let batch = engine.nwc_batch(&queries, Scheme::NWC_STAR);
@@ -69,8 +68,8 @@ fn concurrent_engine_batches_on_a_shared_disk_tree_stay_consistent() {
                 }
                 _ => panic!("round {round} q{qi}: one mode found a result, one did not"),
             }
-            // Per-query logical I/O attribution survives both the
-            // thread pool and speculative readahead.
+            // Per-query logical I/O attribution survives the thread
+            // pool.
             assert_eq!(
                 SearchStats { buffer_hits: 0, ..*gs },
                 *ws,
@@ -93,21 +92,8 @@ fn concurrent_engine_batches_on_a_shared_disk_tree_stay_consistent() {
     assert_eq!(
         storage.physical_reads(),
         pool.misses,
-        "readahead must not leak into demand physical reads"
+        "every pool miss is exactly one physical read"
     );
-    assert_eq!(io.prefetch_hits(), pool.prefetch_hits);
-    assert!(
-        pool.prefetch_hits + pool.prefetch_waste <= pool.prefetched,
-        "{}h + {}w > {} admitted",
-        pool.prefetch_hits,
-        pool.prefetch_waste,
-        pool.prefetched
-    );
-    assert!(
-        io.prefetch_reads() >= pool.prefetched,
-        "every admission came from a speculative read"
-    );
-    assert!(io.prefetch_reads() > 0, "readahead never fired");
     assert!(pool.evictions > 0, "a 48-frame pool over this tree must churn");
     // Decoded-node residency stays bounded: pool capacity plus, at
     // worst, one transient (all-frames-pinned fallback) decode per
@@ -141,7 +127,6 @@ fn pool_survives_mid_descent_faults_under_concurrency() {
         Box::new(Arc::clone(&fault)),
         DiskIndexConfig {
             pool_capacity: Some(48),
-            prefetch: 8,
             pool_shards: Some(4),
             retry: RetryPolicy {
                 max_attempts: 3,
