@@ -11,15 +11,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod approx;
 pub mod context;
 pub mod figures;
-pub mod ingest;
 pub mod runner;
-pub mod serve;
-pub mod shard;
 pub mod table;
-pub mod throughput;
 
 pub use context::ExperimentContext;
 pub use table::Table;

@@ -17,9 +17,8 @@
 //!   cadence (their mutations are always live).
 //!
 //! The ingestor is backend-agnostic: the same code path drives an
-//! in-memory index and a writable disk index, which is what
-//! `experiments ingest` exploits to measure ingest throughput against
-//! pool capacity and commit cadence.
+//! in-memory index and a writable disk index, so the same stream gives
+//! the same answers on both (`tests/disk_equivalence.rs`).
 //!
 //! Queries remain available between pushes through
 //! [`StreamingIngestor::index`] — the wrapped index is never torn down,

@@ -163,54 +163,6 @@ pub fn knwc_brute_force(points: &[Point], query: &KnwcQuery) -> Vec<OracleGroup>
     picked
 }
 
-/// Recall of a (possibly partial or `(1+ε)`-approximate) NWC answer
-/// against the exact reference answer, with canonical tie handling.
-///
-/// Both answers are `(score, sorted ids)`; pass `None` for "no group
-/// found". The exact optimum can be reached through several distinct
-/// equal-score groups (the canonical tie-break picks one of them by id
-/// set, but any of them is an optimal answer), so a returned group
-/// whose **score** matches the exact optimum counts as full recall
-/// regardless of which tied set it is. Otherwise recall is the id
-/// overlap fraction `|exact ∩ got| / n`. A missing answer scores 0; a
-/// claimed answer where the exact path proves none exists also scores
-/// 0 (it cannot be a qualified group); two empty answers agree at 1.
-pub fn nwc_recall(exact: Option<(f64, &[u32])>, got: Option<(f64, &[u32])>) -> f64 {
-    match (exact, got) {
-        (None, None) => 1.0,
-        (None, Some(_)) | (Some(_), None) => 0.0,
-        (Some((exact_score, exact_ids)), Some((got_score, got_ids))) => {
-            // Score tie (up to fp noise): an equally good group, full
-            // recall no matter which tied id set the traversal kept.
-            let tol = 1e-9 * exact_score.abs().max(1.0);
-            if got_score <= exact_score + tol {
-                return 1.0;
-            }
-            if exact_ids.is_empty() {
-                return 0.0;
-            }
-            sorted_overlap(exact_ids, got_ids) as f64 / exact_ids.len() as f64
-        }
-    }
-}
-
-/// `|a ∩ b|` for sorted id slices.
-fn sorted_overlap(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,35 +207,6 @@ mod tests {
                 (w, g) => panic!("n={n}: oracle {w:?} vs algo {g:?}"),
             }
         }
-    }
-
-    #[test]
-    fn recall_handles_ties_misses_and_partial_overlap() {
-        // Both empty: agreement.
-        assert_eq!(nwc_recall(None, None), 1.0);
-        // One-sided answers: zero either way.
-        assert_eq!(nwc_recall(Some((2.0, &[1, 2][..])), None), 0.0);
-        assert_eq!(nwc_recall(None, Some((2.0, &[1, 2][..]))), 0.0);
-        // Equal score, different id set: a canonical tie, full recall.
-        assert_eq!(
-            nwc_recall(Some((2.0, &[1, 2][..])), Some((2.0, &[3, 4][..]))),
-            1.0
-        );
-        // Strictly better-than-claimed-exact cannot lose recall either.
-        assert_eq!(
-            nwc_recall(Some((2.0, &[1, 2][..])), Some((1.5, &[3, 4][..]))),
-            1.0
-        );
-        // Worse score: overlap fraction.
-        assert_eq!(
-            nwc_recall(Some((2.0, &[1, 2, 3, 4][..])), Some((3.0, &[2, 3, 9, 11][..]))),
-            0.5
-        );
-        // Worse score, disjoint sets: zero.
-        assert_eq!(
-            nwc_recall(Some((2.0, &[1, 2][..])), Some((5.0, &[7, 8][..]))),
-            0.0
-        );
     }
 
     #[test]

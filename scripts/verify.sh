@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Repo verification gate: tier-1 build+test, lint wall, throughput smoke.
+# Repo verification gate: tier-1 build+test, clippy, the benchmark
+# package's tests, the no-panic lint, then smokes: the paper
+# experiments at tiny scale and the disk, paging, chaos, serving and
+# sharding suites in release mode.
 #
 #   scripts/verify.sh          # full gate (~a few minutes on 1 core)
-#   SKIP_SMOKE=1 scripts/verify.sh   # build+test+clippy only
+#   SKIP_SMOKE=1 scripts/verify.sh   # everything but the smokes
 #
 # Everything runs offline; see README § Offline builds.
 set -euo pipefail
@@ -73,22 +76,21 @@ for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
 done
 echo "ok: disk query read path is panic-free outside tests"
 
-# Tiny-scale experiment smokes run with target/bench-smoke/ as their
-# working directory: the experiments write to the relative path
-# results/, so the committed results/BENCH_*.json trajectory is never
-# overwritten by 3-query numbers.
-SMOKE_OUT=target/bench-smoke/results
-bench_smoke() {
-  mkdir -p target/bench-smoke
-  (cd target/bench-smoke &&
-     NWC_SCALE=0.02 NWC_QUERIES=3 cargo run --release -p nwc-bench -- "$@")
-}
-
 if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
-  step "smoke: throughput experiment (tiny scale)"
-  bench_smoke throughput
-  test -s "$SMOKE_OUT"/BENCH_throughput.json
-  echo "ok: $SMOKE_OUT/BENCH_throughput.json written"
+  # The paper's tables and figures at tiny scale; stdout only, no
+  # files written. The names of deleted experiments must be refused.
+  step "smoke: paper experiments (tiny scale)"
+  cargo test -q --release -p nwc-bench
+  out=$(NWC_SCALE=0.02 NWC_QUERIES=3 cargo run -q --release -p nwc-bench -- all)
+  grep -q "Table 2" <<<"$out"
+  grep -q "Cost model" <<<"$out"
+  for gone in throughput serve ingest shard approx; do
+    if cargo run -q --release -p nwc-bench -- "$gone" 2>/dev/null; then
+      echo "error: experiments accepted the unknown name $gone" >&2
+      exit 1
+    fi
+  done
+  echo "ok: every paper experiment ran; unknown names are refused"
 
   step "smoke: disk mode (persist, reopen)"
   cargo run --release --example persist_and_query
@@ -114,40 +116,14 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   cargo test -q --release --test serve_swap
   echo "ok: serve self-test and hot-swap suite passed"
 
-  step "smoke: serve load sweep (tiny scale)"
-  bench_smoke serve
-  test -s "$SMOKE_OUT"/BENCH_serve.json
-  grep -q '"capacity_qps"' "$SMOKE_OUT"/BENCH_serve.json
-  grep -q '"p999_us"' "$SMOKE_OUT"/BENCH_serve.json
-  echo "ok: $SMOKE_OUT/BENCH_serve.json written (capacity + tail latency)"
-
-  step "smoke: writable disk mode (mutate, commit, reopen ≡ arena)"
+  step "smoke: writable disk mode (mutate, ingest, commit, reopen ≡ arena)"
   cargo test -q --release --test disk_equivalence writable
   cargo test -q --release --test crash
-  echo "ok: mutate-save-reopen equivalence and crash kill-point matrix passed"
+  echo "ok: mutate/ingest-save-reopen equivalence and crash kill-point matrix passed"
 
-  step "smoke: streaming ingest sweep (tiny scale)"
-  bench_smoke ingest
-  test -s "$SMOKE_OUT"/BENCH_ingest.json
-  grep -q '"ingest_per_s"' "$SMOKE_OUT"/BENCH_ingest.json
-  grep -q '"reopen_ms"' "$SMOKE_OUT"/BENCH_ingest.json
-  echo "ok: $SMOKE_OUT/BENCH_ingest.json written (throughput + recovery time)"
-
-  step "smoke: sharded scatter-gather (oracle equivalence, faults, disk dirs)"
+  step "smoke: sharded scatter-gather (oracle equivalence, faults, I/O bound)"
   cargo test -q --release --test shard_equivalence
-  bench_smoke shard
-  test -s "$SMOKE_OUT"/BENCH_shard.json
-  grep -q '"pool_split"' "$SMOKE_OUT"/BENCH_shard.json
-  grep -q '"io_ratio_vs_unsharded"' "$SMOKE_OUT"/BENCH_shard.json
-  grep -q '"cores"' "$SMOKE_OUT"/BENCH_shard.json
-  echo "ok: $SMOKE_OUT/BENCH_shard.json written (split + I/O ratio + core honesty)"
-
-  step "smoke: anytime/approximate sweep (tiny scale)"
-  bench_smoke approx
-  test -s "$SMOKE_OUT"/BENCH_approx.json
-  grep -q '"exact_recall": 1' "$SMOKE_OUT"/BENCH_approx.json
-  grep -q '"bound_violations": 0' "$SMOKE_OUT"/BENCH_approx.json
-  echo "ok: $SMOKE_OUT/BENCH_approx.json written (exact mode bit-identical, bounds sound)"
+  echo "ok: sharded answers match one tree; K=4 logical I/O within 1.25x of K=1"
 fi
 
 step "verify: all checks passed"

@@ -10,8 +10,11 @@
 //! 3. **Corruption** — cycles, dangling children, bad tags/counts,
 //!    bit flips and truncation are rejected with typed errors, never
 //!    panics.
+//! 4. **Writable mode** — mutations and a sliding-window
+//!    `StreamingIngestor` agree with the arena while uncommitted, after
+//!    commit, and after a cold reopen.
 
-use nwc::core::IndexOpenError;
+use nwc::core::{IndexOpenError, IngestConfig, StreamingIngestor};
 use nwc::prelude::*;
 use nwc::rtree::{validate, DiskError, PageError, RStarTree, TreeParams};
 use nwc::store::StoreError;
@@ -249,6 +252,71 @@ fn writable_disk_mutations_commit_and_reopen_match_the_mutated_arena() {
     std::fs::remove_file(&path).ok();
     assert_eq!(arena.len(), disk.len());
     sweep(&disk, "reopened");
+}
+
+#[test]
+fn streaming_ingest_on_a_writable_disk_index_matches_the_arena_and_reopens() {
+    // Two sliding-window ingestors fed the same stream — one over the
+    // arena, one over a shadow-paged file that commits every 64 pushes
+    // behind an 8-frame pool (the tree has ~40 nodes, so the pool keeps
+    // evicting) — must give the same NWC+ answers while their windows
+    // slide, and the committed file must reopen cold holding the window
+    // and answering like the arena.
+    let base = seeded_points(1500, 29);
+    let arena = NwcIndex::build(base);
+    let path = temp_pages("ingest");
+    arena.save_tree_writable(&path).expect("save writable");
+    let config = DiskIndexConfig {
+        pool_capacity: Some(8),
+        ..DiskIndexConfig::default()
+    };
+    let disk = NwcIndex::open_disk(&path, config).expect("open writable");
+    let ingest = IngestConfig {
+        capacity: 1200,
+        commit_every: 64,
+    };
+    let mut on_arena = StreamingIngestor::new(arena, ingest);
+    let mut on_disk = StreamingIngestor::new(disk, ingest);
+
+    let probe = |q: Point| NwcQuery::new(q, WindowSpec::square(60.0), 4);
+    let assert_same = |a: &NwcIndex, d: &NwcIndex, q: Point, stage: &str| {
+        let ra = a.nwc(&probe(q), Scheme::NWC_PLUS);
+        let rd = d.nwc(&probe(q), Scheme::NWC_PLUS);
+        match (&ra, &rd) {
+            (None, None) => {}
+            (Some(a), Some(d)) => {
+                assert_eq!(a.ids(), d.ids(), "{stage}: object sets differ");
+                assert_eq!(a.distance.to_bits(), d.distance.to_bits(), "{stage}");
+            }
+            _ => panic!("{stage}: one backend found a result, one did not"),
+        }
+    };
+
+    let mut probes = Vec::new();
+    for (i, &p) in seeded_points(600, 101).iter().enumerate() {
+        let fresh = Point::new(p.x + 0.5, p.y + 0.5);
+        let ia = on_arena.push(fresh).expect("arena push");
+        let id = on_disk.push(fresh).expect("disk push");
+        assert_eq!(ia, id, "backends must assign identical ids");
+        if i % 32 == 0 {
+            probes.push(fresh);
+            assert_same(on_arena.index(), on_disk.index(), fresh, &format!("push {i}"));
+        }
+    }
+    assert_eq!(on_arena.window_len(), on_disk.window_len());
+    assert!(on_arena.evicted() > 0, "the arena window never slid");
+    assert!(on_disk.evicted() > 0, "the disk window never slid");
+    assert!(on_disk.commits() > 0, "the disk ingestor never committed");
+
+    on_disk.commit().expect("final commit");
+    let window = on_disk.window_len();
+    drop(on_disk.into_index());
+    let reopened = NwcIndex::open_disk(&path, config).expect("reopen committed");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(reopened.len(), window, "reopen lost objects");
+    for (pi, &q) in probes.iter().enumerate() {
+        assert_same(on_arena.index(), &reopened, q, &format!("reopened probe {pi}"));
+    }
 }
 
 #[test]

@@ -18,8 +18,11 @@
 //!    (which drop IWP), and on a build without grid and IWP, every
 //!    scheme still answers exactly like the oracle, unsharded and K = 1
 //!    alike.
+//! 6. **I/O overhead** — K = 4 costs at most 1.25× the logical I/O of
+//!    K = 1 over the CA-like set at 5 % of the paper's size.
 
 use nwc::core::{IndexConfig, ShardScatterError, ShardedNwcIndex};
+use nwc::datagen::CA_CARDINALITY;
 use nwc::prelude::*;
 use nwc::rtree::BrowseItem;
 use nwc::store::{FaultPlan, FaultStore, FileStore, RetryPolicy};
@@ -123,6 +126,34 @@ fn k1_is_bit_identical_including_stats() {
             assert_eq!(a.distance, b.distance);
         }
     }
+}
+
+#[test]
+fn k4_logical_io_stays_within_a_quarter_of_unsharded() {
+    // A query near a tile seam re-descends the neighbouring shards'
+    // roots, so K = 4 may pay more node accesses than one tree; the
+    // bar is 1.25× summed over 25 NWC* queries. Logical I/O does not
+    // depend on the backend or the pool, so an arena build measures it.
+    let ca = Dataset::paper_trio_scaled(CA_CARDINALITY / 20, 100, 100, 2016).swap_remove(0);
+    assert_eq!(ca.name, "CA");
+    let queries: Vec<NwcQuery> = Dataset::query_points(25, 2016)
+        .into_iter()
+        .map(|q| NwcQuery::new(q, WindowSpec::square(200.0), 8))
+        .collect();
+    let io_total = |shards: usize| -> u64 {
+        let index = ShardedNwcIndex::build(ca.points.clone(), shards).with_threads(1);
+        assert_eq!(index.shard_count(), shards);
+        queries
+            .iter()
+            .map(|q| index.try_nwc_full(q, Scheme::NWC_STAR).expect("arena scatter").1.io_total)
+            .sum()
+    };
+    let (k1, k4) = (io_total(1), io_total(4));
+    assert!(
+        k4 as f64 <= 1.25 * k1 as f64,
+        "K=4 logical I/O {k4} exceeds 1.25× the K=1 total {k1} ({:.3}×)",
+        k4 as f64 / k1 as f64
+    );
 }
 
 #[test]
