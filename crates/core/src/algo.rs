@@ -152,7 +152,7 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
                     stats.skipped_by_srr += 1;
                     continue;
                 };
-                if scheme.dep && qualifier.too_sparse(&sr) {
+                if scheme.dep && qualifier.region_too_sparse(&sr, spec.w) {
                     stats.skipped_by_dep += 1;
                     continue;
                 }

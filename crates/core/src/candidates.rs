@@ -41,6 +41,13 @@ pub(crate) trait Qualifier {
     /// never changes an answer.
     fn too_sparse(&self, region: &Rect) -> bool;
 
+    /// DEP for a search region whose every candidate window is `h` tall
+    /// and spans the region's full width: whether none of those windows
+    /// can qualify. The default is [`too_sparse`](Self::too_sparse).
+    fn region_too_sparse(&self, region: &Rect, _h: f64) -> bool {
+        self.too_sparse(region)
+    }
+
     /// Scans every candidate window `p` generates over the search region
     /// contents `neighbors` and offers each qualified group to `sink`.
     #[allow(clippy::too_many_arguments)]
@@ -69,6 +76,15 @@ impl Qualifier for CountTest<'_> {
     fn too_sparse(&self, region: &Rect) -> bool {
         self.grid
             .is_some_and(|grid| grid.count_upper_bound(region) < self.n)
+    }
+
+    /// Two stages: the dense bound of [`too_sparse`](Self::too_sparse),
+    /// then, only if that fails to prune, the refined best-window bound.
+    fn region_too_sparse(&self, region: &Rect, h: f64) -> bool {
+        self.grid.is_some_and(|grid| {
+            grid.count_upper_bound(region) < self.n
+                || (grid.refinement() > 1 && grid.window_upper_bound(region, h) < self.n)
+        })
     }
 
     /// `neighbors` must contain `p` itself and every object of the

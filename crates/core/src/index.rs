@@ -1,7 +1,7 @@
 //! The query index: R\*-tree + density grid + IWP augmentation.
 
 use nwc_geom::{Point, Rect};
-use nwc_grid::DensityGrid;
+use nwc_grid::{DensityGrid, DEFAULT_GRID_CELL};
 use nwc_rtree::{
     DiskError, DiskOptions, DiskReadError, IwpIndex, PageLayout, PageStore, RStarTree,
     RetryPolicy, TreeError, TreeParams, PAGE_SIZE,
@@ -13,11 +13,17 @@ use std::path::Path;
 pub struct IndexConfig {
     /// R\*-tree shape (default: the paper's 50 entries per node).
     pub tree_params: TreeParams,
-    /// Density-grid cell size (default 12.5, half the paper's 25 — see
-    /// [`nwc_grid::PAPER_GRID_CELL`]; in the normalized 10,000-wide
-    /// space each cell then nests in a paper cell, so DEP's bounds are
-    /// never looser); `None` skips building the grid (DEP then prunes
-    /// nothing).
+    /// Density-grid cell size (default [`DEFAULT_GRID_CELL`], 12.5 / 3).
+    /// In the normalized 10,000-wide space the default builds a dense
+    /// grid of 12.5-unit cells, half the paper's 25 (see
+    /// [`nwc_grid::PAPER_GRID_CELL`]), so each nests in a paper cell and
+    /// DEP's node bounds are never looser; each occupied cell is refined
+    /// into 3 × 3 sub-cells for the search-region bound. Any cell of 12.5
+    /// or more builds no refined level, and a cell finer than the
+    /// refinement reaches is clamped to it
+    /// ([`DensityGrid::from_cell_size`]). `None`, or a cell that is not
+    /// a positive finite number, skips building the grid (DEP then
+    /// prunes nothing).
     pub grid_cell_size: Option<f64>,
     /// Whether to build the IWP pointer augmentation (default true;
     /// without it IWP queries run plain window queries).
@@ -31,7 +37,7 @@ impl Default for IndexConfig {
     fn default() -> Self {
         IndexConfig {
             tree_params: TreeParams::default(),
-            grid_cell_size: Some(12.5),
+            grid_cell_size: Some(DEFAULT_GRID_CELL),
             build_iwp: true,
             bulk_load: true,
         }
@@ -73,7 +79,7 @@ impl Default for DiskIndexConfig {
             pool_capacity: None,
             memory_budget_bytes: None,
             pool_shards: None,
-            grid_cell_size: Some(12.5),
+            grid_cell_size: Some(DEFAULT_GRID_CELL),
             build_iwp: true,
             retry: RetryPolicy::default(),
         }
@@ -240,9 +246,7 @@ impl NwcIndex {
             }
             t
         };
-        let grid = config
-            .grid_cell_size
-            .map(|cell| DensityGrid::from_cell_size(grid_bounds(&bounds), cell, &points));
+        let grid = density_grid(config.grid_cell_size, &bounds, &points);
         let iwp = config.build_iwp.then(|| IwpIndex::build(&tree));
         NwcIndex {
             live: vec![true; points.len()],
@@ -283,9 +287,7 @@ impl NwcIndex {
         let bounds = Rect::bounding(live_points.iter().copied()).expect("non-empty");
         let live_count = entries.len();
         let tree = RStarTree::bulk_load_entries(entries, config.tree_params);
-        let grid = config
-            .grid_cell_size
-            .map(|cell| DensityGrid::from_cell_size(grid_bounds(&bounds), cell, &live_points));
+        let grid = density_grid(config.grid_cell_size, &bounds, &live_points);
         let iwp = config.build_iwp.then(|| IwpIndex::build(&tree));
         NwcIndex {
             points,
@@ -387,9 +389,7 @@ impl NwcIndex {
         }
         let live_points: Vec<Point> = entries.iter().map(|e| e.point).collect();
         let bounds = tree.mbr().expect("non-empty tree has an MBR");
-        let grid = config
-            .grid_cell_size
-            .map(|cell| DensityGrid::from_cell_size(grid_bounds(&bounds), cell, &live_points));
+        let grid = density_grid(config.grid_cell_size, &bounds, &live_points);
         let iwp = config.build_iwp.then(|| IwpIndex::build(&tree));
         // Whatever the derived-structure builds touched, the caller gets
         // a cold index: zero I/O charged, empty buffer pool.
@@ -453,7 +453,9 @@ impl NwcIndex {
 
     /// Replaces the density grid with one of a different cell size,
     /// keeping the tree and IWP augmentation (used by the Figure 9
-    /// grid-size sweep, which varies only the grid).
+    /// grid-size sweep, which varies only the grid). The refined level,
+    /// if the cell size asks for one, is built afresh too; a cell size
+    /// that is not a positive finite number drops the grid.
     pub fn rebuild_grid(&mut self, cell_size: f64) {
         let live_points: Vec<Point> = self
             .points
@@ -462,11 +464,7 @@ impl NwcIndex {
             .filter(|&(_, &alive)| alive)
             .map(|(&p, _)| p)
             .collect();
-        self.grid = Some(DensityGrid::from_cell_size(
-            grid_bounds(&self.bounds),
-            cell_size,
-            &live_points,
-        ));
+        self.grid = density_grid(Some(cell_size), &self.bounds, &live_points);
     }
 
     // ------------------------------------------------------------------
@@ -610,6 +608,18 @@ impl std::fmt::Debug for NwcIndex {
             .field("iwp", &self.iwp.is_some())
             .finish()
     }
+}
+
+/// The density grid over `points` at cell size `cell`, covering
+/// [`grid_bounds`] of `data_bounds`: `None` when `cell` is `None` or not
+/// a positive finite number (DEP is then skipped). Every index kind
+/// builds its grid here.
+pub(crate) fn density_grid(
+    cell: Option<f64>,
+    data_bounds: &Rect,
+    points: &[Point],
+) -> Option<DensityGrid> {
+    cell.and_then(|cell| DensityGrid::from_cell_size(grid_bounds(data_bounds), cell, points))
 }
 
 /// The grid covers the paper's normalized space when the data fits in

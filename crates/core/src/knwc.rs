@@ -202,43 +202,6 @@ impl NwcIndex {
         self.try_knwc_impl(query, scheme, false, scratch, &Budget::none())
     }
 
-    /// Answers a kNWC query with the paper's §3.4 Steps 1–5 implemented
-    /// *verbatim* (in-place insertion with eviction, no candidate
-    /// buffer). Kept as an ablation reference: on typical workloads it
-    /// matches [`NwcIndex::knwc`], but an eviction cascade can leave it
-    /// with fewer/different groups (see the module docs), which is why
-    /// the buffered variant is the default.
-    pub fn knwc_paper_steps(&self, query: &KnwcQuery, scheme: Scheme) -> KnwcResult {
-        let mut sink = PaperStepsSink {
-            k: query.k,
-            m: query.m,
-            groups: Vec::with_capacity(query.k),
-        };
-        let searched = self.search(
-            &query.base,
-            scheme,
-            &mut sink,
-            &mut QueryScratch::default(),
-            &Budget::none(),
-        );
-        let stats = match searched {
-            Ok((stats, _)) => stats,
-            Err(e) => unrecoverable(e),
-        };
-        KnwcResult {
-            groups: sink
-                .groups
-                .into_iter()
-                .map(|g| KnwcGroup {
-                    objects: g.entries,
-                    distance: g.score,
-                    window: g.window,
-                })
-                .collect(),
-            stats,
-        }
-    }
-
     fn knwc_impl(
         &self,
         query: &KnwcQuery,
@@ -464,68 +427,6 @@ impl GroupSink for GroupsSink {
     }
 }
 
-/// The paper's §3.4 Steps 1–5 sink, verbatim (ablation reference).
-struct PaperStepsSink {
-    k: usize,
-    m: usize,
-    groups: Vec<StoredGroup>, // ascending by score
-}
-
-impl GroupSink for PaperStepsSink {
-    fn threshold(&self) -> f64 {
-        if self.groups.len() == self.k {
-            self.groups.last().map_or(f64::INFINITY, |g| g.score)
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn offer(&mut self, group: Vec<Entry>, score: f64, window: Rect, stats: &mut SearchStats) {
-        // Step 2 (i = k case): all k groups are closer — drop.
-        if self.groups.len() == self.k && self.groups.last().is_some_and(|g| g.score <= score) {
-            return;
-        }
-        let mut ids: Vec<ObjectId> = group.iter().map(|e| e.id).collect();
-        ids.sort_unstable();
-        if self.groups.iter().any(|g| g.ids == ids) {
-            return; // identical set rediscovered
-        }
-        // Step 2: i = number of strictly closer groups.
-        let i = self.groups.partition_point(|g| g.score < score);
-        // Step 3: compatibility with every closer group.
-        if self.groups[..i]
-            .iter()
-            .any(|g| overlap_count(&g.ids, &ids) > self.m)
-        {
-            return;
-        }
-        // Step 4: evict the k-th group when full; insert at position i.
-        if self.groups.len() == self.k {
-            self.groups.pop();
-        }
-        self.groups.insert(
-            i,
-            StoredGroup {
-                ids,
-                entries: group,
-                score,
-                window,
-            },
-        );
-        // Step 5: drop farther groups that conflict with the newcomer.
-        let new_ids = self.groups[i].ids.clone();
-        let mut j = i + 1;
-        while j < self.groups.len() {
-            if overlap_count(&self.groups[j].ids, &new_ids) > self.m {
-                self.groups.remove(j);
-            } else {
-                j += 1;
-            }
-        }
-        stats.best_updates += 1;
-    }
-}
-
 /// `|a ∩ b|` for sorted id slices.
 fn overlap_count(a: &[ObjectId], b: &[ObjectId]) -> usize {
     let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
@@ -644,22 +545,6 @@ mod tests {
         for a in 0..sets.len() {
             for b in a + 1..sets.len() {
                 assert_ne!(sets[a], sets[b]);
-            }
-        }
-    }
-
-    #[test]
-    fn paper_steps_variant_matches_on_well_separated_data() {
-        // With spatially separated clusters there are no eviction
-        // cascades, so Steps 1–5 and the buffered greedy agree exactly.
-        let idx = NwcIndex::build(three_clusters());
-        for (qx, qy) in [(0.0, 0.0), (50.0, 0.0), (90.0, 90.0)] {
-            let query = KnwcQuery::new(pt(qx, qy), WindowSpec::square(5.0), 3, 3, 0);
-            let buffered = idx.knwc(&query, Scheme::NWC_PLUS);
-            let verbatim = idx.knwc_paper_steps(&query, Scheme::NWC_PLUS);
-            assert_eq!(buffered.groups.len(), verbatim.groups.len());
-            for (a, b) in buffered.groups.iter().zip(&verbatim.groups) {
-                assert_eq!(a.id_set(), b.id_set());
             }
         }
     }

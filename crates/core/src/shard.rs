@@ -71,7 +71,7 @@ use crate::algo::{best_first, canonical_less, tie_inclusive, BestSink, SearchEnd
 use crate::anytime::{AnytimeKnwc, AnytimeNwc, Approx, BudgetSpent};
 use crate::candidates::{CountTest, GroupSink};
 use crate::engine::scatter_map;
-use crate::index::{grid_bounds, DiskIndexConfig, IndexConfig, IndexOpenError, IndexUpdateError};
+use crate::index::{density_grid, DiskIndexConfig, IndexConfig, IndexOpenError, IndexUpdateError};
 use crate::knwc::{GroupsCore, KnwcResult};
 use crate::query::{KnwcQuery, NwcQuery, QueryError};
 use crate::result::{NwcResult, SearchStats};
@@ -358,9 +358,7 @@ impl ShardedNwcIndex {
                 NwcIndex::from_entries(tile, shard_cfg)
             })
             .collect();
-        let grid = config
-            .grid_cell_size
-            .map(|cell| DensityGrid::from_cell_size(grid_bounds(&bounds), cell, &points));
+        let grid = density_grid(config.grid_cell_size, &bounds, &points);
         ShardedNwcIndex {
             shards: shard_indexes,
             grid,
@@ -416,8 +414,7 @@ impl ShardedNwcIndex {
                 }
             }
         }
-        let grid = grid_cell_size
-            .map(|cell| DensityGrid::from_cell_size(grid_bounds(&bounds), cell, &all_points));
+        let grid = density_grid(grid_cell_size, &bounds, &all_points);
         Ok(ShardedNwcIndex {
             next_id: id_after(&owner),
             shards,
@@ -1097,9 +1094,7 @@ impl ShardedNwcIndex {
         let bounds = Rect::bounding(all_points.iter().copied()).ok_or_else(|| {
             ShardedStoreError::Manifest("manifest names shards but no shard holds objects".into())
         })?;
-        let grid = config
-            .grid_cell_size
-            .map(|cell| DensityGrid::from_cell_size(grid_bounds(&bounds), cell, &all_points));
+        let grid = density_grid(config.grid_cell_size, &bounds, &all_points);
         Ok(ShardedNwcIndex {
             next_id: id_after(&owner),
             shards,

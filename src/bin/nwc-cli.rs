@@ -207,9 +207,10 @@ fn stats(args: &[String]) -> Result<(), String> {
     );
     if let Some(grid) = index.grid() {
         println!(
-            "density grid: {}x{} cells, {} KB heap",
+            "density grid: {}x{} cells, refinement R = {}, {} KB heap",
             grid.cells_per_side(),
             grid.cells_per_side(),
+            grid.refinement(),
             grid.bytes() / 1024
         );
     }

@@ -2,8 +2,9 @@
 //! agreement, I/O orderings the paper's evaluation depends on, and
 //! storage accounting.
 
-use nwc::core::{IndexConfig, SearchStats};
-use nwc::grid::PAPER_GRID_CELL;
+use nwc::core::{DiskIndexConfig, IndexConfig, SearchStats};
+use nwc::datagen::CA_CARDINALITY;
+use nwc::grid::{MAX_REFINE, PAPER_GRID_CELL};
 use nwc::prelude::*;
 
 fn trio() -> Vec<Dataset> {
@@ -58,6 +59,91 @@ fn optimizations_beat_baseline_on_average() {
         assert!(star < base, "{}: NWC* {star} !< NWC {base}", ds.name);
         assert!(star <= plus * 1.05, "{}: NWC* {star} should be ≈≤ NWC+ {plus}", ds.name);
     }
+}
+
+#[test]
+fn refined_default_grid_cuts_window_queries_with_the_same_answers() {
+    // The library default is the 12.5 dense grid with each occupied cell
+    // refined by 3; the refined level only adds the search-region bound,
+    // so it may cancel more window queries but never change an answer.
+    let ca = Dataset::paper_trio_scaled(CA_CARDINALITY / 20, 100, 100, 2016).swap_remove(0);
+    assert_eq!(ca.points.len(), 3_127);
+    let refined = NwcIndex::build(ca.points.clone());
+    let dense = NwcIndex::build_with(
+        ca.points.clone(),
+        IndexConfig {
+            grid_cell_size: Some(12.5),
+            ..IndexConfig::default()
+        },
+    );
+    let shape = |index: &NwcIndex| index.grid().map(|g| (g.cells_per_side(), g.refinement()));
+    assert_eq!(shape(&refined), Some((800, 3)));
+    assert_eq!(shape(&dense), Some((800, 1)));
+    let (mut with_refined, mut without) = (SearchStats::default(), SearchStats::default());
+    for q in Dataset::query_points(25, 2016) {
+        let query = NwcQuery::new(q, WindowSpec::square(200.0), 8);
+        let (a, a_stats) = refined.nwc_full(&query, Scheme::NWC_STAR);
+        let (b, b_stats) = dense.nwc_full(&query, Scheme::NWC_STAR);
+        let key = |r: Option<NwcResult>| r.map(|r| (r.objects, r.distance.to_bits()));
+        assert_eq!(key(a), key(b), "query at {q:?}");
+        with_refined.accumulate(&a_stats);
+        without.accumulate(&b_stats);
+    }
+    assert!(
+        with_refined.window_queries < without.window_queries,
+        "window queries: refined {} vs dense {}",
+        with_refined.window_queries,
+        without.window_queries
+    );
+    assert!(with_refined.io_total <= without.io_total);
+}
+
+#[test]
+fn every_grid_cell_size_builds_a_bounded_grid_or_none() {
+    // 0.01 asks for a 10⁶ × 10⁶ grid: it is clamped to the finest
+    // refinement. Zero, negative and non-finite cells build no grid, so
+    // DEP is skipped as for `None`. Either way the answers are the same.
+    let points = Dataset::paper_trio_scaled(1_500, 100, 100, 7).swap_remove(0).points;
+    let no_grid = IndexConfig {
+        grid_cell_size: None,
+        ..IndexConfig::default()
+    };
+    let reference = NwcIndex::build_with(points.clone(), no_grid);
+    let path = std::env::temp_dir().join(format!("nwc-grid-cells-{}.nwc", std::process::id()));
+    reference.save_tree(&path).expect("save page file");
+    let queries: Vec<NwcQuery> = Dataset::query_points(6, 7)
+        .into_iter()
+        .map(|q| NwcQuery::new(q, WindowSpec::square(64.0), 8))
+        .collect();
+    let key = |r: Option<NwcResult>| r.map(|r| (r.objects, r.distance.to_bits()));
+    for cell in [0.01, 0.0, -25.0, f64::NAN, f64::INFINITY] {
+        let config = IndexConfig {
+            grid_cell_size: Some(cell),
+            ..IndexConfig::default()
+        };
+        let arena = NwcIndex::build_with(points.clone(), config);
+        let disk_config = DiskIndexConfig {
+            grid_cell_size: Some(cell),
+            ..DiskIndexConfig::default()
+        };
+        let disk = NwcIndex::open_disk(&path, disk_config).expect("open page file");
+        let sharded = ShardedNwcIndex::build_with(points.clone(), 3, config).with_threads(1);
+        let expected = (cell == 0.01).then_some((800, MAX_REFINE));
+        let shape = |grid: Option<&nwc::grid::DensityGrid>| {
+            grid.map(|g| (g.cells_per_side(), g.refinement()))
+        };
+        assert_eq!(shape(arena.grid()), expected, "cell {cell}");
+        assert_eq!(shape(disk.grid()), expected, "cell {cell}");
+        assert_eq!(shape(sharded.grid()), expected, "cell {cell}");
+        for query in &queries {
+            let want = key(reference.nwc(query, Scheme::NWC_STAR));
+            assert_eq!(key(arena.nwc(query, Scheme::NWC_STAR)), want);
+            assert_eq!(key(disk.nwc(query, Scheme::NWC_STAR)), want);
+            let scattered = sharded.try_nwc_full(query, Scheme::NWC_STAR).expect("arena scatter");
+            assert_eq!(key(scattered.0), want);
+        }
+    }
+    std::fs::remove_file(&path).expect("remove page file");
 }
 
 #[test]
