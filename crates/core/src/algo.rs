@@ -6,12 +6,12 @@
 //! holding both index nodes and objects in ascending `MINDIST`/distance
 //! order). Nodes are pruned by DIP/DEP before expansion; objects have
 //! their search region built (reduced/skipped by SRR, cancelled by DEP),
-//! queried (through IWP when enabled), and their candidate windows
-//! scanned. Two seams let the same loop serve every query: a
-//! [`GroupSink`] decides which offered groups to keep (the single best
-//! for NWC, the top-k list for kNWC), and a [`Qualifier`] decides what
-//! makes a window qualified (an object count or a weight sum) together
-//! with the DEP bound that matches it.
+//! answered (under IWP from their leaf's shared neighbourhood), and
+//! their candidate windows scanned. Two seams let the same loop serve
+//! every query: a [`GroupSink`] decides which offered groups to keep
+//! (the single best for NWC, the top-k list for kNWC), and a
+//! [`Qualifier`] decides what makes a window qualified (an object count
+//! or a weight sum) together with the DEP bound that matches it.
 
 use crate::anytime::{AnytimeNwc, Approx};
 use crate::candidates::{CountTest, GroupSink, Qualifier};
@@ -19,12 +19,12 @@ use crate::index::NwcIndex;
 use crate::query::{unrecoverable, NwcQuery, QueryError};
 use crate::result::{NwcResult, SearchStats};
 use crate::scheme::Scheme;
-use crate::scratch::QueryScratch;
+use crate::scratch::{slice_region, QueryScratch};
 use nwc_geom::window::{
     extended_mbr, node_window_lower_bound, reduced_search_region, search_region, WindowSpec,
 };
 use nwc_geom::{Point, Quadrant, Rect};
-use nwc_rtree::{BrowseItem, Budget, CancelKind, Entry, TreeError};
+use nwc_rtree::{BrowseItem, Budget, CancelKind, Entry, IwpIndex, NodeId, TreeError};
 
 /// How the search loop stopped.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -58,12 +58,20 @@ impl SearchEnd {
 
 /// The best-first search of Algorithm 1, over `trees[owner]`.
 ///
-/// The owner's tree drives the traversal. Every candidate window is
-/// answered by the **union** of all trees' window queries: the owner
-/// through its IWP when the scheme asks and the tree has it, every other
-/// tree from its root. An unsharded index passes itself as the only
-/// tree; the sharded planner passes its shard slice, and the sink then
-/// carries the cross-shard bound.
+/// The owner's tree drives the traversal. Every search region is
+/// answered from the **union** of all trees: the owner's, then every
+/// other tree's whose live-point bounds meet the queried rectangle. An
+/// unsharded index passes itself as the only tree; the sharded planner
+/// passes its shard slice, and the sink then carries the cross-shard
+/// bound.
+///
+/// Without IWP each search region is one window query from every
+/// tree's root. Under IWP the search shares one fetch per leaf
+/// ([`Neighbourhoods`](crate::scratch::Neighbourhoods), DESIGN.md §4m):
+/// the first object of a leaf that needs its region answered fetches
+/// every entry of the leaf MBR's DEP extension — through the owner's
+/// IWP pointers when it has them, from its root otherwise — and each of
+/// the leaf's objects slices its region out of that list.
 ///
 /// DEP and IWP only prune I/O; neither changes an answer. So a scheme
 /// whose structure is absent — never built, or invalidated by a write —
@@ -97,7 +105,8 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
     let Some(own) = trees.get(owner) else {
         return Ok((SearchStats::default(), SearchEnd::Complete));
     };
-    let iwp = if scheme.needs_iwp() { own.iwp() } else { None };
+    let shared = scheme.needs_iwp();
+    let iwp = if shared { own.iwp() } else { None };
     let tree = own.tree();
     let io = tree.stats();
     let mut stats = SearchStats::default();
@@ -112,13 +121,15 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
         browser.set_budget(budget.clone());
     }
     let neighbors = &mut scratch.neighbors;
+    let leaves = &mut scratch.leaves;
+    leaves.begin();
     let mut end = SearchEnd::Complete;
     'search: while let Some(item) = browser.next() {
         // Best-first key of the item in hand: the frontier lower bound
         // should the budget expire while processing it.
         let key = item.key();
         match item {
-            BrowseItem::Node { id, mbr, .. } => {
+            BrowseItem::Node { id, level, mbr, .. } => {
                 if scheme.dip && node_window_lower_bound(&q, &mbr, spec) > sink.threshold() {
                     stats.nodes_pruned_by_dip += 1;
                     continue;
@@ -131,6 +142,9 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
                 let expanded = browser.try_expand(id);
                 stats.io_traversal += io.since(snap);
                 match expanded {
+                    // The browser numbers expanded leaves in this same
+                    // order, so `leaf_visit` indexes these records.
+                    Ok(()) if shared && level == 0 => leaves.expanded(mbr),
                     Ok(()) => {}
                     Err(TreeError::Cancelled(kind)) => {
                         end = SearchEnd::Exhausted { kind, frontier: key };
@@ -139,63 +153,69 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
                     Err(other) => return Err(other.into()),
                 }
             }
-            BrowseItem::Object { entry, leaf, .. } => {
+            BrowseItem::Object {
+                entry,
+                leaf,
+                leaf_visit,
+                ..
+            } => {
                 stats.objects_visited += 1;
+                // No object of the leaf remains in the frontier: its
+                // neighbourhood goes back to the pool after this one.
+                let last_of_leaf = shared && browser.leaf_pending(leaf_visit) == 0;
                 let quad = Quadrant::of(&q, &entry.point);
                 // Algorithm 1 line 14: build SR_p (reduced when SRR on).
-                let sr: Option<Rect> = if scheme.srr {
+                let sr = if scheme.srr {
                     reduced_search_region(&q, &entry.point, spec, sink.threshold())
                 } else {
                     Some(search_region(&entry.point, quad, spec))
                 };
-                let Some(sr) = sr else {
-                    stats.skipped_by_srr += 1;
-                    continue;
-                };
-                if scheme.dep && qualifier.region_too_sparse(&sr, spec.w) {
-                    stats.skipped_by_dep += 1;
-                    continue;
-                }
-                if let Some(kind) = budget.exceeded(|| io.since(budget_base)) {
-                    end = SearchEnd::Exhausted { kind, frontier: key };
-                    break 'search;
-                }
-                stats.window_queries += 1;
-                neighbors.clear();
-                let snap = io.snapshot();
-                // Owner first (leaf-anchored IWP when available), then
-                // the union over every other tree from its root — tree
-                // contents are disjoint, so the append-union has no
-                // duplicates and equals the single-tree result set.
-                // Trees whose live-point bounding box misses `sr` are
-                // skipped without touching them: every live point lies
-                // inside its tree's bounds (insert expands them, remove
-                // never shrinks), so such a tree cannot contribute a
-                // neighbor. STR tiles are near disjoint, so candidate
-                // windows — much smaller than a tile — cross into other
-                // shards only near tile seams, and the cross-shard root
-                // re-descents that would otherwise dominate sharded I/O
-                // almost all vanish.
-                match iwp {
-                    Some(iwp) => iwp.try_window_query_into(tree, leaf, &sr, neighbors)?,
-                    None => tree.try_window_query_into(&sr, neighbors)?,
-                }
-                for (j, other) in trees.iter().enumerate() {
-                    if j != owner && other.bounds().intersects(&sr) {
-                        other.tree().try_window_query_into(&sr, neighbors)?;
+                let sr = match sr {
+                    None => {
+                        stats.skipped_by_srr += 1;
+                        None
                     }
+                    Some(sr) if scheme.dep && qualifier.region_too_sparse(&sr, spec.w) => {
+                        stats.skipped_by_dep += 1;
+                        None
+                    }
+                    sr => sr,
+                };
+                if let Some(sr) = sr {
+                    if let Some(kind) = budget.exceeded(|| io.since(budget_base)) {
+                        end = SearchEnd::Exhausted { kind, frontier: key };
+                        break 'search;
+                    }
+                    stats.window_queries += 1;
+                    neighbors.clear();
+                    let snap = io.snapshot();
+                    let neighbourhood = if shared {
+                        leaves.get_or_fetch(leaf_visit, |leaf_mbr, out| {
+                            let region = extended_mbr(&q, leaf_mbr, spec);
+                            union_window_query(trees, owner, iwp.map(|i| (i, leaf)), &region, out)
+                        })?
+                    } else {
+                        None
+                    };
+                    match neighbourhood {
+                        Some(neighbourhood) => slice_region(neighbourhood, &sr, neighbors),
+                        None => union_window_query(trees, owner, None, &sr, neighbors)?,
+                    }
+                    stats.io_window_queries += io.since(snap);
+                    qualifier.scan(
+                        &q,
+                        spec,
+                        &entry,
+                        quad,
+                        neighbors,
+                        &mut scratch.by_dist,
+                        sink,
+                        &mut stats,
+                    );
                 }
-                stats.io_window_queries += io.since(snap);
-                qualifier.scan(
-                    &q,
-                    spec,
-                    &entry,
-                    quad,
-                    neighbors,
-                    &mut scratch.by_dist,
-                    sink,
-                    &mut stats,
-                );
+                if last_of_leaf {
+                    leaves.release(leaf_visit);
+                }
             }
         }
     }
@@ -213,6 +233,39 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
     stats.retries = errors.retries;
     stats.transient_errors = errors.transient_errors;
     Ok((stats, end))
+}
+
+/// Appends every entry of every tree inside `rect` to `out`: the
+/// owner's first — from `leaf`'s IWP pointers when given, else from its
+/// root — then every other tree's from its root. Tree contents are
+/// disjoint, so the append-union has no duplicates and equals the
+/// single-tree result set.
+///
+/// Trees whose live-point bounding box misses `rect` are skipped
+/// without touching them: every live point lies inside its tree's
+/// bounds (insert expands them, remove never shrinks), so such a tree
+/// cannot contribute. STR tiles are near disjoint, so the queried
+/// rectangles — much smaller than a tile — cross into other shards only
+/// near tile seams.
+fn union_window_query(
+    trees: &[NwcIndex],
+    owner: usize,
+    leaf: Option<(&IwpIndex, NodeId)>,
+    rect: &Rect,
+    out: &mut Vec<Entry>,
+) -> Result<(), QueryError> {
+    if let Some(own) = trees.get(owner) {
+        match leaf {
+            Some((iwp, leaf)) => iwp.try_window_query_into(own.tree(), leaf, rect, out)?,
+            None => own.tree().try_window_query_into(rect, out)?,
+        }
+    }
+    for (j, other) in trees.iter().enumerate() {
+        if j != owner && other.bounds().intersects(rect) {
+            other.tree().try_window_query_into(rect, out)?;
+        }
+    }
+    Ok(())
 }
 
 impl NwcIndex {

@@ -43,7 +43,9 @@ pub struct SearchStats {
     pub buffer_hits: u64,
     /// Objects dequeued from the priority queue.
     pub objects_visited: u64,
-    /// Window queries actually issued.
+    /// Search regions answered: each by its own window query, or under
+    /// IWP from its leaf's shared neighbourhood (one window query per
+    /// leaf, whose node accesses `io_window_queries` counts).
     pub window_queries: u64,
     /// Window queries skipped by SRR (empty reduced region).
     pub skipped_by_srr: u64,

@@ -30,8 +30,14 @@ pub struct Scheme {
     /// Density-based pruning (§3.3.3): prune nodes and cancel window
     /// queries whose density-grid upper bound is below `n`.
     pub dep: bool,
-    /// Incremental window query processing (§3.3.4): answer window
-    /// queries from backward/overlapping pointers instead of the root.
+    /// Incremental window query processing (§3.3.4), with the window
+    /// queries shared per leaf: the first object of a leaf that needs
+    /// its search region answered fetches the leaf's neighbourhood —
+    /// every object in the DEP extension of the leaf MBR, which contains
+    /// the search region of every object of the leaf — once per query,
+    /// starting from the leaf's backward/overlapping pointers (from the
+    /// root when the index holds no pointers). Every object of the leaf
+    /// then takes its search region from that list.
     pub iwp: bool,
 }
 

@@ -45,6 +45,10 @@ pub enum BrowseItem {
         dist: f64,
         /// The leaf node that stored the entry.
         leaf: NodeId,
+        /// The leaf's position among the leaves this traversal expanded,
+        /// in expansion order (0 = first); see
+        /// [`Browser::leaf_pending`].
+        leaf_visit: u32,
     },
 }
 
@@ -102,6 +106,7 @@ impl Ord for HeapItem {
 #[derive(Default)]
 pub struct BrowserScratch {
     heap: BinaryHeap<HeapItem>,
+    leaf_pending: Vec<u32>,
 }
 
 impl BrowserScratch {
@@ -111,9 +116,10 @@ impl BrowserScratch {
         Self::default()
     }
 
-    /// Heap slots currently retained (diagnostics / tests).
+    /// Heap and leaf-bookkeeping slots currently retained (diagnostics /
+    /// tests).
     pub fn heap_capacity(&self) -> usize {
-        self.heap.capacity()
+        self.heap.capacity() + self.leaf_pending.capacity()
     }
 }
 
@@ -129,6 +135,9 @@ pub struct Browser<'t> {
     /// The calling thread's access tally when the budget was armed; the
     /// I/O allowance is measured as accesses since this point.
     io_base: u64,
+    /// Per expanded leaf, indexed by `leaf_visit`: how many of its
+    /// objects are still in the frontier.
+    leaf_pending: Vec<u32>,
 }
 
 impl<'t> Browser<'t> {
@@ -145,6 +154,8 @@ impl<'t> Browser<'t> {
     pub fn new_with(tree: &'t RStarTree, query: Point, scratch: &mut BrowserScratch) -> Self {
         let mut heap = std::mem::take(&mut scratch.heap);
         heap.clear();
+        let mut leaf_pending = std::mem::take(&mut scratch.leaf_pending);
+        leaf_pending.clear();
         if !tree.is_empty() {
             let root = tree.root();
             let mbr = tree.node_mbr(root);
@@ -166,6 +177,7 @@ impl<'t> Browser<'t> {
             heap,
             budget: crate::Budget::none(),
             io_base: 0,
+            leaf_pending,
         }
     }
 
@@ -187,6 +199,7 @@ impl<'t> Browser<'t> {
     pub fn recycle(mut self, scratch: &mut BrowserScratch) {
         self.heap.clear();
         scratch.heap = self.heap;
+        scratch.leaf_pending = self.leaf_pending;
     }
 
     /// The query point this browser orders by.
@@ -199,7 +212,24 @@ impl<'t> Browser<'t> {
     /// contents are only read by [`Browser::expand`].
     #[allow(clippy::should_implement_trait)] // cursor, deliberately not an Iterator (expand() interleaves)
     pub fn next(&mut self) -> Option<BrowseItem> {
-        self.heap.pop().map(|h| h.item)
+        let item = self.heap.pop()?.item;
+        if let BrowseItem::Object { leaf_visit, .. } = item {
+            if let Some(pending) = self.leaf_pending.get_mut(leaf_visit as usize) {
+                *pending = pending.saturating_sub(1);
+            }
+        }
+        Some(item)
+    }
+
+    /// How many objects of the leaf expanded as `leaf_visit` (see
+    /// [`BrowseItem::Object`]) are still in the frontier. Once it reads 0
+    /// after popping one of them, that object was the leaf's last: state
+    /// the caller keeps per leaf can be released.
+    pub fn leaf_pending(&self, leaf_visit: u32) -> u32 {
+        self.leaf_pending
+            .get(leaf_visit as usize)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Key of the next item without popping it.
@@ -229,6 +259,8 @@ impl<'t> Browser<'t> {
         let node = self.tree.try_read_node(id)?;
         match &node.kind {
             NodeKind::Leaf(entries) => {
+                let leaf_visit = self.leaf_pending.len() as u32;
+                self.leaf_pending.push(entries.len() as u32);
                 for &e in entries {
                     self.heap.push(HeapItem {
                         key: e.point.dist(&self.query),
@@ -237,6 +269,7 @@ impl<'t> Browser<'t> {
                             entry: e,
                             dist: e.point.dist(&self.query),
                             leaf: id,
+                            leaf_visit,
                         },
                     });
                 }
@@ -426,6 +459,36 @@ mod tests {
             assert_eq!(gd, pd);
             assert!(scratch.heap_capacity() > 0, "storage must be recycled");
         }
+    }
+
+    #[test]
+    fn leaf_pending_counts_each_leafs_objects_left_in_the_frontier() {
+        let (t, pts) = sample();
+        let mut b = t.browse(pt(50.0, 50.0));
+        // Per leaf_visit: entries pushed, objects popped so far.
+        let mut leaves: Vec<(u32, u32)> = Vec::new();
+        while let Some(item) = b.next() {
+            match item {
+                BrowseItem::Node { id, level, .. } => {
+                    b.expand(id);
+                    if level == 0 {
+                        let NodeKind::Leaf(entries) = &t.peek_node(id).kind else {
+                            panic!("level-0 node is not a leaf");
+                        };
+                        leaves.push((entries.len() as u32, 0));
+                    }
+                }
+                BrowseItem::Object { leaf_visit, .. } => {
+                    let leaf = &mut leaves[leaf_visit as usize];
+                    leaf.1 += 1;
+                    assert_eq!(b.leaf_pending(leaf_visit), leaf.0 - leaf.1);
+                }
+            }
+        }
+        assert!(leaves.len() > 1);
+        assert!(leaves.iter().all(|&(pushed, popped)| pushed == popped));
+        let popped: u32 = leaves.iter().map(|l| l.1).sum();
+        assert_eq!(popped as usize, pts.len());
     }
 
     #[test]

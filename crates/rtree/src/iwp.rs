@@ -18,6 +18,13 @@
 //! pointer whose MBR covers the query rectangle — plus the overlap
 //! targets intersecting the rectangle — instead of the root.
 //!
+//! The NWC search (`nwc-core`) issues one such query per leaf, not per
+//! object: its rectangle is the leaf's *neighbourhood*, the DEP
+//! extension of the leaf MBR, which contains the search region of every
+//! object in the leaf. On clustered data a leaf's MBR rarely covers a
+//! search region, so a per-object query starts above the leaf anyway;
+//! per leaf, one such start serves all of the leaf's objects.
+//!
 //! The index is built once over a static tree; mutating the tree
 //! invalidates it (rebuild after updates).
 
@@ -422,7 +429,7 @@ mod tests {
         loop {
             match browser.next().expect("point must be found") {
                 crate::BrowseItem::Node { id, .. } => browser.expand(id),
-                crate::BrowseItem::Object { entry, dist, leaf } => {
+                crate::BrowseItem::Object { entry, dist, leaf, .. } => {
                     if dist == 0.0 {
                         return (entry.id, leaf);
                     }

@@ -65,6 +65,7 @@ pub use iwp::{IwpIndex, IwpStorage};
 pub use node::NodeId;
 pub use page::{PageError, PageFile, PageLayout, PAGE_SIZE};
 pub use params::TreeParams;
+pub use query::entries_inside_into;
 pub use stats::{ErrorCounters, IoStats};
 pub use tree::{RStarTree, TreeError};
 

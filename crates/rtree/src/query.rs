@@ -49,6 +49,20 @@ fn fill_intersect_mask(node: &Node, branches: &[Branch], base: usize, rect: &Rec
     }
 }
 
+/// Appends the entries of `entries` whose point lies inside the closed
+/// window `rect` to `out`, in entry order: a window query's leaf scan,
+/// also usable on any entry list (a leaf neighbourhood, say).
+pub fn entries_inside_into(entries: &[Entry], rect: &Rect, out: &mut Vec<Entry>) {
+    for chunk in entries.chunks(LEAF_CHUNK) {
+        let mut mask = leaf_inside_mask(chunk, rect);
+        out.reserve(mask.count_ones() as usize);
+        while mask != 0 {
+            out.extend(chunk.get(mask.trailing_zeros() as usize));
+            mask &= mask - 1;
+        }
+    }
+}
+
 impl RStarTree {
     /// Returns every entry whose point lies inside the (closed) window
     /// `rect`, visiting the tree top-down and charging one node access
@@ -120,16 +134,7 @@ impl RStarTree {
     ) -> Result<(), TreeError> {
         let node = self.try_read_node(start)?;
         match &node.kind {
-            NodeKind::Leaf(entries) => {
-                for chunk in entries.chunks(LEAF_CHUNK) {
-                    let mut mask = leaf_inside_mask(chunk, rect);
-                    out.reserve(mask.count_ones() as usize);
-                    while mask != 0 {
-                        out.extend(chunk.get(mask.trailing_zeros() as usize));
-                        mask &= mask - 1;
-                    }
-                }
-            }
+            NodeKind::Leaf(entries) => entries_inside_into(entries, rect, out),
             NodeKind::Internal(branches) => {
                 let mut mask = [false; MASK_CHUNK];
                 let mut base = 0;

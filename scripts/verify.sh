@@ -54,7 +54,11 @@ cargo test -q --offline --manifest-path nwc-benchmark/Cargo.toml
 # and anytime kNWC paths, and a panic in it would poison the sharded
 # planner's mutex; candidates.rs, weighted.rs, ingest.rs and scratch.rs
 # sit on the same query and push paths. The density grids join too:
-# DEP's count bound runs once per search region, on every query.
+# DEP's count bound runs once per search region, on every query. So do
+# the scheme, result and constrained-query types every query path
+# builds, and the geometry beneath every search: window.rs computes the
+# search regions and the leaf neighbourhoods IWP shares, rect.rs and
+# quadrant.rs the predicates both are tested with.
 step "lint: no panic paths in the disk query read path"
 for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
          crates/rtree/src/query.rs crates/rtree/src/iwp.rs \
@@ -66,6 +70,10 @@ for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
          crates/core/src/anytime.rs crates/core/src/knwc.rs \
          crates/core/src/candidates.rs crates/core/src/weighted.rs \
          crates/core/src/ingest.rs crates/core/src/scratch.rs \
+         crates/core/src/constrained.rs crates/core/src/result.rs \
+         crates/core/src/scheme.rs \
+         crates/geom/src/window.rs crates/geom/src/rect.rs \
+         crates/geom/src/quadrant.rs \
          crates/serve/src/protocol.rs crates/serve/src/histogram.rs \
          crates/serve/src/handle.rs crates/serve/src/server.rs \
          crates/serve/src/client.rs; do

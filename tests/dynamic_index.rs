@@ -130,8 +130,8 @@ fn iwp_scheme_falls_back_until_rebuilt_after_update() {
     index.insert(Point::new(50.0, 50.0)).unwrap();
     assert!(index.iwp().is_none(), "update must invalidate IWP");
     let query = NwcQuery::new(Point::new(0.0, 0.0), WindowSpec::square(4.0), 2);
-    // IWP only prunes I/O: without it NWC* answers through plain window
-    // queries, exactly like NWC+ with DEP.
+    // IWP only prunes I/O: without its pointers NWC* fetches each leaf's
+    // neighbourhood from the root and answers exactly like NWC+.
     let fallback = index.try_nwc(&query, Scheme::NWC_STAR).unwrap().expect("pair exists");
     let reference = index.nwc(&query, Scheme::NWC_PLUS).expect("pair exists");
     assert_eq!(fallback.ids(), reference.ids());
@@ -163,4 +163,51 @@ fn dep_stays_correct_for_inserts_outside_the_original_space() {
     let mut ids = with_dep.ids();
     ids.sort_unstable();
     assert_eq!(ids, vec![50, 51, 52]);
+}
+
+#[test]
+fn nwc_star_after_a_write_matches_the_oracle_and_beats_nwc_plus() {
+    // An insert drops the IWP pointers. NWC* then fetches each leaf's
+    // shared neighbourhood from the root: still exact, and still far
+    // cheaper than NWC+'s root window query per visited object.
+    use nwc::core::oracle;
+    use nwc::datagen::CA_CARDINALITY;
+    let mut points = Dataset::paper_trio_scaled(CA_CARDINALITY / 20, 100, 100, 2016)
+        .swap_remove(0)
+        .points;
+    let mut index = NwcIndex::build(points.clone());
+    let extra = Point::new(5_000.0, 5_000.0);
+    index.insert(extra).unwrap();
+    points.push(extra);
+    assert!(index.iwp().is_none(), "update must invalidate IWP");
+    let (mut star_io, mut plus_io) = (0, 0);
+    for (i, q) in Dataset::query_points(25, 2016).into_iter().enumerate() {
+        let query = NwcQuery::new(q, WindowSpec::square(64.0), 8);
+        let (star, star_stats) = index.try_nwc_full(&query, Scheme::NWC_STAR).unwrap();
+        let (plus, plus_stats) = index.try_nwc_full(&query, Scheme::NWC_PLUS).unwrap();
+        star_io += star_stats.io_total;
+        plus_io += plus_stats.io_total;
+        let ids = |r: &Option<NwcResult>| {
+            r.as_ref().map(|g| {
+                let mut ids = g.ids();
+                ids.sort_unstable();
+                (g.distance, ids)
+            })
+        };
+        assert_eq!(ids(&star), ids(&plus), "q={q:?}");
+        // The brute-force oracle is quadratic in the data: check the
+        // first few queries against it.
+        if i < 4 {
+            let want = oracle::nwc_brute_force(&points, &query);
+            assert_eq!(
+                ids(&star),
+                want.map(|o| (o.distance, o.id_set())),
+                "q={q:?}"
+            );
+        }
+    }
+    assert!(
+        star_io < plus_io,
+        "NWC* {star_io} node accesses, NWC+ {plus_io}"
+    );
 }
