@@ -1,11 +1,11 @@
 //! Micro-benchmarks of the R\*-tree substrate: construction strategies,
-//! window queries (plain vs IWP-incremental), and distance browsing.
+//! window queries (plain vs through a node memo), and distance browsing.
 //! These back the ablation entries in DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nwc_datagen::Dataset;
 use nwc_geom::{Point, Rect};
-use nwc_rtree::{IwpIndex, RStarTree};
+use nwc_rtree::{NodeMemo, RStarTree};
 use std::time::Duration;
 
 fn data(n: usize) -> Vec<Point> {
@@ -29,24 +29,9 @@ fn construction(c: &mut Criterion) {
 fn window_queries(c: &mut Criterion) {
     let pts = data(10_000);
     let tree = RStarTree::bulk_load(&pts);
-    let iwp = IwpIndex::build(&tree);
-    // Representative local window around each probe object, queried
-    // through the probe's own leaf (the NWC access pattern).
-    let probes: Vec<(Point, nwc_rtree::NodeId)> = (0..64)
-        .map(|i| {
-            let p = pts[i * 311 % pts.len()];
-            let mut browser = tree.browse(p);
-            loop {
-                match browser.next().unwrap() {
-                    nwc_rtree::BrowseItem::Node { id, .. } => browser.expand(id),
-                    nwc_rtree::BrowseItem::Object { dist: 0.0, leaf, .. } => {
-                        break (p, leaf)
-                    }
-                    _ => {}
-                }
-            }
-        })
-        .collect();
+    // Representative local window around each probe object (the NWC
+    // access pattern: nearby probes share most of their descent).
+    let probes: Vec<Point> = (0..64).map(|i| pts[i * 311 % pts.len()]).collect();
     let window_of = |p: &Point| {
         Rect::new(
             Point::new(p.x - 8.0, p.y - 8.0),
@@ -58,17 +43,25 @@ fn window_queries(c: &mut Criterion) {
     g.bench_function("plain_root_descent", |b| {
         b.iter(|| {
             let mut total = 0usize;
-            for (p, _) in &probes {
+            for p in &probes {
                 total += tree.window_query(&window_of(p)).len();
             }
             total
         })
     });
-    g.bench_function("iwp_incremental", |b| {
+    // The 64 probes as one search: every descent goes through the same
+    // node memo, cleared once per iteration.
+    let mut memo = NodeMemo::new();
+    let mut out = Vec::new();
+    g.bench_function("memoised_root_descent", |b| {
         b.iter(|| {
+            memo.clear();
             let mut total = 0usize;
-            for (p, leaf) in &probes {
-                total += iwp.window_query(&tree, *leaf, &window_of(p)).len();
+            for p in &probes {
+                out.clear();
+                tree.try_window_query_memo_into(&window_of(p), &mut memo, &mut out)
+                    .expect("arena reads cannot fail");
+                total += out.len();
             }
             total
         })

@@ -7,7 +7,7 @@
 //! reproduction target; `EXPERIMENTS.md` records both.
 
 use crate::context::ExperimentContext;
-use crate::runner::{build_index, build_lean_index, measure_knwc, measure_nwc, reduction_rate};
+use crate::runner::{build_index, measure_knwc, measure_nwc, reduction_rate};
 use crate::table::Table;
 use nwc_analysis::{NwcCostModel, TreeModel};
 use nwc_core::{IndexConfig, NwcIndex, Scheme, WindowSpec};
@@ -108,7 +108,6 @@ pub fn fig9(ctx: &ExperimentContext) -> Table {
             ds.points.clone(),
             IndexConfig {
                 grid_cell_size: Some(PAPER_GRID_CELL),
-                build_iwp: false,
                 ..Default::default()
             },
         );
@@ -325,35 +324,24 @@ fn knwc_sweep<T: std::fmt::Display>(
     t
 }
 
-/// §5.2 storage overheads: density grid and IWP pointers per dataset.
+/// §5.2 storage overheads: the density grid per dataset. IWP builds
+/// no pointers here (a search reuses the nodes it has read; DESIGN.md
+/// §4m), so the paper's pointer overhead has no counterpart.
 pub fn storage(ctx: &ExperimentContext) -> Table {
     let mut t = Table::new(
         "Storage",
         "Auxiliary structure overheads (paper §5.2)",
-        vec![
-            "dataset",
-            "tree nodes",
-            "grid cells",
-            "grid heap KB",
-            "backward ptrs",
-            "overlap ptrs",
-            "IWP KB",
-        ],
+        vec!["dataset", "tree nodes", "grid cells", "grid heap KB"],
     );
     for ds in ctx.datasets() {
         eprint_progress(&format!("storage: {}", ds.name));
         let index = build_index(&ds);
         let grid = index.grid().unwrap();
-        let iwp = index.iwp().unwrap();
-        let s = iwp.storage();
         t.push_row(vec![
             ds.name.clone(),
             index.tree().node_count().to_string(),
             grid.cell_count().to_string(),
             format!("{:.0}", grid.bytes() as f64 / 1024.0),
-            s.backward_pointers.to_string(),
-            s.overlapping_pointers.to_string(),
-            format!("{:.0}", s.bytes() as f64 / 1024.0),
         ]);
     }
     t
@@ -445,7 +433,6 @@ pub fn ablation_build(ctx: &ExperimentContext) -> Table {
             IndexConfig {
                 grid_cell_size: Some(PAPER_GRID_CELL),
                 bulk_load: bulk,
-                build_iwp: false,
                 ..Default::default()
             },
         );
@@ -507,8 +494,9 @@ pub fn ablation_weighted(ctx: &ExperimentContext) -> Table {
     t
 }
 
-/// Ablation: IWP pointer layouts — exponential backward pointers vs
-/// none, isolating the incremental-window-query benefit per dataset.
+/// Ablation: IWP alone against the baseline — one window query per
+/// object from the root, vs one shared neighbourhood fetch per leaf
+/// through the search's node memo (DESIGN.md §4m) — per dataset.
 pub fn ablation_iwp(ctx: &ExperimentContext) -> Table {
     let queries = ctx.query_points();
     let mut t = Table::new(
@@ -518,11 +506,10 @@ pub fn ablation_iwp(ctx: &ExperimentContext) -> Table {
     );
     for ds in ctx.datasets() {
         eprint_progress(&format!("ablation_iwp: {}", ds.name));
-        let lean = build_lean_index(&ds);
-        let full = build_index(&ds);
+        let index = build_index(&ds);
         let spec = WindowSpec::square(DEFAULT_WINDOW);
-        let plain = measure_nwc(&lean, &queries, spec, DEFAULT_N, Scheme::NWC);
-        let iwp = measure_nwc(&full, &queries, spec, DEFAULT_N, Scheme::IWP);
+        let plain = measure_nwc(&index, &queries, spec, DEFAULT_N, Scheme::NWC);
+        let iwp = measure_nwc(&index, &queries, spec, DEFAULT_N, Scheme::IWP);
         t.push_row(vec![
             ds.name.clone(),
             format!("{:.0}", plain.avg_io),

@@ -9,25 +9,13 @@ use nwc_geom::Point;
 use nwc_grid::PAPER_GRID_CELL;
 use std::time::Instant;
 
-/// Builds the full index (tree + the paper's 25-unit grid + IWP) for a
+/// Builds the full index (tree + the paper's 25-unit grid) for a
 /// dataset.
 pub fn build_index(ds: &Dataset) -> NwcIndex {
     NwcIndex::build_with(
         ds.points.clone(),
         IndexConfig {
             grid_cell_size: Some(PAPER_GRID_CELL),
-            ..Default::default()
-        },
-    )
-}
-
-/// Builds a lean index (no grid, no IWP) for schemes that need neither.
-pub fn build_lean_index(ds: &Dataset) -> NwcIndex {
-    NwcIndex::build_with(
-        ds.points.clone(),
-        IndexConfig {
-            grid_cell_size: None,
-            build_iwp: false,
             ..Default::default()
         },
     )

@@ -6,7 +6,8 @@
 //! holding both index nodes and objects in ascending `MINDIST`/distance
 //! order). Nodes are pruned by DIP/DEP before expansion; objects have
 //! their search region built (reduced/skipped by SRR, cancelled by DEP),
-//! answered (under IWP from their leaf's shared neighbourhood), and
+//! answered (under IWP from their leaf's shared neighbourhood, fetched
+//! through the search's node memo), and
 //! their candidate windows scanned. Two seams let the same loop serve
 //! every query: a [`GroupSink`] decides which offered groups to keep
 //! (the single best for NWC, the top-k list for kNWC), and a
@@ -24,7 +25,7 @@ use nwc_geom::window::{
     extended_mbr, node_window_lower_bound, reduced_search_region, search_region, WindowSpec,
 };
 use nwc_geom::{Point, Quadrant, Rect};
-use nwc_rtree::{BrowseItem, Budget, CancelKind, Entry, IwpIndex, NodeId, TreeError};
+use nwc_rtree::{BrowseItem, Budget, CancelKind, Entry, NodeMemo, TreeError};
 
 /// How the search loop stopped.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -69,13 +70,16 @@ impl SearchEnd {
 /// tree's root. Under IWP the search shares one fetch per leaf
 /// ([`Neighbourhoods`](crate::scratch::Neighbourhoods), DESIGN.md §4m):
 /// the first object of a leaf that needs its region answered fetches
-/// every entry of the leaf MBR's DEP extension — through the owner's
-/// IWP pointers when it has them, from its root otherwise — and each of
-/// the leaf's objects slices its region out of that list.
+/// every entry of the leaf MBR's DEP extension, and each of the leaf's
+/// objects slices its region out of that list. The fetch descends from
+/// every tree's root through the search's node memo
+/// ([`NodeMemo`], one per tree slot): a node this search already read —
+/// expanded by the browser or reached by an earlier fetch — costs no
+/// node access. The memo drops every node handle when the search ends.
 ///
-/// DEP and IWP only prune I/O; neither changes an answer. So a scheme
-/// whose structure is absent — never built, or invalidated by a write —
-/// skips that pruning on every path instead of failing.
+/// DEP and IWP only prune I/O; neither changes an answer. DEP needs the
+/// density grid; an index without one skips DEP on every path instead
+/// of failing.
 ///
 /// An expired [`Budget`] is not an error: the search stops where it is
 /// (pins released, scratch intact, stats finalized for the covered
@@ -102,11 +106,40 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
     scratch: &mut QueryScratch,
     budget: &Budget,
 ) -> Result<(SearchStats, SearchEnd), QueryError> {
+    let shared = scheme.iwp;
+    if shared && scratch.memos.len() < trees.len() {
+        scratch.memos.resize_with(trees.len(), NodeMemo::default);
+    }
+    forget_nodes(scratch);
+    let searched = search_from(trees, owner, q, spec, scheme, qualifier, sink, scratch, budget);
+    forget_nodes(scratch);
+    searched
+}
+
+/// Drops every node handle the scratch's memos hold (see [`best_first`]).
+fn forget_nodes(scratch: &mut QueryScratch) {
+    for memo in &mut scratch.memos {
+        memo.clear();
+    }
+}
+
+/// The body of [`best_first`], run between two memo clears.
+#[allow(clippy::too_many_arguments)]
+fn search_from<S: GroupSink, Q: Qualifier>(
+    trees: &[NwcIndex],
+    owner: usize,
+    q: Point,
+    spec: &WindowSpec,
+    scheme: Scheme,
+    qualifier: &Q,
+    sink: &mut S,
+    scratch: &mut QueryScratch,
+    budget: &Budget,
+) -> Result<(SearchStats, SearchEnd), QueryError> {
     let Some(own) = trees.get(owner) else {
         return Ok((SearchStats::default(), SearchEnd::Complete));
     };
-    let shared = scheme.needs_iwp();
-    let iwp = if shared { own.iwp() } else { None };
+    let shared = scheme.iwp;
     let tree = own.tree();
     let io = tree.stats();
     let mut stats = SearchStats::default();
@@ -123,6 +156,9 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
     let neighbors = &mut scratch.neighbors;
     let leaves = &mut scratch.leaves;
     leaves.begin();
+    // Under IWP, one memo per tree slot; empty otherwise, so no fetch
+    // and no expansion goes through a memo.
+    let memos: &mut [NodeMemo] = if shared { &mut scratch.memos } else { &mut [] };
     let mut end = SearchEnd::Complete;
     'search: while let Some(item) = browser.next() {
         // Best-first key of the item in hand: the frontier lower bound
@@ -139,7 +175,10 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
                     continue;
                 }
                 let snap = io.snapshot();
-                let expanded = browser.try_expand(id);
+                let expanded = match memos.get_mut(owner) {
+                    Some(memo) => browser.try_expand_remembering(id, memo),
+                    None => browser.try_expand(id),
+                };
                 stats.io_traversal += io.since(snap);
                 match expanded {
                     // The browser numbers expanded leaves in this same
@@ -154,10 +193,7 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
                 }
             }
             BrowseItem::Object {
-                entry,
-                leaf,
-                leaf_visit,
-                ..
+                entry, leaf_visit, ..
             } => {
                 stats.objects_visited += 1;
                 // No object of the leaf remains in the frontier: its
@@ -192,14 +228,14 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
                     let neighbourhood = if shared {
                         leaves.get_or_fetch(leaf_visit, |leaf_mbr, out| {
                             let region = extended_mbr(&q, leaf_mbr, spec);
-                            union_window_query(trees, owner, iwp.map(|i| (i, leaf)), &region, out)
+                            union_window_query(trees, owner, memos, &region, out)
                         })?
                     } else {
                         None
                     };
                     match neighbourhood {
                         Some(neighbourhood) => slice_region(neighbourhood, &sr, neighbors),
-                        None => union_window_query(trees, owner, None, &sr, neighbors)?,
+                        None => union_window_query(trees, owner, &mut [], &sr, neighbors)?,
                     }
                     stats.io_window_queries += io.since(snap);
                     qualifier.scan(
@@ -236,10 +272,10 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
 }
 
 /// Appends every entry of every tree inside `rect` to `out`: the
-/// owner's first — from `leaf`'s IWP pointers when given, else from its
-/// root — then every other tree's from its root. Tree contents are
-/// disjoint, so the append-union has no duplicates and equals the
-/// single-tree result set.
+/// owner's first, then every other tree's, each from its root. Tree `j`
+/// descends through `memos[j]` when there is one (an IWP search), else
+/// plainly. Tree contents are disjoint, so the append-union has no
+/// duplicates and equals the single-tree result set.
 ///
 /// Trees whose live-point bounding box misses `rect` are skipped
 /// without touching them: every live point lies inside its tree's
@@ -250,19 +286,20 @@ pub(crate) fn best_first<S: GroupSink, Q: Qualifier>(
 fn union_window_query(
     trees: &[NwcIndex],
     owner: usize,
-    leaf: Option<(&IwpIndex, NodeId)>,
+    memos: &mut [NodeMemo],
     rect: &Rect,
     out: &mut Vec<Entry>,
 ) -> Result<(), QueryError> {
-    if let Some(own) = trees.get(owner) {
-        match leaf {
-            Some((iwp, leaf)) => iwp.try_window_query_into(own.tree(), leaf, rect, out)?,
-            None => own.tree().try_window_query_into(rect, out)?,
+    let owner_first = std::iter::once(owner).chain((0..trees.len()).filter(|&j| j != owner));
+    for j in owner_first {
+        let Some(index) = trees.get(j) else { continue };
+        if j != owner && !index.bounds().intersects(rect) {
+            continue;
         }
-    }
-    for (j, other) in trees.iter().enumerate() {
-        if j != owner && other.bounds().intersects(rect) {
-            other.tree().try_window_query_into(rect, out)?;
+        let tree = index.tree();
+        match memos.get_mut(j) {
+            Some(memo) => tree.try_window_query_memo_into(rect, memo, out)?,
+            None => tree.try_window_query_into(rect, out)?,
         }
     }
     Ok(())

@@ -1,9 +1,9 @@
-//! The query index: R\*-tree + density grid + IWP augmentation.
+//! The query index: R\*-tree + density grid.
 
 use nwc_geom::{Point, Rect};
 use nwc_grid::{DensityGrid, DEFAULT_GRID_CELL};
 use nwc_rtree::{
-    DiskError, DiskOptions, DiskReadError, IwpIndex, PageLayout, PageStore, RStarTree,
+    DiskError, DiskOptions, DiskReadError, PageLayout, PageStore, RStarTree,
     RetryPolicy, TreeError, TreeParams, PAGE_SIZE,
 };
 use std::path::Path;
@@ -25,9 +25,6 @@ pub struct IndexConfig {
     /// a positive finite number, skips building the grid (DEP then
     /// prunes nothing).
     pub grid_cell_size: Option<f64>,
-    /// Whether to build the IWP pointer augmentation (default true;
-    /// without it IWP queries run plain window queries).
-    pub build_iwp: bool,
     /// `true` (default) bulk-loads with STR; `false` builds by repeated
     /// R\* insertion, as the original Java implementation would.
     pub bulk_load: bool,
@@ -38,7 +35,6 @@ impl Default for IndexConfig {
         IndexConfig {
             tree_params: TreeParams::default(),
             grid_cell_size: Some(DEFAULT_GRID_CELL),
-            build_iwp: true,
             bulk_load: true,
         }
     }
@@ -64,8 +60,6 @@ pub struct DiskIndexConfig {
     /// Density-grid cell size, as in [`IndexConfig::grid_cell_size`].
     /// The grid is rebuilt in memory from the stored points.
     pub grid_cell_size: Option<f64>,
-    /// Whether to rebuild the IWP pointer augmentation.
-    pub build_iwp: bool,
     /// How page reads behave under transient failures (default: 4
     /// attempts with bounded exponential backoff; see [`RetryPolicy`]).
     /// Exhausting the budget quarantines the page and surfaces a typed
@@ -80,7 +74,6 @@ impl Default for DiskIndexConfig {
             memory_budget_bytes: None,
             pool_shards: None,
             grid_cell_size: Some(DEFAULT_GRID_CELL),
-            build_iwp: true,
             retry: RetryPolicy::default(),
         }
     }
@@ -207,9 +200,10 @@ impl From<TreeError> for IndexUpdateError {
 /// An immutable index over a point dataset, ready to answer NWC and kNWC
 /// queries under any [`Scheme`](crate::Scheme).
 ///
-/// Owns the paper's three physical structures: the R\*-tree `T_P`, the
-/// `g × g` density grid of DEP, and the backward/overlapping pointers of
-/// IWP.
+/// Owns the paper's R\*-tree `T_P` and the `g × g` density grid of DEP.
+/// IWP needs no structure of its own: a search shares what it has
+/// already read (DESIGN.md §4m), so the paper's backward and
+/// overlapping pointers are not built.
 pub struct NwcIndex {
     points: Vec<Point>,
     /// Liveness per id — `false` marks objects removed after build.
@@ -218,7 +212,6 @@ pub struct NwcIndex {
     bounds: Rect,
     tree: RStarTree,
     grid: Option<DensityGrid>,
-    iwp: Option<IwpIndex>,
 }
 
 impl NwcIndex {
@@ -247,7 +240,6 @@ impl NwcIndex {
             t
         };
         let grid = density_grid(config.grid_cell_size, &bounds, &points);
-        let iwp = config.build_iwp.then(|| IwpIndex::build(&tree));
         NwcIndex {
             live: vec![true; points.len()],
             live_count: points.len(),
@@ -255,7 +247,6 @@ impl NwcIndex {
             bounds,
             tree,
             grid,
-            iwp,
         }
     }
 
@@ -288,7 +279,6 @@ impl NwcIndex {
         let live_count = entries.len();
         let tree = RStarTree::bulk_load_entries(entries, config.tree_params);
         let grid = density_grid(config.grid_cell_size, &bounds, &live_points);
-        let iwp = config.build_iwp.then(|| IwpIndex::build(&tree));
         NwcIndex {
             points,
             live,
@@ -296,13 +286,12 @@ impl NwcIndex {
             bounds,
             tree,
             grid,
-            iwp,
         }
     }
 
     /// Saves the R\*-tree to an on-disk page file (see
-    /// [`RStarTree::save_to_path`]). The density grid and IWP
-    /// augmentation are derived structures and are rebuilt at open.
+    /// [`RStarTree::save_to_path`]). The density grid is a derived
+    /// structure and is rebuilt at open.
     pub fn save_tree(&self, path: impl AsRef<Path>) -> Result<(), DiskError> {
         self.tree.save_to_path(path)
     }
@@ -349,8 +338,7 @@ impl NwcIndex {
     /// [`NwcIndex::save_tree_writable`] accepts updates, committed
     /// durably through [`NwcIndex::commit`].
     ///
-    /// The point table, bounds, density grid and IWP augmentation are
-    /// reconstructed from the stored tree; none of that setup work is
+    /// The point table, bounds and density grid are reconstructed from the stored tree; none of that setup work is
     /// charged — the index is returned with cold, zeroed I/O and buffer
     /// counters.
     pub fn open_disk(
@@ -390,7 +378,6 @@ impl NwcIndex {
         let live_points: Vec<Point> = entries.iter().map(|e| e.point).collect();
         let bounds = tree.mbr().expect("non-empty tree has an MBR");
         let grid = density_grid(config.grid_cell_size, &bounds, &live_points);
-        let iwp = config.build_iwp.then(|| IwpIndex::build(&tree));
         // Whatever the derived-structure builds touched, the caller gets
         // a cold index: zero I/O charged, empty buffer pool.
         tree.stats().reset();
@@ -404,7 +391,6 @@ impl NwcIndex {
             bounds,
             tree,
             grid,
-            iwp,
         })
     }
 
@@ -446,13 +432,8 @@ impl NwcIndex {
         self.grid.as_ref()
     }
 
-    /// The IWP augmentation, when built.
-    pub fn iwp(&self) -> Option<&IwpIndex> {
-        self.iwp.as_ref()
-    }
-
     /// Replaces the density grid with one of a different cell size,
-    /// keeping the tree and IWP augmentation (used by the Figure 9
+    /// keeping the tree (used by the Figure 9
     /// grid-size sweep, which varies only the grid). The refined level,
     /// if the cell size asks for one, is built afresh too; a cell size
     /// that is not a positive finite number drops the grid.
@@ -472,15 +453,11 @@ impl NwcIndex {
     //
     // The NWC paper works over static datasets, but a deployed index
     // must absorb churn (shops open and close). Updates keep the tree
-    // (R* insert/delete) and the density grid in sync; the IWP pointer
-    // augmentation is positional and is invalidated instead — queries
-    // skip IWP pruning until [`NwcIndex::rebuild_iwp`].
+    // (R* insert/delete) and the density grid in sync; every scheme,
+    // IWP included, answers from them directly after any write.
     // ------------------------------------------------------------------
 
-    /// Adds an object, returning its id. Invalidates the IWP
-    /// augmentation (if any) until [`NwcIndex::rebuild_iwp`]; IWP
-    /// queries fall back to plain window queries meanwhile. On a
-    /// *writable* disk-backed index the tree mutation lands in the
+    /// Adds an object, returning its id. On a *writable* disk-backed index the tree mutation lands in the
     /// in-memory overlay — call [`NwcIndex::commit`] to make it
     /// durable; on a read-only one this returns
     /// [`IndexUpdateError::ReadOnly`] with every structure untouched.
@@ -499,7 +476,6 @@ impl NwcIndex {
         if let Some(grid) = &mut self.grid {
             grid.add_point(&point);
         }
-        self.iwp = None;
         Ok(id)
     }
 
@@ -537,7 +513,6 @@ impl NwcIndex {
         if let Some(grid) = &mut self.grid {
             grid.add_point(&point);
         }
-        self.iwp = None;
         Ok(())
     }
 
@@ -545,8 +520,7 @@ impl NwcIndex {
     /// the id is unknown or was already removed, and
     /// [`IndexUpdateError::ReadOnly`] — with every structure untouched —
     /// on a read-only disk-backed index (a writable one mutates its
-    /// overlay, like [`NwcIndex::insert`]). Invalidates the IWP
-    /// augmentation (if any).
+    /// overlay, like [`NwcIndex::insert`]).
     pub fn remove(&mut self, id: u32) -> Result<bool, IndexUpdateError> {
         let Some(&point) = self.points.get(id as usize) else {
             return Ok(false);
@@ -562,15 +536,7 @@ impl NwcIndex {
         if let Some(grid) = &mut self.grid {
             grid.remove_point(&point);
         }
-        self.iwp = None;
         Ok(true)
-    }
-
-    /// Rebuilds the IWP augmentation after updates. A no-op cost-wise
-    /// compared to queries only when batched — rebuild once per update
-    /// batch, not per update.
-    pub fn rebuild_iwp(&mut self) {
-        self.iwp = Some(IwpIndex::build(&self.tree));
     }
 
     /// Durably commits every pending [`NwcIndex::insert`] /
@@ -580,22 +546,8 @@ impl NwcIndex {
     /// any point leaves the page file opening as exactly the old or the
     /// new tree. No-op `Ok` on an in-memory index and on a clean tree;
     /// [`IndexUpdateError::ReadOnly`] on a read-only disk-backed index.
-    ///
-    /// A commit that actually flushed dirty nodes invalidates the IWP
-    /// augmentation (like [`NwcIndex::insert`]): shadow paging assigns
-    /// fresh page ids to the flushed nodes, and the IWP's leaf pointers
-    /// are positional. Until [`NwcIndex::rebuild_iwp`], IWP/NWC* queries
-    /// answer through plain window queries.
     pub fn commit(&mut self) -> Result<(), IndexUpdateError> {
-        let dirty = self
-            .tree
-            .storage()
-            .is_some_and(|s| s.dirty_nodes() > 0);
-        self.tree.commit().map_err(IndexUpdateError::from)?;
-        if dirty {
-            self.iwp = None;
-        }
-        Ok(())
+        self.tree.commit().map_err(IndexUpdateError::from)
     }
 }
 
@@ -605,7 +557,6 @@ impl std::fmt::Debug for NwcIndex {
             .field("len", &self.len())
             .field("tree_height", &self.tree.height())
             .field("grid", &self.grid.as_ref().map(|g| g.cells_per_side()))
-            .field("iwp", &self.iwp.is_some())
             .finish()
     }
 }
@@ -653,7 +604,6 @@ mod tests {
         let idx = NwcIndex::build(pts());
         assert_eq!(idx.len(), 300);
         assert!(idx.grid().is_some());
-        assert!(idx.iwp().is_some());
         nwc_rtree::validate::check_invariants(idx.tree()).unwrap();
     }
 
@@ -661,12 +611,10 @@ mod tests {
     fn lean_build_skips_structures() {
         let cfg = IndexConfig {
             grid_cell_size: None,
-            build_iwp: false,
             ..Default::default()
         };
         let idx = NwcIndex::build_with(pts(), cfg);
         assert!(idx.grid().is_none());
-        assert!(idx.iwp().is_none());
     }
 
     #[test]

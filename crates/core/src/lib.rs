@@ -12,8 +12,8 @@
 //! # Architecture
 //!
 //! - [`NwcIndex`] owns the data: an instrumented R\*-tree
-//!   (`nwc-rtree`), the DEP density grid (`nwc-grid`) and the IWP
-//!   pointer augmentation, built once over a static point set.
+//!   (`nwc-rtree`) and the DEP density grid (`nwc-grid`), built once
+//!   over a point set and kept in sync by inserts and removals.
 //! - [`NwcIndex::nwc`] runs Algorithm 1: a best-first traversal visiting
 //!   objects in ascending distance, generating candidate windows per
 //!   object (Lemma 1 + the quadrant observations of §3.1) and keeping

@@ -45,7 +45,8 @@ pub struct SearchStats {
     pub objects_visited: u64,
     /// Search regions answered: each by its own window query, or under
     /// IWP from its leaf's shared neighbourhood (one window query per
-    /// leaf, whose node accesses `io_window_queries` counts).
+    /// leaf, whose node accesses `io_window_queries` counts — only the
+    /// nodes the search had not read yet).
     pub window_queries: u64,
     /// Window queries skipped by SRR (empty reduced region).
     pub skipped_by_srr: u64,

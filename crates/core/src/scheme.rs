@@ -17,7 +17,7 @@ use std::fmt;
 /// | [`Scheme::NWC_PLUS`] | ✓ | ✓ | – | – |
 /// | [`Scheme::NWC_STAR`] | ✓ | ✓ | ✓ | ✓ |
 ///
-/// `NWC+` enables the two techniques that need no extra storage;
+/// `NWC+` enables the two techniques the paper builds no structure for;
 /// `NWC*` enables everything.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub struct Scheme {
@@ -35,9 +35,10 @@ pub struct Scheme {
     /// its search region answered fetches the leaf's neighbourhood —
     /// every object in the DEP extension of the leaf MBR, which contains
     /// the search region of every object of the leaf — once per query,
-    /// starting from the leaf's backward/overlapping pointers (from the
-    /// root when the index holds no pointers). Every object of the leaf
-    /// then takes its search region from that list.
+    /// from the root, through a per-query memo of the nodes the search
+    /// already read (which cost no second access). Every object of the
+    /// leaf then takes its search region from that list. The paper's
+    /// backward and overlapping pointers are not built (DESIGN.md §4m).
     pub iwp: bool,
 }
 
@@ -117,15 +118,6 @@ impl Scheme {
         }
     }
 
-    /// Whether this scheme needs the density grid.
-    pub fn needs_grid(&self) -> bool {
-        self.dep
-    }
-
-    /// Whether this scheme needs the IWP pointer augmentation.
-    pub fn needs_iwp(&self) -> bool {
-        self.iwp
-    }
 }
 
 impl fmt::Display for Scheme {
@@ -152,16 +144,6 @@ mod tests {
             ..Scheme::NWC
         };
         assert_eq!(s.label(), "SRR+DEP");
-    }
-
-    #[test]
-    fn requirements() {
-        assert!(Scheme::NWC_STAR.needs_grid());
-        assert!(Scheme::NWC_STAR.needs_iwp());
-        assert!(!Scheme::NWC_PLUS.needs_grid());
-        assert!(!Scheme::NWC_PLUS.needs_iwp());
-        assert!(Scheme::DEP.needs_grid());
-        assert!(Scheme::IWP.needs_iwp());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Reusable per-query working memory.
 //!
-//! A single NWC search allocates in five places: the best-first frontier
+//! A single NWC search allocates in six places: the best-first frontier
 //! heap, the window-query neighbor buffer, the shared leaf neighbourhoods
-//! of an IWP search, the per-object distance ranking built by the
-//! candidate scan, and (for kNWC) the sorted id buffer used to check
-//! group identity. All five are sized by the data around the query, not
-//! by the answer, so across a query workload the same few buffers are
-//! allocated and dropped thousands of times.
+//! and the node memo of an IWP search, the per-object distance ranking
+//! built by the candidate scan, and (for kNWC) the sorted id buffer used
+//! to check group identity. All six are sized by the data around the
+//! query, not by the answer, so across a query workload the same few
+//! buffers are allocated and dropped thousands of times.
 //!
 //! [`QueryScratch`] owns all of them. Thread one through the `*_with`
 //! query variants ([`NwcIndex::nwc_with`](crate::NwcIndex::nwc_with),
@@ -22,7 +22,7 @@
 //! asserts across every scheme.
 
 use nwc_geom::Rect;
-use nwc_rtree::{entries_inside_into, BrowserScratch, Entry, ObjectId};
+use nwc_rtree::{entries_inside_into, BrowserScratch, Entry, NodeMemo, ObjectId};
 
 /// Reusable buffers for the NWC/kNWC query hot path. See the module
 /// docs; obtain one with [`QueryScratch::new`] and pass it to the
@@ -35,6 +35,9 @@ pub struct QueryScratch {
     pub(crate) neighbors: Vec<Entry>,
     /// The shared leaf neighbourhoods of an IWP search.
     pub(crate) leaves: Neighbourhoods,
+    /// Per tree slot, the nodes an IWP search has read (empty between
+    /// searches).
+    pub(crate) memos: Vec<NodeMemo>,
     /// Distance ranking `(dist², id, entry)` of the current neighbors.
     pub(crate) by_dist: Vec<(f64, u32, Entry)>,
     /// Sorted object-id buffer for group set-identity checks (kNWC).
@@ -48,12 +51,20 @@ impl QueryScratch {
         Self::default()
     }
 
+    /// Tree nodes the scratch holds a handle on. Only an IWP search
+    /// holds any, and it drops them all when it returns, so between
+    /// queries this is 0 (diagnostics / tests).
+    pub fn held_nodes(&self) -> usize {
+        self.memos.iter().map(NodeMemo::len).sum()
+    }
+
     /// Total buffer slots currently retained across all buffers
     /// (diagnostics / tests; counts capacity, not live contents).
     pub fn retained_capacity(&self) -> usize {
         self.browser.heap_capacity()
             + self.neighbors.capacity()
             + self.leaves.retained_capacity()
+            + self.memos.iter().map(NodeMemo::capacity).sum::<usize>()
             + self.by_dist.capacity()
             + self.ids.capacity()
     }

@@ -28,9 +28,9 @@
 //!   because every published score is the score of a real group.
 //! - **DEP**: density counts must cover the *whole* dataset, so a K>1
 //!   sharded index keeps one **global** density grid (per-shard grids
-//!   would undercount and prune wrongly). IWP stays per-shard: the
-//!   owner shard's leaf-anchored incremental query runs on its own
-//!   tree; the other shards answer from their roots.
+//!   would undercount and prune wrongly). IWP needs no structure: a
+//!   shard search fetches each leaf neighbourhood from the root of
+//!   every shard tree it meets, through one node memo per tree.
 //! - **Determinism of the merge**: all sinks are *tie-inclusive*
 //!   (pruning thresholds sit one ulp above the bound) and resolve
 //!   equal-score groups canonically by `(sorted ids, window)` — the
@@ -63,9 +63,8 @@
 //!
 //! Everything outside `#[cfg(test)]` in this module is panic-free by
 //! policy (same bar as the serving layer): failures surface as typed
-//! errors. A scheme requesting a structure the index lacks (density
-//! grid, IWP) skips that pruning, for every K, exactly as the unsharded
-//! index does — the search loop is the same one ([`best_first`]).
+//! errors. A DEP scheme on an index without a density grid skips DEP,
+//! for every K, exactly as the unsharded index does — the search loop is the same one ([`best_first`]).
 
 use crate::algo::{best_first, canonical_less, tie_inclusive, BestSink, SearchEnd};
 use crate::anytime::{AnytimeKnwc, AnytimeNwc, Approx, BudgetSpent};
@@ -323,8 +322,8 @@ impl ShardedNwcIndex {
     /// configuration. Fewer than `shards` tiles are built when the
     /// dataset is smaller than the tile count (tiles are never empty).
     /// With `shards <= 1` the single shard is built exactly like an
-    /// unsharded [`NwcIndex::build_with`] — bit-identical tree, grid
-    /// and IWP — and every query delegates to it.
+    /// unsharded [`NwcIndex::build_with`] — bit-identical tree and
+    /// grid — and every query delegates to it.
     pub fn build_with(points: Vec<Point>, shards: usize, config: IndexConfig) -> Self {
         let threads = default_threads();
         let n = points.len();
@@ -496,12 +495,6 @@ impl ShardedNwcIndex {
             Some(g) => Some(g),
             None => self.shards.first().and_then(|s| s.grid()),
         }
-    }
-
-    /// Whether every shard currently has its IWP augmentation (shards
-    /// invalidate it on mutation; see [`ShardedNwcIndex::rebuild_iwp`]).
-    pub fn iwp_ready(&self) -> bool {
-        self.shards.iter().all(|s| s.iwp().is_some())
     }
 
     /// The shard owning object `id`, if it is live.
@@ -1116,8 +1109,7 @@ impl ShardedNwcIndex {
     /// (call [`ShardedNwcIndex::commit_all`]); read-only shards return
     /// [`IndexUpdateError::ReadOnly`] untouched, and a non-finite point
     /// or a full id space returns its typed error with the index
-    /// unchanged. Invalidates that shard's IWP until
-    /// [`ShardedNwcIndex::rebuild_iwp`].
+    /// unchanged.
     pub fn insert(&mut self, point: Point) -> Result<u32, IndexUpdateError> {
         if !point.is_finite() {
             return Err(IndexUpdateError::NonFinitePoint);
@@ -1164,16 +1156,6 @@ impl ShardedNwcIndex {
             shard.commit()?;
         }
         Ok(())
-    }
-
-    /// Rebuilds the IWP augmentation on every shard that lost it to a
-    /// mutation (cheap no-op on shards that still have it).
-    pub fn rebuild_iwp(&mut self) {
-        for shard in &mut self.shards {
-            if shard.iwp().is_none() {
-                shard.rebuild_iwp();
-            }
-        }
     }
 
     /// The shard an inserted point routes to: the first shard whose
@@ -1589,7 +1571,6 @@ mod tests {
         let id = idx.insert(pt(90.0, 90.0)).unwrap();
         assert!(idx.owner_of(id).is_some());
         assert_eq!(idx.len(), 201);
-        idx.rebuild_iwp();
         let query = NwcQuery::new(pt(90.0, 90.0), WindowSpec::square(4.0), 1);
         let got = idx.try_nwc(&query, Scheme::NWC_STAR).unwrap().unwrap();
         assert_eq!(got.ids(), vec![id]);

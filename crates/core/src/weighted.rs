@@ -68,7 +68,7 @@ impl WeightedQuery {
 }
 
 /// An index over weighted points answering [`WeightedQuery`]s: an
-/// [`NwcIndex`] (tree and IWP, no count grid) plus the weights and the
+/// [`NwcIndex`] (the tree, no count grid) plus the weights and the
 /// weight-sum grid DEP prunes with.
 pub struct WeightedNwcIndex {
     index: NwcIndex,
@@ -78,7 +78,7 @@ pub struct WeightedNwcIndex {
 
 impl WeightedNwcIndex {
     /// Builds the index (STR bulk load, weight grid at the paper's cell
-    /// size 25, IWP augmentation).
+    /// size 25).
     ///
     /// # Panics
     ///

@@ -11,7 +11,7 @@
 
 use crate::node::NodeKind;
 use crate::tree::RStarTree;
-use crate::{Entry, NodeId};
+use crate::{Entry, NodeId, NodeMemo};
 use nwc_geom::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -37,7 +37,7 @@ pub enum BrowseItem {
         mindist: f64,
     },
     /// A data object, with its distance to the query point and the leaf
-    /// it was read from (needed by IWP's backward pointers).
+    /// it was read from.
     Object {
         /// The object entry.
         entry: Entry,
@@ -253,10 +253,32 @@ impl<'t> Browser<'t> {
     /// drop the failed subtree and keep draining the frontier, or abort
     /// the whole search.
     pub fn try_expand(&mut self, id: NodeId) -> Result<(), crate::TreeError> {
+        self.expand_into(id, None)
+    }
+
+    /// As [`Browser::try_expand`], also recording the read node in
+    /// `memo`, so window queries run through the memo later in the same
+    /// search read it uncharged (see [`NodeMemo`]).
+    pub fn try_expand_remembering(
+        &mut self,
+        id: NodeId,
+        memo: &mut NodeMemo,
+    ) -> Result<(), crate::TreeError> {
+        self.expand_into(id, Some(memo))
+    }
+
+    fn expand_into(
+        &mut self,
+        id: NodeId,
+        memo: Option<&mut NodeMemo>,
+    ) -> Result<(), crate::TreeError> {
         if let Some(kind) = self.budget.exceeded(|| self.tree.stats().since(self.io_base)) {
             return Err(crate::TreeError::Cancelled(kind));
         }
         let node = self.tree.try_read_node(id)?;
+        if let Some(memo) = memo {
+            memo.remember(self.tree, id, &node);
+        }
         match &node.kind {
             NodeKind::Leaf(entries) => {
                 let leaf_visit = self.leaf_pending.len() as u32;

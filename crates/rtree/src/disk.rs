@@ -47,7 +47,7 @@
 //! never cached.
 //!
 //! Uncharged bookkeeping reads (validation, entry iteration,
-//! re-serialization, IWP builds) bypass the pool entirely: they reuse a
+//! re-serialization, index opens) bypass the pool entirely: they reuse a
 //! cached node when one is resident and otherwise decode from an
 //! **uncounted** store read, leaving every pool and I/O counter
 //! untouched.
@@ -505,7 +505,7 @@ impl TreeStorage {
     ///
     /// Failures follow the same [`RetryPolicy`] + quarantine discipline
     /// as [`TreeStorage::try_fetch`]: uncharged does not mean
-    /// unprotected — a transient blip during validation or IWP builds
+    /// unprotected — a transient blip during validation or an index open
     /// is retried, and a dead page surfaces as a typed error, never a
     /// panic. Retries are tallied in `stats` (the error counters sit
     /// outside the logical-access accounting, so the peek stays
@@ -1523,7 +1523,7 @@ mod tests {
     #[test]
     fn bookkeeping_peek_retries_instead_of_panicking() {
         // Regression: the peek path used to fail on the first error with
-        // no retry. IWP builds and validation go through peek, so a
+        // no retry. Index opens and validation go through peek, so a
         // single transient blip would have killed them.
         use nwc_store::{FaultPlan, FaultStore, RetryPolicy};
         let tree = sample_tree(2000);

@@ -2,11 +2,10 @@
 //! paper's experiments.
 //!
 //! The paper evaluates every algorithm by **I/O cost — the number of
-//! R\*-tree nodes visited** — and its IWP optimization physically augments
-//! the tree with *backward pointers* (leaf → selected ancestors) and
-//! *overlapping pointers* (node → same-level overlapping nodes). Neither
-//! is possible with an off-the-shelf spatial index, so this crate
-//! implements the R\*-tree of Beckmann et al. (SIGMOD 1990) from scratch:
+//! R\*-tree nodes visited** — and its algorithms interleave their own
+//! pruning with the tree traversal, which an off-the-shelf spatial index
+//! neither counts nor allows. So this crate implements the R\*-tree of
+//! Beckmann et al. (SIGMOD 1990) from scratch:
 //!
 //! - arena-based nodes with a configurable branching factor
 //!   ([`TreeParams`]; the paper uses max 50 entries per 4096-byte page),
@@ -20,8 +19,9 @@
 //!   [`Browser`] cursor that lets the NWC algorithm interleave its own
 //!   pruning (DIP/DEP) with the traversal,
 //! - per-tree [`IoStats`] counters that stand in for page reads,
-//! - the [`IwpIndex`] augmentation and the incremental window query of
-//!   paper §3.3.4.
+//! - the per-query [`NodeMemo`], through which a window query reads the
+//!   nodes its search already read without charging them again (how the
+//!   NWC search realises the paper's IWP, §3.3.4).
 //!
 //! # Example
 //!
@@ -46,7 +46,7 @@ mod delete;
 pub mod disk;
 mod entry;
 mod insert;
-mod iwp;
+mod memo;
 mod node;
 pub mod page;
 mod params;
@@ -61,7 +61,7 @@ pub use bulk::str_partition;
 pub use cancel::{Budget, CancelFlag, CancelKind, CancelToken};
 pub use disk::{DiskError, DiskOptions, DiskReadError, TreeStorage};
 pub use entry::{Entry, ObjectId};
-pub use iwp::{IwpIndex, IwpStorage};
+pub use memo::NodeMemo;
 pub use node::NodeId;
 pub use page::{PageError, PageFile, PageLayout, PAGE_SIZE};
 pub use params::TreeParams;

@@ -8,6 +8,7 @@
 //! crate-level abort adapter — this module itself contains no panics.
 
 use crate::node::{Branch, Node, NodeKind};
+use crate::memo::{read_through, NodeMemo};
 use crate::tree::{read_failure, RStarTree, TreeError};
 use crate::{Entry, NodeId};
 use nwc_geom::{Point, Rect};
@@ -97,42 +98,29 @@ impl RStarTree {
         if self.is_empty() {
             return Ok(());
         }
-        self.try_window_query_from_into(self.root, rect, out)
+        self.window_from(self.root, rect, None, out)
     }
 
-    /// Window query rooted at an arbitrary node — the primitive behind
-    /// IWP's incremental window processing (paper Algorithm 3, line 12:
-    /// "perform traditional window query processing … starting from N").
-    ///
-    /// The starting node is visited (and charged) even when its MBR
-    /// does not intersect `rect`, mirroring a page read that turns out
-    /// empty.
-    pub fn window_query_from_into(&self, start: NodeId, rect: &Rect, out: &mut Vec<Entry>) {
-        if let Err(e) = self.try_window_query_from_into(start, rect, out) {
-            read_failure(e)
-        }
-    }
-
-    /// As [`RStarTree::window_query_from_into`], surfacing disk read
-    /// failures as a typed error (see
-    /// [`RStarTree::try_window_query_into`] for the partial-result
-    /// contract).
+    /// The one window-query descent below `start`, through `memo` when
+    /// given (see [`NodeMemo`]). The starting node is read even when its
+    /// MBR misses `rect`, like a page read that turns out empty.
     ///
     /// Recursive descent instead of an explicit stack: window queries
     /// run once per visited object on the NWC hot path, and a per-call
     /// stack allocation there would dominate the allocation profile.
     /// The tree is shallow (fan-out ≥ 25), so recursion depth is tiny.
-    /// The `read_node` guard stays live across the child recursion, so
-    /// on a disk-backed tree the parent's page is pinned while its
-    /// children are visited — and dropped on unwind, so an `Err` from a
-    /// child leaves no pin behind.
-    pub fn try_window_query_from_into(
+    /// A node read from the tree keeps its guard live across the child
+    /// recursion, so on a disk-backed tree the parent's page is pinned
+    /// while its children are visited — and dropped on unwind, so an
+    /// `Err` from a child leaves no pin behind.
+    pub(crate) fn window_from(
         &self,
         start: NodeId,
         rect: &Rect,
+        mut memo: Option<&mut NodeMemo>,
         out: &mut Vec<Entry>,
     ) -> Result<(), TreeError> {
-        let node = self.try_read_node(start)?;
+        let node = read_through(self, memo.as_deref_mut(), start)?;
         match &node.kind {
             NodeKind::Leaf(entries) => entries_inside_into(entries, rect, out),
             NodeKind::Internal(branches) => {
@@ -143,7 +131,7 @@ impl RStarTree {
                     fill_intersect_mask(&node, branches, base, rect, &mut mask[..len]);
                     for (i, b) in branches[base..base + len].iter().enumerate() {
                         if mask[i] {
-                            self.try_window_query_from_into(b.child, rect, out)?;
+                            self.window_from(b.child, rect, memo.as_deref_mut(), out)?;
                         }
                     }
                     base += len;

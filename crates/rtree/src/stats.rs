@@ -2,9 +2,11 @@
 //!
 //! The paper's performance metric is "the number of R\*-tree nodes
 //! visited, since I/O cost dominates the total execution time". Every
-//! read of a node's contents during a query — whether by a window query,
-//! the best-first traversal or an IWP incremental window query — bumps
-//! the counter here. Queries take `&self` and may run from several
+//! read of a node's contents during a query — by a window query or the
+//! best-first traversal — bumps the counter here; a node a window query
+//! takes from a search's [`NodeMemo`](crate::NodeMemo) was already
+//! charged when the search first read it and bumps nothing. Queries
+//! take `&self` and may run from several
 //! threads at once, so the counters are relaxed atomics (the counter is
 //! a tally, not a synchronization point).
 //!

@@ -53,23 +53,12 @@ impl From<crate::disk::DiskReadError> for TreeError {
 /// (`window_query`, `Browser::expand`, …) abort on a disk read failure
 /// the fallible `try_*` variants would have returned. Keeping the
 /// `panic!` here — and only here — means the disk query read path
-/// (`disk.rs`, `query.rs`, `browser.rs`, `iwp.rs`) contains no panics
+/// (`disk.rs`, `query.rs`, `browser.rs`, `memo.rs`) contains no panics
 /// at all, which `scripts/verify.sh` enforces by grep.
 #[cold]
 #[inline(never)]
 pub(crate) fn read_failure(e: impl std::fmt::Display) -> ! {
     panic!("unrecoverable tree read failure (use the try_* APIs to handle this): {e}")
-}
-
-/// Companion funnel for an [`crate::IwpIndex`] used with a leaf it was
-/// not built over (the tree mutated after the build).
-#[cold]
-#[inline(never)]
-pub(crate) fn stale_iwp(leaf: NodeId) -> ! {
-    panic!(
-        "IWP index does not know leaf {} (tree mutated after build?)",
-        leaf.0
-    )
 }
 
 /// A guard over one node's contents, returned by the tree's internal

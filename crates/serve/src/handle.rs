@@ -78,23 +78,6 @@ impl ServedIndex {
         }
     }
 
-    /// Whether DEP schemes can run (a density grid exists).
-    pub fn has_grid(&self) -> bool {
-        match self {
-            ServedIndex::Single(i) => i.grid().is_some(),
-            ServedIndex::Sharded(i) => i.grid().is_some(),
-        }
-    }
-
-    /// Whether IWP schemes can run (the augmentation exists — on every
-    /// shard, for a sharded index).
-    pub fn has_iwp(&self) -> bool {
-        match self {
-            ServedIndex::Single(i) => i.iwp().is_some(),
-            ServedIndex::Sharded(i) => i.iwp_ready(),
-        }
-    }
-
     /// Forwarded [`NwcIndex::try_nwc_full_cancel`] (scatter-gather on a
     /// sharded generation; the scratch serves the single/K=1 path).
     pub fn try_nwc_full_cancel(
@@ -435,7 +418,6 @@ mod tests {
         let generation = handle.load();
         assert_eq!(generation.index.shard_count(), 4);
         assert_eq!(generation.index.len(), 400);
-        assert!(generation.index.has_grid() && generation.index.has_iwp());
         drop(generation);
         // ...and from a saved directory through the path-based swap
         // (the wire control plane's entry point), pool budget split.

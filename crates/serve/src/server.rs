@@ -460,16 +460,8 @@ fn build_query(
 ) -> Result<(NwcQuery, Scheme, Option<Instant>), Box<Response>> {
     let scheme = decode_scheme(spec.scheme_bits)
         .map_err(|_| Box::new(Response::BadRequest("unknown scheme bits".to_string())))?;
-    // The serving index is built with every structure, but guard anyway:
-    // a scheme the current generation cannot run must be a typed
-    // rejection, never the engine's panic.
-    let generation = shared.handle.load();
-    if scheme.needs_grid() && !generation.index.has_grid() {
-        return Err(Box::new(Response::BadRequest("DEP needs a density grid".to_string())));
-    }
-    if scheme.needs_iwp() && !generation.index.has_iwp() {
-        return Err(Box::new(Response::BadRequest("IWP augmentation not built".to_string())));
-    }
+    // Every scheme runs on every generation: DEP on an index without a
+    // density grid skips DEP, like the library does.
     // `WindowSpec::new` asserts on bad dimensions; the wire carries
     // arbitrary floats, so gate it here with a typed rejection.
     if !(spec.l > 0.0 && spec.w > 0.0 && spec.l.is_finite() && spec.w.is_finite()) {

@@ -58,10 +58,11 @@ cargo test -q --offline --manifest-path nwc-benchmark/Cargo.toml
 # the scheme, result and constrained-query types every query path
 # builds, and the geometry beneath every search: window.rs computes the
 # search regions and the leaf neighbourhoods IWP shares, rect.rs and
-# quadrant.rs the predicates both are tested with.
+# quadrant.rs the predicates both are tested with. memo.rs joins too:
+# every IWP neighbourhood fetch descends through the query's node memo.
 step "lint: no panic paths in the disk query read path"
 for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
-         crates/rtree/src/query.rs crates/rtree/src/iwp.rs \
+         crates/rtree/src/query.rs crates/rtree/src/memo.rs \
          crates/rtree/src/node.rs crates/rtree/src/cancel.rs \
          crates/rtree/src/stats.rs crates/store/src/retry.rs \
          crates/store/src/checksum.rs \

@@ -214,14 +214,5 @@ fn stats(args: &[String]) -> Result<(), String> {
             grid.bytes() / 1024
         );
     }
-    if let Some(iwp) = index.iwp() {
-        let s = iwp.storage();
-        println!(
-            "IWP pointers: {} backward + {} overlapping = {} KB",
-            s.backward_pointers,
-            s.overlapping_pointers,
-            s.bytes() / 1024
-        );
-    }
     Ok(())
 }

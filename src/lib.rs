@@ -13,7 +13,7 @@
 //!
 //! - [`geom`] — points, rectangles, quadrants, window geometry,
 //! - [`rtree`] — an instrumented R\*-tree with node-access accounting and
-//!   the paper's IWP pointer augmentation,
+//!   the per-query node memo behind IWP,
 //! - [`store`] — the disk layer: page files with per-page checksums and
 //!   the LRU buffer pool behind disk-backed trees,
 //! - [`grid`] — the density grid behind density-based pruning,

@@ -63,7 +63,6 @@ fn gen_query_stats_pipeline() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("objects:      3000"));
     assert!(text.contains("density grid"));
-    assert!(text.contains("IWP pointers"));
 
     let out = cli()
         .args(["maxrs", data.to_str().unwrap(), "200"])

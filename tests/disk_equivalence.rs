@@ -198,10 +198,6 @@ fn writable_disk_mutations_commit_and_reopen_match_the_mutated_arena() {
         }
     }
     assert_eq!(arena.len(), disk.len());
-    // Mutations invalidate the IWP augmentation on both backends;
-    // rebuild it so the full Table-3 sweep (NWC* included) runs.
-    arena.rebuild_iwp();
-    disk.rebuild_iwp();
 
     let sweep = |disk: &NwcIndex, stage: &str| {
         let queries = Dataset::query_points(5, 29);
@@ -239,14 +235,12 @@ fn writable_disk_mutations_commit_and_reopen_match_the_mutated_arena() {
         0,
         "commit must drain the overlay"
     );
-    // Shadow paging renumbered the flushed nodes, so commit dropped the
-    // IWP; rebuild it over the durable page ids.
-    assert!(disk.iwp().is_none(), "commit must invalidate the IWP");
-    disk.rebuild_iwp();
+    // Shadow paging renumbered the flushed nodes; NWC* runs on the
+    // durable page ids with nothing to rebuild.
     sweep(&disk, "committed");
 
     // Cold reopen from the committed file: same contract, fresh pool,
-    // grid and IWP rebuilt from the durable pages alone.
+    // grid rebuilt from the durable pages alone.
     drop(disk);
     let disk = NwcIndex::open_disk(&path, DiskIndexConfig::default()).expect("reopen committed");
     std::fs::remove_file(&path).ok();

@@ -45,7 +45,6 @@ proptest! {
             prop_assert!(!index.remove(id).unwrap(), "double-remove must fail");
         }
         prop_assert_eq!(index.len(), live.len());
-        index.rebuild_iwp();
         nwc::rtree::validate::check_invariants(index.tree()).unwrap();
 
         // Fresh index over the surviving points.
@@ -122,24 +121,19 @@ fn removed_objects_never_appear_in_results() {
 }
 
 #[test]
-fn iwp_scheme_falls_back_until_rebuilt_after_update() {
+fn iwp_scheme_answers_right_after_an_update() {
     let pts: Vec<Point> = (0..100)
         .map(|i| Point::new((i % 10) as f64, (i / 10) as f64))
         .collect();
     let mut index = NwcIndex::build(pts);
     index.insert(Point::new(50.0, 50.0)).unwrap();
-    assert!(index.iwp().is_none(), "update must invalidate IWP");
     let query = NwcQuery::new(Point::new(0.0, 0.0), WindowSpec::square(4.0), 2);
-    // IWP only prunes I/O: without its pointers NWC* fetches each leaf's
-    // neighbourhood from the root and answers exactly like NWC+.
-    let fallback = index.try_nwc(&query, Scheme::NWC_STAR).unwrap().expect("pair exists");
+    // IWP keeps no structure a write could invalidate: right after the
+    // insert, with nothing rebuilt, NWC* answers exactly like NWC+.
+    let star = index.try_nwc(&query, Scheme::NWC_STAR).unwrap().expect("pair exists");
     let reference = index.nwc(&query, Scheme::NWC_PLUS).expect("pair exists");
-    assert_eq!(fallback.ids(), reference.ids());
-    assert_eq!(fallback.distance, reference.distance);
-    index.rebuild_iwp();
-    let rebuilt = index.nwc(&query, Scheme::NWC_STAR).expect("pair exists");
-    assert_eq!(rebuilt.ids(), fallback.ids());
-    assert_eq!(rebuilt.distance, fallback.distance);
+    assert_eq!(star.ids(), reference.ids());
+    assert_eq!(star.distance, reference.distance);
 }
 
 #[test]
@@ -155,7 +149,6 @@ fn dep_stays_correct_for_inserts_outside_the_original_space() {
     for d in 0..3 {
         index.insert(Point::new(500.0 + d as f64, 500.0 + d as f64)).unwrap();
     }
-    index.rebuild_iwp();
     let query = NwcQuery::new(Point::new(400.0, 400.0), WindowSpec::square(8.0), 3);
     let with_dep = index.nwc(&query, Scheme::NWC_STAR).expect("cluster must be found");
     let without_dep = index.nwc(&query, Scheme::NWC_PLUS).expect("cluster must be found");
@@ -167,8 +160,8 @@ fn dep_stays_correct_for_inserts_outside_the_original_space() {
 
 #[test]
 fn nwc_star_after_a_write_matches_the_oracle_and_beats_nwc_plus() {
-    // An insert drops the IWP pointers. NWC* then fetches each leaf's
-    // shared neighbourhood from the root: still exact, and still far
+    // Right after an insert NWC* fetches each leaf's shared
+    // neighbourhood from the root through its node memo: exact, and far
     // cheaper than NWC+'s root window query per visited object.
     use nwc::core::oracle;
     use nwc::datagen::CA_CARDINALITY;
@@ -179,7 +172,6 @@ fn nwc_star_after_a_write_matches_the_oracle_and_beats_nwc_plus() {
     let extra = Point::new(5_000.0, 5_000.0);
     index.insert(extra).unwrap();
     points.push(extra);
-    assert!(index.iwp().is_none(), "update must invalidate IWP");
     let (mut star_io, mut plus_io) = (0, 0);
     for (i, q) in Dataset::query_points(25, 2016).into_iter().enumerate() {
         let query = NwcQuery::new(q, WindowSpec::square(64.0), 8);

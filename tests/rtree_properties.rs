@@ -3,7 +3,7 @@
 //! mutation sequences.
 
 use nwc::geom::{Point, Rect};
-use nwc::rtree::{validate, IwpIndex, RStarTree, TreeParams};
+use nwc::rtree::{validate, BrowseItem, NodeMemo, RStarTree, TreeParams};
 use proptest::prelude::*;
 
 fn point_strategy() -> impl Strategy<Value = Point> {
@@ -143,40 +143,46 @@ proptest! {
     }
 
     #[test]
-    fn iwp_incremental_query_equals_plain(
+    fn memoised_root_fetch_equals_plain(
         points in proptest::collection::vec(point_strategy(), 30..300),
-        size in 1.0f64..100.0,
-        probe in any::<prop::sample::Index>(),
+        fanout in 4usize..12,
+        rects in proptest::collection::vec(rect_strategy(), 1..6),
+        expanded in 0usize..40,
     ) {
-        let tree = RStarTree::bulk_load_with_params(&points, TreeParams::with_max_entries(6));
-        let iwp = IwpIndex::build(&tree);
-        // Query around an actual object, through its own leaf — the way
-        // the NWC algorithm drives IWP.
-        let p = points[probe.index(points.len())];
-        let leaf = {
-            let mut browser = tree.browse(p);
-            loop {
-                match browser.next().unwrap() {
-                    nwc::rtree::BrowseItem::Node { id, .. } => browser.expand(id),
-                    nwc::rtree::BrowseItem::Object { dist: 0.0, leaf, .. } => {
-                        break leaf
-                    }
-                    _ => {}
+        let tree = RStarTree::bulk_load_with_params(&points, TreeParams::with_max_entries(fanout));
+        let mut memo = NodeMemo::new();
+        // Seed the memo the way a search does: with the nodes its
+        // best-first traversal expanded.
+        let mut browser = tree.browse(points[0]);
+        let mut left = expanded;
+        while left > 0 {
+            match browser.next() {
+                Some(BrowseItem::Node { id, .. }) => {
+                    browser.try_expand_remembering(id, &mut memo).unwrap();
+                    left -= 1;
                 }
+                Some(BrowseItem::Object { .. }) => {}
+                None => break,
             }
-        };
-        let window = Rect::new(
-            Point::new(p.x - size, p.y - size),
-            Point::new(p.x + size, p.y + size),
-        );
-        let mut got: Vec<u32> = iwp
-            .window_query(&tree, leaf, &window)
-            .iter()
-            .map(|e| e.id)
-            .collect();
-        got.sort_unstable();
-        let mut want: Vec<u32> = tree.window_query(&window).iter().map(|e| e.id).collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        }
+        for rect in &rects {
+            let before = tree.stats().node_reads();
+            let mut plain = Vec::new();
+            tree.try_window_query_into(rect, &mut plain).unwrap();
+            let plain_io = tree.stats().node_reads() - before;
+
+            let before = tree.stats().node_reads();
+            let mut memoised = Vec::new();
+            tree.try_window_query_memo_into(rect, &mut memo, &mut memoised).unwrap();
+            let memo_io = tree.stats().node_reads() - before;
+            prop_assert_eq!(&memoised, &plain);
+            prop_assert!(memo_io <= plain_io, "{} > {}", memo_io, plain_io);
+
+            let before = tree.stats().node_reads();
+            let mut again = Vec::new();
+            tree.try_window_query_memo_into(rect, &mut memo, &mut again).unwrap();
+            prop_assert_eq!(tree.stats().node_reads() - before, 0);
+            prop_assert_eq!(&again, &plain);
+        }
     }
 }

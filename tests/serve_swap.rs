@@ -16,7 +16,7 @@
 //!   observe an external stop flag without tearing down the scope.
 
 use nwc::prelude::*;
-use nwc_core::{Budget, CancelFlag, CancelKind, QueryEngine, QueryError};
+use nwc_core::{Budget, CancelFlag, CancelKind, IndexConfig, QueryEngine, QueryError};
 use nwc_serve::{IndexHandle, QueryOutcome, ServeClient, Server, ServerConfig};
 use nwc_store::{FaultPlan, FaultStore, FileStore, RetryPolicy, StoreError};
 use std::path::PathBuf;
@@ -743,6 +743,47 @@ fn control_plane_disabled_by_default_refuses_swap_and_shutdown() {
     server.shutdown();
     std::fs::remove_file(&gen1).ok();
     std::fs::remove_file(&gen2).ok();
+}
+
+/// A generation built without a density grid still answers every
+/// scheme over the wire: DEP has nothing to prune with and is skipped,
+/// as in the library, so NWC\* returns the library's NWC+ groups.
+#[test]
+fn a_generation_without_a_grid_answers_dep_schemes_like_the_library() {
+    let points = region_points(3_000, 0.0, 10_000.0, 21);
+    let lean = IndexConfig {
+        grid_cell_size: None,
+        ..IndexConfig::default()
+    };
+    let library = NwcIndex::build_with(points.clone(), lean);
+    let served = NwcIndex::build_with(points, lean);
+    let server = Server::start(
+        Arc::new(IndexHandle::new(served)),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("start server");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let mut found = 0;
+    for (qi, q) in Dataset::query_points(4, 21).into_iter().enumerate() {
+        let query = NwcQuery::new(q, WindowSpec::square(400.0), 5);
+        let want = library.nwc(&query, Scheme::NWC_PLUS).map(|r| (r.ids(), r.distance));
+        found += usize::from(want.is_some());
+        for scheme in [Scheme::DEP, Scheme::NWC_STAR] {
+            let got = match client
+                .nwc(scheme, q.x, q.y, 400.0, 400.0, 5, 30_000)
+                .expect("roundtrip")
+            {
+                QueryOutcome::Answer { groups, .. } => groups
+                    .first()
+                    .map(|g| (g.objects.iter().map(|o| o.id).collect::<Vec<_>>(), g.distance)),
+                other => panic!("q{qi}/{scheme}: expected an answer, got {other:?}"),
+            };
+            assert_eq!(got, want, "q{qi}/{scheme}");
+        }
+    }
+    assert!(found > 0, "no query found a group: the comparison proves nothing");
+    server.shutdown();
 }
 
 /// A deadline that fires mid-search over a disk-backed index surfaces

@@ -545,10 +545,10 @@ fn dead_page_in_one_shard_is_a_typed_partial_failure_with_no_pin_leaks() {
 // Missing structures after writes.
 // ---------------------------------------------------------------------
 
-/// Every write invalidates IWP, and a lean build has neither IWP nor a
-/// density grid. Both only prune I/O, so under every Table-3 scheme the
-/// unsharded index and its K = 1 twin must keep answering — exactly the
-/// oracle's answer over the live set, with bit-identical `SearchStats`.
+/// A lean build has no density grid, and writes move nodes around. DEP
+/// and IWP only prune I/O, so under every Table-3 scheme the unsharded
+/// index and its K = 1 twin must keep answering — exactly the oracle's
+/// answer over the live set, with bit-identical `SearchStats`.
 fn assert_write_state_answers(single: &NwcIndex, k1: &ShardedNwcIndex, ctx: &str) {
     let live: Vec<u32> = (0..single.points().len() as u32)
         .filter(|&id| single.is_live(id))
@@ -596,13 +596,9 @@ fn assert_write_state_answers(single: &NwcIndex, k1: &ShardedNwcIndex, ctx: &str
 }
 
 /// Drives an index and its K = 1 twin through insert, remove and a
-/// dirty commit, checking every scheme after each write.
-fn check_writes_without_structures(
-    mut single: NwcIndex,
-    mut k1: ShardedNwcIndex,
-    backend: &str,
-    disk: bool,
-) {
+/// dirty commit, checking every scheme after each write: no write
+/// leaves any scheme short of what it prunes with.
+fn check_writes(mut single: NwcIndex, mut k1: ShardedNwcIndex, backend: &str) {
     let near = Dataset::query_points(3, 83)[0];
     // Insert: a tight cluster near the first query point.
     for i in 0..3 {
@@ -610,43 +606,30 @@ fn check_writes_without_structures(
         let id = single.insert(p).expect("insert");
         assert_eq!(k1.insert(p), Ok(id), "{backend}: twins assign the same id");
     }
-    assert!(single.iwp().is_none() && !k1.iwp_ready(), "{backend}: insert drops IWP");
     assert_write_state_answers(&single, &k1, &format!("{backend}/insert"));
 
-    // Remove, starting from rebuilt IWP so the removal is what drops it.
-    single.rebuild_iwp();
-    k1.rebuild_iwp();
     for id in [1u32, 5, 9] {
         assert!(single.remove(id).expect("remove"));
         assert!(k1.remove(id).expect("remove"));
     }
-    assert!(single.iwp().is_none() && !k1.iwp_ready(), "{backend}: remove drops IWP");
     assert_write_state_answers(&single, &k1, &format!("{backend}/remove"));
 
-    // Commit of a dirty overlay: on disk the flush itself drops IWP; in
-    // memory the commit is a no-op and the insert already dropped it.
-    single.rebuild_iwp();
-    k1.rebuild_iwp();
+    // Commit of a dirty overlay: on disk the flush moves the written
+    // nodes to fresh pages; in memory the commit is a no-op.
     let p = Point::new(near.x + 3.0, near.y + 2.0);
     let id = single.insert(p).expect("insert");
     assert_eq!(k1.insert(p), Ok(id));
-    if disk {
-        single.rebuild_iwp();
-        k1.rebuild_iwp();
-    }
     single.commit().expect("commit");
     k1.commit_all().expect("commit");
-    assert!(single.iwp().is_none() && !k1.iwp_ready(), "{backend}: dirty commit drops IWP");
     assert_write_state_answers(&single, &k1, &format!("{backend}/commit"));
 }
 
 #[test]
 fn missing_structures_keep_every_scheme_answering() {
     let points = seeded_points(400, 83);
-    // Built without grid and IWP: DEP and IWP have nothing to prune with.
+    // Built without a grid: DEP has nothing to prune with.
     let lean = IndexConfig {
         grid_cell_size: None,
-        build_iwp: false,
         ..IndexConfig::default()
     };
     assert_write_state_answers(
@@ -655,11 +638,10 @@ fn missing_structures_keep_every_scheme_answering() {
         "lean",
     );
 
-    check_writes_without_structures(
+    check_writes(
         NwcIndex::build(points.clone()),
         ShardedNwcIndex::build(points.clone(), 1),
         "arena",
-        false,
     );
 
     // Writable page files: one per twin, so each has its own pool and
@@ -673,6 +655,6 @@ fn missing_structures_keep_every_scheme_answering() {
     let single = NwcIndex::open_disk(&a, DiskIndexConfig::default()).expect("open");
     let twin = NwcIndex::open_disk(&b, DiskIndexConfig::default()).expect("open");
     let k1 = ShardedNwcIndex::from_shards(vec![twin], None).expect("K = 1");
-    check_writes_without_structures(single, k1, "disk", true);
+    check_writes(single, k1, "disk");
     std::fs::remove_dir_all(&dir).ok();
 }

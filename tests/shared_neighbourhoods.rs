@@ -12,7 +12,9 @@
 //! 2. **Memory** — a leaf's neighbourhood goes back to the scratch pool
 //!    once the leaf's last object has been popped, so after a query
 //!    that window-queries every object the scratch retains far less
-//!    neighbourhood storage than the query fetched in total.
+//!    neighbourhood storage than the query fetched in total. The node
+//!    memo the fetches descend through holds decoded nodes, never page
+//!    guards, and drops them all whenever a query returns.
 
 use nwc::core::oracle;
 use nwc::core::{IndexConfig, ShardedNwcIndex};
@@ -202,6 +204,8 @@ fn released_neighbourhoods_keep_the_scratch_small() {
     assert!(r.is_none());
     assert_eq!(stats.window_queries, points.len() as u64, "{stats:?}");
     assert_eq!(stats.io_traversal, plain_stats.io_traversal);
+    // The IWP search's node memo keeps its map's slots too, so this
+    // bounds the neighbourhoods and the memo together.
     let retained = shared
         .retained_capacity()
         .saturating_sub(plain.retained_capacity());
@@ -222,5 +226,75 @@ fn released_neighbourhoods_keep_the_scratch_small() {
     assert!(
         retained * 5 < fetched,
         "scratch retains {retained} neighbourhood slots of {fetched} fetched"
+    );
+}
+
+#[test]
+fn the_node_memo_is_empty_whenever_a_query_returns() {
+    // A disk index behind a 4-frame pool: a search reads far more nodes
+    // than the pool holds, so the memo must hold decoded nodes, never
+    // page guards, and must let go of them all when the query returns —
+    // answered, cut short by its budget, or a kNWC.
+    let points: Vec<Point> = (0..6_000)
+        .map(|i| Point::new(((i * 37) % 211) as f64 * 4.0, ((i * 53) % 197) as f64 * 4.0))
+        .collect();
+    let arena = NwcIndex::build_with(points, fanout8());
+    let path = temp_pages("memo");
+    arena.save_tree(&path).expect("save");
+    let config = DiskIndexConfig {
+        pool_capacity: Some(4),
+        ..DiskIndexConfig::default()
+    };
+    let disk = NwcIndex::open_disk(&path, config).expect("open");
+    std::fs::remove_file(&path).ok();
+    let storage = disk.tree().storage().expect("disk-backed");
+    let nodes = disk.tree().node_count();
+
+    let mut scratch = QueryScratch::new();
+    let mut read = 0;
+    for (qi, q) in Dataset::query_points(6, 5).into_iter().enumerate() {
+        let q = Point::new(q.x * 0.085, q.y * 0.08);
+        let query = NwcQuery::new(q, WindowSpec::square(24.0), 12);
+        let (_, stats) = disk
+            .try_nwc_full_with(&query, Scheme::NWC_STAR, &mut scratch)
+            .expect("query");
+        let (_, want) = arena.try_nwc_full(&query, Scheme::NWC_STAR).expect("query");
+        assert_eq!(
+            SearchStats {
+                buffer_hits: 0,
+                ..stats
+            },
+            want,
+            "q{qi}"
+        );
+        assert!(
+            stats.io_total > 4,
+            "q{qi}: the search must outgrow the pool"
+        );
+        read = read.max(stats.io_total);
+        assert_eq!(scratch.held_nodes(), 0, "q{qi}: answered query kept nodes");
+        assert_eq!(storage.pool_stats().pinned, 0, "q{qi}: pin leaked");
+
+        let tripped = disk.try_nwc_full_cancel(
+            &query,
+            Scheme::NWC_STAR,
+            &mut scratch,
+            &Budget::with_io_limit(stats.io_total / 2),
+        );
+        assert!(
+            tripped.is_err(),
+            "q{qi}: half the I/O cannot finish the search"
+        );
+        assert_eq!(scratch.held_nodes(), 0, "q{qi}: tripped query kept nodes");
+
+        let kquery = KnwcQuery::new(q, WindowSpec::square(24.0), 12, 3, 4);
+        disk.try_knwc_with(&kquery, Scheme::NWC_STAR, &mut scratch)
+            .expect("kNWC");
+        assert_eq!(scratch.held_nodes(), 0, "q{qi}: kNWC kept nodes");
+        assert_eq!(storage.pool_stats().pinned, 0, "q{qi}: pin leaked");
+    }
+    assert!(
+        read > 4 * 4,
+        "searches read {read} of {nodes} nodes: four pools' worth"
     );
 }
