@@ -3,9 +3,9 @@
 //! top of NWC+.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nwc_bench::runner::{build_index, measure_nwc};
+use nwc_bench::runner::{build_index, measure_nwc, search};
 use nwc_bench::ExperimentContext;
-use nwc_core::{DistanceMeasure, NwcQuery, Scheme, WindowSpec};
+use nwc_core::{DistanceMeasure, NwcQuery, QueryScratch, Scheme, SearchRequest, WindowSpec};
 use std::time::Duration;
 
 fn quick<'a>(c: &'a mut Criterion, name: &str) -> criterion::BenchmarkGroup<'a, criterion::measurement::WallTime> {
@@ -28,13 +28,14 @@ fn ablation_distance_measure(c: &mut Criterion) {
     let index = build_index(&ds);
     let queries = ctx.query_points();
     let mut g = quick(c, "ablation_distance_measure");
+    let mut scratch = QueryScratch::new();
     for measure in DistanceMeasure::ALL {
         g.bench_function(format!("{measure:?}"), |b| {
             b.iter(|| {
                 for &q in &queries {
                     let query = NwcQuery::new(q, WindowSpec::square(64.0), 8)
                         .with_measure(measure);
-                    let _ = index.nwc_full(&query, Scheme::NWC_STAR);
+                    search(&index, &SearchRequest::nwc(query, Scheme::NWC_STAR), &mut scratch);
                 }
             })
         });

@@ -7,10 +7,10 @@
 //! reproduction target; `EXPERIMENTS.md` records both.
 
 use crate::context::ExperimentContext;
-use crate::runner::{build_index, measure_knwc, measure_nwc, reduction_rate};
+use crate::runner::{build_index, measure_knwc, measure_nwc, reduction_rate, search};
 use crate::table::Table;
 use nwc_analysis::{NwcCostModel, TreeModel};
-use nwc_core::{IndexConfig, NwcIndex, Scheme, WindowSpec};
+use nwc_core::{IndexConfig, NwcIndex, QueryScratch, Scheme, SearchRequest, WindowSpec};
 use nwc_datagen::Dataset;
 use nwc_grid::PAPER_GRID_CELL;
 
@@ -392,6 +392,7 @@ pub fn ablation_measures(ctx: &ExperimentContext) -> Table {
     let ds = ctx.dataset("CA");
     let index = build_index(&ds);
     let queries = ctx.query_points();
+    let mut scratch = QueryScratch::new();
     let mut t = Table::new(
         "Ablation: distance measure",
         "Avg I/O and hit rate per distance measure (CA, n=8, window 64)",
@@ -403,9 +404,9 @@ pub fn ablation_measures(ctx: &ExperimentContext) -> Table {
         for &q in &queries {
             let query =
                 NwcQuery::new(q, WindowSpec::square(64.0), DEFAULT_N).with_measure(measure);
-            let (r, stats) = index.nwc_full(&query, Scheme::NWC_STAR);
-            io += stats.io_total;
-            hits += usize::from(r.is_some());
+            let out = search(&index, &SearchRequest::nwc(query, Scheme::NWC_STAR), &mut scratch);
+            io += out.stats.io_total;
+            hits += usize::from(out.nwc().is_some());
         }
         t.push_row(vec![
             format!("{measure:?}"),
@@ -480,7 +481,8 @@ pub fn ablation_weighted(ctx: &ExperimentContext) -> Table {
         let mut hits = 0usize;
         for &q in &queries {
             let query = WeightedQuery::new(q, spec, min_w);
-            if let Some((r, _)) = index.query(&query, Scheme::NWC_STAR) {
+            let found = index.query(&query, Scheme::NWC_STAR);
+            if let Some((r, _)) = found.expect("an in-memory search cannot fail") {
                 io += r.stats.io_total;
                 hits += 1;
             }

@@ -2,7 +2,8 @@
 //! time over query sets.
 
 use nwc_core::{
-    IndexConfig, KnwcQuery, NwcIndex, NwcQuery, QueryScratch, Scheme, SearchStats, WindowSpec,
+    IndexConfig, KnwcQuery, NwcIndex, NwcQuery, Outcome, QueryScratch, Scheme, SearchRequest,
+    SearchStats, WindowSpec,
 };
 use nwc_datagen::Dataset;
 use nwc_geom::Point;
@@ -50,6 +51,15 @@ impl Measurement {
     }
 }
 
+/// Runs one unbudgeted request on an in-memory index, which cannot
+/// fail.
+pub fn search(index: &NwcIndex, req: &SearchRequest, scratch: &mut QueryScratch) -> Outcome {
+    index
+        .search(req, scratch)
+        .and_then(Outcome::complete)
+        .expect("an unbudgeted search of an in-memory index cannot fail")
+}
+
 /// Runs `NWC(q, spec, n)` for every query point and averages the stats.
 pub fn measure_nwc(
     index: &NwcIndex,
@@ -63,10 +73,10 @@ pub fn measure_nwc(
     let mut scratch = QueryScratch::new();
     let start = Instant::now();
     for &q in queries {
-        let query = NwcQuery::new(q, spec, n);
-        let (result, stats) = index.nwc_full_with(&query, scheme, &mut scratch);
-        acc.accumulate(&stats);
-        hits += usize::from(result.is_some());
+        let req = SearchRequest::nwc(NwcQuery::new(q, spec, n), scheme);
+        let out = search(index, &req, &mut scratch);
+        acc.accumulate(&out.stats);
+        hits += usize::from(out.nwc().is_some());
     }
     let elapsed = start.elapsed();
     let count = queries.len() as f64;
@@ -96,8 +106,8 @@ pub fn measure_knwc(
     let mut scratch = QueryScratch::new();
     let start = Instant::now();
     for &q in queries {
-        let query = KnwcQuery::new(q, spec, n, k, m);
-        let r = index.knwc_with(&query, scheme, &mut scratch);
+        let req = SearchRequest::knwc(KnwcQuery::new(q, spec, n, k, m), scheme);
+        let r = search(index, &req, &mut scratch).into_knwc();
         acc.accumulate(&r.stats);
         hits += usize::from(!r.groups.is_empty());
     }

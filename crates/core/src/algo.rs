@@ -14,10 +14,12 @@
 //! [`Qualifier`] decides what makes a window qualified (an object count
 //! or a weight sum) together with the DEP bound that matches it.
 
-use crate::anytime::{AnytimeNwc, Approx};
+use crate::anytime::{frontier_lower_bound, frontier_slack, AnytimeNwc, Approx, BudgetSpent};
 use crate::candidates::{CountTest, GroupSink, Qualifier};
 use crate::index::NwcIndex;
-use crate::query::{unrecoverable, NwcQuery, QueryError};
+use crate::knwc::GroupsCore;
+use crate::query::{NwcQuery, QueryError};
+use crate::request::{Answer, Outcome, Query, SearchRequest};
 use crate::result::{NwcResult, SearchStats};
 use crate::scheme::Scheme;
 use crate::scratch::{slice_region, QueryScratch};
@@ -44,17 +46,6 @@ pub(crate) enum SearchEnd {
         /// Lower bound on every uncovered group's score.
         frontier: f64,
     },
-}
-
-impl SearchEnd {
-    /// The all-or-nothing contract of the non-anytime APIs: a budget
-    /// trip is a typed error ([`budget_error`]).
-    pub(crate) fn or_error(self) -> Result<(), QueryError> {
-        match self {
-            SearchEnd::Complete => Ok(()),
-            SearchEnd::Exhausted { kind, .. } => Err(budget_error(kind)),
-        }
-    }
 }
 
 /// The best-first search of Algorithm 1, over `trees[owner]`.
@@ -306,9 +297,81 @@ fn union_window_query(
 }
 
 impl NwcIndex {
+    /// Answers `req`: the one query entry point of an unsharded index.
+    ///
+    /// Returns the [`Outcome`] of the best-first search of Algorithm 1
+    /// under `req.scheme`. Every scheme returns a group with the same
+    /// (optimal) distance; they differ only in I/O cost, which
+    /// `outcome.stats` reports even when nothing qualifies (Figure 12's
+    /// smallest Gaussian windows). `scratch` lends its buffers, so a warm
+    /// query performs no per-node or per-visited-object heap
+    /// allocation; answers and counters do not depend on its history.
+    ///
+    /// Once `req.budget` expires the search stops at its next
+    /// cancellation point (a node expansion or a window query) and
+    /// returns the best answer so far with a proven bound, not an error;
+    /// [`Outcome::complete`] maps such a trip to
+    /// [`QueryError::Deadline`] or [`QueryError::Cancelled`]. With
+    /// [`Approx::exact`](crate::Approx::exact) and
+    /// [`Budget::none`] the search is the exact one, bit for bit.
+    ///
+    /// Returns `Err` for a malformed query, or for a disk read that
+    /// fails after every retry. The index stays fully usable either way:
+    /// every page pin is released and the scratch is intact.
+    pub fn search(
+        &self,
+        req: &SearchRequest,
+        scratch: &mut QueryScratch,
+    ) -> Result<Outcome, QueryError> {
+        self.search_pruned(req, true, scratch)
+    }
+
+    /// [`NwcIndex::search`] with kNWC's distance pruning switchable:
+    /// `prune = false` is [`NwcIndex::knwc_exact`]. NWC ignores it.
+    pub(crate) fn search_pruned(
+        &self,
+        req: &SearchRequest,
+        prune: bool,
+        scratch: &mut QueryScratch,
+    ) -> Result<Outcome, QueryError> {
+        req.query.validate()?;
+        let started = std::time::Instant::now();
+        let io = self.tree().stats();
+        let io0 = io.snapshot();
+        let shrink = req.approx.shrink();
+        let (answer, stats, end, k) = match &req.query {
+            Query::Nwc(q) => {
+                let mut sink = BestSink::approx(shrink);
+                let (stats, end) = self.traverse(q, req.scheme, &mut sink, scratch, &req.budget)?;
+                (Answer::Nwc(sink.into_result(stats)), stats, end, 1)
+            }
+            Query::Knwc(q) => {
+                let core = GroupsCore::approx(q.k, q.m, prune, shrink);
+                let (result, end) = self.knwc_search(q, req.scheme, core, scratch, &req.budget)?;
+                let stats = result.stats;
+                (Answer::Knwc(result), stats, end, q.k)
+            }
+        };
+        let spent = BudgetSpent::since(started, io.since(io0));
+        let base = req.query.base();
+        let slack = frontier_slack(base.measure, &base.spec);
+        let (frontier, exhausted) = match end {
+            SearchEnd::Complete => (f64::INFINITY, None),
+            SearchEnd::Exhausted { kind, frontier } => {
+                (frontier_lower_bound(frontier, slack), Some(kind))
+            }
+        };
+        Ok(Outcome::bracket(answer, stats, k, shrink, frontier, spent, exhausted))
+    }
+
     /// [`best_first`] with this index as the only tree, qualifying
     /// windows by object count against its own density grid.
-    pub(crate) fn search<S: GroupSink>(
+    // Not inlined, so each sink's search loop stays a function of its
+    // own: inlined, the NWC and kNWC loops shared one 14 KB body of
+    // `search_pruned` and `arena-ca` ran 3–4 % slower (p99 worse in 9 of
+    // 10 benchmark pairs).
+    #[inline(never)]
+    pub(crate) fn traverse<S: GroupSink>(
         &self,
         query: &NwcQuery,
         scheme: Scheme,
@@ -334,134 +397,23 @@ impl NwcIndex {
         )
     }
 
-    /// Answers `NWC(q, l, w, n)` under the given optimization scheme.
-    ///
-    /// Returns `None` when no `l × w` window anywhere contains `n`
-    /// objects. Every scheme returns a group with the same (optimal)
-    /// distance; they differ only in I/O cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a disk read that fails after every retry; use
-    /// [`NwcIndex::try_nwc`] to handle that case.
-    pub fn nwc(&self, query: &NwcQuery, scheme: Scheme) -> Option<NwcResult> {
-        self.nwc_full(query, scheme).0
-    }
-
-    /// As [`NwcIndex::nwc`], reusing the buffers of `scratch` so a warm
-    /// query performs no per-node or per-visited-object heap allocation
-    /// (see [`QueryScratch`]). Results and I/O counts are identical to
-    /// [`NwcIndex::nwc`].
-    pub fn nwc_with(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-    ) -> Option<NwcResult> {
-        self.nwc_full_with(query, scheme, scratch).0
-    }
-
-    /// As [`NwcIndex::nwc`], also returning the search statistics even
-    /// when the query has no answer (the experiments need the I/O cost
-    /// of fruitless searches — e.g. Figure 12's smallest windows on the
-    /// Gaussian dataset).
-    pub fn nwc_full(&self, query: &NwcQuery, scheme: Scheme) -> (Option<NwcResult>, SearchStats) {
-        self.nwc_full_with(query, scheme, &mut QueryScratch::default())
-    }
-
-    /// As [`NwcIndex::nwc_full`] with scratch reuse (see
-    /// [`NwcIndex::nwc_with`]).
-    pub fn nwc_full_with(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-    ) -> (Option<NwcResult>, SearchStats) {
-        match self.try_nwc_full_with(query, scheme, scratch) {
-            Ok(r) => r,
-            Err(e) => unrecoverable(e),
-        }
-    }
-
-    /// As [`NwcIndex::nwc`], surfacing disk read failures as
-    /// [`QueryError::Io`] instead of panicking. On an arena-backed index
-    /// this never errs; on a disk-backed index an error leaves the index
-    /// fully usable (pins released, failing page quarantined).
-    pub fn try_nwc(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-    ) -> Result<Option<NwcResult>, QueryError> {
-        Ok(self.try_nwc_full(query, scheme)?.0)
-    }
-
-    /// As [`NwcIndex::try_nwc`] with scratch reuse.
-    pub fn try_nwc_with(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-    ) -> Result<Option<NwcResult>, QueryError> {
-        Ok(self.try_nwc_full_with(query, scheme, scratch)?.0)
-    }
-
-    /// As [`NwcIndex::nwc_full`], surfacing disk read failures as
-    /// [`QueryError::Io`] (see [`NwcIndex::try_nwc`]).
-    pub fn try_nwc_full(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-    ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
-        self.try_nwc_full_with(query, scheme, &mut QueryScratch::default())
-    }
-
-    /// As [`NwcIndex::try_nwc_full`] with scratch reuse.
+    /// `search` of an exact NWC request under `scheme`, all or nothing,
+    /// as `(answer, stats)`. Kept only for the benchmark adapter
+    /// (`nwc-benchmark/src/sut.rs`); new code calls [`NwcIndex::search`].
     pub fn try_nwc_full_with(
         &self,
         query: &NwcQuery,
         scheme: Scheme,
         scratch: &mut QueryScratch,
     ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
-        self.try_nwc_full_cancel(query, scheme, scratch, &Budget::none())
+        let out = self.search(&SearchRequest::nwc(*query, scheme), scratch)?.complete()?;
+        let stats = out.stats;
+        Ok((out.into_nwc(), stats))
     }
 
-    /// As [`NwcIndex::try_nwc_full_with`], additionally observing a
-    /// cooperative [`Budget`]. Once it expires the search stops at its
-    /// next cancellation point (a node expansion or a window query — so
-    /// the latency of a trip is bounded by one node access plus one
-    /// window query) and returns [`QueryError::Deadline`] or
-    /// [`QueryError::Cancelled`]. The index and the calling thread
-    /// remain fully usable afterwards: every page pin is released and
-    /// the scratch buffers are intact.
-    pub fn try_nwc_full_cancel(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-        cancel: &Budget,
-    ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
-        let mut sink = BestSink::new();
-        let (stats, end) = self.search(query, scheme, &mut sink, scratch, cancel)?;
-        end.or_error()?;
-        Ok((sink.into_result(stats), stats))
-    }
-
-    /// Anytime `NWC(q, l, w, n)`: runs until `budget` expires and
-    /// returns the best group found so far with a proven quality bound
-    /// (see [`AnytimeNwc`]) instead of erroring. With
-    /// [`Approx::exact`] and [`Budget::none`] the answer and logical
-    /// I/O are bit-identical to [`NwcIndex::try_nwc_full`].
-    pub fn try_nwc_anytime(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        budget: &Budget,
-        approx: Approx,
-    ) -> Result<AnytimeNwc, QueryError> {
-        self.try_nwc_anytime_with(query, scheme, &mut QueryScratch::default(), budget, approx)
-    }
-
-    /// As [`NwcIndex::try_nwc_anytime`] with scratch reuse.
+    /// `search` of an NWC request under `budget` and `approx`, as an
+    /// [`AnytimeNwc`]. Kept only for the benchmark adapter
+    /// (`nwc-benchmark/src/sut.rs`); new code calls [`NwcIndex::search`].
     pub fn try_nwc_anytime_with(
         &self,
         query: &NwcQuery,
@@ -470,43 +422,8 @@ impl NwcIndex {
         budget: &Budget,
         approx: Approx,
     ) -> Result<AnytimeNwc, QueryError> {
-        let started = std::time::Instant::now();
-        let io = self.tree().stats();
-        let io0 = io.snapshot();
-        let mut sink = BestSink::approx(approx.shrink());
-        let (stats, end) = self.search(query, scheme, &mut sink, scratch, budget)?;
-        let spent = crate::anytime::BudgetSpent {
-            elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            io: io.since(io0),
-        };
-        let (frontier_key, exhausted) = match end {
-            SearchEnd::Complete => (f64::INFINITY, None),
-            SearchEnd::Exhausted { kind, frontier } => (frontier, Some(kind)),
-        };
-        let slack = crate::anytime::frontier_slack(query.measure, &query.spec);
-        let frontier = crate::anytime::frontier_lower_bound(frontier_key, slack);
-        let dist_best = sink.dist_best;
-        let lower_bound = crate::anytime::combine_lower_bound(dist_best, approx.shrink(), frontier);
-        let error_bound = crate::anytime::gap(dist_best, lower_bound);
-        Ok(AnytimeNwc {
-            answer: sink.into_result(stats),
-            stats,
-            lower_bound,
-            error_bound,
-            spent,
-            exhausted,
-        })
-    }
-}
-
-/// Maps a budget trip to the error the all-or-nothing `try_*_cancel`
-/// APIs promise. An I/O allowance plays the role of a spent deadline
-/// there.
-fn budget_error(kind: CancelKind) -> QueryError {
-    match kind {
-        CancelKind::Deadline => QueryError::Deadline,
-        CancelKind::Stopped => QueryError::Cancelled,
-        CancelKind::IoBudget => QueryError::Deadline,
+        let req = SearchRequest::nwc(*query, scheme).with_budget(budget.clone()).with_approx(approx);
+        Ok(self.search(&req, scratch)?.into())
     }
 }
 
@@ -640,6 +557,7 @@ impl GroupSink for BestSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::testing::*;
     use crate::{DistanceMeasure, WindowSpec};
     use nwc_geom::pt;
 
@@ -663,7 +581,7 @@ mod tests {
         let idx = NwcIndex::build(cluster_world());
         let query = NwcQuery::new(pt(10.0, 10.0), WindowSpec::square(8.0), 3);
         for scheme in Scheme::TABLE3 {
-            let r = idx.nwc(&query, scheme).unwrap_or_else(|| {
+            let r = nwc(&idx, &query, scheme).unwrap_or_else(|| {
                 panic!("{scheme} found nothing")
             });
             let mut ids = r.ids();
@@ -676,7 +594,7 @@ mod tests {
     fn small_n_uses_near_pair() {
         let idx = NwcIndex::build(cluster_world());
         let query = NwcQuery::new(pt(10.0, 10.0), WindowSpec::square(8.0), 2);
-        let r = idx.nwc(&query, Scheme::NWC_STAR).unwrap();
+        let r = nwc(&idx, &query, Scheme::NWC_STAR).unwrap();
         let mut ids = r.ids();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1]);
@@ -687,7 +605,7 @@ mod tests {
         let idx = NwcIndex::build(cluster_world());
         let query = NwcQuery::new(pt(10.0, 10.0), WindowSpec::square(8.0), 6);
         for scheme in Scheme::TABLE3 {
-            let (r, stats) = idx.nwc_full(&query, scheme);
+            let (r, stats) = nwc_full(&idx, &query, scheme);
             assert!(r.is_none(), "{scheme}");
             assert!(stats.io_total > 0);
         }
@@ -697,7 +615,7 @@ mod tests {
     fn n_equals_one_degenerates_to_nearest_neighbor() {
         let idx = NwcIndex::build(cluster_world());
         let query = NwcQuery::new(pt(39.0, 39.0), WindowSpec::square(4.0), 1);
-        let r = idx.nwc(&query, Scheme::NWC_STAR).unwrap();
+        let r = nwc(&idx, &query, Scheme::NWC_STAR).unwrap();
         assert_eq!(r.ids(), vec![2]); // (40,40) is nearest
         let (d, e) = idx.tree().nearest(pt(39.0, 39.0)).unwrap();
         assert_eq!(e.id, 2);
@@ -713,7 +631,7 @@ mod tests {
                     .with_measure(measure);
                 let dists: Vec<Option<f64>> = Scheme::TABLE3
                     .iter()
-                    .map(|&s| idx.nwc(&query, s).map(|r| r.distance))
+                    .map(|&s| nwc(&idx, &query, s).map(|r| r.distance))
                     .collect();
                 for d in &dists[1..] {
                     match (dists[0], *d) {
@@ -740,8 +658,8 @@ mod tests {
             .collect();
         let idx = NwcIndex::build(pts);
         let query = NwcQuery::new(pt(5000.0, 5000.0), WindowSpec::square(200.0), 8);
-        let (_, base) = idx.nwc_full(&query, Scheme::NWC);
-        let (_, star) = idx.nwc_full(&query, Scheme::NWC_STAR);
+        let (_, base) = nwc_full(&idx, &query, Scheme::NWC);
+        let (_, star) = nwc_full(&idx, &query, Scheme::NWC_STAR);
         assert!(
             star.io_total < base.io_total,
             "NWC* ({}) should beat NWC ({})",
@@ -754,7 +672,7 @@ mod tests {
     fn result_window_contains_group() {
         let idx = NwcIndex::build(cluster_world());
         let query = NwcQuery::new(pt(0.0, 0.0), WindowSpec::square(8.0), 3);
-        let r = idx.nwc(&query, Scheme::NWC_PLUS).unwrap();
+        let r = nwc(&idx, &query, Scheme::NWC_PLUS).unwrap();
         for e in &r.objects {
             assert!(r.window.contains_point(&e.point));
         }
@@ -766,7 +684,7 @@ mod tests {
     fn group_ordered_by_distance() {
         let idx = NwcIndex::build(cluster_world());
         let query = NwcQuery::new(pt(100.0, 100.0), WindowSpec::square(8.0), 4);
-        let r = idx.nwc(&query, Scheme::NWC_STAR).unwrap();
+        let r = nwc(&idx, &query, Scheme::NWC_STAR).unwrap();
         let d: Vec<f64> = r.objects.iter().map(|e| e.point.dist(&query.q)).collect();
         assert!(d.windows(2).all(|w| w[0] <= w[1]), "{d:?}");
     }
@@ -779,8 +697,8 @@ mod tests {
         };
         let idx = NwcIndex::build_with(cluster_world(), cfg);
         let query = NwcQuery::new(pt(0.0, 0.0), WindowSpec::square(8.0), 3);
-        let (dep, dep_stats) = idx.try_nwc_full(&query, Scheme::DEP).unwrap();
-        let (plain, plain_stats) = idx.try_nwc_full(&query, Scheme::NWC).unwrap();
+        let (dep, dep_stats) = nwc_full(&idx, &query, Scheme::DEP);
+        let (plain, plain_stats) = nwc_full(&idx, &query, Scheme::NWC);
         let dep = dep.expect("a 3-cluster exists");
         let plain = plain.expect("a 3-cluster exists");
         assert_eq!(dep.ids(), plain.ids());

@@ -1,13 +1,12 @@
 //! Anytime/budgeted and `(1+ε)`-approximate query results.
 //!
-//! The exact query APIs treat every resource limit as a hard failure: a
-//! missed deadline is [`QueryError::Deadline`] and the caller gets
-//! nothing, even though the best-first search had usually found a
-//! near-optimal group long before the budget ran out. The anytime APIs
-//! (`NwcIndex::try_nwc_anytime*`, `NwcIndex::try_knwc_anytime*`, and
-//! their engine/shard counterparts) instead stop cooperatively and
-//! return the **best answer so far together with a proven quality
-//! bound**:
+//! The all-or-nothing contract ([`Outcome::complete`](crate::Outcome::complete))
+//! treats every resource limit as a hard failure: a missed deadline is
+//! [`QueryError::Deadline`] and the caller gets nothing, even though the
+//! best-first search had usually found a near-optimal group long before
+//! the budget ran out. A search itself instead stops cooperatively and
+//! returns the **best answer so far together with a proven quality
+//! bound** in its [`Outcome`](crate::Outcome):
 //!
 //! - The best-first frontier pops items in ascending key; every group
 //!   the search has not yet covered is anchored at an object still at
@@ -25,24 +24,26 @@
 //!
 //! Combining the two certificates: the exact optimum `d*` satisfies
 //! `d* >= min(max(0, frontier_key - slack), answer/(1+ε))` —
-//! [`AnytimeNwc::lower_bound`].
+//! [`Outcome::lower_bound`](crate::Outcome::lower_bound).
 //! The absolute gap `answer - lower_bound` is
-//! [`AnytimeNwc::error_bound`]; it is `0` for a completed exact search
-//! and `+inf` when the budget expired before any group was found.
+//! [`Outcome::error_bound`](crate::Outcome::error_bound); it is `0` for a
+//! completed exact search and `+inf` when the budget expired before any
+//! group was found.
 //!
 //! With `ε = 0` and an unarmed [`Budget`](nwc_rtree::Budget) the
-//! anytime path runs the exact search loop unchanged — answers *and*
-//! logical I/O are bit-identical to the exact APIs (asserted by
+//! search runs the exact loop unchanged — answers *and* logical I/O are
+//! bit-identical to an unbudgeted exact search (asserted by
 //! `tests/oracle_equivalence.rs`).
 
-use crate::knwc::KnwcResult;
 use crate::measure::DistanceMeasure;
 use crate::query::QueryError;
+use crate::request::Outcome;
 use crate::result::{NwcResult, SearchStats};
 use nwc_geom::window::WindowSpec;
 use nwc_rtree::CancelKind;
+use std::time::Instant;
 
-/// `(1+ε)`-approximation mode for the anytime query APIs.
+/// `(1+ε)`-approximation mode of a [`SearchRequest`](crate::SearchRequest).
 ///
 /// The factor shrinks every distance-driven pruning threshold
 /// (SRR/DIP and the kNWC k-th-score bound) by `1/(1+ε)`, letting the
@@ -106,8 +107,20 @@ pub struct BudgetSpent {
     pub io: u64,
 }
 
-/// The outcome of a budgeted/approximate NWC search: the best group
-/// found so far plus a proven bracket on the exact optimum.
+impl BudgetSpent {
+    /// The spend of a search that started at `started` and charged `io`
+    /// logical accesses.
+    pub(crate) fn since(started: Instant, io: u64) -> Self {
+        BudgetSpent {
+            elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+            io,
+        }
+    }
+}
+
+/// The [`Outcome`] of an NWC search in the shape the benchmark adapter
+/// reads: the best group found so far plus a proven bracket on the
+/// exact optimum.
 ///
 /// Invariants (asserted against the brute-force oracle by the test
 /// suites): `lower_bound <= d* <= answer.distance` whenever `answer`
@@ -151,40 +164,16 @@ impl AnytimeNwc {
     }
 }
 
-/// The outcome of a budgeted/approximate kNWC search.
-///
-/// The bound brackets the *k-th selected* score: every group the
-/// pruned greedy selection would still have accepted scores at least
-/// `lower_bound`, and when `k` groups were found the k-th score is
-/// within `error_bound` of the best possible k-th score. (The pruned
-/// kNWC inherits the paper's §3.4 caveat — see `knwc`'s module docs —
-/// so the bound is relative to the pruned-greedy semantics the exact
-/// API implements.)
-#[derive(Clone, Debug)]
-pub struct AnytimeKnwc {
-    /// Groups found within the budget, plus search statistics.
-    pub result: KnwcResult,
-    /// Proven lower bound on every undiscovered candidate's score.
-    pub lower_bound: f64,
-    /// Quality gap of the k-th score (`+inf` when fewer than `k`
-    /// groups were found before the budget expired; `0` for a
-    /// completed exact search).
-    pub error_bound: f64,
-    /// What the search spent.
-    pub spent: BudgetSpent,
-    /// Why the search stopped early (`None` = frontier drained).
-    pub exhausted: Option<CancelKind>,
-}
-
-impl AnytimeKnwc {
-    /// Whether the search covered the whole frontier.
-    pub fn is_complete(&self) -> bool {
-        self.exhausted.is_none()
-    }
-
-    /// Whether the budget expired mid-search.
-    pub fn is_partial(&self) -> bool {
-        self.exhausted.is_some()
+impl From<Outcome> for AnytimeNwc {
+    fn from(out: Outcome) -> Self {
+        AnytimeNwc {
+            stats: out.stats,
+            lower_bound: out.lower_bound,
+            error_bound: out.error_bound,
+            spent: out.spent,
+            exhausted: out.exhausted,
+            answer: out.into_nwc(),
+        }
     }
 }
 

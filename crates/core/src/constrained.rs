@@ -20,7 +20,7 @@
 
 use crate::candidates::GroupSink;
 use crate::index::NwcIndex;
-use crate::query::{unrecoverable, NwcQuery};
+use crate::query::{NwcQuery, QueryError};
 use crate::result::{NwcResult, SearchStats};
 use crate::scheme::Scheme;
 use crate::scratch::QueryScratch;
@@ -31,35 +31,28 @@ impl NwcIndex {
     /// Answers `NWC(q, l, w, n)` restricted to groups whose objects all
     /// lie inside `region`.
     ///
-    /// Returns `None` when no qualifying group exists inside the region.
+    /// Returns `Ok(None)` when no qualifying group exists inside the
+    /// region, and `Err` for a malformed query or a failed disk read.
     pub fn nwc_within(
         &self,
         query: &NwcQuery,
         scheme: Scheme,
         region: &Rect,
-    ) -> Option<NwcResult> {
+    ) -> Result<Option<NwcResult>, QueryError> {
+        query.validate()?;
         let mut sink = ConstrainedSink {
             region: *region,
             dist_best: f64::INFINITY,
             best: None,
         };
-        let searched = self.search(
-            query,
-            scheme,
-            &mut sink,
-            &mut QueryScratch::default(),
-            &Budget::none(),
-        );
-        let stats = match searched {
-            Ok((stats, _)) => stats,
-            Err(e) => unrecoverable(e),
-        };
-        sink.best.map(|(objects, window)| NwcResult {
+        let (stats, _) =
+            self.traverse(query, scheme, &mut sink, &mut QueryScratch::new(), &Budget::none())?;
+        Ok(sink.best.map(|(objects, window)| NwcResult {
             objects,
             distance: sink.dist_best,
             window,
             stats,
-        })
+        }))
     }
 }
 
@@ -89,7 +82,7 @@ impl GroupSink for ConstrainedSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WindowSpec;
+    use crate::{SearchRequest, WindowSpec};
     use nwc_geom::{pt, rect};
 
     fn world() -> Vec<nwc_geom::Point> {
@@ -104,7 +97,7 @@ mod tests {
         let idx = NwcIndex::build(world());
         let query = NwcQuery::new(pt(0.0, 0.0), WindowSpec::square(6.0), 3);
         let region = rect(50.0, 50.0, 100.0, 100.0);
-        let r = idx.nwc_within(&query, Scheme::NWC_STAR, &region).unwrap();
+        let r = idx.nwc_within(&query, Scheme::NWC_STAR, &region).unwrap().unwrap();
         assert!(r.objects.iter().all(|e| region.contains_point(&e.point)));
         let mut ids = r.ids();
         ids.sort_unstable();
@@ -118,8 +111,13 @@ mod tests {
         let everything = rect(-1e6, -1e6, 1e6, 1e6);
         let constrained = idx
             .nwc_within(&query, Scheme::NWC_PLUS, &everything)
+            .unwrap()
             .unwrap();
-        let plain = idx.nwc(&query, Scheme::NWC_PLUS).unwrap();
+        let plain = idx
+            .search(&SearchRequest::nwc(query, Scheme::NWC_PLUS), &mut QueryScratch::new())
+            .unwrap()
+            .into_nwc()
+            .unwrap();
         assert!((constrained.distance - plain.distance).abs() < 1e-9);
     }
 
@@ -128,7 +126,7 @@ mod tests {
         let idx = NwcIndex::build(world());
         let query = NwcQuery::new(pt(0.0, 0.0), WindowSpec::square(6.0), 3);
         let region = rect(200.0, 200.0, 300.0, 300.0);
-        assert!(idx.nwc_within(&query, Scheme::NWC_STAR, &region).is_none());
+        assert!(idx.nwc_within(&query, Scheme::NWC_STAR, &region).unwrap().is_none());
     }
 
     #[test]
@@ -138,7 +136,7 @@ mod tests {
         let region = rect(60.0, 60.0, 90.0, 90.0);
         let dists: Vec<Option<f64>> = Scheme::TABLE3
             .iter()
-            .map(|&s| idx.nwc_within(&query, s, &region).map(|r| r.distance))
+            .map(|&s| idx.nwc_within(&query, s, &region).unwrap().map(|r| r.distance))
             .collect();
         for d in &dists[1..] {
             assert_eq!(

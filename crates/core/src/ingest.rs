@@ -154,6 +154,7 @@ impl StreamingIngestor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::testing::*;
     use nwc_geom::pt;
 
     fn base_points(n: usize) -> Vec<Point> {
@@ -217,7 +218,7 @@ mod tests {
                 .unwrap();
         }
         let q = NwcQuery::new(pt(790.0, 790.0), WindowSpec::square(10.0), 8);
-        let hit = ing.index().nwc(&q, Scheme::NWC).expect("cluster exists");
+        let hit = nwc(ing.index(), &q, Scheme::NWC).expect("cluster exists");
         assert_eq!(hit.objects.len(), 8);
         assert!(hit.objects.iter().all(|e| e.point.x >= 799.0));
     }

@@ -31,7 +31,8 @@
 use crate::algo::SearchEnd;
 use crate::candidates::GroupSink;
 use crate::index::NwcIndex;
-use crate::query::{unrecoverable, KnwcQuery, QueryError};
+use crate::query::{KnwcQuery, QueryError};
+use crate::request::SearchRequest;
 use crate::result::SearchStats;
 use crate::scheme::Scheme;
 use crate::scratch::QueryScratch;
@@ -69,169 +70,33 @@ pub struct KnwcResult {
 }
 
 impl NwcIndex {
-    /// Answers `kNWC(k, q, l, w, n, m)` under the given scheme, pruning
-    /// with the current k-th group distance as §3.4 prescribes. The
-    /// paper's experiments use `kNWC+` (= `Scheme::NWC_PLUS`) and `kNWC*`
-    /// (= `Scheme::NWC_STAR`).
-    pub fn knwc(&self, query: &KnwcQuery, scheme: Scheme) -> KnwcResult {
-        self.knwc_impl(query, scheme, true, &mut QueryScratch::default())
-    }
-
-    /// As [`NwcIndex::knwc`], reusing the buffers of `scratch` so a warm
-    /// query's traversal performs no per-node or per-visited-object heap
-    /// allocation (see [`QueryScratch`]). Results and I/O counts are
-    /// identical to [`NwcIndex::knwc`].
-    pub fn knwc_with(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-    ) -> KnwcResult {
-        self.knwc_impl(query, scheme, true, scratch)
-    }
-
-    /// As [`NwcIndex::knwc`], surfacing disk read failures as
-    /// [`QueryError`] instead of panicking (see [`NwcIndex::try_nwc`]).
-    /// On an error the index remains usable.
-    pub fn try_knwc(&self, query: &KnwcQuery, scheme: Scheme) -> Result<KnwcResult, QueryError> {
-        self.try_knwc_with(query, scheme, &mut QueryScratch::default())
-    }
-
-    /// As [`NwcIndex::try_knwc`] with scratch reuse.
+    /// `search` of an exact kNWC request under `scheme`, all or nothing.
+    /// Kept only for the benchmark adapter (`nwc-benchmark/src/sut.rs`);
+    /// new code calls [`NwcIndex::search`].
     pub fn try_knwc_with(
         &self,
         query: &KnwcQuery,
         scheme: Scheme,
         scratch: &mut QueryScratch,
     ) -> Result<KnwcResult, QueryError> {
-        self.try_knwc_cancel(query, scheme, scratch, &Budget::none())
+        let req = SearchRequest::knwc(*query, scheme);
+        Ok(self.search(&req, scratch)?.complete()?.into_knwc())
     }
 
-    /// As [`NwcIndex::try_knwc_with`], additionally observing a
-    /// cooperative [`Budget`] — see [`NwcIndex::try_nwc_full_cancel`]
-    /// for the cancellation contract.
-    pub fn try_knwc_cancel(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-        cancel: &Budget,
-    ) -> Result<KnwcResult, QueryError> {
-        self.try_knwc_impl(query, scheme, true, scratch, cancel)
-    }
-
-    /// Anytime `kNWC`: runs until `budget` expires and returns the
-    /// groups found so far with a proven quality bound (see
-    /// [`AnytimeKnwc`](crate::AnytimeKnwc)) instead of erroring. With
-    /// [`Approx::exact`](crate::Approx::exact) and [`Budget::none`] the
-    /// groups and logical I/O are bit-identical to
-    /// [`NwcIndex::try_knwc`].
-    pub fn try_knwc_anytime(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        budget: &Budget,
-        approx: crate::Approx,
-    ) -> Result<crate::AnytimeKnwc, QueryError> {
-        self.try_knwc_anytime_with(query, scheme, &mut QueryScratch::default(), budget, approx)
-    }
-
-    /// As [`NwcIndex::try_knwc_anytime`] with scratch reuse.
-    pub fn try_knwc_anytime_with(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-        budget: &Budget,
-        approx: crate::Approx,
-    ) -> Result<crate::AnytimeKnwc, QueryError> {
-        query.validate()?;
-        let started = std::time::Instant::now();
-        let io = self.tree().stats();
-        let io0 = io.snapshot();
-        let core = GroupsCore::approx(query.k, query.m, true, approx.shrink());
-        let (result, end) = self.knwc_search(query, scheme, core, scratch, budget)?;
-        let spent = crate::BudgetSpent {
-            elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            io: io.since(io0),
-        };
-        // The bound brackets the k-th selected score; with fewer than k
-        // groups it is infinite unless the search completed (in which
-        // case no k-th group exists at all and the gap is zero).
-        let kth = if result.groups.len() == query.k {
-            result.groups.last().map_or(f64::INFINITY, |g| g.distance)
-        } else {
-            f64::INFINITY
-        };
-        let (frontier_key, exhausted) = match end {
-            SearchEnd::Complete => (f64::INFINITY, None),
-            SearchEnd::Exhausted { kind, frontier } => (frontier, Some(kind)),
-        };
-        let slack = crate::anytime::frontier_slack(query.base.measure, &query.base.spec);
-        let frontier = crate::anytime::frontier_lower_bound(frontier_key, slack);
-        let lower_bound = crate::anytime::combine_lower_bound(kth, approx.shrink(), frontier);
-        let error_bound = crate::anytime::gap(kth, lower_bound);
-        Ok(crate::AnytimeKnwc {
-            result,
-            lower_bound,
-            error_bound,
-            spent,
-            exhausted,
-        })
-    }
-
-    /// As [`NwcIndex::knwc`] but with distance pruning disabled: every
-    /// qualified window is considered, so the answer is exactly the
-    /// greedy Definition-3 selection (matching
+    /// A kNWC search with distance pruning disabled: every qualified
+    /// window is considered, so the answer is exactly the greedy
+    /// Definition-3 selection (matching
     /// [`oracle::knwc_brute_force`](crate::oracle::knwc_brute_force)).
     /// DEP/IWP still apply if the scheme enables them — they never drop
     /// qualified windows.
-    pub fn knwc_exact(&self, query: &KnwcQuery, scheme: Scheme) -> KnwcResult {
-        self.knwc_impl(query, scheme, false, &mut QueryScratch::default())
-    }
-
-    /// Fallible [`NwcIndex::knwc_exact`] with scratch reuse — the
-    /// panic-free delegation target for the sharded planner's K = 1
-    /// fast path.
-    pub(crate) fn try_knwc_exact_with(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-    ) -> Result<KnwcResult, QueryError> {
-        self.try_knwc_impl(query, scheme, false, scratch, &Budget::none())
-    }
-
-    fn knwc_impl(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        prune: bool,
-        scratch: &mut QueryScratch,
-    ) -> KnwcResult {
-        match self.try_knwc_impl(query, scheme, prune, scratch, &Budget::none()) {
-            Ok(r) => r,
-            Err(e) => unrecoverable(e),
-        }
-    }
-
-    fn try_knwc_impl(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        prune: bool,
-        scratch: &mut QueryScratch,
-        cancel: &Budget,
-    ) -> Result<KnwcResult, QueryError> {
-        query.validate()?;
-        let core = GroupsCore::new(query.k, query.m, prune);
-        let (result, end) = self.knwc_search(query, scheme, core, scratch, cancel)?;
-        end.or_error()?;
-        Ok(result)
+    pub fn knwc_exact(&self, query: &KnwcQuery, scheme: Scheme) -> Result<KnwcResult, QueryError> {
+        let req = SearchRequest::knwc(*query, scheme);
+        let out = self.search_pruned(&req, false, &mut QueryScratch::new())?;
+        Ok(out.complete()?.into_knwc())
     }
 
     /// The search loop with the buffered greedy top-k sink over `core`.
-    fn knwc_search(
+    pub(crate) fn knwc_search(
         &self,
         query: &KnwcQuery,
         scheme: Scheme,
@@ -245,7 +110,7 @@ impl NwcIndex {
             core,
             idbuf: std::mem::take(&mut scratch.ids),
         };
-        let searched = self.search(&query.base, scheme, &mut sink, scratch, budget);
+        let searched = self.traverse(&query.base, scheme, &mut sink, scratch, budget);
         // Failed or not, the id buffer goes back to the scratch so its
         // capacity survives into the next query.
         sink.idbuf.clear();
@@ -287,10 +152,6 @@ pub(crate) struct GroupsCore {
 }
 
 impl GroupsCore {
-    pub(crate) fn new(k: usize, m: usize, prune: bool) -> Self {
-        GroupsCore::approx(k, m, prune, 1.0)
-    }
-
     pub(crate) fn approx(k: usize, m: usize, prune: bool, shrink: f64) -> Self {
         GroupsCore {
             k,
@@ -447,6 +308,7 @@ fn overlap_count(a: &[ObjectId], b: &[ObjectId]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::testing::*;
     use crate::{KnwcQuery, Scheme, WindowSpec};
     use nwc_geom::pt;
 
@@ -473,7 +335,7 @@ mod tests {
         let idx = NwcIndex::build(three_clusters());
         let query = KnwcQuery::new(pt(0.0, 0.0), WindowSpec::square(5.0), 3, 3, 0);
         for scheme in [Scheme::NWC_PLUS, Scheme::NWC_STAR] {
-            let r = idx.knwc(&query, scheme);
+            let r = knwc(&idx, &query, scheme);
             assert_eq!(r.groups.len(), 3, "{scheme}");
             let d: Vec<f64> = r.groups.iter().map(|g| g.distance).collect();
             assert!(d.windows(2).all(|w| w[0] <= w[1]), "{scheme}: {d:?}");
@@ -495,9 +357,8 @@ mod tests {
         let idx = NwcIndex::build(three_clusters());
         let q = pt(47.0, 48.0);
         let spec = WindowSpec::square(5.0);
-        let knwc = idx.knwc(&KnwcQuery::new(q, spec, 3, 2, 0), Scheme::NWC_STAR);
-        let nwc = idx
-            .nwc(&crate::NwcQuery::new(q, spec, 3), Scheme::NWC_STAR)
+        let knwc = knwc(&idx, &KnwcQuery::new(q, spec, 3, 2, 0), Scheme::NWC_STAR);
+        let nwc = nwc(&idx, &crate::NwcQuery::new(q, spec, 3), Scheme::NWC_STAR)
             .unwrap();
         assert!((knwc.groups[0].distance - nwc.distance).abs() < 1e-9);
     }
@@ -515,12 +376,14 @@ mod tests {
             pt(14.5, 10.0),
         ];
         let idx = NwcIndex::build(pts);
-        let strict = idx.knwc(
+        let strict = knwc(
+            &idx,
             &KnwcQuery::new(pt(0.0, 0.0), WindowSpec::square(4.0), 4, 2, 0),
             Scheme::NWC_STAR,
         );
         assert_eq!(strict.groups.len(), 1);
-        let loose = idx.knwc(
+        let loose = knwc(
+            &idx,
             &KnwcQuery::new(pt(0.0, 0.0), WindowSpec::square(4.0), 4, 2, 3),
             Scheme::NWC_STAR,
         );
@@ -532,7 +395,7 @@ mod tests {
     fn fewer_groups_than_k_when_data_runs_out() {
         let idx = NwcIndex::build(three_clusters());
         let query = KnwcQuery::new(pt(0.0, 0.0), WindowSpec::square(5.0), 4, 10, 0);
-        let r = idx.knwc(&query, Scheme::NWC_STAR);
+        let r = knwc(&idx, &query, Scheme::NWC_STAR);
         assert_eq!(r.groups.len(), 3, "only three disjoint 4-groups exist");
     }
 
@@ -540,7 +403,7 @@ mod tests {
     fn no_duplicate_groups() {
         let idx = NwcIndex::build(three_clusters());
         let query = KnwcQuery::new(pt(30.0, 30.0), WindowSpec::square(6.0), 2, 8, 1);
-        let r = idx.knwc(&query, Scheme::NWC_STAR);
+        let r = knwc(&idx, &query, Scheme::NWC_STAR);
         let sets: Vec<Vec<u32>> = r.groups.iter().map(|g| g.id_set()).collect();
         for a in 0..sets.len() {
             for b in a + 1..sets.len() {
@@ -553,8 +416,8 @@ mod tests {
     fn exact_mode_matches_pruned_on_easy_data() {
         let idx = NwcIndex::build(three_clusters());
         let query = KnwcQuery::new(pt(10.0, 90.0), WindowSpec::square(5.0), 3, 3, 0);
-        let pruned = idx.knwc(&query, Scheme::NWC_STAR);
-        let exact = idx.knwc_exact(&query, Scheme::NWC);
+        let pruned = knwc(&idx, &query, Scheme::NWC_STAR);
+        let exact = idx.knwc_exact(&query, Scheme::NWC).unwrap();
         assert_eq!(pruned.groups.len(), exact.groups.len());
         for (a, b) in pruned.groups.iter().zip(&exact.groups) {
             assert!((a.distance - b.distance).abs() < 1e-9);

@@ -14,21 +14,25 @@
 //! - [`NwcIndex`] owns the data: an instrumented R\*-tree
 //!   (`nwc-rtree`) and the DEP density grid (`nwc-grid`), built once
 //!   over a point set and kept in sync by inserts and removals.
-//! - [`NwcIndex::nwc`] runs Algorithm 1: a best-first traversal visiting
-//!   objects in ascending distance, generating candidate windows per
-//!   object (Lemma 1 + the quadrant observations of §3.1) and keeping
-//!   the best object group found.
+//! - [`NwcIndex::search`] answers a [`SearchRequest`] — NWC or the kNWC
+//!   extension of §3.4 — with Algorithm 1: a best-first traversal
+//!   visiting objects in ascending distance, generating candidate
+//!   windows per object (Lemma 1 + the quadrant observations of §3.1)
+//!   and keeping the best object group(s) found. The [`Outcome`] is
+//!   complete, or partial with a proven bound when the request's
+//!   [`Budget`] expired.
 //! - [`Scheme`] toggles the four optimizations — SRR, DIP, DEP, IWP —
 //!   individually or in the paper's named combinations
 //!   ([`Scheme::NWC_PLUS`], [`Scheme::NWC_STAR`]).
-//! - [`NwcIndex::knwc`] runs the kNWC extension of §3.4.
+//! - [`ShardedNwcIndex::search`] answers the same request by
+//!   scatter-gather over K spatial shards.
 //! - [`oracle`] holds brute-force reference implementations used by the
 //!   test suites to verify every scheme returns the optimum.
 //!
 //! # Example
 //!
 //! ```
-//! use nwc_core::{NwcIndex, NwcQuery, Scheme};
+//! use nwc_core::{NwcIndex, NwcQuery, QueryScratch, Scheme, SearchRequest};
 //! use nwc_geom::{pt, window::WindowSpec};
 //!
 //! let shops = vec![
@@ -37,9 +41,12 @@
 //! ];
 //! let index = NwcIndex::build(shops);
 //! let query = NwcQuery::new(pt(50.0, 50.0), WindowSpec::square(8.0), 3);
-//! let hit = index.nwc(&query, Scheme::NWC_STAR).expect("cluster exists");
+//! let req = SearchRequest::nwc(query, Scheme::NWC_STAR);
+//! let outcome = index.search(&req, &mut QueryScratch::new())?;
+//! let hit = outcome.nwc().expect("cluster exists");
 //! assert_eq!(hit.objects.len(), 3);
 //! assert!(hit.objects.iter().all(|e| e.point.x < 60.0));
+//! # Ok::<(), nwc_core::QueryError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,13 +65,14 @@ mod measure;
 pub mod metrics;
 pub mod oracle;
 mod query;
+mod request;
 mod result;
 mod scheme;
 mod scratch;
 pub mod shard;
 pub mod weighted;
 
-pub use anytime::{frontier_slack, AnytimeKnwc, AnytimeNwc, Approx, BudgetSpent};
+pub use anytime::{frontier_slack, AnytimeNwc, Approx, BudgetSpent};
 pub use engine::QueryEngine;
 pub use index::{DiskIndexConfig, IndexConfig, IndexOpenError, IndexUpdateError, NwcIndex};
 pub use ingest::{IngestConfig, StreamingIngestor};
@@ -72,13 +80,11 @@ pub use knwc::{KnwcGroup, KnwcResult};
 pub use measure::DistanceMeasure;
 pub use metrics::MetricsSnapshot;
 pub use query::{KnwcQuery, NwcQuery, QueryError};
+pub use request::{Answer, Outcome, Query, SearchRequest};
 pub use result::{NwcResult, SearchStats};
 pub use scheme::Scheme;
 pub use scratch::QueryScratch;
-pub use shard::{
-    ShardAssemblyError, ShardScatterError, ShardedAnytimeKnwc, ShardedAnytimeNwc,
-    ShardedKnwcAnswer, ShardedNwcAnswer, ShardedNwcIndex, ShardedStoreError,
-};
+pub use shard::{ShardAssemblyError, ShardedAnytimeNwc, ShardedNwcIndex, ShardedStoreError};
 
 // Re-export the vocabulary types callers need to use the API.
 pub use nwc_geom::{window::WindowSpec, Point, Rect};

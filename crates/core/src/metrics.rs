@@ -66,7 +66,9 @@ io_counters! {
     physical_reads => "io_physical_reads",
     /// Page reads that surfaced a hard error to a query.
     io_errors => "io_errors",
-    /// High-water mark of resident decoded nodes.
+    /// High-water mark of resident decoded nodes in the pool's cache;
+    /// nodes a query's node memo still holds after their page was
+    /// evicted are not counted (see `TreeStorage::peak_resident_nodes`).
     peak_resident_nodes => "io_peak_resident_nodes",
 }
 
@@ -74,6 +76,11 @@ io_counters! {
 /// module docs. Build one with [`MetricsSnapshot::capture`], fold
 /// accumulated query stats in with [`MetricsSnapshot::with_search`],
 /// attach injector counters with [`MetricsSnapshot::with_faults`].
+///
+/// One memory gap: `io.peak_resident_nodes` bounds the decoded nodes
+/// the pool keeps, not those an IWP query's node memo keeps alive after
+/// their page was evicted, so it can undercount a query's peak (DESIGN.md
+/// §4m).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Accumulated per-query search counters (zeroed unless the caller
@@ -242,6 +249,7 @@ fn pool_gauge(v: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::testing::*;
     use nwc_geom::pt;
 
     fn arena_index() -> NwcIndex {
@@ -255,7 +263,7 @@ mod tests {
     fn arena_capture_has_no_pool_or_faults() {
         let idx = arena_index();
         let query = crate::NwcQuery::new(pt(50.0, 50.0), crate::WindowSpec::square(20.0), 4);
-        let (_, stats) = idx.nwc_full(&query, crate::Scheme::NWC_STAR);
+        let (_, stats) = nwc_full(&idx, &query, crate::Scheme::NWC_STAR);
         let snap = MetricsSnapshot::capture(&idx).with_search(stats);
         assert!(snap.pool.is_none());
         assert!(snap.faults.is_none());
@@ -303,7 +311,9 @@ mod tests {
         let index = crate::ShardedNwcIndex::open_dir(&dir, config).unwrap();
         for q in [pt(100.0, 100.0), pt(500.0, 480.0), pt(900.0, 50.0)] {
             let query = crate::NwcQuery::new(q, crate::WindowSpec::square(40.0), 4);
-            index.try_nwc(&query, crate::Scheme::NWC_STAR).unwrap();
+            let req = crate::SearchRequest::nwc(query, crate::Scheme::NWC_STAR);
+            let out = index.search(&req, &mut crate::QueryScratch::new()).unwrap();
+            out.complete().unwrap();
         }
         let agg = MetricsSnapshot::capture_sharded(&index);
         let shards: Vec<MetricsSnapshot> = index

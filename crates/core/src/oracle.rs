@@ -166,6 +166,7 @@ pub fn knwc_brute_force(points: &[Point], query: &KnwcQuery) -> Vec<OracleGroup>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::testing::*;
     use crate::{Scheme, WindowSpec};
     use nwc_geom::pt;
 
@@ -198,7 +199,7 @@ mod tests {
         for n in [2usize, 4, 8] {
             let query = NwcQuery::new(pt(48.0, 44.0), WindowSpec::square(12.0), n);
             let want = nwc_brute_force(&pts, &query);
-            let got = idx.nwc(&query, Scheme::NWC_STAR);
+            let got = nwc(&idx, &query, Scheme::NWC_STAR);
             match (want, got) {
                 (None, None) => {}
                 (Some(w), Some(g)) => {

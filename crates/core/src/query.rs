@@ -5,8 +5,8 @@ use nwc_geom::{window::WindowSpec, Point};
 use nwc_rtree::DiskReadError;
 use std::fmt;
 
-/// A malformed query, or (for the `try_*` query APIs over a disk-backed
-/// index) a query whose evaluation hit an unrecoverable disk read.
+/// A malformed query, or a query whose evaluation over a disk-backed
+/// index hit an unrecoverable disk read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
     /// `n` (or `k`) was zero.
@@ -40,6 +40,10 @@ pub enum QueryError {
     /// (rejected by [`Approx::new`](crate::Approx::new) and by the wire
     /// protocol at decode time).
     InvalidEpsilon,
+    /// The worker thread running this query (or one shard of it)
+    /// panicked before returning an answer. The batch and the index
+    /// remain usable; the other queries keep their answers.
+    WorkerPanicked,
 }
 
 impl fmt::Display for QueryError {
@@ -56,21 +60,12 @@ impl fmt::Display for QueryError {
             QueryError::InvalidEpsilon => {
                 write!(f, "approximation factor must be finite and non-negative")
             }
+            QueryError::WorkerPanicked => write!(f, "a query worker panicked before answering"),
         }
     }
 }
 
 impl std::error::Error for QueryError {}
-
-/// The infallible query APIs keep their historical panic on a disk read
-/// that survives the whole retry budget — callers that can handle the
-/// failure use the `try_*` twins. This is core's one deliberate panic
-/// on the query path.
-#[cold]
-#[inline(never)]
-pub(crate) fn unrecoverable(e: QueryError) -> ! {
-    panic!("unrecoverable disk read failure during search (use the try_* query APIs to handle this): {e}")
-}
 
 impl From<nwc_rtree::TreeError> for QueryError {
     fn from(e: nwc_rtree::TreeError) -> Self {
@@ -82,10 +77,9 @@ impl From<nwc_rtree::TreeError> for QueryError {
             nwc_rtree::TreeError::Cancelled(nwc_rtree::CancelKind::Stopped) => {
                 QueryError::Cancelled
             }
-            // The anytime paths intercept I/O-budget trips before they
-            // become errors; this arm only fires when an all-or-nothing
-            // `try_*` API is handed an I/O allowance, where "budget
-            // spent" is closest to a spent deadline.
+            // The search loop turns budget trips into partial outcomes
+            // before they become errors; should one surface here anyway,
+            // "I/O allowance spent" is closest to a spent deadline.
             nwc_rtree::TreeError::Cancelled(nwc_rtree::CancelKind::IoBudget) => {
                 QueryError::Deadline
             }
@@ -115,14 +109,16 @@ pub struct NwcQuery {
 }
 
 impl NwcQuery {
-    /// Creates a query with the default distance measure.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n == 0` or `q` is non-finite (use
-    /// [`NwcQuery::try_new`] for fallible construction).
+    /// Creates a query with the default distance measure. It is not
+    /// checked here: a search rejects `n == 0` or a non-finite `q` with
+    /// a typed [`QueryError`] ([`NwcQuery::try_new`] checks at once).
     pub fn new(q: Point, spec: WindowSpec, n: usize) -> Self {
-        NwcQuery::try_new(q, spec, n, DistanceMeasure::default()).unwrap()
+        NwcQuery {
+            q,
+            spec,
+            n,
+            measure: DistanceMeasure::default(),
+        }
     }
 
     /// Fallible constructor with an explicit measure.
@@ -132,13 +128,22 @@ impl NwcQuery {
         n: usize,
         measure: DistanceMeasure,
     ) -> Result<Self, QueryError> {
-        if n == 0 {
+        let query = NwcQuery { q, spec, n, measure };
+        query.validate()?;
+        Ok(query)
+    }
+
+    /// Checks `n ≥ 1` and a finite `q`. The fields are public and
+    /// [`NwcQuery::new`] does not check, so every query entry point
+    /// re-checks with this.
+    pub(crate) fn validate(&self) -> Result<(), QueryError> {
+        if self.n == 0 {
             return Err(QueryError::ZeroCount("n"));
         }
-        if !q.is_finite() {
+        if !self.q.is_finite() {
             return Err(QueryError::NonFiniteLocation);
         }
-        Ok(NwcQuery { q, spec, n, measure })
+        Ok(())
     }
 
     /// Returns a copy using `measure` instead of the default.
@@ -161,14 +166,15 @@ pub struct KnwcQuery {
 }
 
 impl KnwcQuery {
-    /// Creates a kNWC query.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid parameters; use [`KnwcQuery::try_new`] to
-    /// handle errors.
+    /// Creates a kNWC query, unchecked like [`NwcQuery::new`]: a search
+    /// rejects invalid parameters with a typed [`QueryError`]
+    /// ([`KnwcQuery::try_new`] checks at once).
     pub fn new(q: Point, spec: WindowSpec, n: usize, k: usize, m: usize) -> Self {
-        KnwcQuery::try_new(q, spec, n, k, m, DistanceMeasure::default()).unwrap()
+        KnwcQuery {
+            base: NwcQuery::new(q, spec, n),
+            k,
+            m,
+        }
     }
 
     /// Fallible constructor with an explicit measure.
@@ -181,7 +187,7 @@ impl KnwcQuery {
         measure: DistanceMeasure,
     ) -> Result<Self, QueryError> {
         let query = KnwcQuery {
-            base: NwcQuery::try_new(q, spec, n, measure)?,
+            base: NwcQuery::new(q, spec, n).with_measure(measure),
             k,
             m,
         };
@@ -189,10 +195,11 @@ impl KnwcQuery {
         Ok(query)
     }
 
-    /// Checks `k ≥ 1` and `m < n`. The fields are public, so a struct
-    /// literal can skip [`KnwcQuery::try_new`]; every fallible kNWC
-    /// entry point re-checks with this and returns the same errors.
+    /// Checks the base query, `k ≥ 1` and `m < n`. The fields are
+    /// public and [`KnwcQuery::new`] does not check, so every kNWC entry
+    /// point re-checks with this and returns the same errors.
     pub(crate) fn validate(&self) -> Result<(), QueryError> {
+        self.base.validate()?;
         if self.k == 0 {
             return Err(QueryError::ZeroCount("k"));
         }

@@ -8,10 +8,8 @@
 //! query, not by the answer, so across a query workload the same few
 //! buffers are allocated and dropped thousands of times.
 //!
-//! [`QueryScratch`] owns all of them. Thread one through the `*_with`
-//! query variants ([`NwcIndex::nwc_with`](crate::NwcIndex::nwc_with),
-//! [`NwcIndex::knwc_with`](crate::NwcIndex::knwc_with), …) and a *warm*
-//! query — one whose buffers have reached their workload high-water mark
+//! [`QueryScratch`] owns all of them. Lend one to every
+//! [`NwcIndex::search`](crate::NwcIndex::search) and a *warm* query — one whose buffers have reached their workload high-water mark
 //! — performs no per-node or per-visited-object heap allocation; the
 //! only remaining allocations build the returned result itself.
 //!
@@ -25,8 +23,8 @@ use nwc_geom::Rect;
 use nwc_rtree::{entries_inside_into, BrowserScratch, Entry, NodeMemo, ObjectId};
 
 /// Reusable buffers for the NWC/kNWC query hot path. See the module
-/// docs; obtain one with [`QueryScratch::new`] and pass it to the
-/// `*_with` query variants.
+/// docs; obtain one with [`QueryScratch::new`] and pass it to every
+/// `search`.
 #[derive(Default)]
 pub struct QueryScratch {
     /// Best-first frontier heap storage (lives in `nwc-rtree`).

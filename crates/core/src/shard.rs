@@ -67,12 +67,13 @@
 //! for every K, exactly as the unsharded index does — the search loop is the same one ([`best_first`]).
 
 use crate::algo::{best_first, canonical_less, tie_inclusive, BestSink, SearchEnd};
-use crate::anytime::{AnytimeKnwc, AnytimeNwc, Approx, BudgetSpent};
+use crate::anytime::{AnytimeNwc, Approx, BudgetSpent};
 use crate::candidates::{CountTest, GroupSink};
 use crate::engine::scatter_map;
 use crate::index::{density_grid, DiskIndexConfig, IndexConfig, IndexOpenError, IndexUpdateError};
 use crate::knwc::{GroupsCore, KnwcResult};
 use crate::query::{KnwcQuery, NwcQuery, QueryError};
+use crate::request::{Answer, Outcome, Query, SearchRequest};
 use crate::result::{NwcResult, SearchStats};
 use crate::scheme::Scheme;
 use crate::scratch::QueryScratch;
@@ -82,7 +83,8 @@ use nwc_grid::DensityGrid;
 use nwc_rtree::{str_partition, Budget, CancelKind, DiskError, Entry, ObjectId};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
 /// Sentinel in the id → shard owner table for dead/unknown ids.
 const NO_OWNER: u32 = u32::MAX;
@@ -106,32 +108,10 @@ pub struct ShardedNwcIndex {
     threads: usize,
 }
 
-/// Per-shard detail of one scatter-gather NWC search.
-#[derive(Clone, Debug)]
-pub struct ShardedNwcAnswer {
-    /// The merged answer (`None` when no window qualifies anywhere).
-    pub result: Option<NwcResult>,
-    /// Exact aggregate of every shard's counters.
-    pub stats: SearchStats,
-    /// Per-shard counters, indexed by shard (window-query I/O a shard
-    /// issues against *other* shards' trees is attributed to the shard
-    /// running the search, so the aggregate is exact).
-    pub per_shard: Vec<SearchStats>,
-}
-
-/// Per-shard detail of one scatter-gather kNWC search.
-#[derive(Clone, Debug)]
-pub struct ShardedKnwcAnswer {
-    /// The merged top-k answer.
-    pub result: KnwcResult,
-    /// Per-shard counters, indexed by shard.
-    pub per_shard: Vec<SearchStats>,
-}
-
-/// Per-shard detail of one *anytime* scatter-gather NWC search: the
-/// merged best-so-far answer with its combined quality bound, plus
-/// which shards could not finish. A degraded shard never fails the
-/// query — its unexplored territory is folded into
+/// The [`Outcome`] of a sharded NWC search in the shape the benchmark
+/// adapter reads: the merged best-so-far answer with its combined
+/// quality bound, plus which shards could not finish. A degraded shard
+/// never fails the query — its unexplored territory is folded into
 /// [`AnytimeNwc::lower_bound`] instead.
 #[derive(Clone, Debug)]
 pub struct ShardedAnytimeNwc {
@@ -154,70 +134,15 @@ impl ShardedAnytimeNwc {
     }
 }
 
-/// Per-shard detail of one anytime scatter-gather kNWC search (the
-/// kNWC counterpart of [`ShardedAnytimeNwc`]).
-#[derive(Clone, Debug)]
-pub struct ShardedAnytimeKnwc {
-    /// The merged groups, bound, and aggregate spend.
-    pub anytime: AnytimeKnwc,
-    /// Per-shard counters, indexed by shard.
-    pub per_shard: Vec<SearchStats>,
-    /// `(shard, error)` for every shard whose search failed outright.
-    pub degraded: Vec<(usize, QueryError)>,
-}
-
-impl ShardedAnytimeKnwc {
-    /// Whether every shard ran its frontier dry.
-    pub fn is_complete(&self) -> bool {
-        self.anytime.is_complete() && self.degraded.is_empty()
-    }
-}
-
-/// One or more shards failed mid-scatter. The gather still completes:
-/// every healthy shard's counters are retained, every pin taken by the
-/// failed shard's search has been released, and the failing pages are
-/// quarantined — the index remains fully usable.
-#[derive(Debug)]
-pub struct ShardScatterError {
-    /// `(shard, error)` for every shard that failed.
-    pub failures: Vec<(usize, QueryError)>,
-    /// `(shard, stats)` for every shard that completed.
-    pub completed: Vec<(usize, SearchStats)>,
-}
-
-impl std::fmt::Display for ShardScatterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} of {} shards failed during scatter-gather",
-            self.failures.len(),
-            self.failures.len() + self.completed.len()
-        )?;
-        if let Some((shard, e)) = self.failures.first() {
-            write!(f, " (shard {shard}: {e})")?;
+impl From<Outcome> for ShardedAnytimeNwc {
+    fn from(mut out: Outcome) -> Self {
+        let per_shard = std::mem::take(&mut out.per_shard);
+        let degraded = std::mem::take(&mut out.degraded);
+        ShardedAnytimeNwc {
+            anytime: out.into(),
+            per_shard,
+            degraded,
         }
-        Ok(())
-    }
-}
-
-impl std::error::Error for ShardScatterError {}
-
-impl From<ShardScatterError> for QueryError {
-    /// Collapses to the first failing shard's error (deadline/cancel
-    /// outrank I/O so a shed query never masquerades as a disk fault).
-    fn from(e: ShardScatterError) -> Self {
-        let mut first: Option<QueryError> = None;
-        for (_, err) in e.failures {
-            match err {
-                QueryError::Deadline | QueryError::Cancelled => return err,
-                other => {
-                    if first.is_none() {
-                        first = Some(other);
-                    }
-                }
-            }
-        }
-        first.unwrap_or(QueryError::Cancelled)
     }
 }
 
@@ -506,36 +431,115 @@ impl ShardedNwcIndex {
     }
 
     // ------------------------------------------------------------------
-    // NWC queries.
+    // Queries.
     // ------------------------------------------------------------------
 
-    /// Answers `NWC(q, l, w, n)` by scatter-gather. Equivalent to the
-    /// single-tree [`NwcIndex::try_nwc`] on the same dataset (same
-    /// answer under the canonical tie-break), differing only in I/O
-    /// accounting for K > 1.
-    pub fn try_nwc(
+    /// Answers `req` by scatter-gather: the one query entry point of a
+    /// sharded index. Equivalent to [`NwcIndex::search`] on the same
+    /// dataset (same answer under the canonical tie-break), differing
+    /// only in I/O accounting for K > 1. A 1-shard index delegates to
+    /// its shard, so answers *and* [`SearchStats`] are bit-identical to
+    /// the unsharded path; `scratch` serves that path, and a K > 1
+    /// scatter gives each worker its own.
+    ///
+    /// Every shard contributes what it found within `req.budget`, and a
+    /// shard that ran out of budget — or failed outright, listed in
+    /// [`Outcome::degraded`] — **degrades the merged answer's bound
+    /// instead of failing the query**. Bound merge: a budget-exhausted
+    /// shard contributes its slack-adjusted best-first frontier key; a
+    /// failed shard contributes the `MINDIST` from the query point to
+    /// its bounds minus the window slack (every group it could still
+    /// hide is anchored at least that far away); a completed shard
+    /// contributes nothing (`+inf`). The merged lower bound is the
+    /// minimum of those contributions and the `(1+ε)` certificate
+    /// `score/(1+ε)`, which is sound because every group's anchor object
+    /// lives in exactly one shard and that shard's search covers it.
+    /// Groups found by a shard that later tripped or failed still merge
+    /// into the answer — they are real groups regardless of how their
+    /// shard ended. [`Outcome::complete`] turns a degraded shard back
+    /// into its error.
+    ///
+    /// kNWC prunes with the §3.4 k-th distance; see the module docs for
+    /// that variant's order-sensitivity caveat under K > 1 (run with
+    /// `with_threads(1)` for a fully deterministic pruned search).
+    ///
+    /// Returns `Err` only for a malformed query or when the lone shard
+    /// of a 1-shard index fails (nothing is left to degrade toward).
+    pub fn search(
         &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-    ) -> Result<Option<NwcResult>, QueryError> {
-        Ok(self.try_nwc_full(query, scheme)?.0)
+        req: &SearchRequest,
+        scratch: &mut QueryScratch,
+    ) -> Result<Outcome, QueryError> {
+        self.search_pruned(req, true, scratch)
     }
 
-    /// As [`ShardedNwcIndex::try_nwc`], also returning the aggregate
-    /// search statistics even when the query has no answer.
-    pub fn try_nwc_full(
+    /// [`ShardedNwcIndex::search`] with kNWC's distance pruning
+    /// switchable (`prune = false` is [`ShardedNwcIndex::try_knwc_exact`]).
+    fn search_pruned(
         &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-    ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
-        self.try_nwc_full_cancel(query, scheme, &mut QueryScratch::new(), &Budget::none())
+        req: &SearchRequest,
+        prune: bool,
+        scratch: &mut QueryScratch,
+    ) -> Result<Outcome, QueryError> {
+        if let [single] = self.shards.as_slice() {
+            // K = 1: bit-identical to the unsharded path, stats included.
+            let mut out = single.search_pruned(req, prune, scratch)?;
+            out.per_shard = vec![out.stats];
+            return Ok(out);
+        }
+        req.query.validate()?;
+        let started = Instant::now();
+        let shrink = req.approx.shrink();
+        let base = req.query.base();
+        match &req.query {
+            Query::Nwc(_) => {
+                // Shared bound: f64 bits under CAS-min. Non-negative
+                // doubles order identically to their bit patterns, so
+                // fetch_min on the bits IS min on the scores.
+                let bound = AtomicU64::new(f64::INFINITY.to_bits());
+                let outcomes = self.scatter(base, req.scheme, &req.budget, || SharedBestSink {
+                    bound: &bound,
+                    shrink,
+                    local: BestSink::approx(shrink),
+                });
+                // Deterministic merge: min score, ties by canonical
+                // (sorted ids, window) — independent of shard order.
+                let mut best: Option<(f64, Vec<u32>, Vec<Entry>, Rect)> = None;
+                let gathered = self.gather(outcomes, base, |sink| {
+                    merge_best(&mut best, &sink.local);
+                });
+                let stats = gathered.stats;
+                let answer = best.map(|(distance, _, objects, window)| NwcResult {
+                    objects,
+                    distance,
+                    window,
+                    stats,
+                });
+                Ok(gathered.finish(Answer::Nwc(answer), 1, shrink, started))
+            }
+            Query::Knwc(q) => {
+                let core = Mutex::new(GroupsCore::approx(q.k, q.m, prune, shrink));
+                let cached = AtomicU64::new(f64::INFINITY.to_bits());
+                let outcomes = self.scatter(base, req.scheme, &req.budget, || SharedGroupsSink {
+                    core: &core,
+                    cached: &cached,
+                    idbuf: Vec::new(),
+                });
+                let gathered = self.gather(outcomes, base, |_| {});
+                let core = core.into_inner().unwrap_or_else(PoisonError::into_inner);
+                let answer = KnwcResult {
+                    groups: core.groups(),
+                    stats: gathered.stats,
+                };
+                Ok(gathered.finish(Answer::Knwc(answer), q.k, shrink, started))
+            }
+        }
     }
 
-    /// As [`ShardedNwcIndex::try_nwc_full`] with a cooperative
-    /// [`Budget`] (the cancellation contract of
-    /// [`NwcIndex::try_nwc_full_cancel`], checked per shard). `scratch`
-    /// serves the K = 1 delegation path; a K > 1 scatter gives each
-    /// worker its own scratch.
+    /// `search` of an exact NWC request under `cancel`, all or nothing,
+    /// as `(answer, stats)`. Kept only for the benchmark adapter
+    /// (`nwc-benchmark/src/sut.rs`); new code calls
+    /// [`ShardedNwcIndex::search`].
     pub fn try_nwc_full_cancel(
         &self,
         query: &NwcQuery,
@@ -543,99 +547,30 @@ impl ShardedNwcIndex {
         scratch: &mut QueryScratch,
         cancel: &Budget,
     ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
-        if let [single] = self.shards.as_slice() {
-            // K = 1: bit-identical to the unsharded path, stats included.
-            return single.try_nwc_full_cancel(query, scheme, scratch, cancel);
-        }
-        let answer = self.try_nwc_scatter_cancel(query, scheme, cancel)?;
-        Ok((answer.result, answer.stats))
+        let req = SearchRequest::nwc(*query, scheme).with_budget(cancel.clone());
+        let out = self.search(&req, scratch)?.complete()?;
+        let stats = out.stats;
+        Ok((out.into_nwc(), stats))
     }
 
-    /// The fully detailed scatter: per-shard [`SearchStats`] alongside
-    /// the merged answer (the bench harness reports per-shard logical
-    /// I/O from this).
-    pub fn try_nwc_scatter(
+    /// `search` of an exact kNWC request under `cancel`, all or nothing.
+    /// Kept only for the benchmark adapter (`nwc-benchmark/src/sut.rs`);
+    /// new code calls [`ShardedNwcIndex::search`].
+    pub fn try_knwc_cancel(
         &self,
-        query: &NwcQuery,
+        query: &KnwcQuery,
         scheme: Scheme,
-    ) -> Result<ShardedNwcAnswer, ShardScatterError> {
-        self.try_nwc_scatter_cancel(query, scheme, &Budget::none())
-    }
-
-    /// As [`ShardedNwcIndex::try_nwc_scatter`] with cancellation.
-    pub fn try_nwc_scatter_cancel(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
+        scratch: &mut QueryScratch,
         cancel: &Budget,
-    ) -> Result<ShardedNwcAnswer, ShardScatterError> {
-        if let [single] = self.shards.as_slice() {
-            let (result, stats) = single
-                .try_nwc_full_cancel(query, scheme, &mut QueryScratch::new(), cancel)
-                .map_err(|e| ShardScatterError {
-                    failures: vec![(0, e)],
-                    completed: Vec::new(),
-                })?;
-            return Ok(ShardedNwcAnswer {
-                result,
-                stats,
-                per_shard: vec![stats],
-            });
-        }
-        // Shared bound: f64 bits under CAS-min. Non-negative doubles
-        // order identically to their bit patterns, so fetch_min on the
-        // bits IS min on the scores.
-        let bound = AtomicU64::new(f64::INFINITY.to_bits());
-        let (per_shard, stats, sinks) =
-            gather_strict(self.scatter(query, scheme, cancel, || SharedBestSink {
-                bound: &bound,
-                shrink: 1.0,
-                local: BestSink::new(),
-            }))?;
-        // Deterministic merge: min score, ties by canonical
-        // (sorted ids, window) — independent of shard order.
-        let mut best: Option<(f64, Vec<u32>, Vec<Entry>, Rect)> = None;
-        for sink in &sinks {
-            merge_best(&mut best, &sink.local);
-        }
-        let result = best.map(|(distance, _, objects, window)| NwcResult {
-            objects,
-            distance,
-            window,
-            stats,
-        });
-        Ok(ShardedNwcAnswer {
-            result,
-            stats,
-            per_shard,
-        })
+    ) -> Result<KnwcResult, QueryError> {
+        let req = SearchRequest::knwc(*query, scheme).with_budget(cancel.clone());
+        Ok(self.search(&req, scratch)?.complete()?.into_knwc())
     }
 
-    // ------------------------------------------------------------------
-    // Anytime / approximate queries.
-    // ------------------------------------------------------------------
-
-    /// Anytime scatter-gather `NWC`: every shard contributes what it
-    /// found within `budget`, and a shard that ran out of budget — or
-    /// failed outright — **degrades the merged answer's bound instead
-    /// of failing the query**.
-    ///
-    /// Bound merge: a budget-exhausted shard contributes its
-    /// slack-adjusted best-first frontier key; a failed shard
-    /// contributes the `MINDIST` from the query point to its bounds
-    /// minus the window slack (every group it could still hide is
-    /// anchored at least that far away); a completed shard contributes
-    /// nothing (`+inf`). The merged lower bound is the minimum of those
-    /// contributions and the `(1+ε)` certificate `best/(1+ε)`, which is
-    /// sound because every group's anchor object lives in exactly one
-    /// shard and that shard's search covers it. Groups found by a shard
-    /// that later tripped or failed still merge into the answer — they
-    /// are real groups regardless of how their shard ended.
-    ///
-    /// Only the K = 1 delegation path can return `Err` (a lone failing
-    /// shard leaves nothing to degrade toward). With [`Approx::exact`]
-    /// and [`Budget::none`] the merged answer is identical to
-    /// [`ShardedNwcIndex::try_nwc_scatter`].
+    /// `search` of an NWC request under `budget` and `approx`, as a
+    /// [`ShardedAnytimeNwc`]. Kept only for the benchmark adapter
+    /// (`nwc-benchmark/src/sut.rs`); new code calls
+    /// [`ShardedNwcIndex::search`].
     pub fn try_nwc_anytime(
         &self,
         query: &NwcQuery,
@@ -643,132 +578,38 @@ impl ShardedNwcIndex {
         budget: &Budget,
         approx: Approx,
     ) -> Result<ShardedAnytimeNwc, QueryError> {
-        if let [single] = self.shards.as_slice() {
-            let anytime = single.try_nwc_anytime_with(
-                query,
-                scheme,
-                &mut QueryScratch::new(),
-                budget,
-                approx,
-            )?;
-            let per_shard = vec![anytime.stats];
-            return Ok(ShardedAnytimeNwc {
-                anytime,
-                per_shard,
-                degraded: Vec::new(),
-            });
-        }
-        let started = std::time::Instant::now();
-        let shrink = approx.shrink();
-        let bound = AtomicU64::new(f64::INFINITY.to_bits());
-        let outcomes = self.scatter(query, scheme, budget, || SharedBestSink {
-            bound: &bound,
-            shrink,
-            local: BestSink::approx(shrink),
-        });
-        let mut best: Option<(f64, Vec<u32>, Vec<Entry>, Rect)> = None;
-        let gathered = self.gather_anytime(outcomes, query, |sink| {
-            merge_best(&mut best, &sink.local);
-        });
-        let dist_best = best.as_ref().map_or(f64::INFINITY, |(d, ..)| *d);
-        let lower_bound =
-            crate::anytime::combine_lower_bound(dist_best, shrink, gathered.frontier);
-        let stats = gathered.stats;
-        let answer = best.map(|(distance, _, objects, window)| NwcResult {
-            objects,
-            distance,
-            window,
-            stats,
-        });
-        Ok(ShardedAnytimeNwc {
-            anytime: AnytimeNwc {
-                answer,
-                stats,
-                lower_bound,
-                error_bound: crate::anytime::gap(dist_best, lower_bound),
-                spent: spent_since(started, &stats),
-                exhausted: gathered.exhausted,
-            },
-            per_shard: gathered.per_shard,
-            degraded: gathered.degraded,
-        })
+        let req = SearchRequest::nwc(*query, scheme).with_budget(budget.clone()).with_approx(approx);
+        Ok(self.search(&req, &mut QueryScratch::new())?.into())
     }
 
-    /// Anytime scatter-gather `kNWC` (the kNWC counterpart of
-    /// [`ShardedNwcIndex::try_nwc_anytime`], pruned semantics as
-    /// [`ShardedNwcIndex::try_knwc`]).
-    pub fn try_knwc_anytime(
+    /// A kNWC scatter with distance pruning disabled: every qualified
+    /// window is considered, so the answer is exactly the greedy
+    /// Definition-3 selection — order-independent across any shard count
+    /// and thread count (cf. [`NwcIndex::knwc_exact`]).
+    pub fn try_knwc_exact(
         &self,
         query: &KnwcQuery,
         scheme: Scheme,
-        budget: &Budget,
-        approx: Approx,
-    ) -> Result<ShardedAnytimeKnwc, QueryError> {
-        query.validate()?;
-        if let [single] = self.shards.as_slice() {
-            let anytime = single.try_knwc_anytime_with(
-                query,
-                scheme,
-                &mut QueryScratch::new(),
-                budget,
-                approx,
-            )?;
-            let per_shard = vec![anytime.result.stats];
-            return Ok(ShardedAnytimeKnwc {
-                anytime,
-                per_shard,
-                degraded: Vec::new(),
-            });
-        }
-        let started = std::time::Instant::now();
-        let shrink = approx.shrink();
-        let core = Mutex::new(GroupsCore::approx(query.k, query.m, true, shrink));
-        let cached = AtomicU64::new(f64::INFINITY.to_bits());
-        let outcomes = self.scatter(&query.base, scheme, budget, || SharedGroupsSink {
-            core: &core,
-            cached: &cached,
-            idbuf: Vec::new(),
-        });
-        let gathered = self.gather_anytime(outcomes, &query.base, |_| {});
-        let core = match core.into_inner() {
-            Ok(c) => c,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let groups = core.groups();
-        let kth = if groups.len() == query.k {
-            groups.last().map_or(f64::INFINITY, |g| g.distance)
-        } else {
-            f64::INFINITY
-        };
-        let lower_bound = crate::anytime::combine_lower_bound(kth, shrink, gathered.frontier);
-        let stats = gathered.stats;
-        Ok(ShardedAnytimeKnwc {
-            anytime: AnytimeKnwc {
-                result: KnwcResult { groups, stats },
-                lower_bound,
-                error_bound: crate::anytime::gap(kth, lower_bound),
-                spent: spent_since(started, &stats),
-                exhausted: gathered.exhausted,
-            },
-            per_shard: gathered.per_shard,
-            degraded: gathered.degraded,
-        })
+    ) -> Result<KnwcResult, QueryError> {
+        let req = SearchRequest::knwc(*query, scheme);
+        let out = self.search_pruned(&req, false, &mut QueryScratch::new())?;
+        Ok(out.complete()?.into_knwc())
     }
 
-    /// Folds anytime scatter outcomes into one ledger, handing every
-    /// shard's sink to `merge` first — groups found by a shard that
-    /// later tripped or failed are real and still count. Bound merge: a
-    /// budget-exhausted shard contributes its slack-adjusted frontier
-    /// key, a failed shard its [`ShardedNwcIndex::shard_fallback_bound`],
-    /// a completed shard nothing.
-    fn gather_anytime<S>(
+    /// Folds scatter outcomes into one ledger, handing every shard's sink
+    /// to `merge` first — groups found by a shard that later tripped or
+    /// failed are real and still count. Bound merge: a budget-exhausted
+    /// shard contributes its slack-adjusted frontier key, a failed shard
+    /// its [`ShardedNwcIndex::shard_fallback_bound`], a completed shard
+    /// nothing.
+    fn gather<S>(
         &self,
         outcomes: Vec<ShardOutcome<S>>,
         query: &NwcQuery,
         mut merge: impl FnMut(&S),
-    ) -> AnytimeGather {
+    ) -> Gather {
         let slack = crate::anytime::frontier_slack(query.measure, &query.spec);
-        let mut g = AnytimeGather {
+        let mut g = Gather {
             per_shard: vec![SearchStats::default(); self.shards.len()],
             stats: SearchStats::default(),
             frontier: f64::INFINITY,
@@ -812,111 +653,6 @@ impl ShardedNwcIndex {
     }
 
     // ------------------------------------------------------------------
-    // kNWC queries.
-    // ------------------------------------------------------------------
-
-    /// Answers `kNWC(k, q, l, w, n, m)` by scatter-gather with the
-    /// §3.4 distance pruning. See the module docs for the pruned
-    /// variant's order-sensitivity caveat under K > 1 (run with
-    /// `with_threads(1)` for a fully deterministic pruned search).
-    pub fn try_knwc(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-    ) -> Result<KnwcResult, QueryError> {
-        self.try_knwc_cancel(query, scheme, &mut QueryScratch::new(), &Budget::none())
-    }
-
-    /// As [`ShardedNwcIndex::try_knwc`] with cancellation and a scratch
-    /// for the K = 1 delegation path.
-    pub fn try_knwc_cancel(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-        cancel: &Budget,
-    ) -> Result<KnwcResult, QueryError> {
-        if let [single] = self.shards.as_slice() {
-            return single.try_knwc_cancel(query, scheme, scratch, cancel);
-        }
-        Ok(self.knwc_scatter(query, scheme, true, cancel)?.result)
-    }
-
-    /// As [`ShardedNwcIndex::try_knwc`] with distance pruning disabled:
-    /// every qualified window is considered, so the answer is exactly
-    /// the greedy Definition-3 selection — order-independent across any
-    /// shard count and thread count (cf. [`NwcIndex::knwc_exact`]).
-    pub fn try_knwc_exact(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-    ) -> Result<KnwcResult, QueryError> {
-        if let [single] = self.shards.as_slice() {
-            let mut scratch = QueryScratch::new();
-            // Delegate through the cancel-free exact path.
-            return single.try_knwc_exact_with(query, scheme, &mut scratch);
-        }
-        Ok(self.knwc_scatter(query, scheme, false, &Budget::none())?.result)
-    }
-
-    /// The fully detailed kNWC scatter (per-shard counters), pruned.
-    pub fn try_knwc_scatter(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-    ) -> Result<ShardedKnwcAnswer, ShardScatterError> {
-        self.knwc_scatter(query, scheme, true, &Budget::none())
-    }
-
-    fn knwc_scatter(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        prune: bool,
-        cancel: &Budget,
-    ) -> Result<ShardedKnwcAnswer, ShardScatterError> {
-        // An invalid query fails before any shard runs; like the K = 1
-        // delegation below, its error is reported as shard 0's.
-        query.validate().map_err(|e| ShardScatterError {
-            failures: vec![(0, e)],
-            completed: Vec::new(),
-        })?;
-        if let [single] = self.shards.as_slice() {
-            let mut scratch = QueryScratch::new();
-            let result = if prune {
-                single.try_knwc_cancel(query, scheme, &mut scratch, cancel)
-            } else {
-                single.try_knwc_exact_with(query, scheme, &mut scratch)
-            }
-            .map_err(|e| ShardScatterError {
-                failures: vec![(0, e)],
-                completed: Vec::new(),
-            })?;
-            let per_shard = vec![result.stats];
-            return Ok(ShardedKnwcAnswer { result, per_shard });
-        }
-        let core = Mutex::new(GroupsCore::new(query.k, query.m, prune));
-        let cached = AtomicU64::new(f64::INFINITY.to_bits());
-        let (per_shard, stats, _) =
-            gather_strict(self.scatter(&query.base, scheme, cancel, || SharedGroupsSink {
-                core: &core,
-                cached: &cached,
-                idbuf: Vec::new(),
-            }))?;
-        let core = match core.into_inner() {
-            Ok(c) => c,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        Ok(ShardedKnwcAnswer {
-            result: KnwcResult {
-                groups: core.groups(),
-                stats,
-            },
-            per_shard,
-        })
-    }
-
-    // ------------------------------------------------------------------
     // The scatter driver.
     // ------------------------------------------------------------------
 
@@ -924,8 +660,8 @@ impl ShardedNwcIndex {
     /// worker pool ([`scatter_map`]: atomic-cursor distribution, one
     /// warm [`QueryScratch`] per worker). Nothing aborts the gather:
     /// every shard reports its own outcome — complete, budget-exhausted
-    /// at a frontier key, or failed — with its sink (whose partial
-    /// contents stay usable either way).
+    /// at a frontier key, or failed (a panicked worker included) — with
+    /// its sink (whose partial contents stay usable either way).
     fn scatter<S, MkS>(
         &self,
         query: &NwcQuery,
@@ -978,6 +714,18 @@ impl ShardedNwcIndex {
                 sink,
             }
         })
+        .into_iter()
+        .zip(&order)
+        .map(|(outcome, &i)| {
+            // A worker that panicked left its shards unanswered: each
+            // degrades like a failed shard, with an empty sink.
+            outcome.unwrap_or_else(|| ShardOutcome {
+                shard: i,
+                result: Err(QueryError::WorkerPanicked),
+                sink: mk_sink(),
+            })
+        })
+        .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1266,9 +1014,9 @@ fn read_manifest(dir: &Path) -> Result<Vec<PathBuf>, ShardedStoreError> {
 // Scatter outcomes and gather helpers.
 // ----------------------------------------------------------------------
 
-/// What an anytime scatter spent and where it stopped, merged over the
-/// shards (see [`ShardedNwcIndex::gather_anytime`]).
-struct AnytimeGather {
+/// What a scatter found and where it stopped, merged over the shards
+/// (see [`ShardedNwcIndex::gather`]).
+struct Gather {
     per_shard: Vec<SearchStats>,
     stats: SearchStats,
     /// Lower bound on every group no shard covered.
@@ -1279,12 +1027,16 @@ struct AnytimeGather {
     degraded: Vec<(usize, QueryError)>,
 }
 
-/// The spend of a scatter that started at `started` and charged
-/// `stats.io_total` logical accesses.
-fn spent_since(started: std::time::Instant, stats: &SearchStats) -> BudgetSpent {
-    BudgetSpent {
-        elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-        io: stats.io_total,
+impl Gather {
+    /// The outcome of a scatter that started at `started` and merged
+    /// into `answer` (`k` groups asked; 1 for NWC).
+    fn finish(self, answer: Answer, k: usize, shrink: f64, started: Instant) -> Outcome {
+        let spent = BudgetSpent::since(started, self.stats.io_total);
+        let mut out =
+            Outcome::bracket(answer, self.stats, k, shrink, self.frontier, spent, self.exhausted);
+        out.per_shard = self.per_shard;
+        out.degraded = self.degraded;
+        out
     }
 }
 
@@ -1294,42 +1046,6 @@ struct ShardOutcome<S> {
     shard: usize,
     result: Result<(SearchStats, SearchEnd), QueryError>,
     sink: S,
-}
-
-/// The legacy all-or-nothing gather: budget trips are failures (mapped
-/// by [`SearchEnd::or_error`]) exactly as the pre-anytime scatter promised,
-/// and any failure fails the whole scatter with per-shard detail. On
-/// success returns the counters by shard, their exact aggregate, and
-/// the sinks.
-fn gather_strict<S>(
-    outcomes: Vec<ShardOutcome<S>>,
-) -> Result<(Vec<SearchStats>, SearchStats, Vec<S>), ShardScatterError> {
-    let mut per_shard = vec![SearchStats::default(); outcomes.len()];
-    let mut total = SearchStats::default();
-    let mut completed = Vec::with_capacity(outcomes.len());
-    let mut sinks = Vec::with_capacity(outcomes.len());
-    let mut failures = Vec::new();
-    for o in outcomes {
-        match o.result.and_then(|(stats, end)| end.or_error().map(|()| stats)) {
-            Ok(stats) => {
-                if let Some(slot) = per_shard.get_mut(o.shard) {
-                    *slot = stats;
-                }
-                total.accumulate(&stats);
-                completed.push((o.shard, stats));
-                sinks.push(o.sink);
-            }
-            Err(e) => failures.push((o.shard, e)),
-        }
-    }
-    if failures.is_empty() {
-        Ok((per_shard, total, sinks))
-    } else {
-        Err(ShardScatterError {
-            failures,
-            completed,
-        })
-    }
 }
 
 /// Folds one shard's local best into the running canonical merge: min
@@ -1357,8 +1073,7 @@ fn merge_best(best: &mut Option<(f64, Vec<u32>, Vec<Entry>, Rect)>, local: &Best
 }
 
 /// Merge priority for budget-trip kinds across shards: an external stop
-/// outranks a deadline, which outranks an I/O allowance (the same
-/// ranking [`ShardScatterError`]'s `QueryError` collapse uses).
+/// outranks a deadline, which outranks an I/O allowance.
 fn prefer_kind(current: Option<CancelKind>, new: CancelKind) -> Option<CancelKind> {
     fn rank(k: CancelKind) -> u8 {
         match k {
@@ -1440,6 +1155,17 @@ mod tests {
     use crate::WindowSpec;
     use nwc_geom::pt;
 
+    /// The all-or-nothing outcome of an unbudgeted NWC request.
+    fn nwc(idx: &ShardedNwcIndex, query: &NwcQuery, scheme: Scheme) -> Outcome {
+        let req = SearchRequest::nwc(*query, scheme);
+        idx.search(&req, &mut QueryScratch::new()).unwrap().complete().unwrap()
+    }
+
+    fn nwc_single(idx: &NwcIndex, query: &NwcQuery, scheme: Scheme) -> Outcome {
+        let req = SearchRequest::nwc(*query, scheme);
+        idx.search(&req, &mut QueryScratch::new()).unwrap().complete().unwrap()
+    }
+
     fn world(n: usize) -> Vec<Point> {
         (0..n)
             .map(|i| {
@@ -1479,14 +1205,10 @@ mod tests {
         let sharded = ShardedNwcIndex::build(pts, 1);
         let query = NwcQuery::new(pt(200.0, 200.0), WindowSpec::square(40.0), 6);
         for scheme in Scheme::TABLE3 {
-            let (want, want_stats) = single.nwc_full(&query, scheme);
-            let (got, got_stats) = sharded.try_nwc_full(&query, scheme).unwrap();
-            assert_eq!(want_stats, got_stats, "{scheme}");
-            assert_eq!(
-                want.as_ref().map(|r| r.ids()),
-                got.as_ref().map(|r| r.ids()),
-                "{scheme}"
-            );
+            let want = nwc_single(&single, &query, scheme);
+            let got = nwc(&sharded, &query, scheme);
+            assert_eq!(want.stats, got.stats, "{scheme}");
+            assert_eq!(want.nwc().map(|r| r.ids()), got.nwc().map(|r| r.ids()), "{scheme}");
         }
     }
 
@@ -1499,8 +1221,8 @@ mod tests {
             for threads in [1usize, 4] {
                 let sharded = ShardedNwcIndex::build(pts.clone(), k).with_threads(threads);
                 for scheme in Scheme::TABLE3 {
-                    let want = single.nwc(&query, scheme);
-                    let got = sharded.try_nwc(&query, scheme).unwrap();
+                    let want = nwc_single(&single, &query, scheme).into_nwc();
+                    let got = nwc(&sharded, &query, scheme).into_nwc();
                     match (&want, &got) {
                         (None, None) => {}
                         (Some(a), Some(b)) => {
@@ -1519,7 +1241,7 @@ mod tests {
         let pts = world(600);
         let sharded = ShardedNwcIndex::build(pts, 4).with_threads(1);
         let query = NwcQuery::new(pt(150.0, 400.0), WindowSpec::square(30.0), 4);
-        let answer = sharded.try_nwc_scatter(&query, Scheme::NWC_STAR).unwrap();
+        let answer = nwc(&sharded, &query, Scheme::NWC_STAR);
         let mut sum = SearchStats::default();
         for s in &answer.per_shard {
             sum.accumulate(s);
@@ -1539,10 +1261,12 @@ mod tests {
         }
         let single = NwcIndex::build(pts.clone());
         let query = KnwcQuery::new(pt(0.0, 0.0), WindowSpec::square(6.0), 4, 3, 0);
-        let want = single.knwc(&query, Scheme::NWC_STAR);
+        let req = SearchRequest::knwc(query, Scheme::NWC_STAR);
+        let mut scratch = QueryScratch::new();
+        let want = single.search(&req, &mut scratch).unwrap().complete().unwrap().into_knwc();
         for k in [2usize, 4] {
             let sharded = ShardedNwcIndex::build(pts.clone(), k).with_threads(1);
-            let got = sharded.try_knwc(&query, Scheme::NWC_STAR).unwrap();
+            let got = sharded.search(&req, &mut scratch).unwrap().complete().unwrap().into_knwc();
             assert_eq!(want.groups.len(), got.groups.len(), "k={k}");
             for (a, b) in want.groups.iter().zip(&got.groups) {
                 assert_eq!(a.id_set(), b.id_set(), "k={k}");
@@ -1559,8 +1283,8 @@ mod tests {
         assert_eq!(idx.len(), 3);
         let single = NwcIndex::build(pts);
         let query = NwcQuery::new(pt(0.0, 0.0), WindowSpec::square(700.0), 2);
-        let want = single.nwc(&query, Scheme::NWC);
-        let got = idx.try_nwc(&query, Scheme::NWC).unwrap();
+        let want = nwc_single(&single, &query, Scheme::NWC).into_nwc();
+        let got = nwc(&idx, &query, Scheme::NWC).into_nwc();
         assert_eq!(want.map(|r| r.ids()), got.map(|r| r.ids()));
     }
 
@@ -1572,7 +1296,7 @@ mod tests {
         assert!(idx.owner_of(id).is_some());
         assert_eq!(idx.len(), 201);
         let query = NwcQuery::new(pt(90.0, 90.0), WindowSpec::square(4.0), 1);
-        let got = idx.try_nwc(&query, Scheme::NWC_STAR).unwrap().unwrap();
+        let got = nwc(&idx, &query, Scheme::NWC_STAR).into_nwc().unwrap();
         assert_eq!(got.ids(), vec![id]);
         assert!(idx.remove(id).unwrap());
         assert!(!idx.remove(id).unwrap());
@@ -1627,23 +1351,5 @@ mod tests {
             Err(ShardedStoreError::Manifest(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scatter_error_prefers_cancellation() {
-        let e = ShardScatterError {
-            failures: vec![
-                (
-                    0,
-                    QueryError::Io(nwc_rtree::DiskReadError {
-                        page: 7,
-                        detail: "x".into(),
-                    }),
-                ),
-                (1, QueryError::Deadline),
-            ],
-            completed: vec![],
-        };
-        assert_eq!(QueryError::from(e), QueryError::Deadline);
     }
 }

@@ -25,7 +25,7 @@ use crate::algo::{best_first, BestSink};
 use crate::candidates::{for_each_partner, GroupSink, Qualifier};
 use crate::index::{grid_bounds, IndexConfig, NwcIndex};
 use crate::measure::DistanceMeasure;
-use crate::query::unrecoverable;
+use crate::query::QueryError;
 use crate::result::{NwcResult, SearchStats};
 use crate::scheme::Scheme;
 use crate::scratch::QueryScratch;
@@ -115,8 +115,13 @@ impl WeightedNwcIndex {
     }
 
     /// Answers the weighted query under a scheme. Returns the group and
-    /// its total weight, or `None` when no window reaches `min_weight`.
-    pub fn query(&self, query: &WeightedQuery, scheme: Scheme) -> Option<(NwcResult, f64)> {
+    /// its total weight, `Ok(None)` when no window reaches `min_weight`,
+    /// and `Err` for a disk read that fails after every retry.
+    pub fn query(
+        &self,
+        query: &WeightedQuery,
+        scheme: Scheme,
+    ) -> Result<Option<(NwcResult, f64)>, QueryError> {
         let test = WeightTest {
             grid: &self.wgrid,
             weights: &self.weights,
@@ -124,7 +129,7 @@ impl WeightedNwcIndex {
             measure: query.measure,
         };
         let mut sink = BestSink::new();
-        let searched = best_first(
+        let (stats, _) = best_first(
             std::slice::from_ref(&self.index),
             0,
             query.q,
@@ -132,20 +137,16 @@ impl WeightedNwcIndex {
             scheme,
             &test,
             &mut sink,
-            &mut QueryScratch::default(),
+            &mut QueryScratch::new(),
             &Budget::none(),
-        );
-        let stats = match searched {
-            Ok((stats, _)) => stats,
-            Err(e) => unrecoverable(e),
-        };
-        sink.into_result(stats).map(|result| {
+        )?;
+        Ok(sink.into_result(stats).map(|result| {
             let total_weight = result
                 .objects
                 .iter()
                 .fold(0.0, |acc, e| acc + self.weights[e.id as usize]);
             (result, total_weight)
-        })
+        }))
     }
 }
 
@@ -291,8 +292,9 @@ mod tests {
         for n in [2usize, 4, 8] {
             let wq = WeightedQuery::new(pt(30.0, 30.0), WindowSpec::square(12.0), n as f64);
             let nq = crate::NwcQuery::new(pt(30.0, 30.0), WindowSpec::square(12.0), n);
-            let a = widx.query(&wq, Scheme::NWC_STAR).map(|(r, _)| r);
-            let b = idx.nwc(&nq, Scheme::NWC_STAR);
+            let a = widx.query(&wq, Scheme::NWC_STAR).unwrap().map(|(r, _)| r);
+            let req = crate::SearchRequest::nwc(nq, Scheme::NWC_STAR);
+            let b = idx.search(&req, &mut QueryScratch::new()).unwrap().into_nwc();
             match (a, b) {
                 (None, None) => {}
                 (Some(x), Some(y)) => {
@@ -324,7 +326,7 @@ mod tests {
         let ws = vec![10.0, 2.0, 2.0, 2.0, 2.0, 2.0];
         let widx = WeightedNwcIndex::build(pts, ws);
         let q = WeightedQuery::new(pt(0.0, 0.0), WindowSpec::square(6.0), 8.0);
-        let (r, total) = widx.query(&q, Scheme::NWC_STAR).unwrap();
+        let (r, total) = widx.query(&q, Scheme::NWC_STAR).unwrap().unwrap();
         assert_eq!(r.ids(), vec![0]);
         assert_eq!(total, 10.0);
     }
@@ -339,7 +341,7 @@ mod tests {
         let q = WeightedQuery::new(pt(35.0, 30.0), WindowSpec::square(10.0), 12.0);
         let dists: Vec<Option<f64>> = Scheme::TABLE3
             .iter()
-            .map(|&s| widx.query(&q, s).map(|(r, _)| r.distance))
+            .map(|&s| widx.query(&q, s).unwrap().map(|(r, _)| r.distance))
             .collect();
         for d in &dists[1..] {
             match (dists[0], *d) {
@@ -359,7 +361,7 @@ mod tests {
         let widx = WeightedNwcIndex::build(pts.clone(), ws.clone());
         for min_w in [3.0, 8.0, 20.0] {
             let q = WeightedQuery::new(pt(20.0, 18.0), WindowSpec::square(9.0), min_w);
-            let got = widx.query(&q, Scheme::NWC_STAR).map(|(r, _)| r.distance);
+            let got = widx.query(&q, Scheme::NWC_STAR).unwrap().map(|(r, _)| r.distance);
             let want = weighted_brute_force(&pts, &ws, &q).map(|(_, s)| s);
             match (got, want) {
                 (None, None) => {}
@@ -374,6 +376,6 @@ mod tests {
         let pts = vec![pt(1.0, 1.0), pt(2.0, 2.0)];
         let widx = WeightedNwcIndex::build(pts, vec![1.0, 1.0]);
         let q = WeightedQuery::new(pt(0.0, 0.0), WindowSpec::square(5.0), 100.0);
-        assert!(widx.query(&q, Scheme::NWC_STAR).is_none());
+        assert!(widx.query(&q, Scheme::NWC_STAR).unwrap().is_none());
     }
 }

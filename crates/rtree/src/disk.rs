@@ -635,6 +635,12 @@ impl TreeStorage {
     /// per pool residency + live transient decodes). With a pool of `C`
     /// frames and `C ≥` tree height this never exceeds `C` — the bound
     /// the demand pager exists to provide.
+    ///
+    /// It does not count decoded nodes a query's
+    /// [`NodeMemo`](crate::NodeMemo) keeps alive after the pool evicted
+    /// their page: an IWP search behind a small pool holds up to one
+    /// such node per node it read, until it returns. No counter tracks
+    /// those (DESIGN.md §4m).
     pub fn peak_resident_nodes(&self) -> usize {
         self.cache.resident_peak.load(Ordering::Relaxed)
     }

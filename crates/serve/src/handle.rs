@@ -21,18 +21,16 @@
 //! closes exactly when its last query finishes.
 
 use nwc_core::{
-    AnytimeKnwc, AnytimeNwc, Approx, DiskIndexConfig, IndexOpenError, KnwcQuery, KnwcResult,
-    MetricsSnapshot, NwcIndex, NwcQuery, NwcResult, QueryError, QueryScratch, Scheme, SearchStats,
-    ShardedNwcIndex, ShardedStoreError,
+    DiskIndexConfig, IndexOpenError, MetricsSnapshot, NwcIndex, Outcome, QueryError, QueryScratch,
+    SearchRequest, ShardedNwcIndex, ShardedStoreError,
 };
-use nwc_rtree::Budget;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// The index a generation serves: a single tree or a spatially sharded
 /// scatter-gather index — the worker loop and control plane are
-/// agnostic, going through this enum's forwarding methods.
+/// agnostic, going through [`ServedIndex::search`].
 // One value per generation behind an Arc, never in collections, so
 // the variant size gap costs nothing; boxing would only add a hop.
 #[allow(clippy::large_enum_variant)]
@@ -78,74 +76,16 @@ impl ServedIndex {
         }
     }
 
-    /// Forwarded [`NwcIndex::try_nwc_full_cancel`] (scatter-gather on a
-    /// sharded generation; the scratch serves the single/K=1 path).
-    pub fn try_nwc_full_cancel(
+    /// Answers `req` on whichever index this generation serves (see
+    /// [`NwcIndex::search`] and [`ShardedNwcIndex::search`]).
+    pub fn search(
         &self,
-        query: &NwcQuery,
-        scheme: Scheme,
+        req: &SearchRequest,
         scratch: &mut QueryScratch,
-        cancel: &Budget,
-    ) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
+    ) -> Result<Outcome, QueryError> {
         match self {
-            ServedIndex::Single(i) => i.try_nwc_full_cancel(query, scheme, scratch, cancel),
-            ServedIndex::Sharded(i) => i.try_nwc_full_cancel(query, scheme, scratch, cancel),
-        }
-    }
-
-    /// Forwarded [`NwcIndex::try_knwc_cancel`].
-    pub fn try_knwc_cancel(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-        cancel: &Budget,
-    ) -> Result<KnwcResult, QueryError> {
-        match self {
-            ServedIndex::Single(i) => i.try_knwc_cancel(query, scheme, scratch, cancel),
-            ServedIndex::Sharded(i) => i.try_knwc_cancel(query, scheme, scratch, cancel),
-        }
-    }
-
-    /// Forwarded anytime `NWC`: runs until `budget` expires and returns
-    /// the best-so-far answer with a proven bound instead of erroring.
-    /// The second value counts shards that failed or tripped and were
-    /// merged around (always 0 on a single tree — a single tree's
-    /// budget trip is reported in the answer itself, not here).
-    pub fn try_nwc_anytime(
-        &self,
-        query: &NwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-        budget: &Budget,
-        approx: Approx,
-    ) -> Result<(AnytimeNwc, usize), QueryError> {
-        match self {
-            ServedIndex::Single(i) => i
-                .try_nwc_anytime_with(query, scheme, scratch, budget, approx)
-                .map(|a| (a, 0)),
-            ServedIndex::Sharded(i) => i
-                .try_nwc_anytime(query, scheme, budget, approx)
-                .map(|s| (s.anytime, s.degraded.len())),
-        }
-    }
-
-    /// Forwarded anytime `kNWC`; see [`ServedIndex::try_nwc_anytime`].
-    pub fn try_knwc_anytime(
-        &self,
-        query: &KnwcQuery,
-        scheme: Scheme,
-        scratch: &mut QueryScratch,
-        budget: &Budget,
-        approx: Approx,
-    ) -> Result<(AnytimeKnwc, usize), QueryError> {
-        match self {
-            ServedIndex::Single(i) => i
-                .try_knwc_anytime_with(query, scheme, scratch, budget, approx)
-                .map(|a| (a, 0)),
-            ServedIndex::Sharded(i) => i
-                .try_knwc_anytime(query, scheme, budget, approx)
-                .map(|s| (s.anytime, s.degraded.len())),
+            ServedIndex::Single(i) => i.search(req, scratch),
+            ServedIndex::Sharded(i) => i.search(req, scratch),
         }
     }
 
@@ -448,12 +388,13 @@ mod tests {
             nwc_core::WindowSpec::square(40.0),
             4,
         );
-        let mut scratch = QueryScratch::new();
-        let (result, _) = generation
+        let req = SearchRequest::nwc(query, nwc_core::Scheme::NWC_PLUS);
+        let outcome = generation
             .index
-            .try_nwc_full_cancel(&query, Scheme::NWC_PLUS, &mut scratch, &Budget::none())
+            .search(&req, &mut QueryScratch::new())
+            .and_then(Outcome::complete)
             .expect("sharded generation answers");
-        assert!(result.is_some());
+        assert!(outcome.nwc().is_some());
         drop(generation);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -20,10 +20,11 @@
 //!   queue is full or the estimated wait (depth × EMA service time ÷
 //!   workers) crosses the configured bound.
 //! - **Workers** pop queries, arm a [`Budget`] with the request
-//!   deadline plus the server stop flag, and run the `try_*` engine
-//!   paths on whatever generation [`IndexHandle::load`] returns. A
-//!   deadline firing surfaces as `QueryError::Deadline` → a typed
-//!   response; the worker, its scratch, and the index survive.
+//!   deadline plus the server stop flag, and run one `search` on
+//!   whatever generation [`IndexHandle::load`] returns. A deadline
+//!   firing surfaces as a typed `Deadline` response (or a bounded
+//!   `Partial` for an anytime request); the worker, its scratch, and
+//!   the index survive.
 //! - **Responses** are written under a per-connection mutex, so workers
 //!   finish out of order and clients may pipeline (the `request_id`
 //!   says which answer is whose).
@@ -40,8 +41,9 @@ use crate::protocol::{
     PartialReason, ProtoError, QuerySpec, Request, Response, WireGroup, WireObject,
 };
 use nwc_core::{
-    Approx, Budget, CancelFlag, CancelKind, DiskIndexConfig, KnwcQuery, NwcQuery,
-    QueryError, QueryScratch, Scheme, SearchStats, WindowSpec,
+    Answer, Approx, Budget, CancelFlag, CancelKind, DiskIndexConfig, KnwcGroup, KnwcQuery,
+    NwcQuery, Outcome, Query, QueryError, QueryScratch, Scheme, SearchRequest, SearchStats,
+    WindowSpec,
 };
 use nwc_geom::pt;
 use std::collections::VecDeque;
@@ -130,20 +132,14 @@ struct WorkerStats {
 /// the answer, and its latency budget.
 struct Job {
     request_id: u32,
-    kind: JobKind,
+    query: Query,
     scheme: Scheme,
     deadline: Option<Instant>,
     /// The anytime extension the request carried, if any: its presence
-    /// switches the worker to the budgeted engine path and licenses
-    /// `Partial` responses.
+    /// licenses `Partial` responses in place of typed budget errors.
     anytime: Option<AnytimeSpec>,
     writer: Arc<Mutex<TcpStream>>,
     enqueued: Instant,
-}
-
-enum JobKind {
-    Nwc(NwcQuery),
-    Knwc(KnwcQuery),
 }
 
 /// The bounded admission queue plus the latency EMA the shed policy
@@ -542,7 +538,7 @@ fn handle_request(
                 shared,
                 writer,
                 request_id,
-                JobKind::Nwc(query),
+                Query::Nwc(query),
                 scheme,
                 deadline,
                 anytime,
@@ -576,7 +572,7 @@ fn handle_request(
                 shared,
                 writer,
                 request_id,
-                JobKind::Knwc(query),
+                Query::Knwc(query),
                 scheme,
                 deadline,
                 anytime,
@@ -609,7 +605,7 @@ fn enqueue(
     shared: &Arc<Shared>,
     writer: &Arc<Mutex<TcpStream>>,
     request_id: u32,
-    kind: JobKind,
+    query: Query,
     scheme: Scheme,
     deadline: Option<Instant>,
     anytime: Option<AnytimeSpec>,
@@ -621,7 +617,7 @@ fn enqueue(
     }
     let job = Job {
         request_id,
-        kind,
+        query,
         scheme,
         deadline,
         anytime,
@@ -652,29 +648,9 @@ fn enqueue(
     respond(writer, request_id, &Response::Shed { retry_after_ms });
 }
 
-/// Converts an engine answer into wire groups.
-fn wire_groups_nwc(result: Option<nwc_core::NwcResult>) -> Vec<WireGroup> {
-    result
-        .map(|r| WireGroup {
-            objects: r
-                .objects
-                .iter()
-                .map(|e| WireObject {
-                    id: e.id,
-                    x: e.point.x,
-                    y: e.point.y,
-                })
-                .collect(),
-            distance: r.distance,
-        })
-        .into_iter()
-        .collect()
-}
-
-fn wire_groups_knwc(result: nwc_core::KnwcResult) -> (Vec<WireGroup>, SearchStats) {
-    let stats = result.stats;
-    let groups = result
-        .groups
+/// Converts answer groups into wire groups.
+fn wire_groups(groups: Vec<KnwcGroup>) -> Vec<WireGroup> {
+    groups
         .into_iter()
         .map(|g| WireGroup {
             objects: g
@@ -688,8 +664,7 @@ fn wire_groups_knwc(result: nwc_core::KnwcResult) -> (Vec<WireGroup>, SearchStat
                 .collect(),
             distance: g.distance,
         })
-        .collect();
-    (groups, stats)
+        .collect()
 }
 
 /// The fixed worker: pops queries, runs them with an armed budget on
@@ -734,10 +709,7 @@ fn worker_loop(shared: &Arc<Shared>, wid: usize) {
         // The generation is loaded *here*, pinned for exactly this
         // query: a concurrent swap flips new admissions, not us.
         let generation = shared.handle.load();
-        let resp = match job.anytime {
-            Some(any) => run_anytime(shared, &generation.index, &job, any, &mut scratch),
-            None => run_legacy(shared, &generation.index, &job, &mut scratch),
-        };
+        let resp = run(shared, &generation.index, &job, &mut scratch);
         drop(generation);
         let service = started.elapsed();
         let latency = job.enqueued.elapsed();
@@ -755,50 +727,8 @@ fn worker_loop(shared: &Arc<Shared>, wid: usize) {
     }
 }
 
-/// The pre-anytime worker path: an armed [`Budget`], a deadline
-/// trip surfacing as a typed `Deadline` response. Requests without the
-/// anytime extension keep this behavior bit-for-bit.
-fn run_legacy(
-    shared: &Shared,
-    index: &ServedIndex,
-    job: &Job,
-    scratch: &mut QueryScratch,
-) -> Response {
-    // Arm the budget with the request deadline and the server stop
-    // flag; the engine checks it at every expand/window boundary.
-    let mut budget = Budget::with_flag(&shared.stop);
-    if let Some(deadline) = job.deadline {
-        budget = budget.deadline(deadline);
-    }
-    match &job.kind {
-        JobKind::Nwc(query) => {
-            match index.try_nwc_full_cancel(query, job.scheme, scratch, &budget) {
-                Ok((result, stats)) => {
-                    if result.is_none() {
-                        shared.counters.no_answer.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Response::Groups {
-                        groups: wire_groups_nwc(result),
-                        stats,
-                    }
-                }
-                Err(e) => error_response(shared, e),
-            }
-        }
-        JobKind::Knwc(query) => {
-            match index.try_knwc_cancel(query, job.scheme, scratch, &budget) {
-                Ok(result) => {
-                    let (groups, stats) = wire_groups_knwc(result);
-                    Response::Groups { groups, stats }
-                }
-                Err(e) => error_response(shared, e),
-            }
-        }
-    }
-}
-
-/// Maps how an anytime search ended to the wire's partial reason:
-/// `None` means it completed (a plain `Groups` answer).
+/// Maps how a search ended to the wire's partial reason: `None` means
+/// it completed (a plain `Groups` answer).
 fn partial_reason(exhausted: Option<CancelKind>, degraded_shards: usize) -> Option<PartialReason> {
     match exhausted {
         Some(CancelKind::Deadline) => Some(PartialReason::Deadline),
@@ -809,97 +739,84 @@ fn partial_reason(exhausted: Option<CancelKind>, degraded_shards: usize) -> Opti
     }
 }
 
-/// The anytime worker path: runs the budgeted engine and answers a
-/// budget expiry with a bounded `Partial` instead of a bare `Deadline`.
-fn run_anytime(
-    shared: &Shared,
-    index: &ServedIndex,
-    job: &Job,
-    any: AnytimeSpec,
-    scratch: &mut QueryScratch,
-) -> Response {
-    // The decoder already rejected NaN/negative epsilon; a second
-    // typed gate here keeps this path panic-free even if a future
-    // caller bypasses the wire.
-    let approx = match Approx::new(any.epsilon) {
-        Ok(a) => a,
-        Err(e) => {
-            shared.counters.bad_request.fetch_add(1, Ordering::Relaxed);
-            return Response::BadRequest(e.to_string());
-        }
-    };
-    if any.io_budget == 0 {
-        // A zero allowance buys nothing: answer immediately with the
-        // vacuous bound rather than spinning up a search that trips at
-        // the root.
-        return Response::Partial {
-            groups: Vec::new(),
-            stats: SearchStats::default(),
-            error_bound: f64::INFINITY,
-            lower_bound: 0.0,
-            elapsed_us: 0,
-            io: 0,
-            reason: PartialReason::IoBudget,
-        };
-    }
+/// Runs one job's search under an armed [`Budget`] and maps the outcome
+/// to its response. A request without the anytime extension gets the
+/// all-or-nothing contract: a budget trip or a failed shard is a typed
+/// `Deadline`, `Stopped` or `IoFailed`. An anytime request gets a
+/// bounded `Partial` instead.
+fn run(shared: &Shared, index: &ServedIndex, job: &Job, scratch: &mut QueryScratch) -> Response {
+    // Arm the budget with the request deadline and the server stop
+    // flag; the engine checks it at every expand/window boundary.
     let mut budget = Budget::with_flag(&shared.stop);
     if let Some(deadline) = job.deadline {
         budget = budget.deadline(deadline);
     }
-    if any.io_budget != u64::MAX {
-        budget = budget.io_limit(any.io_budget);
+    let mut approx = Approx::exact();
+    if let Some(any) = job.anytime {
+        // The decoder already rejected NaN/negative epsilon; a second
+        // typed gate here keeps this path panic-free even if a future
+        // caller bypasses the wire.
+        approx = match Approx::new(any.epsilon) {
+            Ok(a) => a,
+            Err(e) => {
+                shared.counters.bad_request.fetch_add(1, Ordering::Relaxed);
+                return Response::BadRequest(e.to_string());
+            }
+        };
+        if any.io_budget == 0 {
+            // A zero allowance buys nothing: answer immediately with the
+            // vacuous bound rather than spinning up a search that trips
+            // at the root.
+            return Response::Partial {
+                groups: Vec::new(),
+                stats: SearchStats::default(),
+                error_bound: f64::INFINITY,
+                lower_bound: 0.0,
+                elapsed_us: 0,
+                io: 0,
+                reason: PartialReason::IoBudget,
+            };
+        }
+        if any.io_budget != u64::MAX {
+            budget = budget.io_limit(any.io_budget);
+        }
     }
-    match &job.kind {
-        JobKind::Nwc(query) => {
-            match index.try_nwc_anytime(query, job.scheme, scratch, &budget, approx) {
-                Ok((a, degraded)) => match partial_reason(a.exhausted, degraded) {
-                    None => {
-                        if a.answer.is_none() {
-                            shared.counters.no_answer.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Response::Groups {
-                            groups: wire_groups_nwc(a.answer),
-                            stats: a.stats,
-                        }
-                    }
-                    Some(reason) => Response::Partial {
-                        groups: wire_groups_nwc(a.answer),
-                        stats: a.stats,
-                        error_bound: a.error_bound,
-                        lower_bound: a.lower_bound,
-                        elapsed_us: a.spent.elapsed_us,
-                        io: a.spent.io,
-                        reason,
-                    },
-                },
-                Err(e) => error_response(shared, e),
+    let req = SearchRequest {
+        query: job.query,
+        scheme: job.scheme,
+        budget,
+        approx,
+    };
+    let searched = index.search(&req, scratch);
+    let outcome = match job.anytime {
+        Some(_) => searched,
+        None => searched.and_then(Outcome::complete),
+    };
+    let outcome = match outcome {
+        Ok(o) => o,
+        Err(e) => return error_response(shared, e),
+    };
+    let (stats, error_bound, lower_bound, spent) =
+        (outcome.stats, outcome.error_bound, outcome.lower_bound, outcome.spent);
+    let reason = partial_reason(outcome.exhausted, outcome.degraded.len());
+    let no_answer = matches!(outcome.answer, Answer::Nwc(None));
+    let groups = wire_groups(outcome.into_knwc().groups);
+    match reason {
+        None => {
+            if no_answer {
+                shared.counters.no_answer.fetch_add(1, Ordering::Relaxed);
             }
+            Response::Groups { groups, stats }
         }
-        JobKind::Knwc(query) => {
-            match index.try_knwc_anytime(query, job.scheme, scratch, &budget, approx) {
-                Ok((a, degraded)) => match partial_reason(a.exhausted, degraded) {
-                    None => {
-                        let (groups, stats) = wire_groups_knwc(a.result);
-                        Response::Groups { groups, stats }
-                    }
-                    Some(reason) => {
-                        let (error_bound, lower_bound, spent) =
-                            (a.error_bound, a.lower_bound, a.spent);
-                        let (groups, stats) = wire_groups_knwc(a.result);
-                        Response::Partial {
-                            groups,
-                            stats,
-                            error_bound,
-                            lower_bound,
-                            elapsed_us: spent.elapsed_us,
-                            io: spent.io,
-                            reason,
-                        }
-                    }
-                },
-                Err(e) => error_response(shared, e),
-            }
-        }
+        Some(reason) => Response::Partial {
+            groups,
+            stats,
+            error_bound,
+            lower_bound,
+            elapsed_us: spent.elapsed_us,
+            io: spent.io,
+            reason,
+        },
     }
 }
 
@@ -919,7 +836,8 @@ fn error_response(shared: &Shared, e: QueryError) -> Response {
             Response::IoFailed(e.to_string())
         }
         // Validation errors were rejected at admission; anything left
-        // is still a typed refusal, not a panic.
+        // (a panicked shard worker included) is still a typed refusal,
+        // not a panic.
         other => {
             shared.counters.bad_request.fetch_add(1, Ordering::Relaxed);
             Response::BadRequest(other.to_string())

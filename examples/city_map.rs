@@ -5,13 +5,14 @@
 
 use nwc::prelude::*;
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     let city = Dataset::clustered(6_000, 8, 20.0, 80.0, 0.08, 99);
     let index = NwcIndex::build(city.points.clone());
 
     let q = Point::new(3_000.0, 6_500.0);
     let query = NwcQuery::new(q, WindowSpec::square(120.0), 10);
-    let result = index.nwc(&query, Scheme::NWC_STAR).expect("clusters exist");
+    let outcome = index.search(&SearchRequest::nwc(query, Scheme::NWC_STAR), &mut QueryScratch::new())?;
+    let result = outcome.nwc().expect("clusters exist");
 
     const COLS: usize = 72;
     const ROWS: usize = 30;
@@ -44,4 +45,5 @@ fn main() {
         "Window: x ∈ [{:.0}, {:.0}], y ∈ [{:.0}, {:.0}]",
         result.window.min.x, result.window.max.x, result.window.min.y, result.window.max.y
     );
+    Ok(())
 }

@@ -11,7 +11,7 @@ use nwc::analysis::{NwcCostModel, TreeModel};
 use nwc::core::SearchStats;
 use nwc::prelude::*;
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     let n_objects = 40_000;
     // Uniform data matches the model's Poisson assumption best.
     let data = Dataset::uniform(n_objects, 31);
@@ -28,6 +28,7 @@ fn main() {
     };
 
     println!("{:>8} {:>14} {:>14} {:>8}", "window", "model I/O", "measured I/O", "ratio");
+    let mut scratch = QueryScratch::new();
     for wsize in [64.0, 96.0, 128.0, 192.0, 256.0] {
         let model = NwcCostModel::new(n_objects, area, wsize, wsize, n);
         let predicted = model.expected_io(&tree_model);
@@ -35,8 +36,8 @@ fn main() {
         let mut acc = SearchStats::default();
         for &q in &queries {
             let query = NwcQuery::new(q, WindowSpec::new(wsize, wsize), n);
-            let (_, stats) = index.nwc_full(&query, Scheme::NWC_PLUS);
-            acc.accumulate(&stats);
+            let req = SearchRequest::nwc(query, Scheme::NWC_PLUS);
+            acc.accumulate(&index.search(&req, &mut scratch)?.stats);
         }
         let measured = acc.io_total as f64 / queries.len() as f64;
         println!(
@@ -50,4 +51,5 @@ fn main() {
     println!("\nThe model tracks the measured cost within an order of magnitude and");
     println!("reproduces the trend (larger windows qualify sooner but cost more per");
     println!("window query) — the same fidelity the paper claims for its analysis.");
+    Ok(())
 }

@@ -10,7 +10,7 @@
 use nwc::core::KnwcQuery;
 use nwc::prelude::*;
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     // A synthetic city: shops clustered around a handful of districts.
     let city = Dataset::clustered(4_000, 12, 15.0, 60.0, 0.1, 2024);
     let index = NwcIndex::build(city.points.clone());
@@ -22,7 +22,8 @@ fn main() {
 
     for m in [0usize, 2, 5] {
         let query = KnwcQuery::new(home, spec, n, k, m);
-        let result = index.knwc(&query, Scheme::NWC_STAR);
+        let req = SearchRequest::knwc(query, Scheme::NWC_STAR);
+        let result = index.search(&req, &mut QueryScratch::new())?.into_knwc();
         println!(
             "kNWC(k={k}, n={n}, m={m}): {} groups, {} node accesses",
             result.groups.len(),
@@ -50,4 +51,5 @@ fn main() {
         println!();
     }
     println!("Larger m admits closer-but-overlapping areas; m = 0 forces disjoint districts.");
+    Ok(())
 }

@@ -11,7 +11,7 @@
 use nwc::core::maxrs::maxrs;
 use nwc::prelude::*;
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     // A dominant downtown plus several neighbourhood centers.
     let mut pts = Dataset::clustered(3_000, 1, 40.0, 40.0, 0.0, 11).points; // downtown blob
     pts.extend(Dataset::clustered(2_000, 8, 25.0, 60.0, 0.05, 12).points); // neighbourhoods
@@ -19,6 +19,7 @@ fn main() {
 
     let spec = WindowSpec::square(100.0);
     let n = 12;
+    let mut scratch = QueryScratch::new();
 
     let dense = maxrs(&pts, &spec).expect("non-empty");
     println!(
@@ -35,8 +36,8 @@ fn main() {
         ("far suburb", Point::new(9_000.0, 1_000.0)),
         ("opposite corner", Point::new(500.0, 9_500.0)),
     ] {
-        let query = NwcQuery::new(q, spec, n);
-        match index.nwc(&query, Scheme::NWC_STAR) {
+        let req = SearchRequest::nwc(NwcQuery::new(q, spec, n), Scheme::NWC_STAR);
+        match index.search(&req, &mut scratch)?.into_nwc() {
             Some(r) => {
                 let c = r.window.center();
                 let to_nwc = q.dist(&c);
@@ -52,4 +53,5 @@ fn main() {
         }
     }
     println!("\nNWC answers adapt to the query location; MaxRS is location-blind.");
+    Ok(())
 }

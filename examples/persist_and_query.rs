@@ -46,14 +46,16 @@ fn main() {
 
     // ---- query -------------------------------------------------------
     let q = Point::new(5_000.0, 5_000.0);
-    let query = NwcQuery::new(q, WindowSpec::square(200.0), 8);
+    let req = SearchRequest::nwc(NwcQuery::new(q, WindowSpec::square(200.0), 8), Scheme::NWC_STAR);
+    let mut scratch = QueryScratch::new();
     for pass in ["cold", "warm"] {
         let before = storage.pool_stats();
-        let result = disk.nwc(&query, Scheme::NWC_STAR);
+        let outcome = disk.search(&req, &mut scratch).expect("the page file reads back");
+        let result = outcome.nwc();
         let after = storage.pool_stats();
         let (phys, hits) = (after.misses - before.misses, after.hits - before.hits);
         let logical = phys + hits;
-        match &result {
+        match result {
             Some(r) => println!(
                 "{pass} NWC*: group {:?} at distance {:.1}",
                 r.ids(),

@@ -8,7 +8,7 @@
 
 use nwc::prelude::*;
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     // A downtown with two shopping areas and a few scattered shops.
     let shops = vec![
         // A tight arcade three blocks north-east of the hotel.
@@ -29,9 +29,8 @@ fn main() {
     let hotel = Point::new(50.0, 50.0);
     let query = NwcQuery::new(hotel, WindowSpec::square(8.0), 3);
 
-    let result = index
-        .nwc(&query, Scheme::NWC_STAR)
-        .expect("three clustered shops exist");
+    let outcome = index.search(&SearchRequest::nwc(query, Scheme::NWC_STAR), &mut QueryScratch::new())?;
+    let result = outcome.nwc().expect("three clustered shops exist");
 
     println!("Bob's hotel is at {hotel}");
     println!(
@@ -58,4 +57,5 @@ fn main() {
 
     // The arcade wins; the mall is a valid cluster but farther away.
     assert!(result.objects.iter().all(|e| e.point.x < 60.0));
+    Ok(())
 }

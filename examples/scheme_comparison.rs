@@ -10,7 +10,7 @@
 use nwc::core::SearchStats;
 use nwc::prelude::*;
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     let datasets = Dataset::paper_trio_scaled(8_000, 12_000, 10_000, 42);
     let queries = Dataset::query_points(10, 7);
     let spec = WindowSpec::square(64.0);
@@ -22,16 +22,17 @@ fn main() {
         "dataset", "scheme", "avg I/O", "traversal", "window I/O", "found"
     );
 
+    let mut scratch = QueryScratch::new();
     for ds in &datasets {
         let index = NwcIndex::build(ds.points.clone());
         for scheme in Scheme::TABLE3 {
             let mut acc = SearchStats::default();
             let mut found = 0usize;
             for &q in &queries {
-                let query = NwcQuery::new(q, spec, n);
-                let (result, stats) = index.nwc_full(&query, scheme);
-                acc.accumulate(&stats);
-                found += usize::from(result.is_some());
+                let req = SearchRequest::nwc(NwcQuery::new(q, spec, n), scheme);
+                let outcome = index.search(&req, &mut scratch)?;
+                acc.accumulate(&outcome.stats);
+                found += usize::from(outcome.nwc().is_some());
             }
             let avg = |v: u64| v as f64 / queries.len() as f64;
             println!(
@@ -48,4 +49,5 @@ fn main() {
         println!();
     }
     println!("Expected shape: every optimization beats the baseline; NWC* wins overall.");
+    Ok(())
 }

@@ -9,7 +9,7 @@
 use nwc::core::weighted::{WeightedNwcIndex, WeightedQuery};
 use nwc::prelude::*;
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     // A city of restaurants: mostly small, a few large venues.
     let city = Dataset::clustered(5_000, 15, 20.0, 70.0, 0.1, 31);
     let seats: Vec<f64> = (0..city.len())
@@ -26,7 +26,7 @@ fn main() {
 
     for need in [60.0, 200.0, 600.0] {
         let query = WeightedQuery::new(home, spec, need);
-        match index.query(&query, Scheme::NWC_STAR) {
+        match index.query(&query, Scheme::NWC_STAR)? {
             Some((r, total)) => {
                 println!(
                     "need {need:>4.0} seats → {} venue(s), {total:>5.0} seats, distance {:>6.0}, {} node accesses",
@@ -47,4 +47,5 @@ fn main() {
         }
     }
     println!("\nHigher thresholds pull the answer toward big venues and dense blocks.");
+    Ok(())
 }

@@ -43,13 +43,19 @@ cargo test -q --offline --manifest-path nwc-benchmark/Cargo.toml
 # must degrade (debug assertion + empty view) rather than panic. The
 # scatter-gather planner joins too: a panicking shard worker would
 # poison the shared kNWC core and strand the gather, so shard.rs is
-# try_-only outside tests (missing structures degrade, partial shard
-# failures surface as typed ShardScatterError). The anytime layer joins
-# too: cancel.rs sits under every budget check on the hot descent, and
+# panic-free outside tests (missing structures degrade, a failed shard
+# is a typed error in the outcome's `degraded` list). The anytime layer
+# joins too: cancel.rs sits under every budget check on the hot descent, and
 # anytime.rs computes the bounds a partial answer's soundness rests on
 # — a panic there would turn graceful degradation into a crash. algo.rs
 # joins too: it holds the crate's one search loop, which every query
-# path runs (the infallible APIs' deliberate panic lives in query.rs).
+# path runs. query.rs, request.rs and engine.rs join too, since every
+# query method returns a typed error: query.rs validates every query
+# and converts every tree error, request.rs builds the one outcome
+# every search returns, and engine.rs is the scoped worker pool under
+# both the batch engine and the shard scatter — a panicking worker
+# there must leave a typed error in the slots it did not answer, not
+# re-raise the panic in the caller.
 # knwc.rs joins too: its top-k core is shared by the unsharded, sharded
 # and anytime kNWC paths, and a panic in it would poison the sharded
 # planner's mutex; candidates.rs, weighted.rs, ingest.rs and scratch.rs
@@ -72,7 +78,8 @@ for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
          crates/core/src/candidates.rs crates/core/src/weighted.rs \
          crates/core/src/ingest.rs crates/core/src/scratch.rs \
          crates/core/src/constrained.rs crates/core/src/result.rs \
-         crates/core/src/scheme.rs \
+         crates/core/src/scheme.rs crates/core/src/query.rs \
+         crates/core/src/request.rs crates/core/src/engine.rs \
          crates/geom/src/window.rs crates/geom/src/rect.rs \
          crates/geom/src/quadrant.rs \
          crates/serve/src/protocol.rs crates/serve/src/histogram.rs \

@@ -123,7 +123,10 @@ fn query(args: &[String]) -> Result<(), String> {
     let query = NwcQuery::try_new(q, Spec::square(window), n, measure)
         .map_err(|e| e.to_string())?;
     let t0 = std::time::Instant::now();
-    match index.nwc(&query, scheme) {
+    let outcome = index
+        .search(&SearchRequest::nwc(query, scheme), &mut QueryScratch::new())
+        .map_err(|e| e.to_string())?;
+    match outcome.nwc() {
         Some(r) => {
             println!(
                 "NWC({q}, {window}x{window}, n={n}) [{scheme}] → distance {:.2}",
@@ -160,7 +163,10 @@ fn knwc(args: &[String]) -> Result<(), String> {
     let index = NwcIndex::build(ds.points.clone());
     let query = KnwcQuery::try_new(q, Spec::square(window), n, k, m, DistanceMeasure::Max)
         .map_err(|e| e.to_string())?;
-    let r = index.knwc(&query, scheme);
+    let r = index
+        .search(&SearchRequest::knwc(query, scheme), &mut QueryScratch::new())
+        .map_err(|e| e.to_string())?
+        .into_knwc();
     println!(
         "kNWC(k={k}, n={n}, m={m}) [{scheme}] → {} groups, {} node accesses",
         r.groups.len(),

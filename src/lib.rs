@@ -35,8 +35,10 @@
 //! ];
 //! let index = NwcIndex::build(shops);
 //! let query = NwcQuery::new(Point::new(50.0, 50.0), WindowSpec::square(8.0), 3);
-//! let result = index.nwc(&query, Scheme::NWC_STAR).expect("3 shops fit in a window");
+//! let outcome = index.search(&SearchRequest::nwc(query, Scheme::NWC_STAR), &mut QueryScratch::new())?;
+//! let result = outcome.nwc().expect("3 shops fit in a window");
 //! assert_eq!(result.objects.len(), 3);
+//! # Ok::<(), QueryError>(())
 //! ```
 
 pub use nwc_analysis as analysis;
@@ -51,9 +53,9 @@ pub use nwc_store as store;
 pub mod prelude {
     pub use nwc_core::weighted::{WeightedNwcIndex, WeightedQuery};
     pub use nwc_core::{
-        AnytimeKnwc, AnytimeNwc, Approx, Budget, DiskIndexConfig, DistanceMeasure,
-        IndexUpdateError, KnwcQuery, KnwcResult, NwcIndex, NwcQuery, NwcResult, QueryEngine,
-        QueryScratch, Scheme, SearchStats, ShardedNwcIndex,
+        Approx, Budget, DiskIndexConfig, DistanceMeasure, IndexUpdateError, KnwcQuery, KnwcResult,
+        NwcIndex, NwcQuery, NwcResult, Outcome, QueryEngine, QueryError, QueryScratch, Scheme,
+        SearchRequest, SearchStats, ShardedNwcIndex,
     };
     pub use nwc_datagen::Dataset;
     pub use nwc_geom::{window::WindowSpec, Point, Rect};

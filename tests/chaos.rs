@@ -3,21 +3,35 @@
 //! Under **transient-only** faults every scheme must return answers and
 //! logical I/O bit-identical to the in-memory arena baseline — retries
 //! are invisible to the paper's metric, they only show up in the new
-//! `retries`/`transient_errors` counters. Under **permanent** faults the
-//! `try_*` APIs must surface typed errors (no panic, no poisoned state):
+//! `retries`/`transient_errors` counters. Under **permanent** faults a
+//! search must surface typed errors (no panic, no poisoned state):
 //! the failing page is quarantined, every pin is released, and the index
 //! keeps answering queries that avoid the dead page — including from the
 //! 4-thread batch engine, where one bad page must never tear down the
 //! worker scope.
 
-use nwc::core::{oracle, ShardedNwcIndex};
+use nwc::core::{oracle, CancelFlag, CancelKind, ShardedNwcIndex};
 use nwc::prelude::*;
 use nwc_core::QueryError;
 use nwc_rtree::BrowseItem;
-use nwc_store::{FaultPlan, FaultStats, FaultStore, FileStore, RetryPolicy};
+use nwc_store::{
+    FaultPlan, FaultStats, FaultStore, FileStore, PageStore, RetryPolicy, StoreError, StoreMeta,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// `(answer, stats)` of an exact NWC request, all or nothing.
+fn nwc_full(
+    index: &NwcIndex,
+    query: &NwcQuery,
+    scheme: Scheme,
+) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
+    let req = SearchRequest::nwc(*query, scheme);
+    let out = index.search(&req, &mut QueryScratch::new())?.complete()?;
+    let stats = out.stats;
+    Ok((out.into_nwc(), stats))
+}
 
 fn temp_pages(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("nwc-chaos-{tag}-{}.pages", std::process::id()))
@@ -60,6 +74,11 @@ fn fault_backed(
         .expect("open through a transparent fault store");
     std::fs::remove_file(&path).ok();
     (disk, fault)
+}
+
+/// Exact NWC* requests for `queries`.
+fn requests(queries: &[NwcQuery]) -> Vec<SearchRequest> {
+    queries.iter().map(|q| SearchRequest::nwc(*q, Scheme::NWC_STAR)).collect()
 }
 
 fn chaos_queries() -> Vec<NwcQuery> {
@@ -116,8 +135,8 @@ fn transient_faults_keep_every_scheme_bit_identical_to_arena() {
         let mut total_transient = 0;
         for &scheme in Scheme::TABLE3.iter() {
             for (qi, q) in queries.iter().enumerate() {
-                let (want, ws) = arena.nwc_full(q, scheme);
-                let (got, gs) = disk.try_nwc_full(q, scheme).unwrap_or_else(|e| {
+                let (want, ws) = nwc_full(&arena, q, scheme).unwrap();
+                let (got, gs) = nwc_full(&disk, q, scheme).unwrap_or_else(|e| {
                     panic!("rate {rate}/{scheme} q{qi}: transient fault leaked: {e}")
                 });
                 match (&want, &got) {
@@ -166,19 +185,19 @@ fn transient_faults_keep_every_scheme_bit_identical_to_arena() {
         // and identical to the arena (which reads fail now depends on
         // thread interleaving; answers and logical I/O must not).
         let engine = QueryEngine::new(&disk).with_threads(4);
-        let batch = engine.try_nwc_batch(&queries, Scheme::NWC_STAR);
+        let batch = engine.search_batch(&requests(&queries));
         for (qi, (q, slot)) in queries.iter().zip(&batch).enumerate() {
-            let (got, gs) = slot.as_ref().unwrap_or_else(|e| {
+            let got = slot.as_ref().unwrap_or_else(|e| {
                 panic!("rate {rate}/engine q{qi}: transient fault leaked: {e}")
             });
-            let (want, ws) = arena.nwc_full(q, Scheme::NWC_STAR);
+            let (want, ws) = nwc_full(&arena, q, Scheme::NWC_STAR).unwrap();
             assert_eq!(
                 want.map(|r| r.ids()),
-                got.as_ref().map(|r| r.ids()),
+                got.nwc().map(|r| r.ids()),
                 "rate {rate}/engine q{qi}"
             );
             assert_eq!(
-                SearchStats { buffer_hits: 0, retries: 0, transient_errors: 0, ..*gs },
+                SearchStats { buffer_hits: 0, retries: 0, transient_errors: 0, ..got.stats },
                 ws,
                 "rate {rate}/engine q{qi}: logical I/O diverged"
             );
@@ -213,7 +232,7 @@ fn permanent_fault_returns_typed_errors_and_leaves_the_index_usable() {
 
     let queries = chaos_queries();
     for &scheme in Scheme::TABLE3.iter() {
-        match disk.try_nwc(&queries[0], scheme) {
+        match nwc_full(&disk, &queries[0], scheme).map(|(r, _)| r) {
             Err(QueryError::Io(e)) => assert_eq!(e.page, root, "{scheme}"),
             other => panic!("{scheme}: expected Io error, got {other:?}"),
         }
@@ -226,7 +245,7 @@ fn permanent_fault_returns_typed_errors_and_leaves_the_index_usable() {
     // quarantined re-queries fail fast without touching the device.
     assert_eq!(storage.pool_stats().pinned, 0, "error path leaked a pin");
     let device_errors = fault.stats().errors();
-    assert!(disk.try_nwc(&queries[1], Scheme::NWC_STAR).is_err());
+    assert!(nwc_full(&disk, &queries[1], Scheme::NWC_STAR).map(|(r, _)| r).is_err());
     assert_eq!(fault.stats().errors(), device_errors, "quarantine must fail fast");
 
     // Lifting the fault and resetting restores full service.
@@ -234,8 +253,8 @@ fn permanent_fault_returns_typed_errors_and_leaves_the_index_usable() {
     storage.reset();
     disk.tree().stats().reset();
     for (qi, q) in queries.iter().enumerate() {
-        let want = arena.nwc(q, Scheme::NWC_STAR);
-        let got = disk.try_nwc(q, Scheme::NWC_STAR).expect("healthy again");
+        let want = nwc_full(&arena, q, Scheme::NWC_STAR).unwrap().0;
+        let got = nwc_full(&disk, q, Scheme::NWC_STAR).map(|(r, _)| r).expect("healthy again");
         assert_eq!(want.map(|r| r.ids()), got.map(|r| r.ids()), "q{qi} after recovery");
     }
 }
@@ -286,8 +305,9 @@ fn budget_exhaustion_mid_descent_under_faults_returns_sound_partials() {
             Budget::with_deadline(Instant::now() + Duration::from_micros(120)),
         ];
         for (bi, budget) in budgets.iter().enumerate() {
+            let req = SearchRequest::nwc(*query, Scheme::NWC_STAR).with_budget(budget.clone());
             let a = disk
-                .try_nwc_anytime_with(query, Scheme::NWC_STAR, &mut scratch, budget, Approx::exact())
+                .search(&req, &mut scratch)
                 .unwrap_or_else(|e| panic!("q{qi}/b{bi}: budget trip leaked as an error: {e}"));
             if a.exhausted.is_some() {
                 exhausted_runs += 1;
@@ -295,7 +315,7 @@ fn budget_exhaustion_mid_descent_under_faults_returns_sound_partials() {
             assert!(a.error_bound >= 0.0, "q{qi}/b{bi}");
             assert!(a.lower_bound >= 0.0, "q{qi}/b{bi}");
             match d_star {
-                None => assert!(a.answer.is_none(), "q{qi}/b{bi}: invented a group"),
+                None => assert!(a.nwc().is_none(), "q{qi}/b{bi}: invented a group"),
                 Some(d_star) => {
                     let tol = 1e-9 * d_star.abs().max(1.0);
                     assert!(
@@ -304,7 +324,7 @@ fn budget_exhaustion_mid_descent_under_faults_returns_sound_partials() {
                         a.lower_bound,
                         d_star
                     );
-                    if let Some(r) = &a.answer {
+                    if let Some(r) = a.nwc() {
                         assert!(r.distance >= d_star - tol, "q{qi}/b{bi}: beat the oracle");
                         assert!(
                             r.distance - a.error_bound <= d_star + tol,
@@ -336,20 +356,17 @@ fn budget_exhaustion_mid_descent_under_faults_returns_sound_partials() {
     storage.reset();
     disk.tree().stats().reset();
     for (qi, query) in queries.iter().enumerate() {
-        let (want, ws) = arena.nwc_full(query, Scheme::NWC_STAR);
+        let (want, ws) = nwc_full(&arena, query, Scheme::NWC_STAR).unwrap();
+        let req = SearchRequest::nwc(*query, Scheme::NWC_STAR)
+            .with_budget(Budget::none())
+            .with_approx(Approx::exact());
         let a = disk
-            .try_nwc_anytime_with(
-                query,
-                Scheme::NWC_STAR,
-                &mut scratch,
-                &Budget::none(),
-                Approx::exact(),
-            )
+            .search(&req, &mut scratch)
             .unwrap_or_else(|e| panic!("q{qi}: clean re-run failed: {e}"));
         assert!(a.exhausted.is_none(), "q{qi}: unarmed budget expired");
         assert_eq!(
             want.map(|r| (r.ids(), r.distance.to_bits())),
-            a.answer.map(|r| (r.ids(), r.distance.to_bits())),
+            a.nwc().map(|r| (r.ids(), r.distance.to_bits())),
             "q{qi}: clean re-run diverged from the arena"
         );
         assert_eq!(
@@ -402,14 +419,14 @@ fn budget_exhaustion_mid_scatter_degrades_the_merged_bound() {
         .map(|r| r.distance)
         .expect("the wide chaos query always has an answer");
     let tol = 1e-9 * d_star.abs().max(1.0);
-    let check_bounds = |a: &AnytimeNwc, ctx: &str| {
+    let check_bounds = |a: &Outcome, ctx: &str| {
         assert!(a.error_bound >= 0.0, "{ctx}");
         assert!(
             a.lower_bound <= d_star + tol,
             "{ctx}: lower bound {} above the oracle optimum {d_star}",
             a.lower_bound
         );
-        if let Some(r) = &a.answer {
+        if let Some(r) = a.nwc() {
             assert!(r.distance >= d_star - tol, "{ctx}: beat the oracle");
             assert!(
                 r.distance - a.error_bound <= d_star + tol,
@@ -428,14 +445,17 @@ fn budget_exhaustion_mid_scatter_degrades_the_merged_bound() {
 
     // Tiny I/O allowance: some shard trips mid-scatter; the merge still
     // produces a typed partial with sound bounds.
+    let exact = SearchRequest::nwc(query, Scheme::NWC_STAR)
+        .with_budget(Budget::none())
+        .with_approx(Approx::exact());
     let tight = sharded
-        .try_nwc_anytime(&query, Scheme::NWC_STAR, &Budget::none().io_limit(3), Approx::exact())
+        .search(&exact.clone().with_budget(Budget::none().io_limit(3)), &mut QueryScratch::new())
         .expect("budget trip mid-scatter must not fail the query");
     assert!(
-        tight.anytime.exhausted.is_some(),
+        tight.exhausted.is_some(),
         "a 3-node allowance cannot cover a 4-shard scatter"
     );
-    check_bounds(&tight.anytime, "tight budget");
+    check_bounds(&tight, "tight budget");
     assert_no_pins("tight budget");
 
     // Kill a page in shard 0 outright: the scatter degrades around it —
@@ -457,7 +477,7 @@ fn budget_exhaustion_mid_scatter_degrades_the_merged_bound() {
     };
     fault.fail_page_permanently(dead_leaf);
     let degraded = sharded
-        .try_nwc_anytime(&query, Scheme::NWC_STAR, &Budget::none(), Approx::exact())
+        .search(&exact, &mut QueryScratch::new())
         .expect("a dead shard degrades the bound, it does not fail the query");
     assert!(
         degraded
@@ -467,7 +487,7 @@ fn budget_exhaustion_mid_scatter_degrades_the_merged_bound() {
         "shard 0 must be listed as degraded with a typed I/O error, got {:?}",
         degraded.degraded
     );
-    check_bounds(&degraded.anytime, "dead shard");
+    check_bounds(&degraded, "dead shard");
     assert_no_pins("dead shard");
 
     // Clean recovery: lift the fault and the exact anytime scatter
@@ -475,17 +495,21 @@ fn budget_exhaustion_mid_scatter_degrades_the_merged_bound() {
     fault.clear_faults();
     sharded.shards()[0].tree().storage().expect("disk-backed").reset();
     sharded.shards()[0].tree().stats().reset();
-    let want = sharded.try_nwc(&query, Scheme::NWC_STAR).expect("healthy scatter");
+    let want = sharded
+        .search(&SearchRequest::nwc(query, Scheme::NWC_STAR), &mut QueryScratch::new())
+        .and_then(Outcome::complete)
+        .expect("healthy scatter")
+        .into_nwc();
     let got = sharded
-        .try_nwc_anytime(&query, Scheme::NWC_STAR, &Budget::none(), Approx::exact())
+        .search(&exact, &mut QueryScratch::new())
         .expect("healthy anytime scatter");
     assert!(got.degraded.is_empty(), "recovered scatter still degraded");
     assert_eq!(
         want.map(|r| r.ids()),
-        got.anytime.answer.map(|r| r.ids()),
+        got.nwc().map(|r| r.ids()),
         "recovered anytime scatter diverged"
     );
-    assert!((got.anytime.lower_bound - d_star).abs() <= tol || got.anytime.lower_bound >= d_star - tol);
+    assert!((got.lower_bound - d_star).abs() <= tol || got.lower_bound >= d_star - tol);
 }
 
 #[test]
@@ -515,7 +539,7 @@ fn engine_collects_per_query_errors_without_tearing_down_the_batch() {
         })
         .collect();
     let engine = QueryEngine::new(&disk).with_threads(4);
-    let batch = engine.try_nwc_batch(&queries, Scheme::NWC_STAR);
+    let batch = engine.search_batch(&requests(&queries));
     assert_eq!(batch.len(), queries.len());
 
     let (mut failed, mut served) = (0, 0);
@@ -526,11 +550,11 @@ fn engine_collects_per_query_errors_without_tearing_down_the_batch() {
                 failed += 1;
             }
             Err(other) => panic!("q{qi}: expected Io, got {other}"),
-            Ok((got, _)) => {
-                let want = arena.nwc(q, Scheme::NWC_STAR);
+            Ok(got) => {
+                let want = nwc_full(&arena, q, Scheme::NWC_STAR).unwrap().0;
                 assert_eq!(
                     want.map(|r| r.ids()),
-                    got.as_ref().map(|r| r.ids()),
+                    got.nwc().map(|r| r.ids()),
                     "q{qi} served a wrong answer next to a dead page"
                 );
                 served += 1;
@@ -552,8 +576,142 @@ fn engine_collects_per_query_errors_without_tearing_down_the_batch() {
 
     // kNWC error collection rides the same machinery.
     let kq = KnwcQuery::new(near, WindowSpec::square(300.0), 3, 2, 1);
-    match engine.try_knwc_batch(&[kq], Scheme::NWC_STAR).remove(0) {
+    match engine.search_batch(&[SearchRequest::knwc(kq, Scheme::NWC_STAR)]).remove(0) {
         Err(QueryError::Io(e)) => assert_eq!(e.page, dead_leaf),
         other => panic!("expected Io, got {other:?}"),
     }
+}
+
+/// A store that runs an armed action whenever page `page` is read,
+/// before the read itself (which the inner store may then fail).
+struct Tripwire<S> {
+    inner: S,
+    page: std::sync::atomic::AtomicU32,
+    action: std::sync::Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+}
+
+impl<S> Tripwire<S> {
+    fn arm(&self, page: u32, action: impl Fn() + Send + Sync + 'static) {
+        *self.action.lock().expect("tripwire lock") = Some(Box::new(action));
+        self.page.store(page, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    fn check(&self, page: u32) {
+        if page == self.page.load(std::sync::atomic::Ordering::SeqCst) {
+            if let Some(action) = &*self.action.lock().expect("tripwire lock") {
+                action();
+            }
+        }
+    }
+}
+
+impl<S: PageStore> PageStore for Tripwire<S> {
+    fn meta(&self) -> StoreMeta {
+        self.inner.meta()
+    }
+
+    fn read_page(&self, page: u32, buf: &mut [u8]) -> Result<(), StoreError> {
+        self.check(page);
+        self.inner.read_page(page, buf)
+    }
+
+    fn read_page_uncounted(&self, page: u32, buf: &mut [u8]) -> Result<(), StoreError> {
+        self.check(page);
+        self.inner.read_page_uncounted(page, buf)
+    }
+
+    fn physical_reads(&self) -> u64 {
+        self.inner.physical_reads()
+    }
+
+    fn reset_counters(&self) {
+        self.inner.reset_counters()
+    }
+
+    fn sync(&self) -> Result<(), StoreError> {
+        self.inner.sync()
+    }
+}
+
+#[test]
+fn complete_reports_a_budget_trip_over_a_failed_shard() {
+    // K = 4 on disk, shard 0 behind a fault store whose root page is
+    // dead. Shard 0 is searched first (the query point lies in its tile,
+    // one worker); reading its root first trips the budget, then fails.
+    // Every later shard stops at its first expansion. So the outcome
+    // holds both a budget trip and a shard degraded by an I/O error, and
+    // the all-or-nothing contract must report the trip: a shed or
+    // cancelled query never passes for a disk fault.
+    let built = ShardedNwcIndex::build(chaos_points(2_000), 4);
+    let dir = std::env::temp_dir().join(format!("nwc-chaos-complete-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let no_retry = DiskIndexConfig {
+        retry: fast_retry(1),
+        ..DiskIndexConfig::default()
+    };
+    let mut shards = Vec::new();
+    let mut wire = None;
+    for (i, shard) in built.shards().iter().enumerate() {
+        let path = dir.join(format!("shard-{i}.pages"));
+        shard.save_tree(&path).expect("save shard");
+        if i == 0 {
+            let store = FileStore::open(&path).expect("reopen shard 0");
+            let w = Arc::new(Tripwire {
+                inner: FaultStore::new(store, FaultPlan::default()),
+                page: std::sync::atomic::AtomicU32::new(u32::MAX),
+                action: std::sync::Mutex::new(None),
+            });
+            shards.push(
+                NwcIndex::open_disk_from_store(Box::new(Arc::clone(&w)), no_retry)
+                    .expect("open shard 0 through the tripwire"),
+            );
+            wire = Some(w);
+        } else {
+            shards.push(NwcIndex::open_disk(&path, no_retry).expect("open shard"));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    let wire = wire.expect("shard 0 is wired");
+    let sharded = ShardedNwcIndex::from_shards(shards, None)
+        .expect("assemble")
+        .with_threads(1);
+    assert_eq!(sharded.shard_count(), 4);
+    let shard0 = &sharded.shards()[0];
+    let root = shard0.tree().root().raw();
+    wire.inner.fail_page_permanently(root);
+    let query = NwcQuery::new(shard0.bounds().center(), WindowSpec::square(400.0), 4);
+
+    let run = |budget: Budget, action: Box<dyn Fn() + Send + Sync>| {
+        // A cold pool with an empty quarantine: the root read reaches
+        // the store, so the tripwire fires.
+        shard0.tree().storage().expect("disk-backed").reset();
+        wire.arm(root, action);
+        let req = SearchRequest::nwc(query, Scheme::NWC_STAR).with_budget(budget);
+        let outcome = sharded.search(&req, &mut QueryScratch::new()).expect("a scatter degrades");
+        assert!(
+            matches!(outcome.degraded.as_slice(), [(0, QueryError::Io(e))] if e.page == root),
+            "shard 0 must fail with its I/O error: {:?}",
+            outcome.degraded
+        );
+        outcome
+    };
+
+    let deadline = Instant::now() + Duration::from_millis(200);
+    let wait_out = move || {
+        while Instant::now() <= deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let outcome = run(Budget::with_deadline(deadline), Box::new(wait_out));
+    assert_eq!(outcome.exhausted, Some(CancelKind::Deadline));
+    assert_eq!(outcome.complete().unwrap_err(), QueryError::Deadline);
+
+    let flag = CancelFlag::new();
+    let raise = {
+        let flag = flag.clone();
+        move || flag.stop()
+    };
+    let outcome = run(Budget::with_flag(&flag), Box::new(raise));
+    assert_eq!(outcome.exhausted, Some(CancelKind::Stopped));
+    assert_eq!(outcome.complete().unwrap_err(), QueryError::Cancelled);
 }

@@ -8,6 +8,18 @@ use nwc::rtree::PAGE_SIZE;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// `(answer, stats)` of an exact NWC request, all or nothing.
+fn nwc_full(
+    index: &NwcIndex,
+    query: &NwcQuery,
+    scheme: Scheme,
+) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
+    let req = SearchRequest::nwc(*query, scheme);
+    let out = index.search(&req, &mut QueryScratch::new())?.complete()?;
+    let stats = out.stats;
+    Ok((out.into_nwc(), stats))
+}
+
 /// A unique temp path per call (tests run concurrently).
 fn temp_pages(tag: &str) -> PathBuf {
     static COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -46,8 +58,8 @@ fn assert_equivalent_under_pressure(arena: &NwcIndex, disk: &NwcIndex, seed: u64
         for (qi, &q) in Dataset::query_points(2, seed).iter().enumerate() {
             for spec in [WindowSpec::square(60.0), WindowSpec::new(120.0, 40.0)] {
                 let query = NwcQuery::new(q, spec, 4);
-                let (ra, sa) = arena.nwc_full(&query, scheme);
-                let (rd, sd) = disk.nwc_full(&query, scheme);
+                let (ra, sa) = nwc_full(arena, &query, scheme).unwrap();
+                let (rd, sd) = nwc_full(disk, &query, scheme).unwrap();
                 match (&ra, &rd) {
                     (None, None) => {}
                     (Some(a), Some(d)) => {
@@ -122,7 +134,7 @@ fn pool_capacity_sweep_keeps_logical_io_and_lru_monotone() {
     let run = |index: &NwcIndex, scheme: Scheme| -> u64 {
         queries
             .iter()
-            .map(|q| index.nwc_full(q, scheme).1.io_total)
+            .map(|q| nwc_full(index, q, scheme).unwrap().1.io_total)
             .sum()
     };
     let arena_io: Vec<u64> = Scheme::TABLE3.iter().map(|&s| run(&arena, s)).collect();
@@ -244,5 +256,5 @@ fn disk_backed_index_rejects_updates_with_typed_errors() {
 
     // And the index still answers queries afterwards.
     let query = NwcQuery::new(Point::new(50.0, 50.0), WindowSpec::square(80.0), 3);
-    assert!(disk.nwc(&query, Scheme::NWC_STAR).is_some());
+    assert!(nwc_full(&disk, &query, Scheme::NWC_STAR).unwrap().0.is_some());
 }

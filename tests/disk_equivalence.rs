@@ -21,6 +21,24 @@ use nwc::store::StoreError;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// `(answer, stats)` of an exact NWC request, all or nothing.
+fn nwc_full(
+    index: &NwcIndex,
+    query: &NwcQuery,
+    scheme: Scheme,
+) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
+    let req = SearchRequest::nwc(*query, scheme);
+    let out = index.search(&req, &mut QueryScratch::new())?.complete()?;
+    let stats = out.stats;
+    Ok((out.into_nwc(), stats))
+}
+
+/// The groups of an exact kNWC request, all or nothing.
+fn knwc(index: &NwcIndex, query: &KnwcQuery, scheme: Scheme) -> Result<KnwcResult, QueryError> {
+    let req = SearchRequest::knwc(*query, scheme);
+    Ok(index.search(&req, &mut QueryScratch::new())?.complete()?.into_knwc())
+}
+
 /// A unique temp path per call (tests run concurrently).
 fn temp_pages(tag: &str) -> PathBuf {
     static COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -66,8 +84,8 @@ fn disk_results_and_io_match_arena_for_all_schemes() {
             for (qi, &q) in queries.iter().enumerate() {
                 for spec in [WindowSpec::square(60.0), WindowSpec::new(120.0, 40.0)] {
                     let query = NwcQuery::new(q, spec, 4);
-                    let (ra, sa) = arena.nwc_full(&query, scheme);
-                    let (rd, sd) = disk.nwc_full(&query, scheme);
+                    let (ra, sa) = nwc_full(&arena, &query, scheme).unwrap();
+                    let (rd, sd) = nwc_full(&disk, &query, scheme).unwrap();
                     // Identical answers...
                     match (&ra, &rd) {
                         (None, None) => {}
@@ -142,8 +160,8 @@ fn clustered_layout_keeps_answers_and_logical_io_bit_identical() {
         for scheme in Scheme::TABLE3 {
             for (qi, &q) in queries.iter().enumerate() {
                 let query = NwcQuery::new(q, WindowSpec::square(70.0), 4);
-                let (ra, sa) = arena.nwc_full(&query, scheme);
-                let (rd, sd) = disk.nwc_full(&query, scheme);
+                let (ra, sa) = nwc_full(&arena, &query, scheme).unwrap();
+                let (rd, sd) = nwc_full(&disk, &query, scheme).unwrap();
                 match (&ra, &rd) {
                     (None, None) => {}
                     (Some(a), Some(d)) => {
@@ -204,8 +222,8 @@ fn writable_disk_mutations_commit_and_reopen_match_the_mutated_arena() {
         for scheme in Scheme::TABLE3 {
             for (qi, &q) in queries.iter().enumerate() {
                 let query = NwcQuery::new(q, WindowSpec::square(60.0), 4);
-                let (ra, sa) = arena.nwc_full(&query, scheme);
-                let (rd, sd) = disk.nwc_full(&query, scheme);
+                let (ra, sa) = nwc_full(&arena, &query, scheme).unwrap();
+                let (rd, sd) = nwc_full(disk, &query, scheme).unwrap();
                 match (&ra, &rd) {
                     (None, None) => {}
                     (Some(a), Some(d)) => {
@@ -274,8 +292,8 @@ fn streaming_ingest_on_a_writable_disk_index_matches_the_arena_and_reopens() {
 
     let probe = |q: Point| NwcQuery::new(q, WindowSpec::square(60.0), 4);
     let assert_same = |a: &NwcIndex, d: &NwcIndex, q: Point, stage: &str| {
-        let ra = a.nwc(&probe(q), Scheme::NWC_PLUS);
-        let rd = d.nwc(&probe(q), Scheme::NWC_PLUS);
+        let ra = nwc_full(a, &probe(q), Scheme::NWC_PLUS).unwrap().0;
+        let rd = nwc_full(d, &probe(q), Scheme::NWC_PLUS).unwrap().0;
         match (&ra, &rd) {
             (None, None) => {}
             (Some(a), Some(d)) => {
@@ -319,8 +337,8 @@ fn disk_knwc_matches_arena() {
     let disk = reopen_disk(&arena, "knwc");
     for &q in &Dataset::query_points(3, 43) {
         let query = KnwcQuery::new(q, WindowSpec::square(80.0), 4, 3, 1);
-        let ka = arena.knwc(&query, Scheme::NWC_STAR);
-        let kd = disk.knwc(&query, Scheme::NWC_STAR);
+        let ka = knwc(&arena, &query, Scheme::NWC_STAR).unwrap();
+        let kd = knwc(&disk, &query, Scheme::NWC_STAR).unwrap();
         assert_eq!(ka.groups.len(), kd.groups.len());
         for (ga, gd) in ka.groups.iter().zip(&kd.groups) {
             assert_eq!(ga.id_set(), gd.id_set());
@@ -342,10 +360,14 @@ fn disk_engine_batch_matches_sequential() {
         .into_iter()
         .map(|q| NwcQuery::new(q, WindowSpec::square(70.0), 3))
         .collect();
-    let batch = QueryEngine::new(&disk).with_threads(2).nwc_batch(&queries, Scheme::NWC_STAR);
-    for (q, (got, gs)) in queries.iter().zip(&batch) {
-        let (want, ws) = arena.nwc_full(q, Scheme::NWC_STAR);
-        match (&want, got) {
+    let requests: Vec<SearchRequest> =
+        queries.iter().map(|q| SearchRequest::nwc(*q, Scheme::NWC_STAR)).collect();
+    let batch = QueryEngine::new(&disk).with_threads(2).search_batch(&requests);
+    for (q, got) in queries.iter().zip(&batch) {
+        let got = got.as_ref().expect("a healthy disk answers");
+        let gs = &got.stats;
+        let (want, ws) = nwc_full(&arena, q, Scheme::NWC_STAR).unwrap();
+        match (&want, got.nwc()) {
             (None, None) => {}
             (Some(a), Some(d)) => assert_eq!(a.ids(), d.ids()),
             _ => panic!("engine/sequential disagree"),

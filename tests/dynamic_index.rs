@@ -4,6 +4,18 @@
 use nwc::prelude::*;
 use proptest::prelude::*;
 
+/// `(answer, stats)` of an exact NWC request, all or nothing.
+fn nwc_full(
+    index: &NwcIndex,
+    query: &NwcQuery,
+    scheme: Scheme,
+) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
+    let req = SearchRequest::nwc(*query, scheme);
+    let out = index.search(&req, &mut QueryScratch::new())?.complete()?;
+    let stats = out.stats;
+    Ok((out.into_nwc(), stats))
+}
+
 fn point_strategy() -> impl Strategy<Value = Point> {
     (0u32..100, 0u32..100).prop_map(|(x, y)| Point::new(x as f64, y as f64))
 }
@@ -52,8 +64,8 @@ proptest! {
         let fresh = NwcIndex::build(fresh_points.clone());
 
         let query = NwcQuery::new(q, WindowSpec::square(size), n);
-        let updated = index.nwc(&query, Scheme::NWC_STAR).map(|r| r.distance);
-        let rebuilt = fresh.nwc(&query, Scheme::NWC_STAR).map(|r| r.distance);
+        let updated = nwc_full(&index, &query, Scheme::NWC_STAR).unwrap().0.map(|r| r.distance);
+        let rebuilt = nwc_full(&fresh, &query, Scheme::NWC_STAR).unwrap().0.map(|r| r.distance);
         match (updated, rebuilt) {
             (None, None) => {}
             (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
@@ -108,13 +120,13 @@ fn removed_objects_never_appear_in_results() {
     ]);
     let mut index = NwcIndex::build(pts);
     let query = NwcQuery::new(Point::new(0.0, 0.0), WindowSpec::square(6.0), 3);
-    let before = index.nwc(&query, Scheme::NWC_PLUS).unwrap();
+    let before = nwc_full(&index, &query, Scheme::NWC_PLUS).unwrap().0.unwrap();
     assert_eq!(before.ids().iter().max().copied().unwrap(), 2);
 
     for id in 0..3 {
         assert!(index.remove(id).unwrap());
     }
-    let after = index.nwc(&query, Scheme::NWC_PLUS).unwrap();
+    let after = nwc_full(&index, &query, Scheme::NWC_PLUS).unwrap().0.unwrap();
     let mut ids = after.ids();
     ids.sort_unstable();
     assert_eq!(ids, vec![3, 4, 5]);
@@ -130,8 +142,8 @@ fn iwp_scheme_answers_right_after_an_update() {
     let query = NwcQuery::new(Point::new(0.0, 0.0), WindowSpec::square(4.0), 2);
     // IWP keeps no structure a write could invalidate: right after the
     // insert, with nothing rebuilt, NWC* answers exactly like NWC+.
-    let star = index.try_nwc(&query, Scheme::NWC_STAR).unwrap().expect("pair exists");
-    let reference = index.nwc(&query, Scheme::NWC_PLUS).expect("pair exists");
+    let star = nwc_full(&index, &query, Scheme::NWC_STAR).map(|(r, _)| r).unwrap().expect("pair exists");
+    let reference = nwc_full(&index, &query, Scheme::NWC_PLUS).unwrap().0.expect("pair exists");
     assert_eq!(star.ids(), reference.ids());
     assert_eq!(star.distance, reference.distance);
 }
@@ -150,8 +162,8 @@ fn dep_stays_correct_for_inserts_outside_the_original_space() {
         index.insert(Point::new(500.0 + d as f64, 500.0 + d as f64)).unwrap();
     }
     let query = NwcQuery::new(Point::new(400.0, 400.0), WindowSpec::square(8.0), 3);
-    let with_dep = index.nwc(&query, Scheme::NWC_STAR).expect("cluster must be found");
-    let without_dep = index.nwc(&query, Scheme::NWC_PLUS).expect("cluster must be found");
+    let with_dep = nwc_full(&index, &query, Scheme::NWC_STAR).unwrap().0.expect("cluster must be found");
+    let without_dep = nwc_full(&index, &query, Scheme::NWC_PLUS).unwrap().0.expect("cluster must be found");
     assert!((with_dep.distance - without_dep.distance).abs() < 1e-9);
     let mut ids = with_dep.ids();
     ids.sort_unstable();
@@ -175,8 +187,8 @@ fn nwc_star_after_a_write_matches_the_oracle_and_beats_nwc_plus() {
     let (mut star_io, mut plus_io) = (0, 0);
     for (i, q) in Dataset::query_points(25, 2016).into_iter().enumerate() {
         let query = NwcQuery::new(q, WindowSpec::square(64.0), 8);
-        let (star, star_stats) = index.try_nwc_full(&query, Scheme::NWC_STAR).unwrap();
-        let (plus, plus_stats) = index.try_nwc_full(&query, Scheme::NWC_PLUS).unwrap();
+        let (star, star_stats) = nwc_full(&index, &query, Scheme::NWC_STAR).unwrap();
+        let (plus, plus_stats) = nwc_full(&index, &query, Scheme::NWC_PLUS).unwrap();
         star_io += star_stats.io_total;
         plus_io += plus_stats.io_total;
         let ids = |r: &Option<NwcResult>| {

@@ -7,6 +7,41 @@ use nwc::datagen::CA_CARDINALITY;
 use nwc::grid::{MAX_REFINE, PAPER_GRID_CELL};
 use nwc::prelude::*;
 
+/// The one entry point both index kinds share.
+trait Search {
+    fn search(&self, req: &SearchRequest, scratch: &mut QueryScratch) -> Result<Outcome, QueryError>;
+}
+
+impl Search for NwcIndex {
+    fn search(&self, req: &SearchRequest, scratch: &mut QueryScratch) -> Result<Outcome, QueryError> {
+        NwcIndex::search(self, req, scratch)
+    }
+}
+
+impl Search for ShardedNwcIndex {
+    fn search(&self, req: &SearchRequest, scratch: &mut QueryScratch) -> Result<Outcome, QueryError> {
+        ShardedNwcIndex::search(self, req, scratch)
+    }
+}
+
+/// `(answer, stats)` of an exact NWC request, all or nothing.
+fn nwc_full(
+    index: &impl Search,
+    query: &NwcQuery,
+    scheme: Scheme,
+) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
+    let req = SearchRequest::nwc(*query, scheme);
+    let out = index.search(&req, &mut QueryScratch::new())?.complete()?;
+    let stats = out.stats;
+    Ok((out.into_nwc(), stats))
+}
+
+/// The groups of an exact kNWC request, all or nothing.
+fn knwc(index: &impl Search, query: &KnwcQuery, scheme: Scheme) -> Result<KnwcResult, QueryError> {
+    let req = SearchRequest::knwc(*query, scheme);
+    Ok(index.search(&req, &mut QueryScratch::new())?.complete()?.into_knwc())
+}
+
 fn trio() -> Vec<Dataset> {
     Dataset::paper_trio_scaled(4_000, 6_000, 5_000, 1234)
 }
@@ -15,7 +50,7 @@ fn avg_io(index: &NwcIndex, queries: &[Point], spec: WindowSpec, n: usize, schem
     let mut acc = SearchStats::default();
     for &q in queries {
         let query = NwcQuery::new(q, spec, n);
-        let (_, stats) = index.nwc_full(&query, scheme);
+        let (_, stats) = nwc_full(index, &query, scheme).unwrap();
         acc.accumulate(&stats);
     }
     acc.io_total as f64 / queries.len() as f64
@@ -28,9 +63,9 @@ fn all_schemes_agree_on_real_shaped_data() {
         let index = NwcIndex::build(ds.points.clone());
         for &q in &queries {
             let query = NwcQuery::new(q, WindowSpec::square(64.0), 8);
-            let reference = index.nwc(&query, Scheme::NWC).map(|r| r.distance);
+            let reference = nwc_full(&index, &query, Scheme::NWC).unwrap().0.map(|r| r.distance);
             for scheme in &Scheme::TABLE3[1..] {
-                let got = index.nwc(&query, *scheme).map(|r| r.distance);
+                let got = nwc_full(&index, &query, *scheme).unwrap().0.map(|r| r.distance);
                 match (reference, got) {
                     (None, None) => {}
                     (Some(a), Some(b)) => {
@@ -82,8 +117,8 @@ fn refined_default_grid_cuts_window_queries_with_the_same_answers() {
     let (mut with_refined, mut without) = (SearchStats::default(), SearchStats::default());
     for q in Dataset::query_points(25, 2016) {
         let query = NwcQuery::new(q, WindowSpec::square(200.0), 8);
-        let (a, a_stats) = refined.nwc_full(&query, Scheme::NWC_STAR);
-        let (b, b_stats) = dense.nwc_full(&query, Scheme::NWC_STAR);
+        let (a, a_stats) = nwc_full(&refined, &query, Scheme::NWC_STAR).unwrap();
+        let (b, b_stats) = nwc_full(&dense, &query, Scheme::NWC_STAR).unwrap();
         let key = |r: Option<NwcResult>| r.map(|r| (r.objects, r.distance.to_bits()));
         assert_eq!(key(a), key(b), "query at {q:?}");
         with_refined.accumulate(&a_stats);
@@ -136,10 +171,10 @@ fn every_grid_cell_size_builds_a_bounded_grid_or_none() {
         assert_eq!(shape(disk.grid()), expected, "cell {cell}");
         assert_eq!(shape(sharded.grid()), expected, "cell {cell}");
         for query in &queries {
-            let want = key(reference.nwc(query, Scheme::NWC_STAR));
-            assert_eq!(key(arena.nwc(query, Scheme::NWC_STAR)), want);
-            assert_eq!(key(disk.nwc(query, Scheme::NWC_STAR)), want);
-            let scattered = sharded.try_nwc_full(query, Scheme::NWC_STAR).expect("arena scatter");
+            let want = key(nwc_full(&reference, query, Scheme::NWC_STAR).unwrap().0);
+            assert_eq!(key(nwc_full(&arena, query, Scheme::NWC_STAR).unwrap().0), want);
+            assert_eq!(key(nwc_full(&disk, query, Scheme::NWC_STAR).unwrap().0), want);
+            let scattered = nwc_full(&sharded, query, Scheme::NWC_STAR).expect("arena scatter");
             assert_eq!(key(scattered.0), want);
         }
     }
@@ -211,8 +246,8 @@ fn knwc_runs_on_scaled_paper_datasets() {
         let index = NwcIndex::build(ds.points.clone());
         for &q in &Dataset::query_points(3, 17) {
             let query = KnwcQuery::new(q, WindowSpec::square(64.0), 8, 4, 4);
-            let plus = index.knwc(&query, Scheme::NWC_PLUS);
-            let star = index.knwc(&query, Scheme::NWC_STAR);
+            let plus = knwc(&index, &query, Scheme::NWC_PLUS).unwrap();
+            let star = knwc(&index, &query, Scheme::NWC_STAR).unwrap();
             assert_eq!(plus.groups.len(), star.groups.len(), "{}", ds.name);
             for (a, b) in plus.groups.iter().zip(&star.groups) {
                 assert!((a.distance - b.distance).abs() < 1e-9, "{}", ds.name);
@@ -231,8 +266,7 @@ fn distance_measures_are_ordered() {
     for &q in &Dataset::query_points(5, 41) {
         let spec = WindowSpec::square(64.0);
         let score = |m: DistanceMeasure| {
-            index
-                .nwc(&NwcQuery::new(q, spec, 8).with_measure(m), Scheme::NWC_STAR)
+            nwc_full(&index, &NwcQuery::new(q, spec, 8).with_measure(m), Scheme::NWC_STAR).unwrap().0
                 .map(|r| r.distance)
         };
         if let (Some(min), Some(avg), Some(max), Some(nw)) = (

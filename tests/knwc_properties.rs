@@ -10,6 +10,41 @@ use nwc::core::{oracle, KnwcQuery, QueryError};
 use nwc::prelude::*;
 use proptest::prelude::*;
 
+/// The one entry point both index kinds share.
+trait Search {
+    fn search(&self, req: &SearchRequest, scratch: &mut QueryScratch) -> Result<Outcome, QueryError>;
+}
+
+impl Search for NwcIndex {
+    fn search(&self, req: &SearchRequest, scratch: &mut QueryScratch) -> Result<Outcome, QueryError> {
+        NwcIndex::search(self, req, scratch)
+    }
+}
+
+impl Search for ShardedNwcIndex {
+    fn search(&self, req: &SearchRequest, scratch: &mut QueryScratch) -> Result<Outcome, QueryError> {
+        ShardedNwcIndex::search(self, req, scratch)
+    }
+}
+
+/// `(answer, stats)` of an exact NWC request, all or nothing.
+fn nwc_full(
+    index: &impl Search,
+    query: &NwcQuery,
+    scheme: Scheme,
+) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
+    let req = SearchRequest::nwc(*query, scheme);
+    let out = index.search(&req, &mut QueryScratch::new())?.complete()?;
+    let stats = out.stats;
+    Ok((out.into_nwc(), stats))
+}
+
+/// The groups of an exact kNWC request, all or nothing.
+fn knwc(index: &impl Search, query: &KnwcQuery, scheme: Scheme) -> Result<KnwcResult, QueryError> {
+    let req = SearchRequest::knwc(*query, scheme);
+    Ok(index.search(&req, &mut QueryScratch::new())?.complete()?.into_knwc())
+}
+
 fn point_strategy() -> impl Strategy<Value = Point> {
     (0u32..80, 0u32..80).prop_map(|(x, y)| Point::new(x as f64, y as f64))
 }
@@ -34,7 +69,7 @@ proptest! {
         let index = NwcIndex::build(points.clone());
         let query = KnwcQuery::new(q, WindowSpec::square(size), n, k, m);
         for scheme in [Scheme::NWC, Scheme::NWC_PLUS, Scheme::NWC_STAR] {
-            let r = index.knwc(&query, scheme);
+            let r = knwc(&index, &query, scheme).unwrap();
             prop_assert!(r.groups.len() <= k);
             // (1) every group: n distinct objects inside an l×w window.
             for g in &r.groups {
@@ -67,8 +102,8 @@ proptest! {
         prop_assume!(m < n);
         let index = NwcIndex::build(points.clone());
         let query = KnwcQuery::new(q, WindowSpec::square(size), n, k, m);
-        let r = index.knwc(&query, Scheme::NWC_STAR);
-        let nwc = index.nwc(&query.base, Scheme::NWC_STAR);
+        let r = knwc(&index, &query, Scheme::NWC_STAR).unwrap();
+        let nwc = nwc_full(&index, &query.base, Scheme::NWC_STAR).unwrap().0;
         match (r.groups.first(), nwc) {
             (None, None) => {}
             (Some(g), Some(best)) => {
@@ -90,7 +125,7 @@ proptest! {
         // brute-force greedy selection set-for-set, under every scheme
         // (DEP/IWP never drop qualified windows).
         for scheme in [Scheme::NWC, Scheme::DEP, Scheme::IWP, Scheme::NWC_STAR] {
-            let r = index.knwc_exact(&query, scheme);
+            let r = index.knwc_exact(&query, scheme).unwrap();
             prop_assert_eq!(r.groups.len(), greedy.len(), "{}", scheme);
             for (g, o) in r.groups.iter().zip(&greedy) {
                 prop_assert!((g.distance - o.distance).abs() < 1e-9, "{}", scheme);
@@ -100,7 +135,7 @@ proptest! {
         // The pruned variant keeps the optimal first group and never
         // violates Definition 3's structural conditions (checked in
         // knwc_satisfies_definition3); its first group must agree.
-        let pruned = index.knwc(&query, Scheme::NWC_STAR);
+        let pruned = knwc(&index, &query, Scheme::NWC_STAR).unwrap();
         if let (Some(g), Some(o)) = (pruned.groups.first(), greedy.first()) {
             prop_assert!((g.distance - o.distance).abs() < 1e-9);
         }
@@ -112,8 +147,8 @@ proptest! {
         prop_assume!(m < n);
         let index = NwcIndex::build(points.clone());
         let query = KnwcQuery::new(q, WindowSpec::square(size), n, 1, m);
-        let r = index.knwc(&query, Scheme::NWC_PLUS);
-        let nwc = index.nwc(&query.base, Scheme::NWC_PLUS);
+        let r = knwc(&index, &query, Scheme::NWC_PLUS).unwrap();
+        let nwc = nwc_full(&index, &query.base, Scheme::NWC_PLUS).unwrap().0;
         match (r.groups.first(), nwc) {
             (None, None) => {}
             (Some(g), Some(best)) => prop_assert!((g.distance - best.distance).abs() < 1e-9),
@@ -138,11 +173,11 @@ fn zero_k_literal_is_a_typed_error_unsharded() {
     let (points, query) = zero_k_literal();
     let index = NwcIndex::build(points);
     for scheme in [Scheme::NWC, Scheme::NWC_PLUS, Scheme::NWC_STAR] {
-        assert_eq!(index.try_knwc(&query, scheme).unwrap_err(), QueryError::ZeroCount("k"));
+        assert_eq!(knwc(&index, &query, scheme).unwrap_err(), QueryError::ZeroCount("k"));
     }
     let overlap = KnwcQuery { k: 2, m: 4, ..query };
     assert_eq!(
-        index.try_knwc(&overlap, Scheme::NWC_STAR).unwrap_err(),
+        knwc(&index, &overlap, Scheme::NWC_STAR).unwrap_err(),
         QueryError::OverlapBoundTooLarge { m: 4, n: 4 }
     );
 }
@@ -152,7 +187,7 @@ fn zero_k_literal_is_a_typed_error_sharded() {
     let (points, query) = zero_k_literal();
     for shards in [1, 4] {
         let index = ShardedNwcIndex::build(points.clone(), shards);
-        let got = index.try_knwc(&query, Scheme::NWC_STAR).unwrap_err();
+        let got = knwc(&index, &query, Scheme::NWC_STAR).unwrap_err();
         assert_eq!(got, QueryError::ZeroCount("k"), "K = {shards}");
         let got = index.try_knwc_exact(&query, Scheme::NWC_STAR).unwrap_err();
         assert_eq!(got, QueryError::ZeroCount("k"), "K = {shards} exact");
@@ -163,15 +198,14 @@ fn zero_k_literal_is_a_typed_error_sharded() {
 fn zero_k_literal_is_a_typed_error_anytime() {
     let (points, query) = zero_k_literal();
     let index = NwcIndex::build(points.clone());
-    let got = index
-        .try_knwc_anytime(&query, Scheme::NWC_STAR, &Budget::none(), Approx::exact())
-        .unwrap_err();
+    let req = SearchRequest::knwc(query, Scheme::NWC_STAR)
+        .with_budget(Budget::none())
+        .with_approx(Approx::exact());
+    let got = index.search(&req, &mut QueryScratch::new()).unwrap_err();
     assert_eq!(got, QueryError::ZeroCount("k"));
     for shards in [1, 4] {
         let sharded = ShardedNwcIndex::build(points.clone(), shards);
-        let got = sharded
-            .try_knwc_anytime(&query, Scheme::NWC_STAR, &Budget::none(), Approx::exact())
-            .unwrap_err();
+        let got = sharded.search(&req, &mut QueryScratch::new()).unwrap_err();
         assert_eq!(got, QueryError::ZeroCount("k"), "K = {shards}");
     }
 }

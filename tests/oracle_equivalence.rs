@@ -11,6 +11,18 @@ use nwc::core::DistanceMeasure;
 use nwc::prelude::*;
 use proptest::prelude::*;
 
+/// `(answer, stats)` of an exact NWC request, all or nothing.
+fn nwc_full(
+    index: &NwcIndex,
+    query: &NwcQuery,
+    scheme: Scheme,
+) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
+    let req = SearchRequest::nwc(*query, scheme);
+    let out = index.search(&req, &mut QueryScratch::new())?.complete()?;
+    let stats = out.stats;
+    Ok((out.into_nwc(), stats))
+}
+
 fn point_strategy() -> impl Strategy<Value = Point> {
     // A coarse lattice plus jitter provokes boundary ties (objects
     // exactly on window edges) that uniform floats almost never hit.
@@ -38,7 +50,7 @@ proptest! {
             let query = NwcQuery::new(q, WindowSpec::new(l, w), n).with_measure(measure);
             let want = oracle::nwc_brute_force(&points, &query);
             for scheme in Scheme::TABLE3 {
-                let got = index.nwc(&query, scheme);
+                let got = nwc_full(&index, &query, scheme).unwrap().0;
                 match (&want, &got) {
                     (None, None) => {}
                     (Some(w_), Some(g)) => {
@@ -67,7 +79,7 @@ proptest! {
     fn result_groups_are_feasible((points, q, l, w, n) in scenario()) {
         let index = NwcIndex::build(points.clone());
         let query = NwcQuery::new(q, WindowSpec::new(l, w), n);
-        if let Some(r) = index.nwc(&query, Scheme::NWC_STAR) {
+        if let Some(r) = nwc_full(&index, &query, Scheme::NWC_STAR).unwrap().0 {
             prop_assert_eq!(r.objects.len(), n);
             // Distinct objects.
             let mut ids = r.ids();
@@ -90,7 +102,7 @@ proptest! {
     fn none_only_when_nothing_qualifies((points, q, l, w, n) in scenario()) {
         let index = NwcIndex::build(points.clone());
         let query = NwcQuery::new(q, WindowSpec::new(l, w), n);
-        let got = index.nwc(&query, Scheme::NWC_STAR);
+        let got = nwc_full(&index, &query, Scheme::NWC_STAR).unwrap().0;
         let want = oracle::nwc_brute_force(&points, &query);
         prop_assert_eq!(got.is_some(), want.is_some());
     }
@@ -105,18 +117,21 @@ proptest! {
         for measure in DistanceMeasure::ALL {
             let query = NwcQuery::new(q, WindowSpec::new(l, w), n).with_measure(measure);
             for scheme in Scheme::TABLE3 {
-                let (exact, exact_stats) = index
-                    .try_nwc_full_with(&query, scheme, &mut scratch)
+                let req = SearchRequest::nwc(query, scheme);
+                let exact = index
+                    .search(&req, &mut scratch)
+                    .and_then(Outcome::complete)
                     .expect("arena query cannot fail");
-                let a = index
-                    .try_nwc_anytime_with(&query, scheme, &mut scratch, &Budget::none(), Approx::exact())
-                    .expect("arena query cannot fail");
+                let exact_stats = exact.stats;
+                let exact = exact.into_nwc();
+                let req = req.with_budget(Budget::none()).with_approx(Approx::exact());
+                let a = index.search(&req, &mut scratch).expect("arena query cannot fail");
                 prop_assert!(a.exhausted.is_none(), "{scheme} {measure:?}: unarmed budget expired");
                 prop_assert_eq!(
                     a.stats, exact_stats,
                     "{} {:?}: anytime did different work than exact", scheme, measure
                 );
-                match (&exact, &a.answer) {
+                match (&exact, a.nwc()) {
                     (None, None) => {
                         prop_assert_eq!(a.error_bound, 0.0);
                     }
@@ -132,7 +147,7 @@ proptest! {
                         false,
                         "{scheme} {measure:?}: exact {:?} vs anytime {:?}",
                         exact.as_ref().map(|x| x.distance),
-                        a.answer.as_ref().map(|x| x.distance)
+                        a.nwc().map(|x| x.distance)
                     ),
                 }
             }
@@ -153,8 +168,9 @@ proptest! {
                 let approx = Approx::new(epsilon).expect("valid sweep epsilon");
                 for io in [0u64, 2, 8, 32, u64::MAX] {
                     let budget = if io == u64::MAX { Budget::none() } else { Budget::none().io_limit(io) };
+                    let req = SearchRequest::nwc(query, scheme).with_budget(budget.clone()).with_approx(approx);
                     let a = index
-                        .try_nwc_anytime_with(&query, scheme, &mut scratch, &budget, approx)
+                        .search(&req, &mut scratch)
                         .expect("budget expiry is a typed partial, not an error");
                     prop_assert!(a.error_bound >= 0.0);
                     prop_assert!(a.lower_bound >= 0.0);
@@ -166,7 +182,7 @@ proptest! {
                     }
                     match oracle_best {
                         None => prop_assert!(
-                            a.answer.is_none(),
+                            a.nwc().is_none(),
                             "ε={epsilon} io={io}: invented a group the oracle says cannot exist"
                         ),
                         Some(d_star) => {
@@ -176,7 +192,7 @@ proptest! {
                                 "ε={epsilon} io={io}: lower bound {} exceeds optimum {}",
                                 a.lower_bound, d_star
                             );
-                            if let Some(r) = &a.answer {
+                            if let Some(r) = a.nwc() {
                                 prop_assert!(r.distance >= d_star - tol, "answer beat the oracle");
                                 prop_assert!(
                                     r.distance - a.error_bound <= d_star + tol,
@@ -200,8 +216,8 @@ proptest! {
             nwc::core::IndexConfig { bulk_load: false, ..Default::default() },
         );
         let query = NwcQuery::new(q, WindowSpec::new(l, w), n);
-        let a = bulk.nwc(&query, Scheme::NWC_STAR).map(|r| r.distance);
-        let b = incremental.nwc(&query, Scheme::NWC_STAR).map(|r| r.distance);
+        let a = nwc_full(&bulk, &query, Scheme::NWC_STAR).unwrap().0.map(|r| r.distance);
+        let b = nwc_full(&incremental, &query, Scheme::NWC_STAR).unwrap().0.map(|r| r.distance);
         match (a, b) {
             (None, None) => {}
             (Some(x), Some(y)) => prop_assert!((x - y).abs() < 1e-9),

@@ -11,6 +11,18 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// `(answer, stats)` of an exact NWC request, all or nothing.
+fn nwc_full(
+    index: &NwcIndex,
+    query: &NwcQuery,
+    scheme: Scheme,
+) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
+    let req = SearchRequest::nwc(*query, scheme);
+    let out = index.search(&req, &mut QueryScratch::new())?.complete()?;
+    let stats = out.stats;
+    Ok((out.into_nwc(), stats))
+}
+
 fn temp_pages(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("nwc-stress-{tag}-{}.pages", std::process::id()))
 }
@@ -49,18 +61,22 @@ fn concurrent_engine_batches_on_a_shared_disk_tree_stay_consistent() {
         .collect();
     let expected: Vec<_> = queries
         .iter()
-        .map(|q| arena.nwc_full(q, Scheme::NWC_STAR))
+        .map(|q| nwc_full(&arena, q, Scheme::NWC_STAR).unwrap())
         .collect();
 
     // Several rounds so later ones run against a warm, already-churned
     // pool — eviction and demand faulting interleave across the 4
     // worker threads.
+    let requests: Vec<SearchRequest> =
+        queries.iter().map(|q| SearchRequest::nwc(*q, Scheme::NWC_STAR)).collect();
     let engine = QueryEngine::new(&disk).with_threads(4);
     for round in 0..3 {
-        let batch = engine.nwc_batch(&queries, Scheme::NWC_STAR);
+        let batch = engine.search_batch(&requests);
         assert_eq!(batch.len(), queries.len());
-        for (qi, ((want, ws), (got, gs))) in expected.iter().zip(&batch).enumerate() {
-            match (want, got) {
+        for (qi, ((want, ws), got)) in expected.iter().zip(&batch).enumerate() {
+            let got = got.as_ref().expect("a healthy disk answers");
+            let gs = &got.stats;
+            match (want, got.nwc()) {
                 (None, None) => {}
                 (Some(a), Some(d)) => {
                     assert_eq!(a.ids(), d.ids(), "round {round} q{qi}");
@@ -143,13 +159,15 @@ fn pool_survives_mid_descent_faults_under_concurrency() {
         .into_iter()
         .map(|q| NwcQuery::new(q, WindowSpec::square(400.0), 4))
         .collect();
+    let requests: Vec<SearchRequest> =
+        queries.iter().map(|q| SearchRequest::nwc(*q, Scheme::NWC_STAR)).collect();
     let engine = QueryEngine::new(&disk).with_threads(4);
     let storage = disk.tree().storage().expect("disk-backed");
 
     // Round 1: kill the root — every query errors, across all 4 workers.
     let root = disk.tree().root().raw();
     fault.fail_page_permanently(root);
-    let batch = engine.try_nwc_batch(&queries, Scheme::NWC_STAR);
+    let batch = engine.search_batch(&requests);
     assert!(batch.iter().all(|r| r.is_err()), "root is unreadable");
     assert_eq!(storage.pool_stats().pinned, 0, "a failed descent leaked a pin");
     let io = disk.tree().stats();
@@ -165,11 +183,11 @@ fn pool_survives_mid_descent_faults_under_concurrency() {
     storage.reset();
     io.reset();
     for q in &queries {
-        let want = arena.nwc(q, Scheme::NWC_STAR);
-        let got = disk.try_nwc(q, Scheme::NWC_STAR).expect("healthy again");
+        let want = nwc_full(&arena, q, Scheme::NWC_STAR).unwrap().0;
+        let got = nwc_full(&disk, q, Scheme::NWC_STAR).map(|(r, _)| r).expect("healthy again");
         assert_eq!(want.map(|r| r.ids()), got.map(|r| r.ids()));
     }
-    let batch = engine.try_nwc_batch(&queries, Scheme::NWC_STAR);
+    let batch = engine.search_batch(&requests);
     assert!(batch.iter().all(|r| r.is_ok()));
     let pool = storage.pool_stats();
     assert_eq!(pool.hits, io.buffer_hits(), "pool/stats hit accounting diverged");

@@ -16,7 +16,10 @@
 //!   observe an external stop flag without tearing down the scope.
 
 use nwc::prelude::*;
-use nwc_core::{Budget, CancelFlag, CancelKind, IndexConfig, QueryEngine, QueryError};
+use nwc_core::{
+    Budget, CancelFlag, CancelKind, IndexConfig, Outcome, QueryEngine, QueryError, QueryScratch,
+    SearchRequest,
+};
 use nwc_serve::{IndexHandle, QueryOutcome, ServeClient, Server, ServerConfig};
 use nwc_store::{FaultPlan, FaultStore, FileStore, RetryPolicy, StoreError};
 use std::path::PathBuf;
@@ -235,13 +238,14 @@ fn hot_swap_survives_transient_store_faults_under_load() {
                     }
                     let generation = handle.load();
                     let query = NwcQuery::new(*q, WindowSpec::square(1_000.0), 4);
-                    match generation.index.try_nwc_full_cancel(
-                        &query,
-                        Scheme::NWC_STAR,
-                        &mut scratch,
-                        &Budget::none(),
-                    ) {
-                        Ok((Some(result), _)) => {
+                    let req = SearchRequest::nwc(query, Scheme::NWC_STAR);
+                    match generation
+                        .index
+                        .search(&req, &mut scratch)
+                        .and_then(Outcome::complete)
+                        .map(Outcome::into_nwc)
+                    {
+                        Ok(Some(result)) => {
                             let lo = result.objects.iter().all(|o| o.point.x < 4_500.0);
                             let hi = result.objects.iter().all(|o| o.point.x >= 5_500.0);
                             assert!(
@@ -251,7 +255,7 @@ fn hot_swap_survives_transient_store_faults_under_load() {
                             );
                             answered += 1;
                         }
-                        Ok((None, _)) => {}
+                        Ok(None) => {}
                         Err(e) => panic!("transient faults must stay invisible: {e}"),
                     }
                 }
@@ -568,9 +572,9 @@ fn anytime_requests_deliver_bounded_partials_over_the_wire() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The engine's batch APIs observe an external stop flag: a pre-stopped
-/// batch yields a typed partial per query (not one blanket error), and
-/// an unarmed token reproduces `try_nwc_batch` exactly.
+/// The engine's batch search observes an external stop flag: a
+/// pre-stopped batch yields a typed partial per query (not one blanket
+/// error), and an unarmed token reproduces the unbudgeted batch exactly.
 #[test]
 fn engine_batches_accept_external_cancel_flag() {
     let index = NwcIndex::build(region_points(3_000, 0.0, 10_000.0, 8));
@@ -580,18 +584,23 @@ fn engine_batches_accept_external_cancel_flag() {
         .map(|q| NwcQuery::new(q, WindowSpec::square(600.0), 5))
         .collect();
 
-    // Unarmed token ≡ the plain batch API.
-    let plain = engine.try_nwc_batch(&queries, Scheme::NWC_STAR);
-    let unarmed = engine.try_nwc_batch_cancel(&queries, Scheme::NWC_STAR, &Budget::none());
+    let requests = |budget: &Budget| -> Vec<SearchRequest> {
+        let req = |q: &NwcQuery| SearchRequest::nwc(*q, Scheme::NWC_STAR);
+        queries.iter().map(|q| req(q).with_budget(budget.clone())).collect()
+    };
+
+    // Unarmed token ≡ the plain batch.
+    let plain = engine.search_batch(&requests(&Budget::none()));
+    let unarmed = engine.search_batch(&requests(&Budget::none()));
     assert_eq!(plain.len(), unarmed.len());
     for (a, b) in plain.iter().zip(&unarmed) {
-        let a = a.as_ref().expect("in-memory batch cannot fail");
+        let a = a.clone().and_then(Outcome::complete).expect("in-memory batch cannot fail");
         let b = b.as_ref().expect("unarmed cancel batch cannot fail");
         assert!(b.is_complete(), "unarmed token cannot exhaust");
         assert_eq!(b.error_bound, 0.0, "complete exact search has no gap");
         assert_eq!(
-            a.0.as_ref().map(|r| r.ids()),
-            b.answer.as_ref().map(|r| r.ids()),
+            a.nwc().map(|r| r.ids()),
+            b.nwc().map(|r| r.ids()),
             "unarmed token changed an answer"
         );
     }
@@ -601,32 +610,29 @@ fn engine_batches_accept_external_cancel_flag() {
     // panics, and the engine remains usable.
     let flag = CancelFlag::new();
     flag.stop();
-    let cancelled =
-        engine.try_nwc_batch_cancel(&queries, Scheme::NWC_STAR, &Budget::with_flag(&flag));
+    let cancelled = engine.search_batch(&requests(&Budget::with_flag(&flag)));
     assert_eq!(cancelled.len(), queries.len());
     for slot in &cancelled {
         let p = slot.as_ref().expect("a tripped flag is not an error");
         assert_eq!(p.exhausted, Some(CancelKind::Stopped));
-        assert!(p.answer.is_none(), "nothing ran, nothing found");
+        assert!(p.nwc().is_none(), "nothing ran, nothing found");
         assert_eq!(p.error_bound, f64::INFINITY);
         assert!(p.lower_bound >= 0.0);
     }
 
     // kNWC path too.
-    let kq: Vec<KnwcQuery> = queries
-        .iter()
-        .take(6)
-        .map(|q| KnwcQuery::new(q.q, q.spec, 4, 3, 1))
-        .collect();
-    let cancelled =
-        engine.try_knwc_batch_cancel(&kq, Scheme::NWC_PLUS, &Budget::with_flag(&flag));
+    let kq = |budget: &Budget| -> Vec<SearchRequest> {
+        let req = |q: &NwcQuery| SearchRequest::knwc(KnwcQuery::new(q.q, q.spec, 4, 3, 1), Scheme::NWC_PLUS);
+        queries.iter().take(6).map(|q| req(q).with_budget(budget.clone())).collect()
+    };
+    let cancelled = engine.search_batch(&kq(&Budget::with_flag(&flag)));
     for slot in &cancelled {
         let p = slot.as_ref().expect("a tripped flag is not an error");
         assert_eq!(p.exhausted, Some(CancelKind::Stopped));
-        assert!(p.result.groups.is_empty());
+        assert!(p.clone().into_knwc().groups.is_empty());
         assert_eq!(p.error_bound, f64::INFINITY);
     }
-    let fine = engine.try_knwc_batch_cancel(&kq, Scheme::NWC_PLUS, &Budget::none());
+    let fine = engine.search_batch(&kq(&Budget::none()));
     assert!(fine
         .iter()
         .all(|r| r.as_ref().is_ok_and(|p| p.is_complete())));
@@ -767,7 +773,13 @@ fn a_generation_without_a_grid_answers_dep_schemes_like_the_library() {
     let mut found = 0;
     for (qi, q) in Dataset::query_points(4, 21).into_iter().enumerate() {
         let query = NwcQuery::new(q, WindowSpec::square(400.0), 5);
-        let want = library.nwc(&query, Scheme::NWC_PLUS).map(|r| (r.ids(), r.distance));
+        let req = SearchRequest::nwc(query, Scheme::NWC_PLUS);
+        let want = library
+            .search(&req, &mut QueryScratch::new())
+            .and_then(Outcome::complete)
+            .expect("in-memory search")
+            .nwc()
+            .map(|r| (r.ids(), r.distance));
         found += usize::from(want.is_some());
         for scheme in [Scheme::DEP, Scheme::NWC_STAR] {
             let got = match client
@@ -813,7 +825,9 @@ fn deadline_mid_search_releases_pins_and_index_survives() {
     let mut scratch = nwc_core::QueryScratch::new();
     let token =
         Budget::with_deadline(std::time::Instant::now() + Duration::from_millis(1));
-    match index.try_nwc_full_cancel(&query, Scheme::NWC_STAR, &mut scratch, &token) {
+    let req = SearchRequest::nwc(query, Scheme::NWC_STAR);
+    let timed = req.clone().with_budget(token);
+    match index.search(&timed, &mut scratch).and_then(Outcome::complete) {
         Err(QueryError::Deadline) => {}
         Ok(_) => panic!("a 1 ms budget at 500 µs/read cannot finish"),
         Err(e) => panic!("expected Deadline, got {e}"),
@@ -822,10 +836,11 @@ fn deadline_mid_search_releases_pins_and_index_survives() {
     assert_eq!(storage.pool_stats().pinned, 0, "cancelled search leaked pins");
 
     // Same query, no deadline: the index is fully usable.
-    let (result, _) = index
-        .try_nwc_full_cancel(&query, Scheme::NWC_STAR, &mut scratch, &Budget::none())
+    let outcome = index
+        .search(&req, &mut scratch)
+        .and_then(Outcome::complete)
         .expect("index survives a cancelled search");
-    assert!(result.is_some());
+    assert!(outcome.nwc().is_some());
 
     drop(index);
     std::fs::remove_file(&path).ok();

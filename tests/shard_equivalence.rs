@@ -21,7 +21,7 @@
 //! 6. **I/O overhead** — K = 4 costs at most 1.25× the logical I/O of
 //!    K = 1 over the CA-like set at 5 % of the paper's size.
 
-use nwc::core::{IndexConfig, ShardScatterError, ShardedNwcIndex};
+use nwc::core::{IndexConfig, ShardedNwcIndex};
 use nwc::datagen::CA_CARDINALITY;
 use nwc::prelude::*;
 use nwc::rtree::BrowseItem;
@@ -31,6 +31,41 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The one entry point both index kinds share.
+trait Search {
+    fn search(&self, req: &SearchRequest, scratch: &mut QueryScratch) -> Result<Outcome, QueryError>;
+}
+
+impl Search for NwcIndex {
+    fn search(&self, req: &SearchRequest, scratch: &mut QueryScratch) -> Result<Outcome, QueryError> {
+        NwcIndex::search(self, req, scratch)
+    }
+}
+
+impl Search for ShardedNwcIndex {
+    fn search(&self, req: &SearchRequest, scratch: &mut QueryScratch) -> Result<Outcome, QueryError> {
+        ShardedNwcIndex::search(self, req, scratch)
+    }
+}
+
+/// `(answer, stats)` of an exact NWC request, all or nothing.
+fn nwc_full(
+    index: &impl Search,
+    query: &NwcQuery,
+    scheme: Scheme,
+) -> Result<(Option<NwcResult>, SearchStats), QueryError> {
+    let req = SearchRequest::nwc(*query, scheme);
+    let out = index.search(&req, &mut QueryScratch::new())?.complete()?;
+    let stats = out.stats;
+    Ok((out.into_nwc(), stats))
+}
+
+/// The groups of an exact kNWC request, all or nothing.
+fn knwc(index: &impl Search, query: &KnwcQuery, scheme: Scheme) -> Result<KnwcResult, QueryError> {
+    let req = SearchRequest::knwc(*query, scheme);
+    Ok(index.search(&req, &mut QueryScratch::new())?.complete()?.into_knwc())
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -83,8 +118,8 @@ fn sharded_matches_single_tree_for_all_schemes_arena() {
                     for (qi, &q) in queries.iter().enumerate() {
                         for spec in [WindowSpec::square(60.0), WindowSpec::new(120.0, 40.0)] {
                             let query = NwcQuery::new(q, spec, 4);
-                            let want = single.nwc(&query, scheme);
-                            let got = sharded.try_nwc(&query, scheme).expect("healthy scatter");
+                            let want = nwc_full(&single, &query, scheme).unwrap().0;
+                            let got = nwc_full(&sharded, &query, scheme).map(|(r, _)| r).expect("healthy scatter");
                             assert_same(
                                 &want,
                                 &got,
@@ -108,8 +143,8 @@ fn k1_is_bit_identical_including_stats() {
     for scheme in Scheme::TABLE3 {
         for &q in &queries {
             let query = NwcQuery::new(q, WindowSpec::square(70.0), 4);
-            let (want, want_stats) = single.nwc_full(&query, scheme);
-            let (got, got_stats) = sharded.try_nwc_full(&query, scheme).expect("K=1");
+            let (want, want_stats) = nwc_full(&single, &query, scheme).unwrap();
+            let (got, got_stats) = nwc_full(&sharded, &query, scheme).expect("K=1");
             assert_same(&want, &got, &format!("K1/{scheme}"));
             assert_eq!(want_stats, got_stats, "K1/{scheme}: stats must be bit-identical");
         }
@@ -117,8 +152,8 @@ fn k1_is_bit_identical_including_stats() {
     // kNWC too: the fast path delegates wholesale.
     for &q in &queries {
         let query = KnwcQuery::new(q, WindowSpec::square(80.0), 4, 3, 1);
-        let want = single.knwc(&query, Scheme::NWC_STAR);
-        let got = sharded.try_knwc(&query, Scheme::NWC_STAR).expect("K=1 knwc");
+        let want = knwc(&single, &query, Scheme::NWC_STAR).unwrap();
+        let got = knwc(&sharded, &query, Scheme::NWC_STAR).expect("K=1 knwc");
         assert_eq!(want.stats, got.stats, "K1 kNWC stats must be bit-identical");
         assert_eq!(want.groups.len(), got.groups.len());
         for (a, b) in want.groups.iter().zip(&got.groups) {
@@ -145,7 +180,7 @@ fn k4_logical_io_stays_within_a_quarter_of_unsharded() {
         assert_eq!(index.shard_count(), shards);
         queries
             .iter()
-            .map(|q| index.try_nwc_full(q, Scheme::NWC_STAR).expect("arena scatter").1.io_total)
+            .map(|q| nwc_full(&index, q, Scheme::NWC_STAR).expect("arena scatter").1.io_total)
             .sum()
     };
     let (k1, k4) = (io_total(1), io_total(4));
@@ -180,8 +215,8 @@ fn sharded_matches_single_tree_on_disk_backends() {
         for scheme in Scheme::TABLE3 {
             for (qi, &q) in queries.iter().enumerate() {
                 let query = NwcQuery::new(q, WindowSpec::square(60.0), 4);
-                let want = single.nwc(&query, scheme);
-                let got = disk.try_nwc(&query, scheme).expect("disk scatter");
+                let want = nwc_full(&single, &query, scheme).unwrap().0;
+                let got = nwc_full(&disk, &query, scheme).map(|(r, _)| r).expect("disk scatter");
                 assert_same(&want, &got, &format!("disk/K{shards}/{scheme}/q{qi}"));
             }
         }
@@ -211,7 +246,7 @@ fn sharded_knwc_exact_matches_single_tree() {
             let sharded = ShardedNwcIndex::build(points.clone(), shards).with_threads(threads);
             for &q in &queries {
                 let query = KnwcQuery::new(q, WindowSpec::square(80.0), 4, 3, 1);
-                let want = single.knwc_exact(&query, Scheme::NWC_STAR);
+                let want = single.knwc_exact(&query, Scheme::NWC_STAR).expect("exact kNWC");
                 let got = sharded
                     .try_knwc_exact(&query, Scheme::NWC_STAR)
                     .expect("exact scatter");
@@ -248,12 +283,12 @@ fn sharded_pruned_knwc_matches_on_separated_clusters() {
     }
     let single = NwcIndex::build(points.clone());
     let query = KnwcQuery::new(Point::new(0.0, 0.0), WindowSpec::square(8.0), 4, 4, 0);
-    let want = single.knwc(&query, Scheme::NWC_STAR);
+    let want = knwc(&single, &query, Scheme::NWC_STAR).unwrap();
     assert_eq!(want.groups.len(), 4, "workload must actually yield 4 groups");
     for shards in [2usize, 4] {
         for threads in [1usize, 4] {
             let sharded = ShardedNwcIndex::build(points.clone(), shards).with_threads(threads);
-            let got = sharded.try_knwc(&query, Scheme::NWC_STAR).expect("scatter");
+            let got = knwc(&sharded, &query, Scheme::NWC_STAR).expect("scatter");
             assert_eq!(want.groups.len(), got.groups.len(), "K{shards}/t{threads}");
             for (a, b) in want.groups.iter().zip(&got.groups) {
                 assert_eq!(a.id_set(), b.id_set(), "K{shards}/t{threads}");
@@ -272,8 +307,8 @@ fn more_shards_than_objects_degrades_to_fewer_tiles() {
     assert_eq!(sharded.len(), 3);
     let query = NwcQuery::new(Point::new(0.0, 0.0), WindowSpec::square(2000.0), 2);
     for scheme in Scheme::TABLE3 {
-        let want = single.nwc(&query, scheme);
-        let got = sharded.try_nwc(&query, scheme).expect("tiny scatter");
+        let want = nwc_full(&single, &query, scheme).unwrap().0;
+        let got = nwc_full(&sharded, &query, scheme).map(|(r, _)| r).expect("tiny scatter");
         assert_same(&want, &got, &format!("tiny/{scheme}"));
     }
 }
@@ -288,8 +323,8 @@ fn all_points_on_one_spot_survives_degenerate_cuts() {
     assert_eq!(sharded.len(), 120);
     let query = NwcQuery::new(Point::new(50.0, 50.0), WindowSpec::square(5.0), 10);
     for scheme in Scheme::TABLE3 {
-        let want = single.nwc(&query, scheme);
-        let got = sharded.try_nwc(&query, scheme).expect("degenerate scatter");
+        let want = nwc_full(&single, &query, scheme).unwrap().0;
+        let got = nwc_full(&sharded, &query, scheme).map(|(r, _)| r).expect("degenerate scatter");
         match (&want, &got) {
             (Some(a), Some(b)) => {
                 // 120 identical points: any 10 ids are optimal, but the
@@ -319,18 +354,21 @@ fn sharded_anytime_exact_mode_matches_the_scatter_path() {
             for scheme in Scheme::TABLE3 {
                 for &q in &queries {
                     let query = NwcQuery::new(q, WindowSpec::square(70.0), 4);
-                    let want = sharded.try_nwc(&query, scheme).expect("exact scatter");
+                    let want = nwc_full(&sharded, &query, scheme).map(|(r, _)| r).expect("exact scatter");
+                    let req = SearchRequest::nwc(query, scheme)
+                        .with_budget(Budget::none())
+                        .with_approx(Approx::exact());
                     let got = sharded
-                        .try_nwc_anytime(&query, scheme, &Budget::none(), Approx::exact())
+                        .search(&req, &mut QueryScratch::new())
                         .expect("anytime scatter");
                     assert!(got.degraded.is_empty(), "K{shards}: healthy shards degraded");
                     assert!(
-                        got.anytime.exhausted.is_none(),
+                        got.exhausted.is_none(),
                         "K{shards}: unarmed budget expired"
                     );
-                    assert_same(&want, &got.anytime.answer, &format!("anytime/K{shards}/{scheme}"));
+                    assert_same(&want, &got.nwc().cloned(), &format!("anytime/K{shards}/{scheme}"));
                     assert_eq!(
-                        got.anytime.error_bound, 0.0,
+                        got.error_bound, 0.0,
                         "K{shards}/{scheme}: a complete exact scatter has nothing left to bound"
                     );
                 }
@@ -347,14 +385,18 @@ fn sharded_anytime_knwc_exact_mode_matches_the_scatter_path() {
         let sharded = ShardedNwcIndex::build(points.clone(), shards).with_threads(2);
         for &q in &queries {
             let query = KnwcQuery::new(q, WindowSpec::square(80.0), 4, 3, 1);
-            let want = sharded.try_knwc(&query, Scheme::NWC_STAR).expect("scatter");
+            let want = knwc(&sharded, &query, Scheme::NWC_STAR).expect("scatter");
+            let req = SearchRequest::knwc(query, Scheme::NWC_STAR)
+                .with_budget(Budget::none())
+                .with_approx(Approx::exact());
             let got = sharded
-                .try_knwc_anytime(&query, Scheme::NWC_STAR, &Budget::none(), Approx::exact())
+                .search(&req, &mut QueryScratch::new())
                 .expect("anytime scatter");
             assert!(got.degraded.is_empty());
-            assert!(got.anytime.exhausted.is_none());
-            assert_eq!(want.groups.len(), got.anytime.result.groups.len(), "K{shards}");
-            for (a, b) in want.groups.iter().zip(&got.anytime.result.groups) {
+            assert!(got.exhausted.is_none());
+            let got = got.into_knwc();
+            assert_eq!(want.groups.len(), got.groups.len(), "K{shards}");
+            for (a, b) in want.groups.iter().zip(&got.groups) {
                 assert_eq!(a.id_set(), b.id_set(), "K{shards}");
                 assert_eq!(a.distance, b.distance, "K{shards}");
             }
@@ -373,23 +415,23 @@ fn sharded_anytime_budget_grid_brackets_the_exact_answer() {
         let sharded = ShardedNwcIndex::build(points.clone(), shards).with_threads(2);
         for &q in &queries {
             let query = NwcQuery::new(q, WindowSpec::square(70.0), 4);
-            let exact = sharded
-                .try_nwc(&query, Scheme::NWC_STAR)
+            let exact = nwc_full(&sharded, &query, Scheme::NWC_STAR).map(|(r, _)| r)
                 .expect("exact scatter")
                 .map(|r| r.distance);
             for epsilon in [0.0, 0.5] {
                 let approx = Approx::new(epsilon).expect("valid epsilon");
                 for io in [0u64, 4, 16, 64] {
-                    let budget = Budget::none().io_limit(io);
+                    let req = SearchRequest::nwc(query, Scheme::NWC_STAR)
+                        .with_budget(Budget::none().io_limit(io))
+                        .with_approx(approx);
                     let a = sharded
-                        .try_nwc_anytime(&query, Scheme::NWC_STAR, &budget, approx)
-                        .expect("budget expiry degrades, never errors")
-                        .anytime;
+                        .search(&req, &mut QueryScratch::new())
+                        .expect("budget expiry degrades, never errors");
                     assert!(a.error_bound >= 0.0);
                     assert!(a.lower_bound >= 0.0);
                     match exact {
                         None => assert!(
-                            a.answer.is_none(),
+                            a.nwc().is_none(),
                             "K{shards} ε={epsilon} io={io}: invented a group"
                         ),
                         Some(d_star) => {
@@ -400,7 +442,7 @@ fn sharded_anytime_budget_grid_brackets_the_exact_answer() {
                                 a.lower_bound,
                                 d_star
                             );
-                            if let Some(r) = &a.answer {
+                            if let Some(r) = a.nwc() {
                                 assert!(r.distance >= d_star - tol, "answer beat the scatter");
                                 assert!(
                                     r.distance - a.error_bound <= d_star + tol,
@@ -485,9 +527,11 @@ fn dead_page_in_one_shard_is_a_typed_partial_failure_with_no_pin_leaks() {
     let query = NwcQuery::new(q, WindowSpec::square(60.0), 4);
 
     // Healthy first: the scatter works end to end through fault stores.
-    let healthy = sharded
-        .try_nwc_scatter(&query, Scheme::NWC)
-        .expect("healthy scatter");
+    let scatter = |query: &NwcQuery| {
+        let req = SearchRequest::nwc(*query, Scheme::NWC);
+        sharded.search(&req, &mut QueryScratch::new()).expect("a scatter degrades, never errors")
+    };
+    let healthy = scatter(&query).complete().expect("healthy scatter");
     assert_eq!(healthy.per_shard.len(), sharded.shard_count());
 
     // Kill a leaf in shard 0 permanently, and clear shard 0's pool so
@@ -499,23 +543,25 @@ fn dead_page_in_one_shard_is_a_typed_partial_failure_with_no_pin_leaks() {
     storage0.reset();
     // A wide query that must touch the dead leaf (it covers the world).
     let wide = NwcQuery::new(q, WindowSpec::square(2000.0), 900);
-    match sharded.try_nwc_scatter(&wide, Scheme::NWC) {
-        Err(ShardScatterError { failures, completed }) => {
-            assert!(
-                failures.iter().any(|(s, e)| *s == 0 && matches!(e, QueryError::Io(_))),
-                "shard 0 must fail with a typed I/O error, got {failures:?}"
-            );
-            // Healthy shards completed and kept their counters.
-            assert_eq!(failures.len() + completed.len(), sharded.shard_count());
-            for (s, stats) in &completed {
-                assert_ne!(*s, 0);
-                assert!(stats.io_total > 0, "healthy shard {s} reported no work");
-            }
-        }
-        Ok(_) => panic!("a permanently dead leaf cannot yield an answer"),
+    let failed = scatter(&wide);
+    let failures = &failed.degraded;
+    assert!(!failures.is_empty(), "a permanently dead leaf cannot yield a complete answer");
+    assert!(
+        failures.iter().any(|(s, e)| *s == 0 && matches!(e, QueryError::Io(_))),
+        "shard 0 must fail with a typed I/O error, got {failures:?}"
+    );
+    // Healthy shards completed and kept their counters.
+    let completed: Vec<(usize, SearchStats)> = (0..sharded.shard_count())
+        .filter(|s| failures.iter().all(|(f, _)| f != s))
+        .map(|s| (s, failed.per_shard[s]))
+        .collect();
+    assert_eq!(failures.len() + completed.len(), sharded.shard_count());
+    for (s, stats) in &completed {
+        assert_ne!(*s, 0);
+        assert!(stats.io_total > 0, "healthy shard {s} reported no work");
     }
-    // The convenience wrapper collapses to the first typed error.
-    match sharded.try_nwc(&wide, Scheme::NWC) {
+    // The all-or-nothing contract collapses to the first typed error.
+    match nwc_full(&sharded, &wide, Scheme::NWC).map(|(r, _)| r) {
         Err(QueryError::Io(_)) => {}
         other => panic!("expected Io, got {other:?}"),
     }
@@ -531,12 +577,10 @@ fn dead_page_in_one_shard_is_a_typed_partial_failure_with_no_pin_leaks() {
     fault.clear_faults();
     storage0.reset();
     sharded.shards()[0].tree().stats().reset();
-    let recovered = sharded
-        .try_nwc_scatter(&query, Scheme::NWC)
-        .expect("healthy again after clearing faults");
+    let recovered = scatter(&query).complete().expect("healthy again after clearing faults");
     assert_eq!(
-        healthy.result.as_ref().map(|r| r.ids()),
-        recovered.result.as_ref().map(|r| r.ids()),
+        healthy.nwc().map(|r| r.ids()),
+        recovered.nwc().map(|r| r.ids()),
         "recovered scatter must answer like the original"
     );
 }
@@ -567,8 +611,8 @@ fn assert_write_state_answers(single: &NwcIndex, k1: &ShardedNwcIndex, ctx: &str
         });
         for scheme in Scheme::TABLE3 {
             let ctx = format!("{ctx}/{scheme}/q{qi}");
-            let (got, stats) = single.try_nwc_full(&query, scheme).expect("unsharded answers");
-            let (got1, stats1) = k1.try_nwc_full(&query, scheme).expect("K = 1 answers");
+            let (got, stats) = nwc_full(single, &query, scheme).expect("unsharded answers");
+            let (got1, stats1) = nwc_full(k1, &query, scheme).expect("K = 1 answers");
             let got_key = got.as_ref().map(|r| {
                 let mut ids = r.ids();
                 ids.sort_unstable();
@@ -578,8 +622,8 @@ fn assert_write_state_answers(single: &NwcIndex, k1: &ShardedNwcIndex, ctx: &str
             assert_same(&got, &got1, &ctx);
             assert_eq!(stats, stats1, "{ctx}: K = 1 stats must be bit-identical");
 
-            let groups = single.try_knwc(&kquery, scheme).expect("unsharded kNWC answers");
-            let groups1 = k1.try_knwc(&kquery, scheme).expect("K = 1 kNWC answers");
+            let groups = knwc(single, &kquery, scheme).expect("unsharded kNWC answers");
+            let groups1 = knwc(k1, &kquery, scheme).expect("K = 1 kNWC answers");
             assert_eq!(
                 groups.groups.first().map(|g| g.distance),
                 want.as_ref().map(|w| w.1),

@@ -75,25 +75,28 @@ enum Backend {
 }
 
 impl Backend {
-    fn nwc(&self, query: &NwcQuery, scheme: Scheme) -> Option<NwcResult> {
+    /// The complete outcome of an unbudgeted request.
+    fn search(&self, req: &SearchRequest) -> Outcome {
+        let mut scratch = QueryScratch::new();
         match self {
-            Backend::Single(i) => i.try_nwc(query, scheme),
-            Backend::Sharded(s) => s.try_nwc(query, scheme),
+            Backend::Single(i) => i.search(req, &mut scratch),
+            Backend::Sharded(s) => s.search(req, &mut scratch),
         }
+        .and_then(Outcome::complete)
         .expect("query")
     }
 
+    fn nwc(&self, query: &NwcQuery, scheme: Scheme) -> Option<NwcResult> {
+        self.search(&SearchRequest::nwc(*query, scheme)).into_nwc()
+    }
+
     fn knwc(&self, query: &KnwcQuery, scheme: Scheme) -> KnwcResult {
-        match self {
-            Backend::Single(i) => i.try_knwc(query, scheme),
-            Backend::Sharded(s) => s.try_knwc(query, scheme),
-        }
-        .expect("kNWC query")
+        self.search(&SearchRequest::knwc(*query, scheme)).into_knwc()
     }
 
     fn knwc_exact(&self, query: &KnwcQuery, scheme: Scheme) -> KnwcResult {
         match self {
-            Backend::Single(i) => Ok(i.knwc_exact(query, scheme)),
+            Backend::Single(i) => i.knwc_exact(query, scheme),
             Backend::Sharded(s) => s.try_knwc_exact(query, scheme),
         }
         .expect("exact kNWC query")
@@ -194,14 +197,16 @@ fn released_neighbourhoods_keep_the_scratch_small() {
     // The same search without IWP grows every other buffer to the same
     // high-water mark: the difference is the neighbourhood storage.
     let mut plain = QueryScratch::new();
-    let (_, plain_stats) = index
-        .try_nwc_full_with(&query, Scheme::NWC, &mut plain)
-        .expect("query");
+    let plain_stats = index
+        .search(&SearchRequest::nwc(query, Scheme::NWC), &mut plain)
+        .expect("query")
+        .stats;
     let mut shared = QueryScratch::new();
-    let (r, stats) = index
-        .try_nwc_full_with(&query, Scheme::IWP, &mut shared)
+    let out = index
+        .search(&SearchRequest::nwc(query, Scheme::IWP), &mut shared)
         .expect("query");
-    assert!(r.is_none());
+    let stats = out.stats;
+    assert!(out.nwc().is_none());
     assert_eq!(stats.window_queries, points.len() as u64, "{stats:?}");
     assert_eq!(stats.io_traversal, plain_stats.io_traversal);
     // The IWP search's node memo keeps its map's slots too, so this
@@ -254,11 +259,17 @@ fn the_node_memo_is_empty_whenever_a_query_returns() {
     let mut read = 0;
     for (qi, q) in Dataset::query_points(6, 5).into_iter().enumerate() {
         let q = Point::new(q.x * 0.085, q.y * 0.08);
-        let query = NwcQuery::new(q, WindowSpec::square(24.0), 12);
-        let (_, stats) = disk
-            .try_nwc_full_with(&query, Scheme::NWC_STAR, &mut scratch)
-            .expect("query");
-        let (_, want) = arena.try_nwc_full(&query, Scheme::NWC_STAR).expect("query");
+        let req = SearchRequest::nwc(NwcQuery::new(q, WindowSpec::square(24.0), 12), Scheme::NWC_STAR);
+        let stats = disk
+            .search(&req, &mut scratch)
+            .and_then(Outcome::complete)
+            .expect("query")
+            .stats;
+        let want = arena
+            .search(&req, &mut QueryScratch::new())
+            .and_then(Outcome::complete)
+            .expect("query")
+            .stats;
         assert_eq!(
             SearchStats {
                 buffer_hits: 0,
@@ -275,12 +286,9 @@ fn the_node_memo_is_empty_whenever_a_query_returns() {
         assert_eq!(scratch.held_nodes(), 0, "q{qi}: answered query kept nodes");
         assert_eq!(storage.pool_stats().pinned, 0, "q{qi}: pin leaked");
 
-        let tripped = disk.try_nwc_full_cancel(
-            &query,
-            Scheme::NWC_STAR,
-            &mut scratch,
-            &Budget::with_io_limit(stats.io_total / 2),
-        );
+        let tripped = disk
+            .search(&req.clone().with_budget(Budget::with_io_limit(stats.io_total / 2)), &mut scratch)
+            .and_then(Outcome::complete);
         assert!(
             tripped.is_err(),
             "q{qi}: half the I/O cannot finish the search"
@@ -288,7 +296,8 @@ fn the_node_memo_is_empty_whenever_a_query_returns() {
         assert_eq!(scratch.held_nodes(), 0, "q{qi}: tripped query kept nodes");
 
         let kquery = KnwcQuery::new(q, WindowSpec::square(24.0), 12, 3, 4);
-        disk.try_knwc_with(&kquery, Scheme::NWC_STAR, &mut scratch)
+        disk.search(&SearchRequest::knwc(kquery, Scheme::NWC_STAR), &mut scratch)
+            .and_then(Outcome::complete)
             .expect("kNWC");
         assert_eq!(scratch.held_nodes(), 0, "q{qi}: kNWC kept nodes");
         assert_eq!(storage.pool_stats().pinned, 0, "q{qi}: pin leaked");

@@ -30,7 +30,7 @@ proptest! {
         let query = WeightedQuery::new(q, WindowSpec::square(size), min_w);
         let want = weighted_brute_force(&points, &weights, &query).map(|(_, s)| s);
         for scheme in Scheme::TABLE3 {
-            let got = index.query(&query, scheme);
+            let got = index.query(&query, scheme).expect("arena query cannot fail");
             match (&got, want) {
                 (None, None) => {}
                 (Some((r, total)), Some(s)) => {
@@ -63,8 +63,9 @@ proptest! {
         let idx = NwcIndex::build(points);
         let wq = WeightedQuery::new(q, WindowSpec::square(size), n as f64);
         let nq = NwcQuery::new(q, WindowSpec::square(size), n);
-        let a = widx.query(&wq, Scheme::NWC_STAR).map(|(r, _)| r.distance);
-        let b = idx.nwc(&nq, Scheme::NWC_STAR).map(|r| r.distance);
+        let a = widx.query(&wq, Scheme::NWC_STAR).unwrap().map(|(r, _)| r.distance);
+        let req = SearchRequest::nwc(nq, Scheme::NWC_STAR);
+        let b = idx.search(&req, &mut QueryScratch::new()).unwrap().nwc().map(|r| r.distance);
         match (a, b) {
             (None, None) => {}
             (Some(x), Some(y)) => prop_assert!((x - y).abs() < 1e-9, "{x} vs {y}"),
@@ -81,11 +82,11 @@ proptest! {
         let lo = index.query(
             &WeightedQuery::new(q, WindowSpec::square(size), min_w),
             Scheme::NWC_STAR,
-        );
+        ).unwrap();
         let hi = index.query(
             &WeightedQuery::new(q, WindowSpec::square(size), min_w + extra),
             Scheme::NWC_STAR,
-        );
+        ).unwrap();
         match (lo, hi) {
             (_, None) => {}
             (Some((a, _)), Some((b, _))) => {
