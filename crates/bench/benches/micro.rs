@@ -1,20 +1,17 @@
 //! Micro-benchmarks of the disk-path primitives: buffer-pool hit/miss
-//! service time, lock-stripe contention under concurrent access, and
-//! the MINDIST kernel every best-first descent runs per branch.
-//!
-//! The container these benches usually run in has a single core, so the
-//! contention group understates what sharding buys on real multi-core
-//! hosts — treat its numbers as a lower bound (see DESIGN.md § 4e).
+//! service time and the MINDIST kernel every best-first descent runs
+//! per branch.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nwc_geom::{MbrSoa, Point, Rect};
-use nwc_store::BufferPool;
+use nwc_store::{BufferPool, StoreError};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn fill(buf: &mut [u8]) -> Result<(), nwc_store::StoreError> {
-    buf[0] = 1;
-    Ok(())
+/// The loader a miss runs: one small allocation standing in for a
+/// decoded node.
+fn load() -> Result<Arc<u64>, StoreError> {
+    Ok(Arc::new(1))
 }
 
 /// Steady-state pool service time: a hit on a resident page, and the
@@ -23,9 +20,9 @@ fn pool_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("pool");
 
     let pool = BufferPool::new(64);
-    pool.access(7, fill).unwrap();
+    pool.get(7, load).unwrap();
     g.bench_function("get_hit", |b| {
-        b.iter(|| pool.access(black_box(7), fill).unwrap())
+        b.iter(|| pool.get(black_box(7), load).unwrap())
     });
 
     let pool = BufferPool::new(64);
@@ -33,52 +30,9 @@ fn pool_paths(c: &mut Criterion) {
     g.bench_function("get_miss_evict", |b| {
         b.iter(|| {
             next = (next + 1) % 128; // 2x capacity: every access evicts
-            pool.access(black_box(next), fill).unwrap()
+            pool.get(black_box(next), load).unwrap()
         })
     });
-    g.finish();
-}
-
-/// Aggregate throughput of 4 threads hammering one pool, single-stripe
-/// vs sharded. Each iteration spawns the threads, so compare the two
-/// configurations against each other, not against `pool/get_hit`.
-fn contention(c: &mut Criterion) {
-    const THREADS: usize = 4;
-    const ACCESSES: usize = 4_096;
-    let mut g = c.benchmark_group("pool_contention");
-    for shards in [1usize, 4] {
-        // 4x headroom over the 256-page working set: the page→shard
-        // hash does not split exactly evenly, and a shard running at
-        // its capacity would evict and turn the loop into a miss
-        // benchmark.
-        let pool = Arc::new(BufferPool::with_shards(1024, shards));
-        // Pre-warm so the measured loop is all hits (pure lock traffic).
-        for p in 0..256u32 {
-            pool.access(p, fill).unwrap();
-        }
-        g.bench_with_input(
-            BenchmarkId::new("hits_4_threads", shards),
-            &pool,
-            |b, pool| {
-                b.iter(|| {
-                    let handles: Vec<_> = (0..THREADS)
-                        .map(|t| {
-                            let pool = Arc::clone(pool);
-                            std::thread::spawn(move || {
-                                for i in 0..ACCESSES {
-                                    let page = ((i * 131 + t * 977) % 256) as u32;
-                                    pool.access(black_box(page), fill).unwrap();
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join().unwrap();
-                    }
-                })
-            },
-        );
-    }
     g.finish();
 }
 
@@ -145,6 +99,6 @@ fn fast_config() -> Criterion {
 criterion_group! {
     name = micro;
     config = fast_config();
-    targets = pool_paths, contention, mindist_kernel
+    targets = pool_paths, mindist_kernel
 }
 criterion_main!(micro);

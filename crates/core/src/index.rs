@@ -44,19 +44,16 @@ impl Default for IndexConfig {
 #[derive(Clone, Copy, Debug)]
 pub struct DiskIndexConfig {
     /// Buffer pool capacity in pages; `None` = unbounded (every page
-    /// faults in once and stays resident).
+    /// faults in once and stays resident). `Some(0)` is raised to one
+    /// frame.
     pub pool_capacity: Option<usize>,
     /// Upper bound on the tree's resident memory, in bytes; `None` =
-    /// no budget. Converted into a pool capacity at roughly
-    /// 2 × [`PAGE_SIZE`] per frame (the raw page plus its decoded
-    /// node, which the demand pager keeps in lock-step) and combined
-    /// with [`DiskIndexConfig::pool_capacity`] by taking the smaller,
-    /// never below one frame.
+    /// no budget. Converted into a pool capacity at 2 × [`PAGE_SIZE`]
+    /// per frame (a frame holds one decoded node; its in-memory size is
+    /// budgeted at two pages) and combined with
+    /// [`DiskIndexConfig::pool_capacity`] by taking the smaller, never
+    /// below one frame.
     pub memory_budget_bytes: Option<u64>,
-    /// Number of buffer-pool lock stripes; `None` (default) picks
-    /// automatically (1 on small pools or single-core hosts). Aggregate
-    /// hit/miss/eviction accounting is exact regardless of the count.
-    pub pool_shards: Option<usize>,
     /// Density-grid cell size, as in [`IndexConfig::grid_cell_size`].
     /// The grid is rebuilt in memory from the stored points.
     pub grid_cell_size: Option<f64>,
@@ -72,7 +69,6 @@ impl Default for DiskIndexConfig {
         DiskIndexConfig {
             pool_capacity: None,
             memory_budget_bytes: None,
-            pool_shards: None,
             grid_cell_size: Some(DEFAULT_GRID_CELL),
             retry: RetryPolicy::default(),
         }
@@ -81,16 +77,18 @@ impl Default for DiskIndexConfig {
 
 impl DiskIndexConfig {
     /// The pool capacity actually used: the stricter of the explicit
-    /// capacity and the memory budget (at ~2 × [`PAGE_SIZE`] resident
-    /// bytes per frame), `None` when neither bounds the pool.
+    /// capacity and the memory budget (at 2 × [`PAGE_SIZE`] resident
+    /// bytes per frame), never below one frame; `None` when neither
+    /// bounds the pool.
     pub fn effective_pool_capacity(&self) -> Option<usize> {
         let budget_frames = self
             .memory_budget_bytes
-            .map(|bytes| usize::try_from(bytes / (2 * PAGE_SIZE as u64)).unwrap_or(usize::MAX))
-            .map(|frames| frames.max(1));
+            .map(|bytes| usize::try_from(bytes / (2 * PAGE_SIZE as u64)).unwrap_or(usize::MAX));
         match (self.pool_capacity, budget_frames) {
             (None, None) => None,
-            (cap, budget) => Some(cap.unwrap_or(usize::MAX).min(budget.unwrap_or(usize::MAX))),
+            (cap, budget) => {
+                Some(cap.unwrap_or(usize::MAX).min(budget.unwrap_or(usize::MAX)).max(1))
+            }
         }
     }
 
@@ -98,7 +96,6 @@ impl DiskIndexConfig {
     fn disk_options(&self) -> DiskOptions {
         DiskOptions {
             pool_capacity: self.effective_pool_capacity(),
-            pool_shards: self.pool_shards,
             retry: self.retry,
         }
     }

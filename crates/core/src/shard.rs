@@ -57,9 +57,8 @@
 //!
 //! Disk-backed shards live in per-shard page files under one directory
 //! manifest. One total pool capacity is budgeted across the shard pools
-//! with [`nwc_store::split_capacity`] — the same monotone split the
-//! lock-striped pool uses internally, so growing the total budget never
-//! shrinks any shard's share.
+//! with [`nwc_store::split_capacity`], a monotone split: growing the
+//! total budget never shrinks any shard's share.
 //!
 //! Everything outside `#[cfg(test)]` in this module is panic-free by
 //! policy (same bar as the serving layer): failures surface as typed
@@ -778,8 +777,8 @@ impl ShardedNwcIndex {
     /// budget: [`DiskIndexConfig::pool_capacity`] /
     /// [`DiskIndexConfig::memory_budget_bytes`] describe the **total**
     /// across all shards, split monotonically with
-    /// [`nwc_store::split_capacity`] (one shared frame budget, PR 4's
-    /// lock-striping split). The global density grid and the id → shard
+    /// [`nwc_store::split_capacity`] (one shared frame budget, at least
+    /// one frame per shard). The global density grid and the id → shard
     /// table are rebuilt from the stored trees, uncharged. A 1-shard
     /// directory opens bit-identically to [`NwcIndex::open_disk`].
     pub fn open_dir(
@@ -1350,6 +1349,51 @@ mod tests {
             read_manifest(&dir),
             Err(ShardedStoreError::Manifest(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_pool_capacity_opens_both_index_kinds_with_one_frame_each() {
+        let dir = std::env::temp_dir().join(format!(
+            "nwc-shard-zero-pool-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let pts = world(600);
+        let arena = NwcIndex::build(pts.clone());
+        arena.save_tree(dir.join("single.pages")).unwrap();
+        ShardedNwcIndex::build(pts, 3).save_to_dir(dir.join("sharded")).unwrap();
+
+        let config = DiskIndexConfig {
+            pool_capacity: Some(0),
+            ..DiskIndexConfig::default()
+        };
+        assert_eq!(config.effective_pool_capacity(), Some(1));
+        let single = NwcIndex::open_disk(dir.join("single.pages"), config).unwrap();
+        let sharded = ShardedNwcIndex::open_dir(dir.join("sharded"), config).unwrap();
+        let capacity = |idx: &NwcIndex| idx.tree().storage().unwrap().pool_stats().capacity;
+        assert_eq!(capacity(&single), 1);
+        assert!(sharded.shards().iter().all(|s| capacity(s) == 1));
+
+        let query = NwcQuery::new(pt(310.0, 280.0), WindowSpec::square(35.0), 5);
+        for scheme in Scheme::TABLE3 {
+            let want = nwc_single(&arena, &query, scheme).into_nwc();
+            for (kind, got) in [
+                ("single", nwc_single(&single, &query, scheme).into_nwc()),
+                ("sharded", nwc(&sharded, &query, scheme).into_nwc()),
+            ] {
+                match (&want, &got) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        assert_eq!(a.ids(), b.ids(), "{kind} {scheme}");
+                        assert!((a.distance - b.distance).abs() < 1e-12, "{kind} {scheme}");
+                    }
+                    _ => panic!("{kind} {scheme}: {want:?} vs {got:?}"),
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

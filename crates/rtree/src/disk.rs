@@ -22,16 +22,16 @@
 //!
 //! The arena of a disk-backed tree is **empty**. Node ids are page ids
 //! (the identity map), and a node access faults its page in through the
-//! buffer pool and decodes the node *on the fault*:
+//! buffer pool and decodes the node *on the fault*. The pool's frames
+//! hold the decoded nodes themselves (`BufferPool<Arc<Node>>`); the raw
+//! page bytes live only on the stack of the read that decoded them:
 //!
-//! - a pool **hit** reuses the already-decoded node from the
-//!   [`NodeCache`] (one decoded node per resident page, invariantly);
-//! - a pool **miss** reads + decodes, caching both page and node;
-//! - **eviction** drops the page *and* its decoded node in the same
-//!   critical section (the pool's evict hook runs under the pool lock),
-//!   so `pool capacity × (page + decoded node)` truly bounds resident
-//!   memory. [`TreeStorage::peak_resident_nodes`] reports the high-water
-//!   mark.
+//! - a pool **hit** returns the resident decoded node;
+//! - a pool **miss** reads + decodes under the pool lock and caches the
+//!   node in the claimed frame;
+//! - **eviction** drops the frame's node, so `pool capacity × decoded
+//!   node` bounds resident memory.
+//!   [`TreeStorage::peak_resident_nodes`] reports the high-water mark.
 //!
 //! ## Pin protocol
 //!
@@ -42,15 +42,15 @@
 //! `Arc`, so even a page dropped by [`BufferPool::clear`] cannot
 //! invalidate a live reference. When every frame is pinned (possible
 //! only when the pool capacity is below the tree height), the access
-//! falls back to an uncached scratch read: the node is decoded, used,
-//! and dropped — counted as *transient* residency in the peak gauge,
-//! never cached.
+//! falls back to an uncached read ([`Access::Uncached`]): the node is
+//! decoded, used, and dropped — counted as *transient* residency in the
+//! peak gauge, never cached.
 //!
 //! Uncharged bookkeeping reads (validation, entry iteration,
-//! re-serialization, index opens) bypass the pool entirely: they reuse a
-//! cached node when one is resident and otherwise decode from an
-//! **uncounted** store read, leaving every pool and I/O counter
-//! untouched.
+//! re-serialization, index opens) bypass the pool's LRU and counters:
+//! they reuse a resident node ([`BufferPool::peek`]) and otherwise
+//! decode from an **uncounted** store read, leaving every pool and I/O
+//! counter untouched.
 //!
 //! ## Error policy after open
 //!
@@ -72,8 +72,8 @@
 //! [`DiskReadError`] through the fallible `try_*` query APIs; later
 //! accesses to a quarantined page fail fast without touching the
 //! device. Nothing on this path panics: error returns release their
-//! pins as the guards unwind, so the pool and node cache stay exact and
-//! concurrent queries continue unharmed. The legacy infallible query
+//! pins as the guards unwind, so the pool stays exact and concurrent
+//! queries continue unharmed. The legacy infallible query
 //! APIs funnel any surviving [`DiskReadError`] through one crate-level
 //! adapter that panics — code that must keep serving under faults uses
 //! the `try_*` variants instead.
@@ -99,8 +99,7 @@
 //!   store's header root. A crash at any point leaves the previous
 //!   committed tree intact — see `nwc_store`'s dual-slot header format.
 //!   After the flip, the pages the dirty nodes used to live on become
-//!   free, their stale buffer-pool frames and cached decodes are
-//!   evicted, and any page quarantine is dropped (the flip may recycle
+//!   free, their stale buffer-pool frames are evicted, and any page quarantine is dropped (the flip may recycle
 //!   quarantined ids).
 //!
 //! Uncommitted mutations are **lost** on drop or crash: reopening the
@@ -133,7 +132,8 @@ pub enum DiskError {
     Store(StoreError),
     /// The pages were readable but do not decode into a valid tree.
     Page(PageError),
-    /// The file header carries tree parameters this build rejects.
+    /// The file header or the open options carry parameters this
+    /// build rejects.
     BadParams(&'static str),
 }
 
@@ -142,7 +142,7 @@ impl std::fmt::Display for DiskError {
         match self {
             DiskError::Store(e) => write!(f, "page store error: {e}"),
             DiskError::Page(e) => write!(f, "page decode error: {e}"),
-            DiskError::BadParams(what) => write!(f, "invalid tree parameters in header: {what}"),
+            DiskError::BadParams(what) => write!(f, "invalid parameters: {what}"),
         }
     }
 }
@@ -201,11 +201,8 @@ impl std::error::Error for DiskReadError {}
 pub struct DiskOptions {
     /// Buffer pool capacity in pages; `None` = unbounded (every page
     /// misses once, then always hits).
+    /// `Some(0)` is rejected at open with [`DiskError::BadParams`].
     pub pool_capacity: Option<usize>,
-    /// Number of buffer-pool lock stripes; `None` picks automatically
-    /// (1 on small pools or single-core hosts, up to 8 otherwise).
-    /// Clamped so no shard ends up smaller than a root-to-leaf path.
-    pub pool_shards: Option<usize>,
     /// Retry budget and backoff shape for post-open page reads (see the
     /// module docs, "Error policy after open"). The default retries
     /// transient failures a few times with capped backoff;
@@ -213,21 +210,11 @@ pub struct DiskOptions {
     pub retry: RetryPolicy,
 }
 
-/// The automatic shard count: one stripe per core up to 8, but never so
-/// many that a shard holds fewer than 16 frames — tiny shards turn the
-/// all-frames-pinned fallback from a degenerate case into a common one
-/// and break the `peak ≤ capacity` story users size pools by.
-fn auto_shards(capacity: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let by_capacity = if capacity == usize::MAX { 8 } else { capacity / 16 };
-    cores.min(by_capacity).clamp(1, 8)
-}
-
 /// What dropping a [`PagedNode`] must release.
 enum Release {
     /// A charged access pinned the page: unpin it.
     Unpin,
-    /// Scratch fallback (all frames pinned): decrement the transient
+    /// Uncached fallback (all frames pinned): decrement the transient
     /// residency counter.
     Transient,
     /// Uncharged peek: nothing to release.
@@ -267,47 +254,18 @@ impl Drop for PagedNode<'_> {
                 self.storage.pool.unpin(self.page);
             }
             Release::Transient => {
-                self.storage.cache.transient.fetch_sub(1, Ordering::Relaxed);
+                self.storage.transient.fetch_sub(1, Ordering::Relaxed);
             }
             Release::None => {}
         }
     }
 }
 
-/// The decoded-node side of the demand pager: one `Arc<Node>` per
-/// pool-resident page, plus the residency gauges.
-///
-/// The map is mutated only in lock-step with pool residency: inserts
-/// happen inside the pool's `pin_with_page` critical section, removals
-/// inside the pool's evict hook (also under the pool lock). Lock order
-/// is therefore always pool → cache, and the cache lock alone (peeks)
-/// can never deadlock against it.
-struct NodeCache {
-    map: Mutex<HashMap<u32, Arc<Node>>>,
-    /// High-water mark of `map.len() + transient`.
-    resident_peak: AtomicUsize,
-    /// Live scratch-decoded nodes (all-frames-pinned fallback).
-    transient: AtomicUsize,
-}
-
-impl NodeCache {
-    fn new() -> Self {
-        NodeCache {
-            map: Mutex::new(HashMap::new()),
-            resident_peak: AtomicUsize::new(0),
-            transient: AtomicUsize::new(0),
-        }
-    }
-
-    /// Locks the map, recovering from poisoning (a panic elsewhere
-    /// leaves the map consistent: every entry is a finished insert).
-    fn lock_map(&self) -> MutexGuard<'_, HashMap<u32, Arc<Node>>> {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn note_peak(&self, resident: usize) {
-        self.resident_peak.fetch_max(resident, Ordering::Relaxed);
-    }
+/// Why a pool miss produced no node: the read failed (retried), or
+/// the bytes passed their checksum but do not decode (quarantined).
+enum LoadError {
+    Read(StoreError),
+    Decode(PageError),
 }
 
 /// Copy-on-write mutation state of a *writable* disk-backed tree: the
@@ -348,12 +306,15 @@ impl WriteState {
 }
 
 /// The storage half of a disk-backed tree: the page store, the buffer
-/// pool in front of it, the decoded-node cache evicted in lock-step
-/// with the pool, and the root metadata captured by the open scan.
+/// pool of decoded nodes in front of it, and the root metadata captured
+/// by the open scan.
 pub struct TreeStorage {
     store: Box<dyn PageStore>,
-    pool: BufferPool,
-    cache: Arc<NodeCache>,
+    pool: BufferPool<Arc<Node>>,
+    /// High-water mark of pool-resident plus transient decoded nodes.
+    resident_peak: AtomicUsize,
+    /// Live decoded nodes the pool could not cache (all frames pinned).
+    transient: AtomicUsize,
     n_pages: u32,
     root_level: u32,
     root_mbr: Rect,
@@ -378,9 +339,9 @@ pub struct TreeStorage {
 }
 
 impl TreeStorage {
-    /// Faults one node in for a charged query access: pool hit reuses
-    /// the cached decode, miss reads + decodes + caches, and the
-    /// returned guard pins the page (see the module docs).
+    /// Faults one node in for a charged query access: a pool hit
+    /// returns the resident decode, a miss reads + decodes + caches, and
+    /// the returned guard pins the page (see the module docs).
     ///
     /// Read failures follow the configured [`RetryPolicy`]: transient
     /// errors are re-attempted with backoff (counted in
@@ -421,16 +382,26 @@ impl TreeStorage {
                     std::thread::sleep(wait);
                 }
             }
-            match self.pool.pin_with_page(
-                page,
-                |buf| self.store.read_page(page, buf),
-                |bytes, cached| self.decode_under_lock(page, bytes, cached),
-            ) {
-                Ok((access, _cached, Ok((node, release)))) => {
-                    match access {
-                        Access::Hit => stats.record_buffer_hit(),
-                        Access::Miss => stats.record_node_read(),
-                    }
+            match self.pool.pin(page, || self.load(page)) {
+                Ok((access, node)) => {
+                    let release = match access {
+                        Access::Hit => {
+                            stats.record_buffer_hit();
+                            Release::Unpin
+                        }
+                        Access::Miss => {
+                            stats.record_node_read();
+                            let transient = self.transient.load(Ordering::Relaxed);
+                            self.note_peak(self.pool.resident() + transient);
+                            Release::Unpin
+                        }
+                        Access::Uncached => {
+                            stats.record_node_read();
+                            let transient = self.transient.fetch_add(1, Ordering::Relaxed) + 1;
+                            self.note_peak(self.pool.resident() + transient);
+                            Release::Transient
+                        }
+                    };
                     stats.record_transient_errors(failed);
                     return Ok(PagedNode {
                         storage: self,
@@ -439,25 +410,21 @@ impl TreeStorage {
                         release,
                     });
                 }
-                Ok((_, cached, Err(e))) => {
+                Err(LoadError::Decode(e)) => {
                     // The bytes passed their checksum but do not decode:
-                    // corruption, not transient I/O. Release the pin the
-                    // failed access took, quarantine, and refuse further
-                    // attempts (retrying a deterministic decode cannot
-                    // help).
-                    if cached {
-                        self.pool.unpin(page);
-                    }
+                    // corruption, not transient I/O. Nothing was cached
+                    // or pinned; quarantine and refuse further attempts
+                    // (retrying a deterministic decode cannot help).
                     self.io_errors.fetch_add(1, Ordering::Relaxed);
                     let detail = format!("passed its checksum but does not decode: {e}");
                     self.quarantine_page(page, &detail, stats);
                     return Err(DiskReadError { page, detail });
                 }
-                Err(e) => {
+                Err(LoadError::Read(e)) => {
                     // Physical read failure after open. The pool counted
-                    // its miss but released the frame unmapped; no pin is
-                    // held and nothing was charged to the stats — failed
-                    // attempts are not node accesses.
+                    // its miss but cached nothing; no pin is held and
+                    // nothing was charged to the stats — failed attempts
+                    // are not node accesses.
                     failed += 1;
                     self.io_errors.fetch_add(1, Ordering::Relaxed);
                     last_error = e.to_string();
@@ -469,34 +436,19 @@ impl TreeStorage {
         Err(DiskReadError { page, detail })
     }
 
-    /// Runs inside the pool's critical section: classify against the
-    /// node cache and decode on first touch, so page residency and node
-    /// residency can never diverge.
-    fn decode_under_lock(
-        &self,
-        page: u32,
-        bytes: &[u8],
-        cached: bool,
-    ) -> Result<(Arc<Node>, Release), PageError> {
-        if cached {
-            let mut map = self.cache.lock_map();
-            if let Some(node) = map.get(&page) {
-                return Ok((node.clone(), Release::Unpin));
-            }
-            let node = Arc::new(decode_node(bytes, self.n_pages)?);
-            map.insert(page, node.clone());
-            let resident = map.len() + self.cache.transient.load(Ordering::Relaxed);
-            self.cache.note_peak(resident);
-            Ok((node, Release::Unpin))
-        } else {
-            // All frames pinned: the bytes live in a scratch buffer and
-            // the decode is transient — alive only while the guard is.
-            let node = Arc::new(decode_node(bytes, self.n_pages)?);
-            let transient = self.cache.transient.fetch_add(1, Ordering::Relaxed) + 1;
-            let resident = self.cache.lock_map().len() + transient;
-            self.cache.note_peak(resident);
-            Ok((node, Release::Transient))
-        }
+    /// The pool's loader: one counted, checksum-verified page read and
+    /// its decode. Runs under the pool lock.
+    fn load(&self, page: u32) -> Result<Arc<Node>, LoadError> {
+        let mut buf = [0u8; PAGE_SIZE];
+        self.store.read_page(page, &mut buf).map_err(LoadError::Read)?;
+        decode_node(&buf, self.n_pages)
+            .map(Arc::new)
+            .map_err(LoadError::Decode)
+    }
+
+    /// Raises the resident-node high-water mark to `resident`.
+    fn note_peak(&self, resident: usize) {
+        self.resident_peak.fetch_max(resident, Ordering::Relaxed);
     }
 
     /// Reads a node for bookkeeping (uncharged, unpinned): reuses a
@@ -523,7 +475,7 @@ impl TreeStorage {
                 release: Release::None,
             });
         }
-        if let Some(node) = self.cache.lock_map().get(&page).cloned() {
+        if let Some(node) = self.pool.peek(page) {
             return Ok(PagedNode {
                 storage: self,
                 page,
@@ -631,8 +583,8 @@ impl TreeStorage {
         self.pool.stats()
     }
 
-    /// High-water mark of simultaneously resident decoded nodes (cached
-    /// per pool residency + live transient decodes). With a pool of `C`
+    /// High-water mark of simultaneously resident decoded nodes (one
+    /// per pool frame + live transient decodes). With a pool of `C`
     /// frames and `C ≥` tree height this never exceeds `C` — the bound
     /// the demand pager exists to provide.
     ///
@@ -642,7 +594,7 @@ impl TreeStorage {
     /// such node per node it read, until it returns. No counter tracks
     /// those (DESIGN.md §4m).
     pub fn peak_resident_nodes(&self) -> usize {
-        self.cache.resident_peak.load(Ordering::Relaxed)
+        self.resident_peak.load(Ordering::Relaxed)
     }
 
     /// Physical page reads issued to the backing store (page fetches on
@@ -657,18 +609,15 @@ impl TreeStorage {
         self.io_errors.load(Ordering::Relaxed)
     }
 
-    /// Drops every buffered page (and with each its decoded node) and
-    /// zeroes the pool, store and residency counters: the next access
-    /// sequence measures from a cold buffer.
+    /// Drops every buffered node and zeroes the pool, store and
+    /// residency counters: the next access sequence measures from a
+    /// cold buffer.
     pub fn reset(&self) {
         self.pool.clear();
-        // The evict hook emptied the map page-by-page; the explicit
-        // clear keeps the invariant obvious and drops nothing extra.
-        self.cache.lock_map().clear();
         self.pool.reset_stats();
         self.store.reset_counters();
         self.io_errors.store(0, Ordering::Relaxed);
-        self.cache.resident_peak.store(0, Ordering::Relaxed);
+        self.resident_peak.store(0, Ordering::Relaxed);
         self.lock_quarantine().clear();
     }
 
@@ -725,7 +674,7 @@ impl TreeStorage {
     }
 
     /// Mutably borrows a dirty node, cloning on first write while the
-    /// decode is still shared with the node cache (clone-on-write).
+    /// decode is still shared with the buffer pool (clone-on-write).
     pub(crate) fn overlay_mut(&mut self, page: u32) -> &mut Node {
         match self.write.as_mut().and_then(|w| w.overlay.get_mut(&page)) {
             Some(arc) => Arc::make_mut(arc),
@@ -734,7 +683,7 @@ impl TreeStorage {
     }
 
     /// Admits a committed node into the overlay. The `Arc` stays
-    /// shared with the node cache until the first real mutation; the
+    /// shared with the buffer pool until the first real mutation; the
     /// node's committed page is marked for recycling after the next
     /// commit (shadow paging never overwrites it in place).
     pub(crate) fn fault_node(&mut self, page: u32, node: Arc<Node>) {
@@ -909,10 +858,8 @@ impl TreeStorage {
             w.soa_dirty.clear();
             w.next_temp = u32::MAX;
         }
-        // Cache coherence: frames and decodes for the vacated pages
-        // describe the pre-commit tree — drop them (the pool's evict
-        // hook removes the decoded node in the same critical section).
-        // Shadow pages were written behind the pool, so recycled ids
+        // Cache coherence: frames for the vacated pages describe the
+        // pre-commit tree — drop them. Shadow pages were written behind the pool, so recycled ids
         // must not survive there either.
         for &p in freed.iter().chain(pool.iter()) {
             self.pool.evict_page(p);
@@ -1078,6 +1025,10 @@ impl RStarTree {
         store: Box<dyn PageStore>,
         options: DiskOptions,
     ) -> Result<RStarTree, DiskError> {
+        let capacity = options.pool_capacity.unwrap_or(usize::MAX);
+        if capacity == 0 {
+            return Err(DiskError::BadParams("pool capacity must be at least one frame"));
+        }
         let meta = store.meta();
         let [max_entries, min_entries, packed_reinsert, stored_len] = meta.user;
         let layout = PageLayout::from_tag((packed_reinsert >> 56) as u8)
@@ -1175,18 +1126,11 @@ impl RStarTree {
         tree.free.clear();
         tree.root = NodeId(meta.root_page);
         tree.len = len;
-        let capacity = options.pool_capacity.unwrap_or(usize::MAX);
-        let shards = options.pool_shards.unwrap_or_else(|| auto_shards(capacity));
-        let pool = BufferPool::with_shards(capacity, shards.max(1));
-        let cache = Arc::new(NodeCache::new());
-        let hook_cache = Arc::clone(&cache);
-        pool.set_evict_hook(Box::new(move |page| {
-            hook_cache.lock_map().remove(&page);
-        }));
         tree.storage = Some(Box::new(TreeStorage {
             store,
-            pool,
-            cache,
+            pool: BufferPool::new(capacity),
+            resident_peak: AtomicUsize::new(0),
+            transient: AtomicUsize::new(0),
             n_pages,
             root_level,
             root_mbr,
@@ -1354,6 +1298,15 @@ mod tests {
         // max_entries = 1 is not a legal R*-tree fanout.
         let store = MemStore::new(pages, file.root_page(), [1, 0, 0, 0]).unwrap();
         match RStarTree::open_from_store(Box::new(store), None) {
+            Err(DiskError::BadParams(_)) => {}
+            other => panic!("expected BadParams, got {other:?}", other = other.err()),
+        }
+    }
+
+    #[test]
+    fn zero_pool_capacity_rejected_at_open() {
+        let store = mem_store_of(&sample_tree(100));
+        match RStarTree::open_from_store(Box::new(store), Some(0)) {
             Err(DiskError::BadParams(_)) => {}
             other => panic!("expected BadParams, got {other:?}", other = other.err()),
         }

@@ -18,14 +18,16 @@
 //!   latency) with exact injected-fault counters, plus [`RetryPolicy`]:
 //!   the bounded, deterministically-jittered retry budget the tree's
 //!   read path consumes.
-//! - [`BufferPool`] — a fixed-capacity page cache with **exact LRU**
+//! - [`BufferPool`] — a fixed-capacity cache of one caller value per
+//!   resident page (the tree's decoded node) with **exact LRU**
 //!   eviction, pin/unpin, and hit/miss/eviction counters. LRU (a stack
 //!   algorithm) makes hit rate provably non-decreasing in capacity.
 //!
 //! The crate is deliberately free-standing (no dependency on the tree
 //! crates): it stores opaque [`PAGE_SIZE`]-byte pages plus four `u64`
-//! words of caller metadata. `nwc-rtree` layers node encoding and the
-//! query-time charging discipline on top.
+//! words of caller metadata, and the pool is generic over what a frame
+//! holds. `nwc-rtree` layers node encoding and the query-time charging
+//! discipline on top.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,8 +19,10 @@ cargo build --release
 step "tier-1: cargo test -q"
 cargo test -q
 
-step "lint: cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# --all-targets: tests, examples and benches compile under the lint
+# too, so a bench the gate never runs still cannot rot.
+step "lint: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The benchmark package lives outside the workspace and calls the
 # library only through its adapter (nwc-benchmark/src/sut.rs); its own
@@ -66,12 +68,14 @@ cargo test -q --offline --manifest-path nwc-benchmark/Cargo.toml
 # search regions and the leaf neighbourhoods IWP shares, rect.rs and
 # quadrant.rs the predicates both are tested with. memo.rs joins too:
 # every IWP neighbourhood fetch descends through the query's node memo.
+# pool.rs joins too: every disk node access takes the buffer pool's
+# lock, and a panic under it would fail every query thread at once.
 step "lint: no panic paths in the disk query read path"
 for f in crates/rtree/src/disk.rs crates/rtree/src/browser.rs \
          crates/rtree/src/query.rs crates/rtree/src/memo.rs \
          crates/rtree/src/node.rs crates/rtree/src/cancel.rs \
          crates/rtree/src/stats.rs crates/store/src/retry.rs \
-         crates/store/src/checksum.rs \
+         crates/store/src/checksum.rs crates/store/src/pool.rs \
          crates/grid/src/lib.rs crates/grid/src/weight.rs \
          crates/core/src/algo.rs crates/core/src/shard.rs \
          crates/core/src/anytime.rs crates/core/src/knwc.rs \
@@ -115,9 +119,9 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   cargo test -q --release --test demand_paging
   echo "ok: logical I/O capacity-invariant, LRU monotone, residency bounded"
 
-  step "smoke: sharded pool under concurrent batches"
+  step "smoke: shared buffer pool under concurrent batches"
   cargo test -q --release --test pool_stress
-  echo "ok: concurrent accounting exact across shards"
+  echo "ok: concurrent pool accounting exact across threads"
 
   step "smoke: chaos (fault injection, typed errors, recovery)"
   cargo test -q --release --test chaos

@@ -116,7 +116,6 @@ fn transient_faults_keep_every_scheme_bit_identical_to_arena() {
             &format!("transient{rate}"),
             DiskIndexConfig {
                 pool_capacity: Some(64),
-                pool_shards: Some(2),
                 retry: fast_retry(12),
                 ..DiskIndexConfig::default()
             },
@@ -273,7 +272,6 @@ fn budget_exhaustion_mid_descent_under_faults_returns_sound_partials() {
         "budget",
         DiskIndexConfig {
             pool_capacity: Some(16),
-            pool_shards: Some(1),
             retry: fast_retry(8),
             ..DiskIndexConfig::default()
         },
@@ -520,7 +518,6 @@ fn engine_collects_per_query_errors_without_tearing_down_the_batch() {
         "engine",
         DiskIndexConfig {
             pool_capacity: Some(48),
-            pool_shards: Some(4),
             retry: fast_retry(3),
             ..DiskIndexConfig::default()
         },

@@ -148,9 +148,6 @@ fn pool_capacity_sweep_keeps_logical_io_and_lru_monotone() {
             let frames = ((pages as f64 * frac).ceil() as usize).max(1);
             let config = DiskIndexConfig {
                 pool_capacity: Some(frames),
-                // One stripe keeps LRU exact, so the inclusion property
-                // applies to the whole pool.
-                pool_shards: Some(1),
                 ..DiskIndexConfig::default()
             };
             let disk = NwcIndex::open_disk(&path, config).expect("open");
@@ -188,7 +185,7 @@ fn pool_capacity_sweep_keeps_logical_io_and_lru_monotone() {
 
 #[test]
 fn memory_budget_knob_translates_to_frames() {
-    let frame = 2 * PAGE_SIZE as u64; // raw page + decoded node
+    let frame = 2 * PAGE_SIZE as u64; // the budget of one decoded node
     let budget_only = DiskIndexConfig {
         memory_budget_bytes: Some(6 * frame),
         ..DiskIndexConfig::default()

@@ -129,7 +129,7 @@ fn disk_results_and_io_match_arena_for_all_schemes() {
 #[test]
 fn clustered_layout_keeps_answers_and_logical_io_bit_identical() {
     // The clustered page layout only relabels pages. Saved clustered,
-    // reopened with an unbounded pool and with a bounded sharded one,
+    // reopened with an unbounded pool and with a bounded one,
     // every scheme must return the same answers and the same per-query
     // logical I/O as the arena.
     let points = seeded_points(1500, 59);
@@ -144,7 +144,6 @@ fn clustered_layout_keeps_answers_and_logical_io_bit_identical() {
             "bounded",
             DiskIndexConfig {
                 pool_capacity: Some(64),
-                pool_shards: Some(2),
                 ..DiskIndexConfig::default()
             },
         ),

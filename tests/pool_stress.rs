@@ -1,9 +1,8 @@
-//! Concurrency stress for the sharded buffer pool: parallel
-//! [`QueryEngine`] batches hammer one shared disk-backed tree (clustered
-//! layout, bounded sharded pool) and every answer must match the
-//! in-memory arena, with the aggregate pool / I/O accounting exact
-//! afterwards — no access lost or double-counted across threads or
-//! shards.
+//! Concurrency stress for the buffer pool: parallel [`QueryEngine`]
+//! batches hammer one shared disk-backed tree (clustered layout,
+//! bounded pool) and every answer must match the in-memory arena, with
+//! the aggregate pool / I/O accounting exact afterwards — no access
+//! lost or double-counted across threads.
 
 use nwc::prelude::*;
 use nwc_store::{FaultPlan, FaultStore, FileStore, RetryPolicy};
@@ -48,7 +47,6 @@ fn concurrent_engine_batches_on_a_shared_disk_tree_stay_consistent() {
         &path,
         DiskIndexConfig {
             pool_capacity: Some(48),
-            pool_shards: Some(4),
             ..DiskIndexConfig::default()
         },
     )
@@ -123,7 +121,7 @@ fn concurrent_engine_batches_on_a_shared_disk_tree_stay_consistent() {
     assert_eq!(storage.io_errors(), 0);
 }
 
-/// Mid-descent faults must not poison the sharded pool: after a round in
+/// Mid-descent faults must not poison the shared pool: after a round in
 /// which ~half the 4-thread batch dies on a permanently bad page, the
 /// pool holds no leaked pins, the accounting still decomposes exactly,
 /// and — once the fault is lifted and counters reset — a healthy re-run
@@ -143,7 +141,6 @@ fn pool_survives_mid_descent_faults_under_concurrency() {
         Box::new(Arc::clone(&fault)),
         DiskIndexConfig {
             pool_capacity: Some(48),
-            pool_shards: Some(4),
             retry: RetryPolicy {
                 max_attempts: 3,
                 base_backoff: Duration::ZERO,
