@@ -3,8 +3,8 @@
 use nwc_geom::{Point, Rect};
 use nwc_grid::{DensityGrid, DEFAULT_GRID_CELL};
 use nwc_rtree::{
-    DiskError, DiskOptions, DiskReadError, PageLayout, PageStore, RStarTree,
-    RetryPolicy, TreeError, TreeParams, PAGE_SIZE,
+    DiskError, DiskOptions, DiskReadError, PageStore, RStarTree, RetryPolicy, TreeError,
+    TreeParams, PAGE_SIZE,
 };
 use std::path::Path;
 
@@ -139,10 +139,9 @@ impl From<DiskError> for IndexOpenError {
 #[derive(Debug, PartialEq, Eq)]
 pub enum IndexUpdateError {
     /// The index is disk-backed over a store with no write path (a
-    /// version-1 page file, a read-only backend, or a file opened
-    /// without write permission). Save a writable file with
-    /// [`NwcIndex::save_tree_writable`] and reopen it to mutate on
-    /// disk, or rebuild in memory. The index is unchanged.
+    /// read-only backend, or a page file opened without write
+    /// permission). Reopen the file with write permission to mutate it
+    /// on disk, or rebuild in memory. The index is unchanged.
     ReadOnly,
     /// A page read failed during the update (a writable disk-backed
     /// index faults tree nodes in while descending). The overlay may be
@@ -163,8 +162,8 @@ impl std::fmt::Display for IndexUpdateError {
             IndexUpdateError::ReadOnly => {
                 write!(
                     f,
-                    "disk-backed index is read-only (reopen from a writable page file \
-                     written by save_tree_writable to mutate it)"
+                    "disk-backed index is read-only (its page store has no write path; \
+                     reopen the page file with write permission to mutate it)"
                 )
             }
             IndexUpdateError::Io(e) => write!(f, "disk read failed: {e}"),
@@ -192,6 +191,17 @@ impl From<TreeError> for IndexUpdateError {
             }),
         }
     }
+}
+
+/// The page order of a saved tree. Every save writes one order —
+/// clustered, see [`nwc_rtree::page`] — so this type has one value; it
+/// stays only as the argument of [`NwcIndex::save_tree_with_layout`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum PageLayout {
+    /// Pre-order from the root, children in Hilbert-curve order:
+    /// sibling leaves on consecutive pages.
+    #[default]
+    Clustered,
 }
 
 /// An immutable index over a point dataset, ready to answer NWC and kNWC
@@ -293,35 +303,20 @@ impl NwcIndex {
         self.tree.save_to_path(path)
     }
 
-    /// As [`NwcIndex::save_tree`], assigning page ids according to
-    /// `layout` (see [`PageLayout`]). [`PageLayout::Clustered`] places
-    /// sibling leaves on consecutive pages. Answers and logical I/O are
-    /// identical under every layout.
+    /// [`NwcIndex::save_tree`]; `layout` has one value. A one-line
+    /// adapter wrapper kept for the benchmark, which names it.
     pub fn save_tree_with_layout(
         &self,
         path: impl AsRef<Path>,
-        layout: PageLayout,
+        _layout: PageLayout,
     ) -> Result<(), DiskError> {
-        self.tree.save_to_path_with_layout(path, layout)
+        self.save_tree(path)
     }
 
-    /// As [`NwcIndex::save_tree`], but writes a *writable* (v2) page
-    /// file: reopened with [`NwcIndex::open_disk`], the index accepts
-    /// [`NwcIndex::insert`] / [`NwcIndex::remove`], with durability
-    /// through [`NwcIndex::commit`]'s copy-on-write shadow paging (see
-    /// [`nwc_rtree::disk`], "Writable mode").
+    /// [`NwcIndex::save_tree`]: every saved file is writable. A
+    /// one-line adapter wrapper kept for the benchmark, which names it.
     pub fn save_tree_writable(&self, path: impl AsRef<Path>) -> Result<(), DiskError> {
-        self.tree.save_to_path_writable(path)
-    }
-
-    /// As [`NwcIndex::save_tree_writable`], assigning page ids
-    /// according to `layout` (see [`PageLayout`]).
-    pub fn save_tree_writable_with_layout(
-        &self,
-        path: impl AsRef<Path>,
-        layout: PageLayout,
-    ) -> Result<(), DiskError> {
-        self.tree.save_to_path_writable_with_layout(path, layout)
+        self.save_tree(path)
     }
 
     /// Opens a page file written by [`NwcIndex::save_tree`] as a
@@ -329,11 +324,11 @@ impl NwcIndex {
     /// pool (misses are physical, checksum-verified page reads; the
     /// pool capacity — possibly tightened by
     /// [`DiskIndexConfig::memory_budget_bytes`] — bounds the resident
-    /// decoded nodes). A file written by [`NwcIndex::save_tree`] opens
-    /// read-only — [`NwcIndex::insert`] / [`NwcIndex::remove`] return
-    /// [`IndexUpdateError::ReadOnly`] — while one written by
-    /// [`NwcIndex::save_tree_writable`] accepts updates, committed
-    /// durably through [`NwcIndex::commit`].
+    /// decoded nodes). A file opened with write permission accepts
+    /// [`NwcIndex::insert`] / [`NwcIndex::remove`], committed durably
+    /// through [`NwcIndex::commit`]'s copy-on-write shadow paging (see
+    /// [`nwc_rtree::disk`], "Writable mode"); without it they return
+    /// [`IndexUpdateError::ReadOnly`].
     ///
     /// The point table, bounds and density grid are reconstructed from the stored tree; none of that setup work is
     /// charged — the index is returned with cold, zeroed I/O and buffer

@@ -74,7 +74,9 @@ pub mod weighted;
 
 pub use anytime::{frontier_slack, AnytimeNwc, Approx, BudgetSpent};
 pub use engine::QueryEngine;
-pub use index::{DiskIndexConfig, IndexConfig, IndexOpenError, IndexUpdateError, NwcIndex};
+pub use index::{
+    DiskIndexConfig, IndexConfig, IndexOpenError, IndexUpdateError, NwcIndex, PageLayout,
+};
 pub use ingest::{IngestConfig, StreamingIngestor};
 pub use knwc::{KnwcGroup, KnwcResult};
 pub use measure::DistanceMeasure;
@@ -90,5 +92,5 @@ pub use shard::{ShardAssemblyError, ShardedAnytimeNwc, ShardedNwcIndex, ShardedS
 pub use nwc_geom::{window::WindowSpec, Point, Rect};
 pub use nwc_rtree::{
     Budget, CancelFlag, CancelKind, CancelToken, DiskError, DiskReadError, Entry, ObjectId,
-    PageLayout, PageStore, RetryPolicy,
+    PageStore, RetryPolicy,
 };

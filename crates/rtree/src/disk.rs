@@ -2,10 +2,10 @@
 //! tree.
 //!
 //! [`RStarTree::save_to_path`] serializes a tree into an on-disk page
-//! file ([`nwc_store::FileStore`] format: magic/version header,
-//! per-page CRC-32 checksums). [`RStarTree::open_from_path`] opens such
-//! a file and returns a tree whose node accesses run through a buffer
-//! pool:
+//! file ([`nwc_store::FileStore`] format: two checksummed header slots,
+//! a CRC-32 embedded in every page). [`RStarTree::open_from_path`]
+//! opens such a file and returns a tree whose node accesses run through
+//! a buffer pool:
 //!
 //! - a **pool miss** performs a real, checksum-verified page read from
 //!   the store and is charged to [`IoStats::node_reads`] — physical I/O;
@@ -55,7 +55,9 @@
 //! ## Error policy after open
 //!
 //! The open-time scan is the integrity gate: it reads and
-//! checksum-verifies every page and validates the whole tree structure.
+//! checksum-verifies every page reachable from the committed root and
+//! validates the whole tree structure. Unreachable pages are the free
+//! list (see "Writable mode"): they are never read, only overwritten.
 //! After a successful open, a failed page read (device error, file
 //! truncated behind our back) is handled by the configured
 //! [`RetryPolicy`] ([`DiskOptions::retry`]): the read is re-attempted
@@ -80,8 +82,8 @@
 //!
 //! # Writable mode: dirty-node overlay + shadow paging
 //!
-//! A tree opened over a *writable* store (a version-2 page file opened
-//! with write permission, or [`nwc_store::MemStore::new_writable`])
+//! A tree opened over a *writable* store (a page file opened with write
+//! permission, or [`nwc_store::MemStore::new_writable`])
 //! supports [`RStarTree::insert`] and [`RStarTree::delete`] through a
 //! **dirty-node overlay** in [`TreeStorage`]:
 //!
@@ -108,13 +110,13 @@
 //! logically inconsistent — discard the tree (reopen) rather than
 //! commit after such an error.
 //!
-//! Trees over read-only stores (any version-1 file, or a v2 file
-//! without write permission) still return
+//! Trees over read-only stores (a file opened without write permission,
+//! or a read-only backend such as [`nwc_store::MemStore::new`]) return
 //! [`TreeError`](crate::TreeError)`::ReadOnly` from `insert`/`delete`
 //! rather than silently diverge from the file.
 
 use crate::node::{Node, NodeKind};
-use crate::page::{decode_node, encode_node, PageLayout};
+use crate::page::{decode_node, encode_node, page_capacity_internal, page_capacity_leaf};
 use crate::tree::{RStarTree, TreeError};
 use crate::{IoStats, NodeId, PageError, TreeParams, PAGE_SIZE};
 use nwc_geom::{Point, Rect};
@@ -319,8 +321,6 @@ pub struct TreeStorage {
     root_level: u32,
     root_mbr: Rect,
     node_count: usize,
-    /// Page-id assignment order recorded in the file header.
-    layout: PageLayout,
     /// Page reads that failed *after* a successful open (device errors,
     /// post-open truncation). Counts every failed attempt, whether or
     /// not a retry later recovered it. Failed attempts are *not*
@@ -556,11 +556,6 @@ impl TreeStorage {
             self.lock_quarantine().iter().map(|(&p, d)| (p, d.clone())).collect();
         q.sort_unstable_by_key(|&(p, _)| p);
         q
-    }
-
-    /// The page-id assignment order recorded in the file header.
-    pub fn layout(&self) -> PageLayout {
-        self.layout
     }
 
     /// Level of the root node (captured at open; leaves are level 0).
@@ -802,23 +797,14 @@ impl TreeStorage {
         let mut failed: Option<DiskReadError> = None;
         let mut new_root = root;
         if let Some(w) = self.write.as_ref() {
-            // The encoder resolves every child pointer through one map:
-            // dirty children to their shadow page, clean children to
-            // the page they already live on.
-            let mut page_of: HashMap<NodeId, u32> = HashMap::new();
-            for node in w.overlay.values() {
-                if let NodeKind::Internal(branches) = &node.kind {
-                    for b in branches {
-                        let dest = remap.get(&b.child.0).copied().unwrap_or(b.child.0);
-                        page_of.insert(b.child, dest);
-                    }
-                }
-            }
+            // Dirty children point at their shadow page, clean
+            // children at the page they already live on.
+            let child_page = |child: NodeId| remap.get(&child.0).copied().unwrap_or(child.0);
             for &old in &ids {
                 let (Some(node), Some(&dest)) = (w.overlay.get(&old), remap.get(&old)) else {
                     continue;
                 };
-                let buf = encode_node(node, &page_of);
+                let buf = encode_node(node, child_page);
                 if let Err(e) = self.store.write_page(dest, &buf) {
                     failed = Some(DiskReadError {
                         page: dest,
@@ -872,70 +858,45 @@ impl TreeStorage {
     }
 }
 
+/// The four header words a tree file carries: its `TreeParams` and
+/// its object count.
+fn header_words(params: &TreeParams, len: usize) -> [u64; 4] {
+    [
+        params.max_entries as u64,
+        params.min_entries as u64,
+        params.reinsert_count as u64,
+        len as u64,
+    ]
+}
+
+/// Rejects a fanout whose full node would not fit one page: saving it
+/// would overrun the page, and so would committing a node after an
+/// insert into a tree opened from a header that claims it.
+fn check_fanout_fits_a_page(params: &TreeParams) -> Result<(), DiskError> {
+    if params.max_entries > page_capacity_leaf().min(page_capacity_internal()) {
+        return Err(DiskError::BadParams("fanout does not fit a 4096-byte page"));
+    }
+    Ok(())
+}
+
 impl RStarTree {
-    /// Serializes this tree into an on-disk page file at `path`,
-    /// with header + per-page checksums, and syncs it to stable
-    /// storage. The replacement is atomic: the pages are staged in a
-    /// sibling temp file and renamed over `path` only after a full
-    /// sync, so a crash mid-save leaves any previous file intact.
+    /// Serializes this tree into an on-disk page file at `path`, one
+    /// page per node in clustered order (see [`crate::page`]), and
+    /// syncs it to stable storage. The replacement is atomic: the pages
+    /// are staged in a sibling temp file and renamed over `path` only
+    /// after a full sync, so a crash mid-save leaves any previous file
+    /// intact. Reopened with write permission, the file supports
+    /// in-place mutation through shadow-paged commits (see the module
+    /// docs, "Writable mode"); on a writable disk-backed tree the save
+    /// also snapshots any uncommitted overlay state.
+    ///
+    /// Returns [`DiskError::BadParams`] when the tree's fanout does not
+    /// fit a page (the paper's 50 always fits); the open refuses such a
+    /// header the same way.
     pub fn save_to_path(&self, path: impl AsRef<Path>) -> Result<(), DiskError> {
-        self.save_to_path_with_layout(path, PageLayout::BottomUp)
-    }
-
-    /// As [`RStarTree::save_to_path`], assigning page ids according to
-    /// `layout` (see [`PageLayout`]). The layout is recorded in the
-    /// file header and round-trips through
-    /// [`RStarTree::open_from_path`]; files written before the layout
-    /// existed decode as [`PageLayout::BottomUp`].
-    pub fn save_to_path_with_layout(
-        &self,
-        path: impl AsRef<Path>,
-        layout: PageLayout,
-    ) -> Result<(), DiskError> {
-        let file = self.to_page_file_with_layout(layout);
-        let pages: Vec<[u8; PAGE_SIZE]> =
-            (0..file.page_count()).map(|i| *file.page(i as u32)).collect();
-        let user = [
-            self.params.max_entries as u64,
-            self.params.min_entries as u64,
-            // The layout tag rides in the top byte of the
-            // reinsert-count word: reinsert counts are tiny (a fraction
-            // of the fanout), pre-layout files have a zero top byte
-            // (= BottomUp), and the format version stays 1.
-            self.params.reinsert_count as u64 | ((layout.tag() as u64) << 56),
-            self.len() as u64,
-        ];
-        FileStore::create(path.as_ref(), file.root_page(), user, &pages)?;
-        Ok(())
-    }
-
-    /// As [`RStarTree::save_to_path`], but writes a *writable* (v2)
-    /// page file: dual ping-pong header slots and per-page checksum
-    /// trailers, so the file supports in-place mutation through
-    /// shadow-paged commits when reopened (see the module docs,
-    /// "Writable mode"). On a writable disk-backed tree this also
-    /// snapshots any uncommitted overlay state into the new file.
-    pub fn save_to_path_writable(&self, path: impl AsRef<Path>) -> Result<(), DiskError> {
-        self.save_to_path_writable_with_layout(path, PageLayout::BottomUp)
-    }
-
-    /// As [`RStarTree::save_to_path_writable`], assigning page ids
-    /// according to `layout` (see [`PageLayout`]).
-    pub fn save_to_path_writable_with_layout(
-        &self,
-        path: impl AsRef<Path>,
-        layout: PageLayout,
-    ) -> Result<(), DiskError> {
-        let file = self.to_page_file_with_layout(layout);
-        let pages: Vec<[u8; PAGE_SIZE]> =
-            (0..file.page_count()).map(|i| *file.page(i as u32)).collect();
-        let user = [
-            self.params.max_entries as u64,
-            self.params.min_entries as u64,
-            self.params.reinsert_count as u64 | ((layout.tag() as u64) << 56),
-            self.len() as u64,
-        ];
-        FileStore::create_writable(path.as_ref(), file.root_page(), user, &pages)?;
+        check_fanout_fits_a_page(&self.params)?;
+        let (root, pages) = self.encode_pages();
+        FileStore::create(path.as_ref(), root, header_words(&self.params, self.len()), &pages)?;
         Ok(())
     }
 
@@ -953,17 +914,11 @@ impl RStarTree {
     /// the tree dropped and reopened at the last committed state.
     pub fn commit(&mut self) -> Result<(), TreeError> {
         let root = self.root.0;
-        let (max_e, min_e, reinsert, len) = (
-            self.params.max_entries as u64,
-            self.params.min_entries as u64,
-            self.params.reinsert_count as u64,
-            self.len as u64,
-        );
+        let user = header_words(&self.params, self.len);
         match self.storage.as_deref_mut() {
             None => Ok(()),
             Some(s) if !s.is_writable() => Err(TreeError::ReadOnly),
             Some(s) => {
-                let user = [max_e, min_e, reinsert | ((s.layout().tag() as u64) << 56), len];
                 let new_root = s.commit_overlay(root, user).map_err(TreeError::Io)?;
                 self.root = NodeId(new_root);
                 Ok(())
@@ -972,15 +927,16 @@ impl RStarTree {
     }
 
     /// Opens a page file written by [`RStarTree::save_to_path`] as a
-    /// disk-backed, read-only, demand-paged tree.
+    /// disk-backed, demand-paged tree — writable when the file opens
+    /// with write permission (see the module docs, "Writable mode").
     ///
     /// `pool_capacity` bounds the buffer pool in pages — and with it
     /// the resident decoded nodes (see the module docs); `None` means
     /// unbounded (every page misses once, then always hits). The open
-    /// itself reads and checksum-verifies every page and validates the
-    /// tree structure; those reads are *not* counted — the store and
-    /// pool counters start at zero so the first query measures a cold
-    /// buffer.
+    /// itself reads and checksum-verifies every page reachable from the
+    /// root and validates the tree structure; those reads are *not*
+    /// counted — the store and pool counters start at zero so the first
+    /// query measures a cold buffer.
     pub fn open_from_path(
         path: impl AsRef<Path>,
         pool_capacity: Option<usize>,
@@ -1031,8 +987,8 @@ impl RStarTree {
         }
         let meta = store.meta();
         let [max_entries, min_entries, packed_reinsert, stored_len] = meta.user;
-        let layout = PageLayout::from_tag((packed_reinsert >> 56) as u8)
-            .ok_or(DiskError::BadParams("unknown page layout tag"))?;
+        // Files from earlier builds carry a page-order tag in the top
+        // byte of this word; it never affected decoding.
         let reinsert_count = packed_reinsert & ((1u64 << 56) - 1);
         let params = TreeParams {
             max_entries: usize::try_from(max_entries)
@@ -1043,6 +999,7 @@ impl RStarTree {
                 .map_err(|_| DiskError::BadParams("reinsert_count overflows usize"))?,
         };
         params.check().map_err(DiskError::BadParams)?;
+        check_fanout_fits_a_page(&params)?;
 
         let n_pages = meta.page_count;
         if n_pages == 0 || meta.root_page >= n_pages {
@@ -1098,21 +1055,10 @@ impl RStarTree {
                 }
             }
         }
-        // On a writable store, unreachable pages are the *free list*:
-        // recyclable slack that may hold torn bytes from a crashed
-        // shadow commit. They are never read, only overwritten, so they
-        // are exempt from the integrity gate. A read-only page file has
-        // no legitimate unreachable pages; checksum-verify any
-        // stragglers so the open remains the integrity gate for the
-        // whole file.
-        let writable = store.is_writable();
-        if !writable {
-            for page in 0..n_pages {
-                if !seen[page as usize] {
-                    store.read_page(page, &mut buf)?;
-                }
-            }
-        }
+        // Unreachable pages are the *free list*: recyclable slack that
+        // may hold torn bytes from a crashed shadow commit. They are
+        // never read, only overwritten, so they are exempt from the
+        // integrity gate whether or not this store can write.
         if stored_len != len as u64 {
             return Err(DiskError::Page(PageError::Invalid(
                 "stored object count does not match leaf entries",
@@ -1126,6 +1072,7 @@ impl RStarTree {
         tree.free.clear();
         tree.root = NodeId(meta.root_page);
         tree.len = len;
+        let writable = store.is_writable();
         tree.storage = Some(Box::new(TreeStorage {
             store,
             pool: BufferPool::new(capacity),
@@ -1135,7 +1082,6 @@ impl RStarTree {
             root_level,
             root_mbr,
             node_count,
-            layout,
             io_errors: AtomicU64::new(0),
             retry: options.retry,
             quarantine: Mutex::new(HashMap::new()),
@@ -1167,21 +1113,10 @@ mod tests {
         RStarTree::bulk_load(&pts)
     }
 
+    /// A read-only store holding the pages `save_to_path` would write.
     fn mem_store_of(tree: &RStarTree) -> MemStore {
-        mem_store_of_layout(tree, PageLayout::BottomUp)
-    }
-
-    fn mem_store_of_layout(tree: &RStarTree, layout: PageLayout) -> MemStore {
-        let file = tree.to_page_file_with_layout(layout);
-        let pages: Vec<[u8; PAGE_SIZE]> =
-            (0..file.page_count()).map(|i| *file.page(i as u32)).collect();
-        let user = [
-            tree.params().max_entries as u64,
-            tree.params().min_entries as u64,
-            tree.params().reinsert_count as u64 | ((layout.tag() as u64) << 56),
-            tree.len() as u64,
-        ];
-        MemStore::new(pages, file.root_page(), user).unwrap()
+        let (root, pages) = tree.encode_pages();
+        MemStore::new(pages, root, header_words(tree.params(), tree.len())).unwrap()
     }
 
     #[test]
@@ -1211,7 +1146,7 @@ mod tests {
     #[test]
     fn unbounded_pool_misses_each_page_once() {
         let tree = sample_tree(3000);
-        let pages = tree.to_page_file().page_count();
+        let pages = tree.node_count();
         let disk = RStarTree::open_from_store(Box::new(mem_store_of(&tree)), None).unwrap();
         // Open-time scan must not pollute the counters.
         assert_eq!(disk.storage().unwrap().physical_reads(), 0);
@@ -1291,12 +1226,33 @@ mod tests {
 
     #[test]
     fn bad_params_in_header_rejected() {
-        let tree = sample_tree(100);
-        let file = tree.to_page_file();
-        let pages: Vec<[u8; PAGE_SIZE]> =
-            (0..file.page_count()).map(|i| *file.page(i as u32)).collect();
+        let (root, pages) = sample_tree(100).encode_pages();
         // max_entries = 1 is not a legal R*-tree fanout.
-        let store = MemStore::new(pages, file.root_page(), [1, 0, 0, 0]).unwrap();
+        let store = MemStore::new(pages, root, [1, 0, 0, 0]).unwrap();
+        match RStarTree::open_from_store(Box::new(store), None) {
+            Err(DiskError::BadParams(_)) => {}
+            other => panic!("expected BadParams, got {other:?}", other = other.err()),
+        }
+    }
+
+    #[test]
+    fn fanout_beyond_a_page_is_rejected_at_save_and_open() {
+        let params = TreeParams::with_max_entries(page_capacity_internal() + 1);
+        let pts: Vec<_> = (0..10).map(|i| pt(i as f64, i as f64)).collect();
+        let tree = RStarTree::bulk_load_with_params(&pts, params);
+        let path = std::env::temp_dir()
+            .join(format!("nwc-disk-fanout-too-wide-{}", std::process::id()));
+        match tree.save_to_path(&path) {
+            Err(DiskError::BadParams(_)) => {}
+            other => panic!("expected BadParams, got {other:?}"),
+        }
+        assert!(!path.exists(), "a refused save writes nothing");
+
+        // A header claiming that fanout over valid pages: a later
+        // insert could fill a node past the page, so the open refuses.
+        let small = sample_tree(100);
+        let (root, pages) = small.encode_pages();
+        let store = MemStore::new(pages, root, header_words(&params, small.len())).unwrap();
         match RStarTree::open_from_store(Box::new(store), None) {
             Err(DiskError::BadParams(_)) => {}
             other => panic!("expected BadParams, got {other:?}", other = other.err()),
@@ -1316,7 +1272,7 @@ mod tests {
     fn corrupt_page_rejected_at_open() {
         let tree = sample_tree(500);
         let mut store = mem_store_of(&tree);
-        store.page_mut(0)[0] = 9; // neither leaf nor internal
+        store.page_mut(0).unwrap()[0] = 9; // neither leaf nor internal
         match RStarTree::open_from_store(Box::new(store), None) {
             Err(DiskError::Page(PageError::BadTag(9))) => {}
             other => panic!("expected BadTag, got {other:?}", other = other.err()),
@@ -1326,16 +1282,8 @@ mod tests {
     #[test]
     fn wrong_stored_len_rejected_at_open() {
         let tree = sample_tree(300);
-        let file = tree.to_page_file();
-        let pages: Vec<[u8; PAGE_SIZE]> =
-            (0..file.page_count()).map(|i| *file.page(i as u32)).collect();
-        let user = [
-            tree.params().max_entries as u64,
-            tree.params().min_entries as u64,
-            tree.params().reinsert_count as u64,
-            tree.len() as u64 + 1,
-        ];
-        let store = MemStore::new(pages, file.root_page(), user).unwrap();
+        let (root, pages) = tree.encode_pages();
+        let store = MemStore::new(pages, root, header_words(tree.params(), tree.len() + 1)).unwrap();
         match RStarTree::open_from_store(Box::new(store), None) {
             Err(DiskError::Page(PageError::Invalid(_))) => {}
             other => panic!("expected Invalid, got {other:?}", other = other.err()),
@@ -1343,11 +1291,9 @@ mod tests {
     }
 
     #[test]
-    fn clustered_layout_roundtrips_through_store() {
+    fn clustered_pages_roundtrip_through_store() {
         let tree = sample_tree(3000);
-        let store = mem_store_of_layout(&tree, PageLayout::Clustered);
-        let disk = RStarTree::open_from_store(Box::new(store), None).unwrap();
-        assert_eq!(disk.storage().unwrap().layout(), PageLayout::Clustered);
+        let disk = RStarTree::open_from_store(Box::new(mem_store_of(&tree)), None).unwrap();
         crate::validate::check_invariants(&disk).unwrap();
         let w = rect(50.0, 40.0, 350.0, 300.0);
         let mut a: Vec<u32> = tree.window_query(&w).iter().map(|e| e.id).collect();
@@ -1528,16 +1474,9 @@ mod tests {
     /// wrapped in `Arc` so tests can reopen the same store after a
     /// commit (simulating a process restart without a filesystem).
     fn writable_store_of(tree: &RStarTree) -> Arc<MemStore> {
-        let file = tree.to_page_file_with_layout(PageLayout::BottomUp);
-        let pages: Vec<[u8; PAGE_SIZE]> =
-            (0..file.page_count()).map(|i| *file.page(i as u32)).collect();
-        let user = [
-            tree.params().max_entries as u64,
-            tree.params().min_entries as u64,
-            tree.params().reinsert_count as u64,
-            tree.len() as u64,
-        ];
-        Arc::new(MemStore::new_writable(pages, file.root_page(), user).unwrap())
+        let (root, pages) = tree.encode_pages();
+        let user = header_words(tree.params(), tree.len());
+        Arc::new(MemStore::new_writable(pages, root, user).unwrap())
     }
 
     fn ids_in(tree: &RStarTree, w: &Rect) -> Vec<u32> {

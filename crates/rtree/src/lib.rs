@@ -63,7 +63,7 @@ pub use disk::{DiskError, DiskOptions, DiskReadError, TreeStorage};
 pub use entry::{Entry, ObjectId};
 pub use memo::NodeMemo;
 pub use node::NodeId;
-pub use page::{PageError, PageFile, PageLayout, PAGE_SIZE};
+pub use page::{PageError, PAGE_SIZE};
 pub use params::TreeParams;
 pub use query::entries_inside_into;
 pub use stats::{ErrorCounters, IoStats};

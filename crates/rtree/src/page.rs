@@ -2,10 +2,11 @@
 //!
 //! The paper configures its R\*-tree with "the page size set to 4096
 //! bytes" and at most 50 entries per node, and measures I/O as page
-//! reads. The in-memory arena stands in for the buffer pool during
-//! query processing; this module makes the disk layout itself concrete:
-//! every node serializes into one fixed [`PAGE_SIZE`]-byte page, and a
-//! whole tree round-trips through a [`PageFile`].
+//! reads. Every node serializes into one fixed [`PAGE_SIZE`]-byte page;
+//! [`RStarTree::save_to_path`](crate::RStarTree::save_to_path) writes
+//! the pages in clustered order and the open scan in [`crate::disk`]
+//! decodes them one at a time with the same per-page decoder the
+//! buffer pool uses.
 //!
 //! # Page layout (little-endian)
 //!
@@ -21,12 +22,22 @@
 //! Leaf entries are 20 bytes (`u32` id + 2 × `f64`); internal entries
 //! are 36 bytes (`u32` child page + 4 × `f64` child MBR). 50 internal
 //! entries need `41 + 50·36 = 1841 ≤ 4096` bytes, so the paper's fanout
-//! fits with room to spare (checked by [`TreeParams`]-aware asserts at
-//! write time).
+//! fits with room to spare; a full page of either kind still leaves the
+//! last 4 bytes free for the page store's CRC trailer.
+//!
+//! # Page order
+//!
+//! Page ids are assigned by a pre-order walk from the root that visits
+//! each node's children in Hilbert-curve order of their MBR centers: a
+//! level-1 node's leaves occupy the consecutive page ids right after
+//! it, and spatially nearby subtrees land on nearby page ranges. The
+//! order only relabels pages — every node's branch array keeps its
+//! arena order — so traversal order, logical I/O and LRU behavior do
+//! not depend on it.
 
 use crate::node::{Branch, Node, NodeKind};
 use crate::tree::RStarTree;
-use crate::{Entry, NodeId, TreeParams};
+use crate::{Entry, NodeId};
 use nwc_geom::{Point, Rect};
 use std::collections::HashMap;
 
@@ -54,8 +65,8 @@ pub fn page_capacity_internal() -> usize {
 ///
 /// Decoding is total: any byte sequence either reconstructs a valid
 /// tree or returns one of these variants. In particular a corrupt file
-/// can never send the decoder into unbounded recursion or allocation —
-/// child pointers forming a cycle (or a DAG: two parents sharing a
+/// can never send the open scan into unbounded recursion or allocation
+/// — child pointers forming a cycle (or a DAG: two parents sharing a
 /// page) are rejected via [`PageError::Cycle`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum PageError {
@@ -90,208 +101,52 @@ impl std::fmt::Display for PageError {
 
 impl std::error::Error for PageError {}
 
-/// How page ids are assigned to nodes when a tree is serialized.
-///
-/// The choice relabels pages only: the branch arrays inside every node
-/// keep their arena order, so traversal order — and with it the logical
-/// I/O reference string — is bit-identical across layouts. What changes
-/// is *where* on disk the pages a traversal touches together sit:
-/// [`PageLayout::Clustered`] makes the children of one parent occupy
-/// consecutive page ids, so the pages a traversal faults in together
-/// sit close on disk. (Exactly contiguous for the leaf level, where
-/// most faults land — a pre-order DFS places a level-1 node's leaves
-/// back to back; higher siblings sit one subtree apart but stay
-/// Hilbert-local.)
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PageLayout {
-    /// The legacy bottom-up (post-order) assignment: children get lower
-    /// ids than their parents, siblings are separated by whole subtrees.
-    #[default]
-    BottomUp,
-    /// Locality-preserving: pre-order DFS from the root, visiting each
-    /// node's children in Hilbert-curve order of their MBR centers.
-    /// Siblings become consecutive pages, and spatially nearby subtrees
-    /// become nearby page ranges.
-    Clustered,
-}
-
-impl PageLayout {
-    /// The on-disk tag persisted in the file header (0 = bottom-up,
-    /// matching pre-layout files; 1 = clustered).
-    pub fn tag(self) -> u8 {
-        match self {
-            PageLayout::BottomUp => 0,
-            PageLayout::Clustered => 1,
-        }
-    }
-
-    /// Decodes a persisted tag; `None` for tags from the future.
-    pub fn from_tag(tag: u8) -> Option<PageLayout> {
-        match tag {
-            0 => Some(PageLayout::BottomUp),
-            1 => Some(PageLayout::Clustered),
-            _ => None,
-        }
-    }
-}
-
-/// A serialized tree: fixed-size pages plus the root page id.
-pub struct PageFile {
-    pages: Vec<[u8; PAGE_SIZE]>,
-    root: u32,
-    params: TreeParams,
-    layout: PageLayout,
-}
-
-impl PageFile {
-    /// Wraps raw pages (e.g. read back from a
-    /// [`PageStore`](nwc_store::PageStore)) as a decodable page file.
-    /// No validation happens here; [`RStarTree::from_page_file`]
-    /// rejects corrupt content. The layout is assumed bottom-up; it is
-    /// metadata only and does not affect decoding.
-    pub fn from_raw_pages(pages: Vec<[u8; PAGE_SIZE]>, root: u32, params: TreeParams) -> PageFile {
-        PageFile {
-            pages,
-            root,
-            params,
-            layout: PageLayout::BottomUp,
-        }
-    }
-
-    /// The id-assignment order the file was serialized with.
-    pub fn layout(&self) -> PageLayout {
-        self.layout
-    }
-
-    /// Number of pages.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Total bytes of the simulated file.
-    pub fn bytes(&self) -> usize {
-        self.pages.len() * PAGE_SIZE
-    }
-
-    /// The root page id.
-    pub fn root_page(&self) -> u32 {
-        self.root
-    }
-
-    /// Raw access to one page (for inspection/corruption tests).
-    pub fn page(&self, id: u32) -> &[u8; PAGE_SIZE] {
-        &self.pages[id as usize]
-    }
-
-    /// Mutable raw access (corruption-injection in tests).
-    pub fn page_mut(&mut self, id: u32) -> &mut [u8; PAGE_SIZE] {
-        &mut self.pages[id as usize]
-    }
-}
-
 impl RStarTree {
-    /// Serializes the tree into fixed-size pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tree's `max_entries` exceeds the page capacity
-    /// (the paper's 50 always fits).
-    pub fn to_page_file(&self) -> PageFile {
-        self.to_page_file_with_layout(PageLayout::BottomUp)
-    }
-
-    /// As [`RStarTree::to_page_file`], assigning page ids according to
-    /// `layout`. Only the id assignment differs between layouts — every
-    /// node's content (branch order included) is byte-identical modulo
-    /// the embedded child page ids, so queries traverse both files in
-    /// the same order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tree's `max_entries` exceeds the page capacity
-    /// (the paper's 50 always fits).
-    pub fn to_page_file_with_layout(&self, layout: PageLayout) -> PageFile {
-        assert!(
-            self.params.max_entries <= page_capacity_leaf().min(page_capacity_internal()),
-            "fanout {} does not fit a {PAGE_SIZE}-byte page",
-            self.params.max_entries
-        );
+    /// Encodes every node into one page, in clustered page order (see
+    /// the module docs). Returns the root's page id and the pages.
+    /// Node access goes through `peek_node` (uncharged), so a
+    /// disk-backed tree can be re-serialized too. The caller checks
+    /// that the fanout fits a page.
+    pub(crate) fn encode_pages(&self) -> (u32, Vec<[u8; PAGE_SIZE]>) {
         // Pre-assign every node's page id, then encode: parents embed
         // child page ids, so ids must be known before any encoding.
-        // Node access goes through `peek_node` (uncharged) so a
-        // disk-backed tree can be re-serialized too.
-        let page_of = match layout {
-            PageLayout::BottomUp => self.assign_pages_bottom_up(),
-            PageLayout::Clustered => self.assign_pages_clustered(),
-        };
-        let mut pages: Vec<[u8; PAGE_SIZE]> = vec![[0u8; PAGE_SIZE]; page_of.len()];
-        for (&id, &page_id) in &page_of {
-            pages[page_id as usize] = encode_node(&self.peek_node(id), &page_of);
-        }
-        PageFile {
-            root: page_of[&self.root()],
-            pages,
-            params: self.params,
-            layout,
-        }
+        let order = self.clustered_order();
+        let page_of: HashMap<NodeId, u32> =
+            order.iter().zip(0u32..).map(|(&id, page)| (id, page)).collect();
+        // Every reachable node got a page above, so the fallback (a
+        // dangling pointer the open scan would reject) is never taken.
+        let child_page = |child: NodeId| page_of.get(&child).copied().unwrap_or(u32::MAX);
+        let pages = order
+            .iter()
+            .map(|&id| encode_node(&self.peek_node(id), child_page))
+            .collect();
+        (0, pages)
     }
 
-    /// Post-order DFS: children get lower page ids than their parents.
-    /// This reproduces the pre-layout serialization order exactly, so
-    /// old files and [`PageLayout::BottomUp`] files are byte-identical.
-    fn assign_pages_bottom_up(&self) -> HashMap<NodeId, u32> {
-        let mut page_of: HashMap<NodeId, u32> = HashMap::new();
-        let mut next = 0u32;
-        let mut stack: Vec<(NodeId, bool)> = vec![(self.root(), false)];
-        while let Some((id, expanded)) = stack.pop() {
-            if !expanded {
-                stack.push((id, true));
-                if let NodeKind::Internal(branches) = &self.peek_node(id).kind {
-                    for b in branches {
-                        stack.push((b.child, false));
-                    }
-                }
-                continue;
-            }
-            page_of.insert(id, next);
-            next += 1;
-        }
-        page_of
-    }
-
-    /// Pre-order DFS from the root, visiting each node's children in
-    /// Hilbert-curve order of their MBR centers (normalized to the root
-    /// MBR). A level-1 node's leaves land on consecutive page ids, and
-    /// spatially adjacent subtrees land on adjacent page ranges.
-    fn assign_pages_clustered(&self) -> HashMap<NodeId, u32> {
+    /// The nodes in page order: pre-order DFS from the root, visiting
+    /// each node's children in Hilbert-curve order of their MBR centers
+    /// (normalized to the root MBR). The root is page 0, a level-1
+    /// node's leaves land on consecutive page ids, and spatially
+    /// adjacent subtrees land on adjacent page ranges.
+    fn clustered_order(&self) -> Vec<NodeId> {
         let root = self.root();
         let frame = self.peek_node(root).mbr;
-        let mut page_of: HashMap<NodeId, u32> = HashMap::new();
-        let mut next = 0u32;
+        let mut order: Vec<NodeId> = Vec::new();
         let mut stack: Vec<NodeId> = vec![root];
         while let Some(id) = stack.pop() {
-            page_of.insert(id, next);
-            next += 1;
+            order.push(id);
             if let NodeKind::Internal(branches) = &self.peek_node(id).kind {
-                let mut order: Vec<(u64, NodeId)> = branches
+                let mut kids: Vec<(u64, NodeId)> = branches
                     .iter()
                     .map(|b| (hilbert_key(&frame, &b.mbr), b.child))
                     .collect();
                 // Descending sort: the stack pops the smallest key —
                 // i.e. the curve-first child and its subtree — next.
-                order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(b.1.index().cmp(&a.1.index())));
-                for (_, child) in order {
-                    stack.push(child);
-                }
+                kids.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(b.1.index().cmp(&a.1.index())));
+                stack.extend(kids.into_iter().map(|(_, child)| child));
             }
         }
-        page_of
-    }
-
-    /// Reconstructs a tree from a page file, rejecting corrupt content
-    /// with a typed [`PageError`].
-    pub fn from_page_file(file: &PageFile) -> Result<RStarTree, PageError> {
-        decode_page_file(file).map(|(tree, _)| tree)
+        order
     }
 }
 
@@ -352,38 +207,48 @@ fn put_u32(buf: &mut [u8], off: &mut usize, v: u32) {
     buf[*off..*off + 4].copy_from_slice(&v.to_le_bytes());
     *off += 4;
 }
-fn get_f64(buf: &[u8], off: &mut usize) -> f64 {
-    let v = f64::from_le_bytes(buf[*off..*off + 8].try_into().unwrap());
-    *off += 8;
-    v
-}
-fn get_u32(buf: &[u8], off: &mut usize) -> u32 {
-    let v = u32::from_le_bytes(buf[*off..*off + 4].try_into().unwrap());
-    *off += 4;
-    v
-}
-
 fn put_rect(buf: &mut [u8], off: &mut usize, r: &Rect) {
     put_f64(buf, off, r.min.x);
     put_f64(buf, off, r.min.y);
     put_f64(buf, off, r.max.x);
     put_f64(buf, off, r.max.y);
 }
-fn get_rect(buf: &[u8], off: &mut usize) -> Rect {
-    let min_x = get_f64(buf, off);
-    let min_y = get_f64(buf, off);
-    let max_x = get_f64(buf, off);
-    let max_y = get_f64(buf, off);
-    Rect::new(Point::new(min_x, min_y), Point::new(max_x, max_y))
+
+/// The error for a read past the end of the page buffer. Unreachable
+/// for a whole page (counts are capped at the page capacity first);
+/// a short buffer is rejected rather than indexed out of bounds.
+const SHORT_PAGE: PageError = PageError::Invalid("page buffer shorter than its entries");
+
+fn get_bytes<const N: usize>(buf: &[u8], off: &mut usize) -> Result<[u8; N], PageError> {
+    let bytes = buf
+        .get(*off..*off + N)
+        .and_then(|s| <[u8; N]>::try_from(s).ok())
+        .ok_or(SHORT_PAGE)?;
+    *off += N;
+    Ok(bytes)
+}
+fn get_f64(buf: &[u8], off: &mut usize) -> Result<f64, PageError> {
+    get_bytes(buf, off).map(f64::from_le_bytes)
+}
+fn get_u32(buf: &[u8], off: &mut usize) -> Result<u32, PageError> {
+    get_bytes(buf, off).map(u32::from_le_bytes)
+}
+fn get_rect(buf: &[u8], off: &mut usize) -> Result<Rect, PageError> {
+    let min_x = get_f64(buf, off)?;
+    let min_y = get_f64(buf, off)?;
+    let max_x = get_f64(buf, off)?;
+    let max_y = get_f64(buf, off)?;
+    Ok(Rect::new(Point::new(min_x, min_y), Point::new(max_x, max_y)))
 }
 
-pub(crate) fn encode_node(node: &Node, page_of: &HashMap<NodeId, u32>) -> [u8; PAGE_SIZE] {
+/// Encodes `node` into one page; `child_page` maps each branch's child
+/// to the page id the parent must point at.
+pub(crate) fn encode_node(node: &Node, child_page: impl Fn(NodeId) -> u32) -> [u8; PAGE_SIZE] {
     let mut buf = [0u8; PAGE_SIZE];
-    let mut off;
+    let mut off = 1;
     match &node.kind {
         NodeKind::Leaf(entries) => {
             buf[0] = 0;
-            off = 1;
             put_u32(&mut buf, &mut off, node.level);
             put_u32(&mut buf, &mut off, entries.len() as u32);
             put_rect(&mut buf, &mut off, &node.mbr);
@@ -395,19 +260,18 @@ pub(crate) fn encode_node(node: &Node, page_of: &HashMap<NodeId, u32>) -> [u8; P
         }
         NodeKind::Internal(branches) => {
             buf[0] = 1;
-            off = 1;
             put_u32(&mut buf, &mut off, node.level);
             put_u32(&mut buf, &mut off, branches.len() as u32);
             put_rect(&mut buf, &mut off, &node.mbr);
             for b in branches {
-                put_u32(&mut buf, &mut off, page_of[&b.child]);
+                put_u32(&mut buf, &mut off, child_page(b.child));
                 // Child MBR kept in the parent page, as real R-trees
                 // do, so a parent fetch suffices to route queries.
                 put_rect(&mut buf, &mut off, &b.mbr);
             }
         }
     }
-    debug_assert!(off <= PAGE_SIZE);
+    debug_assert!(off <= PAGE_SIZE - 4, "the page store's CRC trailer must stay free");
     buf
 }
 
@@ -418,11 +282,11 @@ pub(crate) fn encode_node(node: &Node, page_of: &HashMap<NodeId, u32>) -> [u8; P
 /// (acyclicity, level succession, parent-declared MBRs matching child
 /// headers) are enforced by the open-time scan in [`crate::disk`].
 pub(crate) fn decode_node(buf: &[u8], n_pages: u32) -> Result<Node, PageError> {
-    let tag = buf[0];
+    let tag = *buf.first().ok_or(SHORT_PAGE)?;
     let mut off = 1usize;
-    let level = get_u32(buf, &mut off);
-    let count = get_u32(buf, &mut off);
-    let mbr = get_rect(buf, &mut off);
+    let level = get_u32(buf, &mut off)?;
+    let count = get_u32(buf, &mut off)?;
+    let mbr = get_rect(buf, &mut off)?;
     match tag {
         0 => {
             if level != 0 {
@@ -433,9 +297,9 @@ pub(crate) fn decode_node(buf: &[u8], n_pages: u32) -> Result<Node, PageError> {
             }
             let mut entries = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let id = get_u32(buf, &mut off);
-                let x = get_f64(buf, &mut off);
-                let y = get_f64(buf, &mut off);
+                let id = get_u32(buf, &mut off)?;
+                let x = get_f64(buf, &mut off)?;
+                let y = get_f64(buf, &mut off)?;
                 entries.push(Entry::new(id, Point::new(x, y)));
             }
             let mut node = Node::new_leaf();
@@ -455,8 +319,8 @@ pub(crate) fn decode_node(buf: &[u8], n_pages: u32) -> Result<Node, PageError> {
             }
             let mut branches = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let child_page = get_u32(buf, &mut off);
-                let child_mbr = get_rect(buf, &mut off);
+                let child_page = get_u32(buf, &mut off)?;
+                let child_mbr = get_rect(buf, &mut off)?;
                 if child_page >= n_pages {
                     return Err(PageError::DanglingChild(child_page));
                 }
@@ -477,126 +341,10 @@ pub(crate) fn decode_node(buf: &[u8], n_pages: u32) -> Result<Node, PageError> {
     }
 }
 
-/// Decodes a whole page file into a fresh tree, additionally returning
-/// the `NodeId`-indexed page map (`page_of[node.index()]` = the page the
-/// node was decoded from) that disk-backed trees use to route buffer
-/// pool requests.
-///
-/// The walk is iterative — an explicit stack, one placeholder arena slot
-/// allocated per discovered child — so adversarial pointer graphs cannot
-/// overflow the call stack, and a `node_of` occupancy map rejects any
-/// page reachable through two parents (cycles and DAGs) before the walk
-/// would revisit it. Entry totals are recomputed from the leaves rather
-/// than trusted from a header.
-pub(crate) fn decode_page_file(file: &PageFile) -> Result<(RStarTree, Vec<u32>), PageError> {
-    let n_pages = file.pages.len();
-    if n_pages == 0 || file.root as usize >= n_pages {
-        return Err(PageError::BadRoot);
-    }
-    let mut tree = RStarTree::with_params(file.params);
-    // The constructor's empty root leaf doubles as the placeholder for
-    // the root page, so the arena ends up with no dead slots.
-    let root_id = tree.root();
-    let mut node_of: Vec<Option<NodeId>> = vec![None; n_pages];
-    node_of[file.root as usize] = Some(root_id);
-    let mut len = 0usize;
-    // (page to decode, its pre-allocated arena slot, level the parent
-    // says it must have — `None` only for the root).
-    let mut stack: Vec<(u32, NodeId, Option<u32>)> = vec![(file.root, root_id, None)];
-    while let Some((page_id, nid, expected_level)) = stack.pop() {
-        let buf = &file.pages[page_id as usize];
-        let tag = buf[0];
-        let mut off = 1usize;
-        let level = get_u32(buf, &mut off);
-        let count = get_u32(buf, &mut off);
-        let mbr = get_rect(buf, &mut off);
-        if expected_level.is_some_and(|exp| exp != level) {
-            return Err(PageError::Invalid("child level is not parent level - 1"));
-        }
-        match tag {
-            0 => {
-                if level != 0 {
-                    return Err(PageError::Invalid("leaf page at nonzero level"));
-                }
-                if count as usize > page_capacity_leaf() {
-                    return Err(PageError::Overflow(count));
-                }
-                let mut entries = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let id = get_u32(buf, &mut off);
-                    let x = get_f64(buf, &mut off);
-                    let y = get_f64(buf, &mut off);
-                    entries.push(Entry::new(id, Point::new(x, y)));
-                }
-                len += entries.len();
-                let mut node = Node::new_leaf();
-                node.kind = NodeKind::Leaf(entries);
-                node.mbr = mbr;
-                *tree.node_mut(nid) = node;
-            }
-            1 => {
-                if level == 0 {
-                    return Err(PageError::Invalid("internal page at level 0"));
-                }
-                if count == 0 {
-                    return Err(PageError::Invalid("internal page with no children"));
-                }
-                if count as usize > page_capacity_internal() {
-                    return Err(PageError::Overflow(count));
-                }
-                let mut branches = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let child_page = get_u32(buf, &mut off);
-                    let child_mbr = get_rect(buf, &mut off);
-                    if child_page as usize >= n_pages {
-                        return Err(PageError::DanglingChild(child_page));
-                    }
-                    if node_of[child_page as usize].is_some() {
-                        return Err(PageError::Cycle(child_page));
-                    }
-                    let child_id = tree.alloc(Node::new_leaf());
-                    node_of[child_page as usize] = Some(child_id);
-                    stack.push((child_page, child_id, Some(level - 1)));
-                    branches.push(Branch {
-                        child: child_id,
-                        mbr: child_mbr,
-                    });
-                }
-                let mut node = Node::new_internal(level);
-                node.kind = NodeKind::Internal(branches);
-                node.mbr = mbr;
-                *tree.node_mut(nid) = node;
-            }
-            t => return Err(PageError::BadTag(t)),
-        }
-    }
-    // Every child is decoded by now: the MBR each parent declared for a
-    // branch must be the child's own header MBR, or routing decisions
-    // made from the parent would diverge from the child's contents.
-    for node in &tree.nodes {
-        if let NodeKind::Internal(branches) = &node.kind {
-            for b in branches {
-                if tree.nodes[b.child.index()].mbr != b.mbr {
-                    return Err(PageError::Invalid("parent-declared child MBR mismatch"));
-                }
-            }
-        }
-    }
-    tree.len = len;
-    let mut page_of = vec![u32::MAX; tree.nodes.len()];
-    for (page, nid) in node_of.iter().enumerate() {
-        if let Some(nid) = nid {
-            page_of[nid.index()] = page as u32;
-        }
-    }
-    Ok((tree, page_of))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::check_invariants;
-    use nwc_geom::{pt, rect};
+    use nwc_geom::pt;
 
     fn sample_tree(n: usize) -> RStarTree {
         let pts: Vec<Point> = (0..n)
@@ -612,33 +360,9 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_queries() {
-        let tree = sample_tree(3000);
-        let file = tree.to_page_file();
-        assert_eq!(file.page_count(), tree.node_count());
-        let back = RStarTree::from_page_file(&file).unwrap();
-        check_invariants(&back).unwrap();
-        assert_eq!(back.len(), tree.len());
-        assert_eq!(back.height(), tree.height());
-        for wq in [
-            rect(0.0, 0.0, 100.0, 100.0),
-            rect(250.0, 250.0, 260.0, 300.0),
-            rect(-5.0, -5.0, 1000.0, 1000.0),
-        ] {
-            let mut a: Vec<u32> = tree.window_query(&wq).iter().map(|e| e.id).collect();
-            let mut b: Vec<u32> = back.window_query(&wq).iter().map(|e| e.id).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn roundtrip_single_leaf() {
-        let tree = sample_tree(5);
-        let back = RStarTree::from_page_file(&tree.to_page_file()).unwrap();
-        assert_eq!(back.len(), 5);
-        check_invariants(&back).unwrap();
+    fn full_pages_leave_the_crc_trailer_free() {
+        assert!(HEADER + page_capacity_leaf() * LEAF_ENTRY <= PAGE_SIZE - 4);
+        assert!(HEADER + page_capacity_internal() * INTERNAL_ENTRY <= PAGE_SIZE - 4);
     }
 
     #[test]
@@ -664,35 +388,19 @@ mod tests {
     }
 
     #[test]
-    fn clustered_layout_roundtrips_and_packs_sibling_leaves() {
+    fn clustered_order_packs_sibling_leaves() {
         let tree = sample_tree(3000);
-        assert!(tree.height() >= 2, "need internal levels to exercise the layout");
-        let file = tree.to_page_file_with_layout(PageLayout::Clustered);
-        assert_eq!(file.layout(), PageLayout::Clustered);
-        assert_eq!(file.page_count(), tree.node_count());
-        assert_eq!(file.root_page(), 0, "pre-order assigns the root page 0");
+        assert!(tree.height() >= 2, "need internal levels to exercise the order");
+        let (root, pages) = tree.encode_pages();
+        assert_eq!(pages.len(), tree.node_count());
+        assert_eq!(root, 0, "pre-order assigns the root page 0");
 
-        let back = RStarTree::from_page_file(&file).unwrap();
-        check_invariants(&back).unwrap();
-        assert_eq!(back.len(), tree.len());
-        assert_eq!(back.height(), tree.height());
-        for wq in [
-            rect(0.0, 0.0, 100.0, 100.0),
-            rect(250.0, 250.0, 260.0, 300.0),
-        ] {
-            let mut a: Vec<u32> = tree.window_query(&wq).iter().map(|e| e.id).collect();
-            let mut b: Vec<u32> = back.window_query(&wq).iter().map(|e| e.id).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
-
-        // The layout's promise: a level-1 node's leaves occupy the
-        // consecutive page-id range right after their parent.
-        let n_pages = file.page_count() as u32;
+        // A level-1 node's leaves occupy the consecutive page-id range
+        // right after their parent.
+        let n_pages = pages.len() as u32;
         let mut level1 = 0;
-        for page in 0..n_pages {
-            let node = decode_node(file.page(page), n_pages).unwrap();
+        for (page, bytes) in (0u32..).zip(&pages) {
+            let node = decode_node(bytes, n_pages).unwrap();
             if node.level != 1 {
                 continue;
             }
@@ -710,58 +418,45 @@ mod tests {
     }
 
     #[test]
-    fn bottom_up_layout_is_unchanged_by_the_layout_seam() {
-        // `to_page_file()` must keep producing the exact legacy bytes.
-        let tree = sample_tree(700);
-        let legacy = tree.to_page_file();
-        assert_eq!(legacy.layout(), PageLayout::BottomUp);
-        let explicit = tree.to_page_file_with_layout(PageLayout::BottomUp);
-        assert_eq!(legacy.root_page(), explicit.root_page());
-        assert_eq!(legacy.page_count(), explicit.page_count());
-        for p in 0..legacy.page_count() as u32 {
-            assert_eq!(legacy.page(p)[..], explicit.page(p)[..], "page {p}");
-        }
-    }
-
-    #[test]
-    fn layout_tags_roundtrip_and_reject_the_future() {
-        for layout in [PageLayout::BottomUp, PageLayout::Clustered] {
-            assert_eq!(PageLayout::from_tag(layout.tag()), Some(layout));
-        }
-        assert_eq!(PageLayout::from_tag(2), None);
-        assert_eq!(PageLayout::from_tag(255), None);
-    }
-
-    #[test]
-    fn corrupted_tag_detected() {
+    fn decoded_pages_match_the_encoded_nodes() {
         let tree = sample_tree(500);
-        let mut file = tree.to_page_file();
-        file.page_mut(file.root_page())[0] = 7;
-        assert_eq!(
-            RStarTree::from_page_file(&file).unwrap_err(),
-            PageError::BadTag(7)
-        );
+        let (root, pages) = tree.encode_pages();
+        let n_pages = pages.len() as u32;
+        let node = decode_node(&pages[root as usize], n_pages).unwrap();
+        assert_eq!(node.level, tree.height() as u32 - 1);
+        assert_eq!(node.mbr, tree.peek_node(tree.root()).mbr);
+        let leaves = pages
+            .iter()
+            .map(|p| decode_node(p, n_pages).unwrap())
+            .filter_map(|n| match n.kind {
+                NodeKind::Leaf(entries) => Some(entries.len()),
+                NodeKind::Internal(_) => None,
+            })
+            .sum::<usize>();
+        assert_eq!(leaves, tree.len());
     }
 
     #[test]
-    fn corrupted_count_detected() {
+    fn corrupted_tag_and_count_detected() {
         let tree = sample_tree(500);
-        let mut file = tree.to_page_file();
-        let root = file.root_page();
+        let (root, pages) = tree.encode_pages();
+        let n_pages = pages.len() as u32;
+        let mut bad = pages[root as usize];
+        bad[0] = 7;
+        assert_eq!(decode_node(&bad, n_pages).unwrap_err(), PageError::BadTag(7));
+        let mut bad = pages[root as usize];
         // Overwrite the entry count with an impossible value.
-        file.page_mut(root)[5..9].copy_from_slice(&10_000u32.to_le_bytes());
-        assert!(matches!(
-            RStarTree::from_page_file(&file).unwrap_err(),
-            PageError::Overflow(10_000)
-        ));
+        bad[5..9].copy_from_slice(&10_000u32.to_le_bytes());
+        assert_eq!(decode_node(&bad, n_pages).unwrap_err(), PageError::Overflow(10_000));
     }
 
     #[test]
-    fn file_size_accounting() {
-        let tree = sample_tree(3000);
-        let file = tree.to_page_file();
-        assert_eq!(file.bytes(), file.page_count() * PAGE_SIZE);
-        // ~3000 points at 50/leaf ⇒ ~62 pages ≈ 254 KB.
-        assert!(file.page_count() >= 60 && file.page_count() <= 75);
+    fn short_buffers_are_typed_errors() {
+        let tree = sample_tree(500);
+        let (root, pages) = tree.encode_pages();
+        let page = &pages[root as usize];
+        for len in [0, 1, 20, HEADER, HEADER + 10] {
+            assert_eq!(decode_node(&page[..len], 1000).unwrap_err(), SHORT_PAGE, "len {len}");
+        }
     }
 }

@@ -10,11 +10,10 @@ use std::ops::Deref;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TreeError {
     /// The tree is disk-backed over a store with no write path (a
-    /// version-1 page file, a read-only backend, or a file opened
-    /// without write permission): mutating the cached nodes would
-    /// silently diverge from the page file. Save a writable file with
-    /// [`RStarTree::save_to_path_writable`] and reopen it, or rebuild
-    /// in memory.
+    /// read-only backend, or a page file opened without write
+    /// permission): mutating the cached nodes would silently diverge
+    /// from the page file. Reopen the file with write permission, or
+    /// rebuild in memory.
     ReadOnly,
     /// A disk-backed page read failed after open (retry budget
     /// exhausted, corruption, or a quarantined page). Returned by the
@@ -32,8 +31,8 @@ impl std::fmt::Display for TreeError {
         match self {
             TreeError::ReadOnly => write!(
                 f,
-                "disk-backed tree is read-only (reopen from a writable page file \
-                 written by save_to_path_writable to mutate it)"
+                "disk-backed tree is read-only (its page store has no write path; \
+                 reopen the page file with write permission to mutate it)"
             ),
             TreeError::Io(e) => write!(f, "disk read failed: {e}"),
             TreeError::Cancelled(kind) => write!(f, "traversal cancelled: {kind}"),

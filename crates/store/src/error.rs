@@ -50,9 +50,15 @@ pub enum StoreError {
     /// The store holds no pages (a page file must at least hold a root).
     Empty,
     /// A write, grow, or commit was attempted on a store without a
-    /// write path: a read-only backend, a version-1 page file, or a
-    /// version-2 file opened without write permission.
+    /// write path: a read-only backend, or a page file opened without
+    /// write permission.
     ReadOnly,
+    /// The store would hold more pages than its `u32` page ids can
+    /// number.
+    TooManyPages,
+    /// A read or write buffer was not a whole number of pages (one
+    /// page for single-page reads and writes); carries its length.
+    BadBufferSize(usize),
     /// Another live process holds the advisory lock on this page file:
     /// opening (or re-creating) it now could corrupt a reader. The lock
     /// is a `<name>.lock` sibling; a crashed holder's stale lock is
@@ -86,8 +92,13 @@ impl std::fmt::Display for StoreError {
             StoreError::Empty => write!(f, "page store holds no pages"),
             StoreError::ReadOnly => write!(
                 f,
-                "page store is read-only (no write path on this backend or file version)"
+                "page store is read-only (a read-only backend, or a page file opened \
+                 without write permission)"
             ),
+            StoreError::TooManyPages => write!(f, "page count overflows u32 page ids"),
+            StoreError::BadBufferSize(len) => {
+                write!(f, "buffer of {len} bytes is not a whole number of pages")
+            }
             StoreError::Locked { lock_path } => {
                 write!(
                     f,

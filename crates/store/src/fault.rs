@@ -393,59 +393,6 @@ impl<S: PageStore> PageStore for FaultStore<S> {
         self.read_with_faults(page, buf, |s, p, b| s.read_page_uncounted(p, b))
     }
 
-    fn read_run_uncounted(&self, first: u32, buf: &mut [u8]) -> Result<(), StoreError> {
-        // One decision for the whole run, salted by its first page; a
-        // permanent page anywhere in the run fails it.
-        assert_eq!(buf.len() % PAGE_SIZE, 0, "run buffer must be whole pages");
-        let count = (buf.len() / PAGE_SIZE) as u32;
-        self.delay();
-        {
-            let st = self.lock_state();
-            for page in first..first.saturating_add(count) {
-                if st.permanent.contains(&page) {
-                    drop(st);
-                    self.permanent.fetch_add(1, Ordering::Relaxed);
-                    return Err(StoreError::Io(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("injected permanent fault reading page {page}"),
-                    )));
-                }
-            }
-        }
-        match self.decide(first) {
-            Injection::Transient | Injection::Torn => {
-                self.transient.fetch_add(1, Ordering::Relaxed);
-                Err(StoreError::Io(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    format!("injected transient fault reading run at page {first}"),
-                )))
-            }
-            Injection::Permanent => {
-                self.permanent.fetch_add(1, Ordering::Relaxed);
-                Err(StoreError::Io(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("injected permanent fault reading page {first}"),
-                )))
-            }
-            Injection::None => {
-                self.inner.read_run_uncounted(first, buf)?;
-                let rotted: Vec<u32> = {
-                    let st = self.lock_state();
-                    (0..count)
-                        .map(|i| first + i)
-                        .filter(|p| st.bitrot.contains(p))
-                        .collect()
-                };
-                for page in rotted {
-                    self.bitrot.fetch_add(1, Ordering::Relaxed);
-                    let off = (page - first) as usize * PAGE_SIZE;
-                    buf[off] ^= 0x40;
-                }
-                Ok(())
-            }
-        }
-    }
-
     fn physical_reads(&self) -> u64 {
         self.inner.physical_reads()
     }
@@ -589,22 +536,6 @@ mod tests {
         assert_eq!(buf[..PAGE_SIZE / 2], clean[..PAGE_SIZE / 2], "prefix real");
         assert!(buf[PAGE_SIZE / 2..].iter().all(|&b| b == 0), "tail short");
         assert_eq!(fs.stats().torn, 1);
-    }
-
-    #[test]
-    fn runs_respect_permanent_and_bitrot_scripts() {
-        let fs = FaultStore::new(mem(6), FaultPlan::default());
-        let mut buf = vec![0u8; 3 * PAGE_SIZE];
-        fs.read_run_uncounted(1, &mut buf).unwrap();
-        fs.rot_page(2);
-        fs.read_run_uncounted(1, &mut buf).unwrap();
-        let clean = sample_pages(6)[2];
-        assert_eq!(buf[PAGE_SIZE], clean[0] ^ 0x40);
-        fs.fail_page_permanently(3);
-        assert!(fs.read_run_uncounted(1, &mut buf).is_err());
-        assert_eq!(fs.stats().permanent, 1);
-        fs.clear_faults();
-        fs.read_run_uncounted(1, &mut buf).unwrap();
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   reads, sync. Two implementations:
 //!   - [`MemStore`] — pages in a `Vec`; for tests and corruption
 //!     injection.
-//!   - [`FileStore`] — a real on-disk page file with a magic/version
-//!     header and a per-page CRC-32 checksum table; corrupt or
-//!     truncated files are rejected with typed [`StoreError`]s, never
-//!     panics.
+//!   - [`FileStore`] — a real on-disk page file with two checksummed
+//!     header slots and a CRC-32 embedded in every page, mutated by
+//!     shadow-paged commits; corrupt or truncated files are rejected
+//!     with typed [`StoreError`]s, never panics.
 //! - [`FaultStore`] — a seeded, scriptable fault-injection wrapper over
 //!   any backend (transient errors, dead pages, bit-rot, torn reads,
 //!   latency) with exact injected-fault counters, plus [`RetryPolicy`]:

@@ -7,32 +7,14 @@
 //! every physical read is an actual `read` syscall verified against a
 //! checksum recorded at write time.
 //!
-//! # Read-only file layout (version 1, little-endian)
+//! # File layout (version 2, little-endian)
 //!
-//! ```text
-//! offset            size              field
-//! 0                 4096              header page:
-//!   0                 8                 magic  b"NWCPAGE\x01"
-//!   8                 4                 format version (1)
-//!   12                4                 page size (4096)
-//!   16                4                 page count
-//!   20                4                 root page id
-//!   24                32                user metadata (4 × u64, opaque)
-//!   56                4                 CRC-32 of the checksum table
-//!   60                4                 CRC-32 of header bytes 0..60
-//! 4096              ⌈count·4 / 4096⌉·4096   checksum table (u32 per page)
-//! …                 count · 4096      data pages
-//! ```
-//!
-//! # Writable file layout (version 2, little-endian)
-//!
-//! Version 2 supports in-place mutation with **copy-on-write shadow
-//! paging**: dirty pages are always written to freshly allocated page
-//! ids (never over a page reachable from the committed root), and a
-//! commit is an atomic root flip between two ping-pong header slots.
-//! The central checksum table of version 1 cannot be updated atomically
-//! alongside the root flip, so version 2 embeds each page's CRC-32 in
-//! the page itself instead.
+//! Every page file supports in-place mutation with **copy-on-write
+//! shadow paging**: dirty pages are always written to freshly allocated
+//! page ids (never over a page reachable from the committed root), and
+//! a commit is an atomic root flip between two ping-pong header slots.
+//! Each page embeds its own CRC-32, so no central table has to change
+//! alongside the flip.
 //!
 //! ```text
 //! offset            size              field
@@ -66,6 +48,11 @@
 //! exactly the old or the new tree — the same all-or-nothing discipline
 //! [`FileStore::create`]'s staged rename gives whole-file saves.
 //!
+//! Version 1 (a read-only format with one header page and a central
+//! checksum table) is no longer read: [`FileStore::open`] refuses it
+//! with [`StoreError::BadVersion`]`(1)`. Re-save such a file from its
+//! source data.
+//!
 //! Data pages start on a page-aligned offset, so the operating system's
 //! own page cache and read-ahead behave as they would for any database
 //! file.
@@ -80,22 +67,22 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const MAGIC: [u8; 8] = *b"NWCPAGE\x01";
-const VERSION: u32 = 1;
-const VERSION_WRITABLE: u32 = 2;
-const HEADER_LEN: usize = 64;
-/// Bytes of a version-2 header slot that carry content (the rest of the
-/// slot's page is padding): 64 header bytes + 4 CRC bytes.
+const VERSION: u32 = 2;
+/// Bytes of a header slot that carry content (the rest of the slot's
+/// page is padding): 64 header bytes + 4 CRC bytes.
 const SLOT_LEN: usize = 68;
-/// Per-page payload bytes in a version-2 file (the final 4 bytes hold
-/// the page's embedded CRC-32).
+/// Per-page payload bytes (the final 4 bytes hold the page's embedded
+/// CRC-32).
 const PAGE_PAYLOAD: usize = PAGE_SIZE - 4;
+/// Byte offset of data page 0: after the two header slots.
+const DATA_OFFSET: u64 = 2 * PAGE_SIZE as u64;
 
 /// Metadata describing a page store: its shape plus 32 opaque bytes for
 /// the client (the R\*-tree packs its `TreeParams` and length there —
 /// the store itself never interprets them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreMeta {
-    /// Size of every page, bytes. Always [`PAGE_SIZE`] in version 1.
+    /// Size of every page, bytes. Always [`PAGE_SIZE`].
     pub page_size: u32,
     /// Number of pages in the store.
     pub page_count: u32,
@@ -133,6 +120,31 @@ impl StoreMeta {
     }
 }
 
+/// The page count of `pages`, or [`StoreError::TooManyPages`] when it
+/// does not fit the format's `u32` page ids.
+fn page_count_of<T>(pages: &[T]) -> Result<u32, StoreError> {
+    u32::try_from(pages.len()).map_err(|_| StoreError::TooManyPages)
+}
+
+/// Rejects a page buffer that is not exactly one page long.
+fn check_page_buf(len: usize) -> Result<(), StoreError> {
+    if len == PAGE_SIZE {
+        Ok(())
+    } else {
+        Err(StoreError::BadBufferSize(len))
+    }
+}
+
+/// The little-endian `u32` at `buf[at..at + 4]`; `None` past the end.
+fn le_u32(buf: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?))
+}
+
+/// The little-endian `u64` at `buf[at..at + 8]`; `None` past the end.
+fn le_u64(buf: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
+}
+
 /// A read-only array of fixed-size pages with metadata.
 ///
 /// Implementations are `Send + Sync`: queries run from many threads at
@@ -156,15 +168,18 @@ pub trait PageStore: Send + Sync {
     /// Reads `buf.len() / PAGE_SIZE` consecutive pages starting at
     /// `first` into `buf` — a batched bookkeeping read. Like
     /// [`PageStore::read_page_uncounted`] this is **not** charged to the
-    /// physical-read counter, which keeps meaning "reads the queries
-    /// forced". The tree's query path never calls it. `buf` must be a
-    /// whole number of pages. The default implementation loops
-    /// single-page reads; backends with a cheaper batched path (one
-    /// seek + one contiguous read for [`FileStore`]) override it.
+    /// physical-read counter. No library code calls it; it loops
+    /// single-page reads. `buf` must be a whole number of pages.
     fn read_run_uncounted(&self, first: u32, buf: &mut [u8]) -> Result<(), StoreError> {
-        assert_eq!(buf.len() % PAGE_SIZE, 0, "run buffer must be whole pages");
+        if !buf.len().is_multiple_of(PAGE_SIZE) {
+            return Err(StoreError::BadBufferSize(buf.len()));
+        }
         for (i, chunk) in buf.chunks_mut(PAGE_SIZE).enumerate() {
-            self.read_page_uncounted(first + i as u32, chunk)?;
+            let page = u32::try_from(i)
+                .ok()
+                .and_then(|i| first.checked_add(i))
+                .ok_or(StoreError::TooManyPages)?;
+            self.read_page_uncounted(page, chunk)?;
         }
         Ok(())
     }
@@ -190,8 +205,8 @@ pub trait PageStore: Send + Sync {
     /// Writes `buf` (exactly [`PAGE_SIZE`] bytes) to page `page`.
     ///
     /// The final 4 bytes of every page are reserved for backend
-    /// integrity metadata (the embedded CRC-32 of a writable
-    /// [`FileStore`]); callers must leave them zero. The write is
+    /// integrity metadata (the embedded CRC-32 of a [`FileStore`]);
+    /// callers must leave them zero. The write is
     /// **not** durable until [`PageStore::commit`]; shadow-paging
     /// callers only ever write pages unreachable from the committed
     /// root, so a crash before commit cannot corrupt committed state.
@@ -230,10 +245,6 @@ impl<S: PageStore + ?Sized> PageStore for Arc<S> {
 
     fn read_page_uncounted(&self, page: u32, buf: &mut [u8]) -> Result<(), StoreError> {
         (**self).read_page_uncounted(page, buf)
-    }
-
-    fn read_run_uncounted(&self, first: u32, buf: &mut [u8]) -> Result<(), StoreError> {
-        (**self).read_run_uncounted(first, buf)
     }
 
     fn physical_reads(&self) -> u64 {
@@ -288,6 +299,13 @@ struct MemState {
     pages: Vec<[u8; PAGE_SIZE]>,
 }
 
+impl MemState {
+    fn page_count(&self) -> u32 {
+        // `new` and `grow` keep the page count within `u32`.
+        self.pages.len() as u32
+    }
+}
+
 impl MemStore {
     /// Builds a read-only store over `pages` rooted at `root_page`.
     pub fn new(
@@ -295,11 +313,7 @@ impl MemStore {
         root_page: u32,
         user: [u64; 4],
     ) -> Result<MemStore, StoreError> {
-        let meta = StoreMeta::new(
-            u32::try_from(pages.len()).expect("page count overflows u32"),
-            root_page,
-            user,
-        );
+        let meta = StoreMeta::new(page_count_of(&pages)?, root_page, user);
         meta.validate()?;
         Ok(MemStore {
             state: Mutex::new(MemState { meta, pages }),
@@ -325,13 +339,14 @@ impl MemStore {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Mutable access to one page, for corruption-injection in tests.
-    pub fn page_mut(&mut self, page: u32) -> &mut [u8; PAGE_SIZE] {
+    /// Mutable access to one page, for corruption-injection in tests;
+    /// `None` past the last page.
+    pub fn page_mut(&mut self, page: u32) -> Option<&mut [u8; PAGE_SIZE]> {
         let state = self
             .state
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        &mut state.pages[page as usize]
+        state.pages.get_mut(page as usize)
     }
 }
 
@@ -347,14 +362,14 @@ impl PageStore for MemStore {
     }
 
     fn read_page_uncounted(&self, page: u32, buf: &mut [u8]) -> Result<(), StoreError> {
-        assert_eq!(buf.len(), PAGE_SIZE, "read buffer must be one page");
+        check_page_buf(buf.len())?;
         let state = self.lock_state();
         let src = state
             .pages
             .get(page as usize)
             .ok_or(StoreError::PageOutOfRange {
                 page,
-                page_count: state.pages.len() as u32,
+                page_count: state.page_count(),
             })?;
         buf.copy_from_slice(src);
         Ok(())
@@ -380,16 +395,13 @@ impl PageStore for MemStore {
         if !self.writable {
             return Err(StoreError::ReadOnly);
         }
-        assert_eq!(buf.len(), PAGE_SIZE, "write buffer must be one page");
+        check_page_buf(buf.len())?;
         let mut state = self.lock_state();
-        let count = state.pages.len() as u32;
+        let page_count = state.page_count();
         let dst = state
             .pages
             .get_mut(page as usize)
-            .ok_or(StoreError::PageOutOfRange {
-                page,
-                page_count: count,
-            })?;
+            .ok_or(StoreError::PageOutOfRange { page, page_count })?;
         dst.copy_from_slice(buf);
         Ok(())
     }
@@ -399,9 +411,11 @@ impl PageStore for MemStore {
             return Err(StoreError::ReadOnly);
         }
         let mut state = self.lock_state();
-        let first = state.pages.len() as u32;
-        let new_len = state.pages.len() + additional as usize;
-        state.pages.resize(new_len, [0u8; PAGE_SIZE]);
+        let first = state.page_count();
+        let total = first
+            .checked_add(additional)
+            .ok_or(StoreError::TooManyPages)?;
+        state.pages.resize(total as usize, [0u8; PAGE_SIZE]);
         Ok(first)
     }
 
@@ -410,7 +424,7 @@ impl PageStore for MemStore {
             return Err(StoreError::ReadOnly);
         }
         let mut state = self.lock_state();
-        let meta = StoreMeta::new(state.pages.len() as u32, root_page, user);
+        let meta = StoreMeta::new(state.page_count(), root_page, user);
         meta.validate()?;
         state.meta = meta;
         Ok(())
@@ -421,68 +435,39 @@ impl PageStore for MemStore {
 // FileStore
 // ---------------------------------------------------------------------
 
-/// An on-disk [`PageStore`]: a page file with a checksummed header and a
-/// CRC-32 per page (see the module docs for the two layouts). Open with
-/// [`FileStore::open`] (which detects the format), create a read-only
-/// version-1 file with [`FileStore::create`] or a writable
-/// shadow-paging version-2 file with [`FileStore::create_writable`].
+/// An on-disk [`PageStore`]: a page file with two checksummed header
+/// slots and a CRC-32 embedded in every page (see the module docs).
+/// Create one with [`FileStore::create`], open one with
+/// [`FileStore::open`]. A file opened with write permission accepts
+/// shadow-paged writes and commits; without it the store is read-only.
 pub struct FileStore {
     // The pool serializes loads anyway, so a mutex (portable) costs no
     // extra contention over platform positioned-read APIs.
     file: Mutex<File>,
     /// Committed metadata: what a crash-reopen would observe.
     meta: Mutex<StoreMeta>,
-    /// Committed commit generation (version 2; 0 for version 1).
+    /// Committed commit generation.
     generation: AtomicU64,
     /// Total pages in the file, **including** grown-but-uncommitted
     /// ones — the bound for reads and writes. Equals the committed
     /// page count except between a [`FileStore::grow`] and the next
     /// commit.
     pages_total: AtomicU32,
-    /// Version 1 only: the central CRC-32 table loaded and verified at
-    /// open. Empty for version 2, where each page embeds its own CRC.
-    checksums: Vec<u32>,
-    /// On-disk format version (1 = read-only, 2 = writable).
-    version: u32,
-    /// Byte offset of data page 0.
-    data_offset: u64,
-    /// Whether the write path is available: a version-2 file opened
-    /// with write permission.
+    /// Whether the write path is available: the file was opened with
+    /// write permission.
     writable: bool,
     reads: AtomicU64,
     /// Advisory path lock, released when the store drops.
     _lock: PathLock,
 }
 
-/// Bytes occupied by the checksum table, padded to whole pages.
-fn table_bytes(page_count: u32) -> u64 {
-    let raw = page_count as u64 * 4;
-    raw.div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64
-}
-
-fn encode_header(meta: &StoreMeta, table_crc: u32) -> [u8; PAGE_SIZE] {
+/// Encodes one header slot (a full page, content in the first
+/// [`SLOT_LEN`] bytes). Generation `g` always lands in slot
+/// `(g + 1) % 2`.
+fn encode_header(meta: &StoreMeta, generation: u64) -> [u8; PAGE_SIZE] {
     let mut h = [0u8; PAGE_SIZE];
     h[0..8].copy_from_slice(&MAGIC);
     h[8..12].copy_from_slice(&VERSION.to_le_bytes());
-    h[12..16].copy_from_slice(&meta.page_size.to_le_bytes());
-    h[16..20].copy_from_slice(&meta.page_count.to_le_bytes());
-    h[20..24].copy_from_slice(&meta.root_page.to_le_bytes());
-    for (i, w) in meta.user.iter().enumerate() {
-        h[24 + i * 8..32 + i * 8].copy_from_slice(&w.to_le_bytes());
-    }
-    h[56..60].copy_from_slice(&table_crc.to_le_bytes());
-    let header_crc = crc32(&h[0..60]);
-    h[60..64].copy_from_slice(&header_crc.to_le_bytes());
-    h
-}
-
-/// Encodes one version-2 header slot (a full page, content in the first
-/// [`SLOT_LEN`] bytes). Generation `g` always lands in slot
-/// `(g + 1) % 2`.
-fn encode_header_v2(meta: &StoreMeta, generation: u64) -> [u8; PAGE_SIZE] {
-    let mut h = [0u8; PAGE_SIZE];
-    h[0..8].copy_from_slice(&MAGIC);
-    h[8..12].copy_from_slice(&VERSION_WRITABLE.to_le_bytes());
     h[12..16].copy_from_slice(&meta.page_size.to_le_bytes());
     h[16..20].copy_from_slice(&meta.page_count.to_le_bytes());
     h[20..24].copy_from_slice(&meta.root_page.to_le_bytes());
@@ -495,49 +480,47 @@ fn encode_header_v2(meta: &StoreMeta, generation: u64) -> [u8; PAGE_SIZE] {
     h
 }
 
-/// The file offset of version-2 header slot `(generation + 1) % 2`.
-fn v2_slot_offset(generation: u64) -> u64 {
+/// The file offset of header slot `(generation + 1) % 2`.
+fn slot_offset(generation: u64) -> u64 {
     ((generation + 1) % 2) * PAGE_SIZE as u64
 }
 
-/// Decodes `buf` as a version-2 header slot; `None` when the magic,
-/// checksum, version, or metadata is invalid (a torn or never-written
-/// slot — the caller falls back to the sibling slot).
-fn parse_v2_slot(buf: &[u8]) -> Option<(StoreMeta, u64)> {
-    if buf.len() < SLOT_LEN || buf[0..8] != MAGIC {
+/// Decodes `buf` as a header slot; `None` when the magic, checksum,
+/// version, or metadata is invalid (a torn or never-written slot — the
+/// caller falls back to the sibling slot).
+fn parse_slot(buf: &[u8]) -> Option<(StoreMeta, u64)> {
+    if buf.get(0..8)? != MAGIC {
         return None;
     }
-    let stored_crc = u32::from_le_bytes(buf[64..68].try_into().unwrap());
-    if crc32(&buf[0..64]) != stored_crc {
+    if crc32(buf.get(0..64)?) != le_u32(buf, 64)? || le_u32(buf, 8)? != VERSION {
         return None;
     }
-    if u32::from_le_bytes(buf[8..12].try_into().unwrap()) != VERSION_WRITABLE {
-        return None;
+    let mut user = [0u64; 4];
+    for (i, w) in user.iter_mut().enumerate() {
+        *w = le_u64(buf, 24 + i * 8)?;
     }
     let meta = StoreMeta {
-        page_size: u32::from_le_bytes(buf[12..16].try_into().unwrap()),
-        page_count: u32::from_le_bytes(buf[16..20].try_into().unwrap()),
-        root_page: u32::from_le_bytes(buf[20..24].try_into().unwrap()),
-        user: {
-            let mut user = [0u64; 4];
-            for (i, w) in user.iter_mut().enumerate() {
-                *w = u64::from_le_bytes(buf[24 + i * 8..32 + i * 8].try_into().unwrap());
-            }
-            user
-        },
+        page_size: le_u32(buf, 12)?,
+        page_count: le_u32(buf, 16)?,
+        root_page: le_u32(buf, 20)?,
+        user,
     };
     meta.validate().ok()?;
-    let generation = u64::from_le_bytes(buf[56..64].try_into().unwrap());
-    Some((meta, generation))
+    Some((meta, le_u64(buf, 56)?))
 }
 
-/// Stamps the embedded CRC-32 trailer onto a copy of `page` (version-2
-/// page image). The payload region is everything before the trailer.
+/// Stamps the embedded CRC-32 trailer onto a copy of `page`. The
+/// payload region is everything before the trailer.
 fn stamp_page_crc(page: &[u8; PAGE_SIZE]) -> [u8; PAGE_SIZE] {
     let mut stamped = *page;
     let crc = crc32(&stamped[..PAGE_PAYLOAD]);
     stamped[PAGE_PAYLOAD..].copy_from_slice(&crc.to_le_bytes());
     stamped
+}
+
+/// Byte offset of data page `page`.
+fn page_offset(page: u32) -> u64 {
+    DATA_OFFSET + page as u64 * PAGE_SIZE as u64
 }
 
 /// The sibling temp path `create` stages its writes in: `<name>.tmp`
@@ -650,7 +633,7 @@ fn fsync_parent_dir(path: &Path) -> std::io::Result<()> {
 
 impl FileStore {
     /// Writes a new page file at `path` (replacing any existing file)
-    /// and returns the opened store.
+    /// and returns the opened, writable store.
     ///
     /// The replacement is **all-or-nothing**: bytes are staged in a
     /// sibling `<name>.tmp`, fsynced, then atomically renamed over
@@ -658,6 +641,9 @@ impl FileStore {
     /// is durable. A crash at any point leaves either the old file or
     /// the new one — never a truncated hybrid — plus at worst a stray
     /// temp file that [`FileStore::open`] cleans up.
+    ///
+    /// Each page's final 4 bytes are overwritten with its embedded
+    /// CRC-32 trailer, so callers must leave them zero.
     ///
     /// The path's advisory lock is taken first and held until the
     /// returned store drops: while another process has the file open
@@ -670,81 +656,11 @@ impl FileStore {
         pages: &[[u8; PAGE_SIZE]],
     ) -> Result<FileStore, StoreError> {
         let lock = PathLock::acquire(path)?;
-        let meta = StoreMeta::new(
-            u32::try_from(pages.len()).expect("page count overflows u32"),
-            root_page,
-            user,
-        );
-        meta.validate()?;
-
-        let checksums: Vec<u32> = pages.iter().map(|p| crc32(p)).collect();
-        let mut table = vec![0u8; table_bytes(meta.page_count) as usize];
-        for (i, c) in checksums.iter().enumerate() {
-            table[i * 4..i * 4 + 4].copy_from_slice(&c.to_le_bytes());
-        }
-        let table_crc = crc32(&table);
-
-        let tmp = tmp_sibling(path);
-        let write_and_swap = |tmp: &Path| -> Result<File, StoreError> {
-            let mut file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(tmp)?;
-            file.write_all(&encode_header(&meta, table_crc))?;
-            file.write_all(&table)?;
-            for p in pages {
-                file.write_all(p)?;
-            }
-            file.sync_all()?;
-            // The handle stays valid across the rename (same inode).
-            fs::rename(tmp, path)?;
-            fsync_parent_dir(path)?;
-            Ok(file)
-        };
-        let file = write_and_swap(&tmp).inspect_err(|_| {
-            // Failed mid-stage: the target is untouched; drop the
-            // half-written temp file if one was created.
-            fs::remove_file(&tmp).ok();
-        })?;
-
-        Ok(FileStore {
-            file: Mutex::new(file),
-            meta: Mutex::new(meta),
-            generation: AtomicU64::new(0),
-            pages_total: AtomicU32::new(meta.page_count),
-            checksums,
-            version: VERSION,
-            data_offset: PAGE_SIZE as u64 + table_bytes(meta.page_count),
-            writable: false,
-            reads: AtomicU64::new(0),
-            _lock: lock,
-        })
-    }
-
-    /// Writes a new **writable** (version 2, shadow-paging) page file at
-    /// `path` and returns the opened store, with the same staged-rename
-    /// all-or-nothing discipline as [`FileStore::create`].
-    ///
-    /// Each page's final 4 bytes are overwritten with its embedded
-    /// CRC-32 trailer, so callers must leave them zero.
-    pub fn create_writable(
-        path: &Path,
-        root_page: u32,
-        user: [u64; 4],
-        pages: &[[u8; PAGE_SIZE]],
-    ) -> Result<FileStore, StoreError> {
-        let lock = PathLock::acquire(path)?;
-        let meta = StoreMeta::new(
-            u32::try_from(pages.len()).expect("page count overflows u32"),
-            root_page,
-            user,
-        );
+        let meta = StoreMeta::new(page_count_of(pages)?, root_page, user);
         meta.validate()?;
         let generation = 1u64;
-        debug_assert_eq!(v2_slot_offset(generation), 0, "first commit lives in slot 0");
-        let header = encode_header_v2(&meta, generation);
+        debug_assert_eq!(slot_offset(generation), 0, "first commit lives in slot 0");
+        let header = encode_header(&meta, generation);
 
         let tmp = tmp_sibling(path);
         let write_and_swap = |tmp: &Path| -> Result<File, StoreError> {
@@ -772,6 +688,8 @@ impl FileStore {
             Ok(file)
         };
         let file = write_and_swap(&tmp).inspect_err(|_| {
+            // Failed mid-stage: the target is untouched; drop the
+            // half-written temp file if one was created.
             fs::remove_file(&tmp).ok();
         })?;
 
@@ -780,9 +698,6 @@ impl FileStore {
             meta: Mutex::new(meta),
             generation: AtomicU64::new(generation),
             pages_total: AtomicU32::new(meta.page_count),
-            checksums: Vec::new(),
-            version: VERSION_WRITABLE,
-            data_offset: 2 * PAGE_SIZE as u64,
             writable: true,
             reads: AtomicU64::new(0),
             _lock: lock,
@@ -790,16 +705,16 @@ impl FileStore {
     }
 
     /// Opens an existing page file, validating the magic, version, page
-    /// size, header checksum(s), root page, file length, and page
-    /// checksums' anchor (the central table for version 1; version 2
-    /// verifies its embedded per-page trailers on demand). Corrupt
-    /// files are rejected with a typed [`StoreError`].
+    /// size, header slot checksums, root page and file length. Page
+    /// checksums are verified on each read. Corrupt files are rejected
+    /// with a typed [`StoreError`]; a version-1 file with
+    /// [`StoreError::BadVersion`]`(1)`.
     ///
-    /// The format is detected from the header: version-1 files open
-    /// read-only, version-2 files open writable when the filesystem
-    /// permits (falling back to read-only otherwise). A version-2 file
-    /// whose most recent header slot was torn by a crash falls back to
-    /// the sibling slot — the previous committed state.
+    /// The file opens writable when the filesystem permits (read-only
+    /// otherwise). A file whose most recent header slot was torn by a
+    /// crash falls back to the sibling slot — the previous committed
+    /// state — and pages grown by a crashed, never-committed batch are
+    /// trimmed.
     ///
     /// Holds the path's advisory lock for the store's lifetime, so a
     /// concurrent [`FileStore::create`] cannot rewrite the file under
@@ -819,104 +734,26 @@ impl FileStore {
         };
         let slot0 = read_slot(&mut file, 0);
         let slot1 = read_slot(&mut file, PAGE_SIZE as u64);
-
-        let Some(header) = slot0.filter(|s| s[0..8] == MAGIC) else {
-            // No valid magic at offset 0: either not a page file at
-            // all, or a version-2 file whose slot 0 was torn mid-write
-            // — the sibling slot still holds a committed state.
-            if let Some((meta, generation)) = slot1.and_then(|s| parse_v2_slot(&s)) {
-                return FileStore::open_v2(path, file, meta, generation, lock);
-            }
-            return Err(StoreError::BadMagic);
-        };
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version == VERSION {
-            return FileStore::open_v1(file, &header[..HEADER_LEN], lock);
-        }
-        // Version 2 (or a torn version field): pick the valid slot with
-        // the highest generation.
+        // Pick the valid slot with the highest generation. Slot 0 may
+        // have been torn mid-write while slot 1 still holds a committed
+        // state.
         let best = [slot0, slot1]
             .into_iter()
             .flatten()
-            .filter_map(|s| parse_v2_slot(&s))
+            .filter_map(|s| parse_slot(&s))
             .max_by_key(|&(_, generation)| generation);
-        match best {
-            Some((meta, generation)) => FileStore::open_v2(path, file, meta, generation, lock),
-            None if version == VERSION_WRITABLE => Err(StoreError::HeaderChecksum),
-            None => Err(StoreError::BadVersion(version)),
-        }
-    }
-
-    /// Version-1 open: validate the header CRC and the central checksum
-    /// table, then serve reads from the read-only handle.
-    fn open_v1(
-        mut file: File,
-        header: &[u8],
-        lock: PathLock,
-    ) -> Result<FileStore, StoreError> {
-        let stored_crc = u32::from_le_bytes(header[60..64].try_into().unwrap());
-        if crc32(&header[0..60]) != stored_crc {
-            return Err(StoreError::HeaderChecksum);
-        }
-        let meta = StoreMeta {
-            page_size: u32::from_le_bytes(header[12..16].try_into().unwrap()),
-            page_count: u32::from_le_bytes(header[16..20].try_into().unwrap()),
-            root_page: u32::from_le_bytes(header[20..24].try_into().unwrap()),
-            user: {
-                let mut user = [0u64; 4];
-                for (i, w) in user.iter_mut().enumerate() {
-                    *w = u64::from_le_bytes(header[24 + i * 8..32 + i * 8].try_into().unwrap());
-                }
-                user
-            },
+        let Some((meta, generation)) = best else {
+            // Neither slot is valid: say why, from slot 0's own bytes.
+            return Err(match slot0.filter(|s| s[0..8] == MAGIC) {
+                None => StoreError::BadMagic,
+                Some(s) => match le_u32(&s, 8) {
+                    Some(VERSION) => StoreError::HeaderChecksum,
+                    other => StoreError::BadVersion(other.unwrap_or(0)),
+                },
+            });
         };
-        meta.validate()?;
 
-        let data_offset = PAGE_SIZE as u64 + table_bytes(meta.page_count);
-        let expected = data_offset + meta.page_count as u64 * PAGE_SIZE as u64;
-        let actual = file.metadata()?.len();
-        if actual < expected {
-            return Err(StoreError::Truncated { expected, actual });
-        }
-
-        let mut table = vec![0u8; table_bytes(meta.page_count) as usize];
-        file.seek(SeekFrom::Start(PAGE_SIZE as u64))?;
-        file.read_exact(&mut table)?;
-        let table_crc = u32::from_le_bytes(header[56..60].try_into().unwrap());
-        if crc32(&table) != table_crc {
-            return Err(StoreError::HeaderChecksum);
-        }
-        let checksums: Vec<u32> = (0..meta.page_count as usize)
-            .map(|i| u32::from_le_bytes(table[i * 4..i * 4 + 4].try_into().unwrap()))
-            .collect();
-
-        Ok(FileStore {
-            file: Mutex::new(file),
-            meta: Mutex::new(meta),
-            generation: AtomicU64::new(0),
-            pages_total: AtomicU32::new(meta.page_count),
-            checksums,
-            version: VERSION,
-            data_offset,
-            writable: false,
-            reads: AtomicU64::new(0),
-            _lock: lock,
-        })
-    }
-
-    /// Version-2 open from an already-selected committed header slot:
-    /// check the file extent, reopen with write permission when
-    /// available, and trim crash garbage (grown-but-uncommitted tail
-    /// pages) back to the committed extent.
-    fn open_v2(
-        path: &Path,
-        file: File,
-        meta: StoreMeta,
-        generation: u64,
-        lock: PathLock,
-    ) -> Result<FileStore, StoreError> {
-        let data_offset = 2 * PAGE_SIZE as u64;
-        let expected = data_offset + meta.page_count as u64 * PAGE_SIZE as u64;
+        let expected = page_offset(meta.page_count);
         let actual = file.metadata()?.len();
         if actual < expected {
             return Err(StoreError::Truncated { expected, actual });
@@ -938,16 +775,13 @@ impl FileStore {
             meta: Mutex::new(meta),
             generation: AtomicU64::new(generation),
             pages_total: AtomicU32::new(meta.page_count),
-            checksums: Vec::new(),
-            version: VERSION_WRITABLE,
-            data_offset,
             writable,
             reads: AtomicU64::new(0),
             _lock: lock,
         })
     }
 
-    /// The store's committed commit generation (0 for version-1 files).
+    /// The store's committed commit generation.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
     }
@@ -963,19 +797,16 @@ impl FileStore {
         self.meta.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Verifies one page's bytes against its recorded checksum — the
-    /// central table (version 1) or the embedded trailer (version 2).
-    fn verify_page(&self, page: u32, buf: &[u8]) -> Result<(), StoreError> {
-        let ok = if self.version == VERSION {
-            crc32(buf) == self.checksums[page as usize]
-        } else {
-            let stored = u32::from_le_bytes(buf[PAGE_PAYLOAD..PAGE_SIZE].try_into().unwrap());
-            crc32(&buf[..PAGE_PAYLOAD]) == stored
-        };
-        if ok {
+    /// Rejects `page` past the file's current extent.
+    fn check_in_range(&self, page: u32) -> Result<(), StoreError> {
+        let total = self.pages_total.load(Ordering::Relaxed);
+        if page < total {
             Ok(())
         } else {
-            Err(StoreError::PageChecksum { page })
+            Err(StoreError::PageOutOfRange {
+                page,
+                page_count: total,
+            })
         }
     }
 }
@@ -992,51 +823,19 @@ impl PageStore for FileStore {
     }
 
     fn read_page_uncounted(&self, page: u32, buf: &mut [u8]) -> Result<(), StoreError> {
-        assert_eq!(buf.len(), PAGE_SIZE, "read buffer must be one page");
-        let total = self.pages_total.load(Ordering::Relaxed);
-        if page >= total {
-            return Err(StoreError::PageOutOfRange {
-                page,
-                page_count: total,
-            });
-        }
+        check_page_buf(buf.len())?;
+        self.check_in_range(page)?;
         {
             let mut file = self.lock_file();
-            file.seek(SeekFrom::Start(
-                self.data_offset + page as u64 * PAGE_SIZE as u64,
-            ))?;
+            file.seek(SeekFrom::Start(page_offset(page)))?;
             file.read_exact(buf)?;
         }
-        self.verify_page(page, buf)
-    }
-
-    fn read_run_uncounted(&self, first: u32, buf: &mut [u8]) -> Result<(), StoreError> {
-        assert_eq!(buf.len() % PAGE_SIZE, 0, "run buffer must be whole pages");
-        let count = (buf.len() / PAGE_SIZE) as u32;
-        if count == 0 {
-            return Ok(());
+        // Verify the page's bytes against its embedded trailer.
+        if le_u32(buf, PAGE_PAYLOAD) == Some(crc32(&buf[..PAGE_PAYLOAD])) {
+            Ok(())
+        } else {
+            Err(StoreError::PageChecksum { page })
         }
-        let total = self.pages_total.load(Ordering::Relaxed);
-        let last = first.saturating_add(count - 1);
-        if first.checked_add(count - 1).is_none() || last >= total {
-            return Err(StoreError::PageOutOfRange {
-                page: last,
-                page_count: total,
-            });
-        }
-        {
-            // One seek + one contiguous read for the whole run — this is
-            // the syscall batching a clustered page layout buys.
-            let mut file = self.lock_file();
-            file.seek(SeekFrom::Start(
-                self.data_offset + first as u64 * PAGE_SIZE as u64,
-            ))?;
-            file.read_exact(buf)?;
-        }
-        for (i, chunk) in buf.chunks(PAGE_SIZE).enumerate() {
-            self.verify_page(first + i as u32, chunk)?;
-        }
-        Ok(())
     }
 
     fn physical_reads(&self) -> u64 {
@@ -1059,21 +858,13 @@ impl PageStore for FileStore {
         if !self.writable {
             return Err(StoreError::ReadOnly);
         }
-        assert_eq!(buf.len(), PAGE_SIZE, "write buffer must be one page");
-        let total = self.pages_total.load(Ordering::Relaxed);
-        if page >= total {
-            return Err(StoreError::PageOutOfRange {
-                page,
-                page_count: total,
-            });
-        }
-        let mut stamped = [0u8; PAGE_SIZE];
-        stamped.copy_from_slice(buf);
-        let stamped = stamp_page_crc(&stamped);
+        let page_bytes: &[u8; PAGE_SIZE] = buf
+            .try_into()
+            .map_err(|_| StoreError::BadBufferSize(buf.len()))?;
+        self.check_in_range(page)?;
+        let stamped = stamp_page_crc(page_bytes);
         let mut file = self.lock_file();
-        file.seek(SeekFrom::Start(
-            self.data_offset + page as u64 * PAGE_SIZE as u64,
-        ))?;
+        file.seek(SeekFrom::Start(page_offset(page)))?;
         file.write_all(&stamped)?;
         Ok(())
     }
@@ -1088,8 +879,8 @@ impl PageStore for FileStore {
         let first = self.pages_total.load(Ordering::Relaxed);
         let total = first
             .checked_add(additional)
-            .expect("page count overflows u32");
-        file.set_len(self.data_offset + total as u64 * PAGE_SIZE as u64)?;
+            .ok_or(StoreError::TooManyPages)?;
+        file.set_len(page_offset(total))?;
         self.pages_total.store(total, Ordering::Relaxed);
         Ok(first)
     }
@@ -1102,7 +893,7 @@ impl PageStore for FileStore {
         let meta = StoreMeta::new(total, root_page, user);
         meta.validate()?;
         let generation = self.generation.load(Ordering::Relaxed) + 1;
-        let header = encode_header_v2(&meta, generation);
+        let header = encode_header(&meta, generation);
         {
             let mut file = self.lock_file();
             // Ordering is the crash-consistency contract: data pages
@@ -1112,7 +903,7 @@ impl PageStore for FileStore {
             // new slot is either absent or torn, and torn slots fail
             // their CRC at open).
             file.sync_all()?;
-            file.seek(SeekFrom::Start(v2_slot_offset(generation)))?;
+            file.seek(SeekFrom::Start(slot_offset(generation)))?;
             file.write_all(&header)?;
             file.sync_all()?;
         }
@@ -1126,11 +917,12 @@ impl PageStore for FileStore {
 mod tests {
     use super::*;
 
+    /// Patterned pages with the CRC trailer left zero, as writers must.
     fn sample_pages(n: usize) -> Vec<[u8; PAGE_SIZE]> {
         (0..n)
             .map(|i| {
                 let mut p = [0u8; PAGE_SIZE];
-                for (j, b) in p.iter_mut().enumerate() {
+                for (j, b) in p[..PAGE_PAYLOAD].iter_mut().enumerate() {
                     *b = ((i * 131 + j * 7) % 251) as u8;
                 }
                 p
@@ -1140,6 +932,16 @@ mod tests {
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("nwc_store_test_{}_{name}", std::process::id()))
+    }
+
+    /// Asserts every page of `store` reads back as `pages` (payload
+    /// bytes; a file store fills the trailer with the page's CRC).
+    fn assert_pages(store: &dyn PageStore, pages: &[[u8; PAGE_SIZE]]) {
+        let mut buf = [0u8; PAGE_SIZE];
+        for (i, want) in pages.iter().enumerate() {
+            store.read_page(i as u32, &mut buf).unwrap();
+            assert_eq!(buf[..PAGE_PAYLOAD], want[..PAGE_PAYLOAD], "page {i}");
+        }
     }
 
     #[test]
@@ -1173,23 +975,48 @@ mod tests {
     }
 
     #[test]
+    fn wrong_sized_buffers_are_typed_errors() {
+        let mem = MemStore::new_writable(sample_pages(2), 0, [0; 4]).unwrap();
+        let path = tmp("bad_buffer");
+        let file = FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
+        for store in [&mem as &dyn PageStore, &file as &dyn PageStore] {
+            let mut short = [0u8; 100];
+            assert!(matches!(
+                store.read_page(0, &mut short),
+                Err(StoreError::BadBufferSize(100))
+            ));
+            assert!(matches!(
+                store.write_page(0, &[0u8; PAGE_SIZE + 1]),
+                Err(StoreError::BadBufferSize(len)) if len == PAGE_SIZE + 1
+            ));
+            let mut ragged = vec![0u8; PAGE_SIZE + 1];
+            assert!(matches!(
+                store.read_run_uncounted(0, &mut ragged),
+                Err(StoreError::BadBufferSize(_))
+            ));
+            assert!(matches!(store.grow(u32::MAX), Err(StoreError::TooManyPages)));
+        }
+        drop(file);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn filestore_create_open_read() {
         let path = tmp("roundtrip");
         let pages = sample_pages(7);
         {
             let store = FileStore::create(&path, 3, [1, 2, 3, 4], &pages).unwrap();
+            assert!(store.is_writable());
             store.sync().unwrap();
         }
         let store = FileStore::open(&path).unwrap();
+        assert!(store.is_writable(), "a file opened with write permission");
         assert_eq!(store.meta().page_count, 7);
         assert_eq!(store.meta().root_page, 3);
         assert_eq!(store.meta().user, [1, 2, 3, 4]);
-        let mut buf = [0u8; PAGE_SIZE];
-        for (i, want) in pages.iter().enumerate() {
-            store.read_page(i as u32, &mut buf).unwrap();
-            assert_eq!(buf[..], want[..], "page {i}");
-        }
+        assert_pages(&store, &pages);
         assert_eq!(store.physical_reads(), 7);
+        drop(store);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1217,18 +1044,18 @@ mod tests {
         FileStore::create(&path, 0, [0; 4], &pages).unwrap();
         // Flip one byte in the middle of page 1's on-disk bytes.
         let mut bytes = std::fs::read(&path).unwrap();
-        let data_offset = PAGE_SIZE as u64 + table_bytes(3);
-        let victim = data_offset as usize + PAGE_SIZE + 100;
+        let victim = DATA_OFFSET as usize + PAGE_SIZE + 100;
         bytes[victim] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
-        let store = FileStore::open(&path).unwrap(); // header+table still fine
+        let store = FileStore::open(&path).unwrap(); // header slots still fine
         let mut buf = [0u8; PAGE_SIZE];
         store.read_page(0, &mut buf).unwrap(); // untouched page still reads
         assert!(matches!(
             store.read_page(1, &mut buf),
             Err(StoreError::PageChecksum { page: 1 })
         ));
+        drop(store);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1237,7 +1064,7 @@ mod tests {
         let path = tmp("badheader");
         FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[20] ^= 0x01; // root page field
+        bytes[20] ^= 0x01; // root page field of slot 0, the only valid slot
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             FileStore::open(&path),
@@ -1252,13 +1079,33 @@ mod tests {
         FileStore::create(&path, 0, [0; 4], &sample_pages(2)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        // Re-stamp the header checksum so only the version is "wrong".
+        // Re-stamp the slot checksum so only the version is "wrong".
+        let crc = crc32(&bytes[0..64]);
+        bytes[64..68].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            FileStore::open(&path),
+            Err(StoreError::BadVersion(99))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn filestore_refuses_version_1() {
+        // A version-1 file: one header page (header CRC at 60..64), a
+        // checksum-table page, then the data pages.
+        let path = tmp("version1");
+        let mut bytes = vec![0u8; 3 * PAGE_SIZE];
+        bytes[0..8].copy_from_slice(&MAGIC);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[12..16].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
+        bytes[16..20].copy_from_slice(&1u32.to_le_bytes());
         let crc = crc32(&bytes[0..60]);
         bytes[60..64].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             FileStore::open(&path),
-            Err(StoreError::BadVersion(99))
+            Err(StoreError::BadVersion(1))
         ));
         std::fs::remove_file(&path).ok();
     }
@@ -1283,11 +1130,8 @@ mod tests {
         assert_eq!(store.meta().page_count, 3);
         assert_eq!(store.meta().root_page, 1);
         assert_eq!(store.meta().user, [5; 4]);
-        let mut buf = [0u8; PAGE_SIZE];
-        for (i, want) in good.iter().enumerate() {
-            store.read_page(i as u32, &mut buf).unwrap();
-            assert_eq!(buf[..], want[..], "page {i}");
-        }
+        assert_pages(&store, &good);
+        drop(store);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1320,6 +1164,7 @@ mod tests {
         let store = FileStore::open(&path).unwrap();
         assert_eq!(store.meta().page_count, 2);
         assert!(!stray.exists(), "open cleans the stray staging file");
+        drop(store);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1332,11 +1177,7 @@ mod tests {
         let pages = sample_pages(4);
         let store = FileStore::create(&path, 0, [0; 4], &pages).unwrap();
         std::fs::remove_file(&path).unwrap();
-        let mut buf = [0u8; PAGE_SIZE];
-        for (i, want) in pages.iter().enumerate() {
-            store.read_page(i as u32, &mut buf).unwrap();
-            assert_eq!(buf[..], want[..], "page {i}");
-        }
+        assert_pages(&store, &pages);
     }
 
     #[test]
@@ -1355,45 +1196,29 @@ mod tests {
         assert_eq!(fstore.physical_reads(), 0);
         fstore.read_page(1, &mut buf).unwrap();
         assert_eq!(fstore.physical_reads(), 1);
+        drop(fstore);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn run_reads_match_single_page_reads_and_stay_uncounted() {
+    fn default_run_reads_match_single_page_reads_and_stay_uncounted() {
         let pages = sample_pages(6);
         let mem = MemStore::new(pages.clone(), 0, [0; 4]).unwrap();
-        let path = tmp("run_read");
-        let fstore = FileStore::create(&path, 0, [0; 4], &pages).unwrap();
-        for store in [&mem as &dyn PageStore, &fstore as &dyn PageStore] {
-            let mut buf = vec![0u8; 3 * PAGE_SIZE];
-            store.read_run_uncounted(2, &mut buf).unwrap();
-            for i in 0..3 {
-                assert_eq!(
-                    buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE],
-                    pages[2 + i][..],
-                    "run page {i}"
-                );
-            }
-            assert_eq!(store.physical_reads(), 0, "run reads are uncounted");
-            // A run past the end is rejected, not truncated.
-            assert!(matches!(
-                store.read_run_uncounted(4, &mut buf),
-                Err(StoreError::PageOutOfRange { .. })
-            ));
-        }
-        // A corrupt page inside a run is still caught by its checksum.
-        drop(fstore);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let data_offset = PAGE_SIZE as u64 + table_bytes(6);
-        bytes[data_offset as usize + 3 * PAGE_SIZE + 17] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let fstore = FileStore::open(&path).unwrap();
         let mut buf = vec![0u8; 3 * PAGE_SIZE];
+        mem.read_run_uncounted(2, &mut buf).unwrap();
+        for i in 0..3 {
+            assert_eq!(
+                buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE],
+                pages[2 + i][..],
+                "run page {i}"
+            );
+        }
+        assert_eq!(mem.physical_reads(), 0, "run reads are uncounted");
+        // A run past the end is rejected, not truncated.
         assert!(matches!(
-            fstore.read_run_uncounted(2, &mut buf),
-            Err(StoreError::PageChecksum { page: 3 })
+            mem.read_run_uncounted(4, &mut buf),
+            Err(StoreError::PageOutOfRange { .. })
         ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1407,9 +1232,7 @@ mod tests {
             Err(StoreError::Locked { .. })
         ));
         // The reader is fully usable throughout.
-        let mut buf = [0u8; PAGE_SIZE];
-        reader.read_page(1, &mut buf).unwrap();
-        assert_eq!(buf[..], sample_pages(2)[1][..]);
+        assert_pages(&reader, &sample_pages(2));
         drop(reader);
         // Lock released with the reader: the rewrite now goes through.
         let store = FileStore::create(&path, 0, [0; 4], &sample_pages(3)).unwrap();
@@ -1482,15 +1305,5 @@ mod tests {
         handle.read_page(1, &mut buf).unwrap();
         assert_eq!(buf[..], sample_pages(2)[1][..]);
         assert_eq!(shared.physical_reads(), 1, "counters shared across clones");
-        let mut run = vec![0u8; 2 * PAGE_SIZE];
-        handle.read_run_uncounted(0, &mut run).unwrap();
-        assert_eq!(shared.physical_reads(), 1);
-    }
-
-    #[test]
-    fn table_padding_is_page_aligned() {
-        assert_eq!(table_bytes(1), PAGE_SIZE as u64);
-        assert_eq!(table_bytes(1024), PAGE_SIZE as u64);
-        assert_eq!(table_bytes(1025), 2 * PAGE_SIZE as u64);
     }
 }

@@ -15,6 +15,7 @@
 use nwc::core::{maxrs::maxrs, DistanceMeasure, KnwcQuery};
 use nwc::geom::window::WindowSpec as Spec;
 use nwc::prelude::*;
+use nwc::rtree::PAGE_SIZE;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -205,11 +206,11 @@ fn stats(args: &[String]) -> Result<(), String> {
     println!("bounds:       {:?}", index.bounds());
     println!("tree height:  {}", tree.height());
     println!("tree nodes:   {}", tree.node_count());
-    let file = tree.to_page_file();
+    // One page per node; the file adds its two header pages.
     println!(
-        "page file:    {} pages = {} KB (4096-byte pages)",
-        file.page_count(),
-        file.bytes() / 1024
+        "page file:    {} pages = {} KB (one {PAGE_SIZE}-byte page per node)",
+        tree.node_count(),
+        tree.node_count() * PAGE_SIZE / 1024
     );
     if let Some(grid) = index.grid() {
         println!(

@@ -54,10 +54,10 @@ pub mod prelude {
     pub use nwc_core::weighted::{WeightedNwcIndex, WeightedQuery};
     pub use nwc_core::{
         Approx, Budget, DiskIndexConfig, DistanceMeasure, IndexUpdateError, KnwcQuery, KnwcResult,
-        NwcIndex, NwcQuery, NwcResult, Outcome, QueryEngine, QueryError, QueryScratch, Scheme,
-        SearchRequest, SearchStats, ShardedNwcIndex,
+        NwcIndex, NwcQuery, NwcResult, Outcome, PageLayout, QueryEngine, QueryError, QueryScratch,
+        Scheme, SearchRequest, SearchStats, ShardedNwcIndex,
     };
     pub use nwc_datagen::Dataset;
     pub use nwc_geom::{window::WindowSpec, Point, Rect};
-    pub use nwc_rtree::{PageLayout, RStarTree, TreeError};
+    pub use nwc_rtree::{RStarTree, TreeError};
 }

@@ -69,7 +69,7 @@ fn mutate(tree: &mut RStarTree) {
 #[allow(clippy::type_complexity)]
 fn two_states(path: &PathBuf) -> (Vec<u8>, Vec<u8>, Vec<(u32, (u64, u64))>, Vec<(u32, (u64, u64))>) {
     let base = RStarTree::bulk_load(&crash_points(500));
-    base.save_to_path_writable(path).expect("save writable");
+    base.save_to_path(path).expect("save");
     let bytes_a = std::fs::read(path).expect("read state A");
     let contents_a = contents(&base);
 
@@ -211,7 +211,7 @@ fn aborted_commit_is_retryable_in_place() {
     let (_, _, _, contents_b) = two_states(&path);
     // Rebuild state A fresh (two_states left state B on disk).
     let base = RStarTree::bulk_load(&crash_points(500));
-    base.save_to_path_writable(&path).expect("save writable");
+    base.save_to_path(&path).expect("save");
 
     let store = FileStore::open(&path).expect("open");
     let fault = Arc::new(FaultStore::new(store, FaultPlan::default()));

@@ -5,6 +5,7 @@
 
 use nwc::prelude::*;
 use nwc::rtree::PAGE_SIZE;
+use nwc::store::{FileStore, MemStore, PageStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -49,6 +50,26 @@ fn reopen_with(arena: &NwcIndex, tag: &str, config: DiskIndexConfig) -> NwcIndex
     let disk = NwcIndex::open_disk(&path, config).expect("open");
     std::fs::remove_file(&path).ok();
     disk
+}
+
+/// Saves the arena index and reopens it read-only: its pages served by
+/// a `MemStore` with no write path.
+fn reopen_read_only(arena: &NwcIndex, tag: &str) -> NwcIndex {
+    let path = temp_pages(tag);
+    arena.save_tree(&path).expect("save");
+    let file = FileStore::open(&path).expect("open");
+    let meta = file.meta();
+    let pages = (0..meta.page_count)
+        .map(|p| {
+            let mut page = [0u8; PAGE_SIZE];
+            file.read_page_uncounted(p, &mut page).expect("read page");
+            page
+        })
+        .collect();
+    drop(file);
+    std::fs::remove_file(&path).ok();
+    let store = MemStore::new(pages, meta.root_page, meta.user).expect("store");
+    NwcIndex::open_disk_from_store(Box::new(store), DiskIndexConfig::default()).expect("open")
 }
 
 /// Runs every Table-3 scheme on both indexes and asserts identical
@@ -139,48 +160,46 @@ fn pool_capacity_sweep_keeps_logical_io_and_lru_monotone() {
     };
     let arena_io: Vec<u64> = Scheme::TABLE3.iter().map(|&s| run(&arena, s)).collect();
 
-    for layout in [PageLayout::BottomUp, PageLayout::Clustered] {
-        let path = temp_pages("sweep");
-        arena.save_tree_with_layout(&path, layout).expect("save");
-        // Per scheme, the pool counters of the previous (smaller) cell.
-        let mut prev: Vec<Option<nwc::store::PoolStats>> = vec![None; Scheme::TABLE3.len()];
-        for frac in CAPACITY_FRACTIONS {
-            let frames = ((pages as f64 * frac).ceil() as usize).max(1);
-            let config = DiskIndexConfig {
-                pool_capacity: Some(frames),
-                ..DiskIndexConfig::default()
-            };
-            let disk = NwcIndex::open_disk(&path, config).expect("open");
-            let storage = disk.tree().storage().expect("disk-backed");
-            for (si, &scheme) in Scheme::TABLE3.iter().enumerate() {
-                let name = format!("{scheme}/{layout:?}/{frames} frames");
-                // Each scheme measures from a cold pool.
-                storage.reset();
-                assert_eq!(
-                    run(&disk, scheme),
-                    arena_io[si],
-                    "{name}: logical I/O differs"
-                );
-                let pool = storage.pool_stats();
-                assert_eq!(pool.hits + pool.misses, arena_io[si], "{name}");
-                let peak = storage.peak_resident_nodes();
-                assert!(peak > 0, "{name}: gauge never moved");
-                if let Some(p) = prev[si] {
-                    assert!(pool.misses <= p.misses, "{name}: physical reads rose");
-                    assert!(pool.hits >= p.hits, "{name}: hits fell");
-                }
-                if frac == 1.0 {
-                    // The whole file fits: no eviction, and residency
-                    // stays within the frames.
-                    assert_eq!(pool.evictions, 0, "{name}");
-                    assert!(storage.physical_reads() as usize <= pages, "{name}");
-                    assert!(peak <= frames, "{name}: {peak} resident nodes");
-                }
-                prev[si] = Some(pool);
+    let path = temp_pages("sweep");
+    arena.save_tree(&path).expect("save");
+    // Per scheme, the pool counters of the previous (smaller) cell.
+    let mut prev: Vec<Option<nwc::store::PoolStats>> = vec![None; Scheme::TABLE3.len()];
+    for frac in CAPACITY_FRACTIONS {
+        let frames = ((pages as f64 * frac).ceil() as usize).max(1);
+        let config = DiskIndexConfig {
+            pool_capacity: Some(frames),
+            ..DiskIndexConfig::default()
+        };
+        let disk = NwcIndex::open_disk(&path, config).expect("open");
+        let storage = disk.tree().storage().expect("disk-backed");
+        for (si, &scheme) in Scheme::TABLE3.iter().enumerate() {
+            let name = format!("{scheme}/{frames} frames");
+            // Each scheme measures from a cold pool.
+            storage.reset();
+            assert_eq!(
+                run(&disk, scheme),
+                arena_io[si],
+                "{name}: logical I/O differs"
+            );
+            let pool = storage.pool_stats();
+            assert_eq!(pool.hits + pool.misses, arena_io[si], "{name}");
+            let peak = storage.peak_resident_nodes();
+            assert!(peak > 0, "{name}: gauge never moved");
+            if let Some(p) = prev[si] {
+                assert!(pool.misses <= p.misses, "{name}: physical reads rose");
+                assert!(pool.hits >= p.hits, "{name}: hits fell");
             }
+            if frac == 1.0 {
+                // The whole file fits: no eviction, and residency
+                // stays within the frames.
+                assert_eq!(pool.evictions, 0, "{name}");
+                assert!(storage.physical_reads() as usize <= pages, "{name}");
+                assert!(peak <= frames, "{name}: {peak} resident nodes");
+            }
+            prev[si] = Some(pool);
         }
-        std::fs::remove_file(&path).ok();
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -237,7 +256,7 @@ fn memory_budget_bounds_resident_nodes_end_to_end() {
 #[test]
 fn disk_backed_index_rejects_updates_with_typed_errors() {
     let arena = NwcIndex::build(seeded_points(400, 7));
-    let mut disk = reopen_with(&arena, "readonly", DiskIndexConfig::default());
+    let mut disk = reopen_read_only(&arena, "readonly");
     let len = disk.len();
 
     assert_eq!(

@@ -8,17 +8,18 @@
 //! 2. **Round-trip edges** — empty tree, single point, duplicate
 //!    points, nodes at exactly `max_entries`, height ≥ 3 trees.
 //! 3. **Corruption** — cycles, dangling children, bad tags/counts,
-//!    bit flips and truncation are rejected with typed errors, never
-//!    panics.
+//!    bit flips, truncation and version-1 files are rejected with typed
+//!    errors, never panics.
 //! 4. **Writable mode** — mutations and a sliding-window
 //!    `StreamingIngestor` agree with the arena while uncommitted, after
-//!    commit, and after a cold reopen.
+//!    commit, and after a cold reopen; a read-only open of the committed
+//!    pages never reads the free list.
 
-use nwc::core::{IndexOpenError, IngestConfig, StreamingIngestor};
+use nwc::core::{IndexOpenError, IngestConfig, ShardedStoreError, StreamingIngestor};
 use nwc::prelude::*;
-use nwc::rtree::{validate, DiskError, PageError, RStarTree, TreeParams};
-use nwc::store::StoreError;
-use std::path::PathBuf;
+use nwc::rtree::{validate, DiskError, PageError, RStarTree, TreeParams, PAGE_SIZE};
+use nwc::store::{FaultPlan, FaultStore, FileStore, MemStore, PageStore, StoreError};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// `(answer, stats)` of an exact NWC request, all or nothing.
@@ -128,16 +129,14 @@ fn disk_results_and_io_match_arena_for_all_schemes() {
 
 #[test]
 fn clustered_layout_keeps_answers_and_logical_io_bit_identical() {
-    // The clustered page layout only relabels pages. Saved clustered,
-    // reopened with an unbounded pool and with a bounded one,
-    // every scheme must return the same answers and the same per-query
-    // logical I/O as the arena.
+    // The clustered page order only relabels pages. Saved, reopened
+    // with an unbounded pool and with a bounded one, every scheme must
+    // return the same answers and the same per-query logical I/O as the
+    // arena.
     let points = seeded_points(1500, 59);
     let arena = NwcIndex::build(points);
     let path = temp_pages("clustered");
-    arena
-        .save_tree_with_layout(&path, PageLayout::Clustered)
-        .expect("save clustered");
+    arena.save_tree(&path).expect("save clustered");
     let configs = [
         ("plain", DiskIndexConfig::default()),
         (
@@ -150,11 +149,6 @@ fn clustered_layout_keeps_answers_and_logical_io_bit_identical() {
     ];
     for (tag, config) in configs {
         let disk = NwcIndex::open_disk(&path, config).expect("open clustered");
-        assert_eq!(
-            disk.tree().storage().expect("disk-backed").layout(),
-            PageLayout::Clustered,
-            "{tag}: layout must round-trip through the header"
-        );
         let queries = Dataset::query_points(4, 59);
         for scheme in Scheme::TABLE3 {
             for (qi, &q) in queries.iter().enumerate() {
@@ -198,7 +192,7 @@ fn writable_disk_mutations_commit_and_reopen_match_the_mutated_arena() {
     let base = seeded_points(900, 29);
     let mut arena = NwcIndex::build(base);
     let path = temp_pages("writable");
-    arena.save_tree_writable(&path).expect("save writable");
+    arena.save_tree(&path).expect("save");
     let mut disk =
         NwcIndex::open_disk(&path, DiskIndexConfig::default()).expect("open writable");
 
@@ -276,7 +270,7 @@ fn streaming_ingest_on_a_writable_disk_index_matches_the_arena_and_reopens() {
     let base = seeded_points(1500, 29);
     let arena = NwcIndex::build(base);
     let path = temp_pages("ingest");
-    arena.save_tree_writable(&path).expect("save writable");
+    arena.save_tree(&path).expect("save");
     let config = DiskIndexConfig {
         pool_capacity: Some(8),
         ..DiskIndexConfig::default()
@@ -375,16 +369,77 @@ fn disk_engine_batch_matches_sequential() {
     }
 }
 
+/// A read-only store over the pages of the page file at `path`, read
+/// back through its checksums: what a read-only backend serves.
+fn pages_of_file(path: &Path) -> MemStore {
+    let file = FileStore::open(path).expect("open page file");
+    let meta = file.meta();
+    let pages = (0..meta.page_count)
+        .map(|p| {
+            let mut page = [0u8; PAGE_SIZE];
+            file.read_page_uncounted(p, &mut page).expect("read page");
+            page
+        })
+        .collect();
+    MemStore::new(pages, meta.root_page, meta.user).expect("store")
+}
+
+#[test]
+fn read_only_open_never_reads_the_free_list() {
+    // Shadow paging leaves the pages a commit vacated on the free list.
+    // Served read-only, with a vacated page that can never be read, the
+    // committed file must still open and answer like the arena: free
+    // pages are exempt from the open scan whether or not the store can
+    // write.
+    let mut arena = NwcIndex::build(seeded_points(900, 29));
+    let path = temp_pages("free-list");
+    arena.save_tree(&path).expect("save");
+    let old_root = FileStore::open(&path).expect("open").meta().root_page;
+    let mut disk = NwcIndex::open_disk(&path, DiskIndexConfig::default()).expect("open");
+    for &p in &seeded_points(60, 101) {
+        let fresh = Point::new(p.x + 0.5, p.y + 0.5);
+        assert_eq!(arena.insert(fresh), disk.insert(fresh));
+    }
+    disk.commit().expect("commit");
+    assert!(disk.tree().storage().expect("disk-backed").free_pages() > 0);
+    drop(disk);
+
+    let committed = pages_of_file(&path);
+    std::fs::remove_file(&path).ok();
+    assert_ne!(committed.meta().root_page, old_root, "the commit moved the root");
+    let fault = FaultStore::new(committed, FaultPlan::default());
+    fault.fail_page_permanently(old_root);
+    let disk = NwcIndex::open_disk_from_store(Box::new(fault), DiskIndexConfig::default())
+        .expect("a dead free page must not fail the open");
+    assert!(!disk.tree().storage().expect("disk-backed").is_writable());
+    assert_eq!(disk.len(), arena.len());
+    for scheme in Scheme::TABLE3 {
+        for (qi, &q) in Dataset::query_points(5, 29).iter().enumerate() {
+            let query = NwcQuery::new(q, WindowSpec::square(60.0), 4);
+            let (ra, sa) = nwc_full(&arena, &query, scheme).unwrap();
+            let (rd, sd) = nwc_full(&disk, &query, scheme).unwrap();
+            assert_eq!(ra.map(|r| r.ids()), rd.map(|r| r.ids()), "{scheme}/q{qi}");
+            assert_eq!(SearchStats { buffer_hits: 0, ..sd }, sa, "{scheme}/q{qi}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Round-trip edge cases.
 // ---------------------------------------------------------------------
 
-/// Serialize → deserialize → structural check + full content equality.
+/// Save → open through a `FileStore` → structural check + full content
+/// equality. Returns the disk-backed tree.
 fn roundtrip(tree: &RStarTree) -> RStarTree {
-    let back = RStarTree::from_page_file(&tree.to_page_file()).expect("roundtrip");
+    let path = temp_pages("roundtrip");
+    tree.save_to_path(&path).expect("save");
+    let back = RStarTree::open_from_path(&path, None).expect("roundtrip");
+    // The open store keeps its handle; the path is no longer needed.
+    std::fs::remove_file(&path).ok();
     validate::check_invariants(&back).expect("invariants");
     assert_eq!(back.len(), tree.len());
     assert_eq!(back.height(), tree.height());
+    assert_eq!(back.node_count(), tree.node_count(), "one page per node");
     let mut a: Vec<(u32, (u64, u64))> = tree
         .iter_entries()
         .map(|e| (e.id, (e.point.x.to_bits(), e.point.y.to_bits())))
@@ -473,63 +528,115 @@ fn roundtrip_height_three_and_four() {
 // Corruption: typed rejection, never a panic or a hang.
 // ---------------------------------------------------------------------
 
-/// Builds a height-≥2 page file to corrupt. Internal page layout:
-/// tag(1) level(4) count(4) mbr(32), then 36-byte child entries, child
-/// page id first — so the root's first child pointer is bytes 41..45.
-fn corruptible() -> (nwc::rtree::PageFile, u32) {
+/// Saves a height-≥2 tree and serves its pages from a read-only
+/// `MemStore` (no page checksums), so a corrupted page reaches the
+/// decoder. Internal page layout: tag(1) level(4) count(4) mbr(32), then
+/// 36-byte child entries, child page id first — so the root's first
+/// child pointer is bytes 41..45.
+fn corruptible() -> (MemStore, u32) {
     let points: Vec<Point> =
         (0..900).map(|i| Point::new(((i * 31) % 499) as f64, ((i * 57) % 491) as f64)).collect();
     let tree = RStarTree::bulk_load(&points);
     assert!(tree.height() >= 2);
-    let file = tree.to_page_file();
-    let root = file.root_page();
-    (file, root)
+    let path = temp_pages("corruptible");
+    tree.save_to_path(&path).expect("save");
+    let store = pages_of_file(&path);
+    std::fs::remove_file(&path).ok();
+    let root = store.meta().root_page;
+    (store, root)
+}
+
+/// Patches bytes `at..` of page `page`.
+fn patch(store: &mut MemStore, page: u32, at: usize, bytes: &[u8]) {
+    store.page_mut(page).expect("page in range")[at..at + bytes.len()].copy_from_slice(bytes);
+}
+
+/// The decode error opening `store` must fail with.
+fn page_error(store: MemStore) -> PageError {
+    match RStarTree::open_from_store(Box::new(store), None) {
+        Err(DiskError::Page(e)) => e,
+        other => panic!("expected a page error, got {:?}", other.err()),
+    }
 }
 
 #[test]
 fn cycle_in_child_pointers_rejected() {
-    let (mut file, root) = corruptible();
+    let (mut store, root) = corruptible();
     // Root's first child now points back at the root: a cycle.
-    file.page_mut(root)[41..45].copy_from_slice(&root.to_le_bytes());
-    assert_eq!(
-        RStarTree::from_page_file(&file).unwrap_err(),
-        PageError::Cycle(root)
-    );
+    patch(&mut store, root, 41, &root.to_le_bytes());
+    assert_eq!(page_error(store), PageError::Cycle(root));
 }
 
 #[test]
 fn dangling_child_rejected() {
-    let (mut file, root) = corruptible();
-    file.page_mut(root)[41..45].copy_from_slice(&0xDEAD_u32.to_le_bytes());
-    assert_eq!(
-        RStarTree::from_page_file(&file).unwrap_err(),
-        PageError::DanglingChild(0xDEAD)
-    );
+    let (mut store, root) = corruptible();
+    patch(&mut store, root, 41, &0xDEAD_u32.to_le_bytes());
+    assert_eq!(page_error(store), PageError::DanglingChild(0xDEAD));
 }
 
 #[test]
 fn level_mismatch_rejected() {
-    let (mut file, root) = corruptible();
+    let (mut store, root) = corruptible();
     // Claim the root sits at level 9: its leaf children no longer match.
-    file.page_mut(root)[1..5].copy_from_slice(&9u32.to_le_bytes());
-    assert!(matches!(
-        RStarTree::from_page_file(&file).unwrap_err(),
-        PageError::Invalid(_)
-    ));
+    patch(&mut store, root, 1, &9u32.to_le_bytes());
+    assert!(matches!(page_error(store), PageError::Invalid(_)));
 }
 
 #[test]
 fn bad_tag_and_overflow_rejected() {
-    let (mut file, root) = corruptible();
-    file.page_mut(root)[0] = 42;
-    assert_eq!(RStarTree::from_page_file(&file).unwrap_err(), PageError::BadTag(42));
+    let (mut store, root) = corruptible();
+    patch(&mut store, root, 0, &[42]);
+    assert_eq!(page_error(store), PageError::BadTag(42));
 
-    let (mut file, root) = corruptible();
-    file.page_mut(root)[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert_eq!(
-        RStarTree::from_page_file(&file).unwrap_err(),
-        PageError::Overflow(u32::MAX)
-    );
+    let (mut store, root) = corruptible();
+    patch(&mut store, root, 5, &u32::MAX.to_le_bytes());
+    assert_eq!(page_error(store), PageError::Overflow(u32::MAX));
+}
+
+/// A version-1 page file: one header page (magic, version 1, page size,
+/// one page, root 0, header CRC at bytes 60..64), a checksum-table page
+/// and one data page.
+fn write_version_1_file(path: &Path) {
+    let mut bytes = vec![0u8; 3 * PAGE_SIZE];
+    bytes[0..8].copy_from_slice(b"NWCPAGE\x01");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    bytes[12..16].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
+    bytes[16..20].copy_from_slice(&1u32.to_le_bytes());
+    let crc = nwc::store::crc32(&bytes[0..60]);
+    bytes[60..64].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, &bytes).expect("write v1 file");
+}
+
+#[test]
+fn version_1_files_are_refused_with_a_typed_error() {
+    let path = temp_pages("v1");
+    write_version_1_file(&path);
+    match NwcIndex::open_disk(&path, DiskIndexConfig::default()) {
+        Err(IndexOpenError::Disk(DiskError::Store(StoreError::BadVersion(1)))) => {}
+        other => panic!("expected BadVersion(1), got {:?}", other.err()),
+    }
+    std::fs::remove_file(&path).ok();
+
+    // One version-1 shard fails the sharded open with its ordinal.
+    let dir = temp_pages("v1-dir");
+    ShardedNwcIndex::build(seeded_points(400, 3), 2)
+        .save_to_dir(&dir)
+        .expect("save sharded dir");
+    let shard_1 = std::fs::read_dir(&dir)
+        .expect("list dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pages"))
+        .max()
+        .expect("two shard files");
+    write_version_1_file(&shard_1);
+    match ShardedNwcIndex::open_dir(&dir, DiskIndexConfig::default()) {
+        Err(ShardedStoreError::Open {
+            shard: 1,
+            error: IndexOpenError::Disk(DiskError::Store(StoreError::BadVersion(1))),
+        }) => {}
+        other => panic!("expected shard 1 BadVersion(1), got {:?}", other.err()),
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

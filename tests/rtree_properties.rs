@@ -5,6 +5,14 @@
 use nwc::geom::{Point, Rect};
 use nwc::rtree::{validate, BrowseItem, NodeMemo, RStarTree, TreeParams};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
+
+/// A unique temp page-file path per call (cases run concurrently).
+fn temp_pages() -> std::path::PathBuf {
+    static COUNTER: AtomicU32 = AtomicU32::new(0);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("nwc-rtree-prop-{}-{n}.pages", std::process::id()))
+}
 
 fn point_strategy() -> impl Strategy<Value = Point> {
     (0u32..1000, 0u32..1000).prop_map(|(x, y)| Point::new(x as f64 * 0.5, y as f64 * 0.5))
@@ -123,9 +131,12 @@ proptest! {
         probe in any::<prop::sample::Index>(),
     ) {
         let tree = RStarTree::bulk_load(&points);
-        let file = tree.to_page_file();
-        prop_assert_eq!(file.page_count(), tree.node_count());
-        let back = RStarTree::from_page_file(&file).unwrap();
+        let path = temp_pages();
+        tree.save_to_path(&path).unwrap();
+        let back = RStarTree::open_from_path(&path, None).unwrap();
+        // The open store keeps its handle; the path is no longer needed.
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(back.node_count(), tree.node_count());
         validate::check_invariants(&back).unwrap();
         prop_assert_eq!(back.len(), tree.len());
         prop_assert_eq!(back.height(), tree.height());
