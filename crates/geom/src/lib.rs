@@ -21,26 +21,28 @@
 //!   the NWC algorithm itself (paper §3.2–3.3).
 //!
 //! Everything is `f64`-based, allocation-free and `Copy` where possible.
-//! The [`kernels`] module adds batched structure-of-arrays versions of
-//! the two hot predicates (`MINDIST`, window intersection) that are
-//! bit-identical to their scalar counterparts.
+//! The two per-branch predicates of a tree descent, [`Rect::mindist`]
+//! and [`Rect::intersects`], are branch-free scalar code; there is no
+//! batched or SIMD variant (DESIGN.md §4g says why).
 
-// `deny` rather than `forbid`: the AVX2 kernels in `kernels` are the
-// one intentionally `unsafe` island (scoped `#[allow(unsafe_code)]`);
-// everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod kernels;
 mod point;
 mod quadrant;
 mod rect;
 pub mod window;
 
-pub use kernels::{intersects_window_batch, kernel_backend, mindist_batch, MbrSoa};
 pub use point::Point;
 pub use quadrant::Quadrant;
 pub use rect::Rect;
+
+/// Always `"scalar"`: every node takes the one scalar geometry path.
+/// This exists only for the `kernel_backend` field of the benchmark
+/// header, which still reads it.
+pub fn kernel_backend() -> &'static str {
+    "scalar"
+}
 
 /// Convenience constructor for a [`Point`].
 #[inline]

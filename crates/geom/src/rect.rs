@@ -334,6 +334,41 @@ mod tests {
     }
 
     #[test]
+    fn closed_boundaries_touch_and_one_ulp_gap_is_disjoint() {
+        // Lemma 1 windows are closed: an MBR whose edge exactly meets the
+        // window edge intersects it, and a point on a face has MINDIST
+        // exactly +0.0 (a -0.0 or a tiny positive value would reorder
+        // the best-first heap against the tie-breaking rules).
+        let w = rect(0.0, 0.0, 10.0, 10.0);
+        let grazing = [
+            rect(-5.0, 2.0, 0.0, 4.0),    // left face
+            rect(10.0, 2.0, 15.0, 4.0),   // right face
+            rect(2.0, -5.0, 4.0, 0.0),    // bottom face
+            rect(2.0, 10.0, 4.0, 15.0),   // top face
+            rect(10.0, 10.0, 10.0, 10.0), // corner point
+            rect(0.0, 0.0, 0.0, 0.0),     // corner point
+        ];
+        for (i, r) in grazing.iter().enumerate() {
+            assert!(r.intersects(&w) && w.intersects(r), "grazing box {i} must touch");
+        }
+        let past = f64::from_bits(10.0f64.to_bits() + 1);
+        let gap = rect(past, 2.0, 15.0, 4.0);
+        assert!(!gap.intersects(&w) && !w.intersects(&gap), "one-ULP gap must be disjoint");
+        assert!(rect(3.0, 3.0, 7.0, 7.0).intersects(&w));
+        assert!(!rect(20.0, 20.0, 30.0, 30.0).intersects(&w));
+
+        for p in [
+            Point::new(0.0, 5.0),
+            Point::new(10.0, 5.0),
+            Point::new(5.0, 0.0),
+            Point::new(5.0, 10.0),
+            Point::new(10.0, 10.0),
+        ] {
+            assert_eq!(w.mindist(&p).to_bits(), 0.0f64.to_bits(), "face point {p:?}");
+        }
+    }
+
+    #[test]
     fn maxdist_is_farthest_corner() {
         let r = rect(0.0, 0.0, 2.0, 2.0);
         let p = Point::new(-1.0, -1.0);

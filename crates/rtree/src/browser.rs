@@ -16,11 +16,6 @@ use nwc_geom::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Stack-buffer width for batched per-node MINDIST evaluation. A disk
-/// page holds at most 112 branches, so one chunk covers a whole page;
-/// wider arena nodes simply take several chunks.
-const MINDIST_CHUNK: usize = 128;
-
 /// An item popped from the best-first priority queue.
 #[derive(Clone, Copy, Debug)]
 pub enum BrowseItem {
@@ -298,39 +293,18 @@ impl<'t> Browser<'t> {
             }
             NodeKind::Internal(branches) => {
                 let child_level = node.level - 1;
-                // MINDIST for the whole node in chunked batches: the
-                // kernel runs over the page's SoA MBR view when present
-                // (disk nodes build one at decode time), falling back to
-                // the scalar predicate on arena nodes. The chunk buffer
-                // lives on the stack so traversals stay allocation-free.
-                let mut dists = [0.0f64; MINDIST_CHUNK];
-                let mut base = 0;
-                while base < branches.len() {
-                    let len = MINDIST_CHUNK.min(branches.len() - base);
-                    match &node.soa {
-                        Some(soa) => {
-                            soa.mindist_range_into(base, &self.query, &mut dists[..len])
-                        }
-                        None => {
-                            for (i, b) in branches[base..base + len].iter().enumerate() {
-                                dists[i] = b.mbr.mindist(&self.query);
-                            }
-                        }
-                    }
-                    for (i, b) in branches[base..base + len].iter().enumerate() {
-                        let mindist = dists[i];
-                        self.heap.push(HeapItem {
-                            key: mindist,
-                            object_first: false,
-                            item: BrowseItem::Node {
-                                id: b.child,
-                                level: child_level,
-                                mbr: b.mbr,
-                                mindist,
-                            },
-                        });
-                    }
-                    base += len;
+                for b in branches {
+                    let mindist = b.mbr.mindist(&self.query);
+                    self.heap.push(HeapItem {
+                        key: mindist,
+                        object_first: false,
+                        item: BrowseItem::Node {
+                            id: b.child,
+                            level: child_level,
+                            mbr: b.mbr,
+                            mindist,
+                        },
+                    });
                 }
             }
         }

@@ -290,9 +290,6 @@ struct WriteState {
     /// the committed root, so they join `free_now` only after the next
     /// successful commit.
     freed_pending: Vec<u32>,
-    /// Overlay ids whose SoA pruning view may be stale; rebuilt at the
-    /// end of each public mutation.
-    soa_dirty: Vec<u32>,
 }
 
 impl WriteState {
@@ -302,7 +299,6 @@ impl WriteState {
             next_temp: u32::MAX,
             free_now,
             freed_pending: Vec::new(),
-            soa_dirty: Vec::new(),
         }
     }
 }
@@ -686,7 +682,6 @@ impl TreeStorage {
             debug_assert!(!w.overlay.contains_key(&page), "double fault of node {page}");
             w.overlay.insert(page, node);
             w.freed_pending.push(page);
-            w.soa_dirty.push(page);
         }
     }
 
@@ -699,7 +694,6 @@ impl TreeStorage {
                 let id = w.next_temp;
                 w.next_temp -= 1;
                 w.overlay.insert(id, Arc::new(node));
-                w.soa_dirty.push(id);
                 id
             }
             None => crate::tree::read_failure("node allocation on a read-only disk tree"),
@@ -716,22 +710,6 @@ impl TreeStorage {
             // fault time); a clean page freed wholesale gets added now.
             if w.overlay.remove(&page).is_none() && page < n_pages {
                 w.freed_pending.push(page);
-            }
-        }
-    }
-
-    /// Rebuilds the SoA pruning view of every dirty internal node that
-    /// lost it to `branches_mut`. Called at the end of each public
-    /// mutation so queries between mutations keep the batched-kernel
-    /// pruning path.
-    pub(crate) fn rebuild_dirty_soa(&mut self) {
-        if let Some(w) = self.write.as_mut() {
-            while let Some(id) = w.soa_dirty.pop() {
-                if let Some(arc) = w.overlay.get_mut(&id) {
-                    if matches!(arc.kind, NodeKind::Internal(_)) && arc.soa.is_none() {
-                        Arc::make_mut(arc).build_branch_soa();
-                    }
-                }
             }
         }
     }
@@ -841,7 +819,6 @@ impl TreeStorage {
             w.free_now = leftover;
             w.free_now.extend(freed.iter().copied());
             w.overlay.clear();
-            w.soa_dirty.clear();
             w.next_temp = u32::MAX;
         }
         // Cache coherence: frames for the vacated pages describe the

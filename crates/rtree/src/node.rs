@@ -1,7 +1,7 @@
 //! Arena-allocated tree nodes.
 
 use crate::Entry;
-use nwc_geom::{MbrSoa, Point, Rect};
+use nwc_geom::{Point, Rect};
 
 /// Index of a node in the tree's arena. Stable across queries; recycled
 /// by mutations through a free list.
@@ -52,11 +52,6 @@ pub(crate) struct Node {
     pub level: u32,
     pub mbr: Rect,
     pub kind: NodeKind,
-    /// Structure-of-arrays view of the branch MBRs, built once at page
-    /// decode time so per-node pruning runs as one batched kernel call.
-    /// `None` on arena nodes (which mutate) and on leaves; disk-backed
-    /// nodes are immutable after decode, so the view can never go stale.
-    pub soa: Option<MbrSoa>,
 }
 
 /// Statically-dead arm filler for the mutable kind accessors: both
@@ -75,7 +70,6 @@ impl Node {
             level: 0,
             mbr: Rect::from_point(Point::ORIGIN),
             kind: NodeKind::Leaf(Vec::new()),
-            soa: None,
         }
     }
 
@@ -84,27 +78,7 @@ impl Node {
             level,
             mbr: Rect::from_point(Point::ORIGIN),
             kind: NodeKind::Internal(Vec::new()),
-            soa: None,
         }
-    }
-
-    /// Builds the structure-of-arrays MBR view for an internal node.
-    /// Called exactly once, by the page decoder, after the branch list
-    /// is final.
-    pub fn build_branch_soa(&mut self) {
-        if let NodeKind::Internal(branches) = &self.kind {
-            let mut soa = MbrSoa::with_capacity(branches.len());
-            for b in branches {
-                soa.push(&b.mbr);
-            }
-            self.soa = Some(soa);
-        }
-    }
-
-    #[allow(dead_code)] // node API symmetry; exercised indirectly
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        self.level == 0
     }
 
     /// Number of direct children (entries or child nodes).
@@ -167,10 +141,6 @@ impl Node {
             matches!(self.kind, NodeKind::Internal(_)),
             "branches_mut() on leaf node"
         );
-        // Mutation would desynchronize the SoA view; drop it. Arena
-        // nodes never have one, and the write path rebuilds a dirty
-        // disk node's view before the next query sees it.
-        self.soa = None;
         if !matches!(self.kind, NodeKind::Internal(_)) {
             self.kind = NodeKind::Internal(Vec::new());
         }

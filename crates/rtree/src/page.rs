@@ -332,9 +332,6 @@ pub(crate) fn decode_node(buf: &[u8], n_pages: u32) -> Result<Node, PageError> {
             let mut node = Node::new_internal(level);
             node.kind = NodeKind::Internal(branches);
             node.mbr = mbr;
-            // Disk nodes are immutable after decode: build the SoA MBR
-            // view once here so query-time pruning is one kernel call.
-            node.build_branch_soa();
             Ok(node)
         }
         t => Err(PageError::BadTag(t)),

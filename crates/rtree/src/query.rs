@@ -7,15 +7,11 @@
 //! infallible forms are thin wrappers that funnel any error through one
 //! crate-level abort adapter — this module itself contains no panics.
 
-use crate::node::{Branch, Node, NodeKind};
+use crate::node::NodeKind;
 use crate::memo::{read_through, NodeMemo};
 use crate::tree::{read_failure, RStarTree, TreeError};
 use crate::{Entry, NodeId};
 use nwc_geom::{Point, Rect};
-
-/// Stack-buffer width for batched per-node intersection tests. A disk
-/// page holds at most 112 branches, so one chunk covers a whole page.
-const MASK_CHUNK: usize = 128;
 
 /// Leaf-scan chunk width: one bit of a `u64` inside-mask per entry.
 const LEAF_CHUNK: usize = 64;
@@ -31,23 +27,6 @@ fn leaf_inside_mask(chunk: &[Entry], rect: &Rect) -> u64 {
     chunk.iter().enumerate().fold(0, |mask, (i, e)| {
         mask | (u64::from(rect.contains_point(&e.point)) << i)
     })
-}
-
-/// Window-intersection flags for `branches[base..base + mask.len()]`,
-/// written into `mask`: one batched kernel call over the node's SoA MBR
-/// view when present (disk nodes), the scalar predicate otherwise.
-/// Bit-identical either way, so traversal order and logical I/O never
-/// depend on which path ran.
-#[inline]
-fn fill_intersect_mask(node: &Node, branches: &[Branch], base: usize, rect: &Rect, mask: &mut [bool]) {
-    match &node.soa {
-        Some(soa) => soa.intersects_range_into(base, rect, mask),
-        None => {
-            for (i, b) in branches[base..base + mask.len()].iter().enumerate() {
-                mask[i] = b.mbr.intersects(rect);
-            }
-        }
-    }
 }
 
 /// Appends the entries of `entries` whose point lies inside the closed
@@ -124,17 +103,10 @@ impl RStarTree {
         match &node.kind {
             NodeKind::Leaf(entries) => entries_inside_into(entries, rect, out),
             NodeKind::Internal(branches) => {
-                let mut mask = [false; MASK_CHUNK];
-                let mut base = 0;
-                while base < branches.len() {
-                    let len = MASK_CHUNK.min(branches.len() - base);
-                    fill_intersect_mask(&node, branches, base, rect, &mut mask[..len]);
-                    for (i, b) in branches[base..base + len].iter().enumerate() {
-                        if mask[i] {
-                            self.window_from(b.child, rect, memo.as_deref_mut(), out)?;
-                        }
+                for b in branches {
+                    if b.mbr.intersects(rect) {
+                        self.window_from(b.child, rect, memo.as_deref_mut(), out)?;
                     }
-                    base += len;
                 }
             }
         }
@@ -167,18 +139,11 @@ impl RStarTree {
                 .map(|chunk| leaf_inside_mask(chunk, rect).count_ones() as usize)
                 .sum()),
             NodeKind::Internal(branches) => {
-                let mut mask = [false; MASK_CHUNK];
                 let mut total = 0;
-                let mut base = 0;
-                while base < branches.len() {
-                    let len = MASK_CHUNK.min(branches.len() - base);
-                    fill_intersect_mask(&node, branches, base, rect, &mut mask[..len]);
-                    for (i, b) in branches[base..base + len].iter().enumerate() {
-                        if mask[i] {
-                            total += self.window_count_under(b.child, rect)?;
-                        }
+                for b in branches {
+                    if b.mbr.intersects(rect) {
+                        total += self.window_count_under(b.child, rect)?;
                     }
-                    base += len;
                 }
                 Ok(total)
             }

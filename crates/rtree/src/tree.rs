@@ -296,9 +296,8 @@ impl RStarTree {
         }
     }
 
-    /// Post-mutation sync point: rebuilds the SoA pruning views of
-    /// dirty internal nodes and refreshes the cached root metadata of a
-    /// disk-backed tree (queries read both). A no-op on arena trees.
+    /// Post-mutation sync point: refreshes the cached root metadata of
+    /// a disk-backed tree (queries read it). A no-op on arena trees.
     pub(crate) fn finish_mutation(&mut self) -> Result<(), TreeError> {
         if self.storage.is_none() {
             return Ok(());
@@ -308,7 +307,6 @@ impl RStarTree {
             (root.level, root.mbr)
         };
         if let Some(s) = self.storage.as_deref_mut() {
-            s.rebuild_dirty_soa();
             s.set_root_meta(level, mbr);
         }
         Ok(())

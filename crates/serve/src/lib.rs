@@ -25,6 +25,8 @@
 //! policy (checked by `scripts/verify.sh`): the server's failure modes
 //! are typed wire responses and dropped connections.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod handle;
 pub mod histogram;

@@ -114,11 +114,10 @@ struct Inner<T> {
 /// survive the sharded-index layer that budgets one capacity across
 /// several per-shard pools.
 ///
-/// # Panics
-///
-/// Panics when `capacity` is zero — there is nothing to split.
+/// A zero budget is read as one frame (one share of 1), the same
+/// fallback [`BufferPool::new`] applies.
 pub fn split_capacity(capacity: usize, parts: usize) -> Vec<usize> {
-    assert!(capacity >= 1, "cannot split a zero frame budget");
+    let capacity = capacity.max(1);
     let n = parts.clamp(1, capacity);
     let base = capacity / n;
     let rem = capacity % n;
@@ -137,15 +136,11 @@ pub struct BufferPool<T> {
 
 impl<T: Clone> BufferPool<T> {
     /// A pool holding at most `capacity` pages under one exact LRU.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero — a pool that can hold nothing
-    /// cannot satisfy even a single load.
+    /// A capacity of zero is clamped to one frame: a pool that could
+    /// hold nothing could not serve even a single load.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "buffer pool capacity must be at least 1");
         BufferPool {
-            capacity,
+            capacity: capacity.max(1),
             inner: Mutex::new(Inner {
                 frames: Vec::new(),
                 map: HashMap::new(),
@@ -566,9 +561,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_capacity_rejected() {
-        BufferPool::<u32>::new(0);
+    fn zero_capacity_clamps_to_one_frame() {
+        let pool = BufferPool::new(0);
+        assert_eq!(pool.capacity(), 1);
+        assert_eq!(touch(&pool, 1), Access::Miss);
+        assert_eq!(touch(&pool, 1), Access::Hit, "the one frame caches the page");
+        assert_eq!(touch(&pool, 2), Access::Miss);
+        let s = pool.stats();
+        assert_eq!((s.resident, s.evictions), (1, 1));
+        assert_eq!(split_capacity(0, 3), vec![1]);
     }
 
     #[test]

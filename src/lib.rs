@@ -41,6 +41,8 @@
 //! # Ok::<(), QueryError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use nwc_analysis as analysis;
 pub use nwc_core as core;
 pub use nwc_datagen as datagen;

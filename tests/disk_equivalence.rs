@@ -14,8 +14,12 @@
 //!    `StreamingIngestor` agree with the arena while uncommitted, after
 //!    commit, and after a cold reopen; a read-only open of the committed
 //!    pages never reads the free list.
+//! 5. **Window queries** — arena and disk trees return the same ids in
+//!    the same order for every quadrant search region.
 
-use nwc::core::{IndexOpenError, IngestConfig, ShardedStoreError, StreamingIngestor};
+use nwc::core::{IndexConfig, IndexOpenError, IngestConfig, ShardedStoreError, StreamingIngestor};
+use nwc::geom::window::search_region;
+use nwc::geom::Quadrant;
 use nwc::prelude::*;
 use nwc::rtree::{validate, DiskError, PageError, RStarTree, TreeParams, PAGE_SIZE};
 use nwc::store::{FaultPlan, FaultStore, FileStore, MemStore, PageStore, StoreError};
@@ -366,6 +370,48 @@ fn disk_engine_batch_matches_sequential() {
             _ => panic!("engine/sequential disagree"),
         }
         assert_eq!(SearchStats { buffer_hits: 0, ..*gs }, ws);
+    }
+}
+
+#[test]
+fn arena_and_disk_window_queries_return_identical_sequences() {
+    // 100-entry nodes: leaves straddle the 64-entry scan chunks, and the
+    // disk tree's nodes come back through the page codec while the
+    // arena's never left memory.
+    let points: Vec<Point> = (0..6000u64)
+        .map(|i| {
+            let s = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+            // Quarter-unit lattice: window edges land exactly on points.
+            Point::new((s % 2000) as f64 * 0.25, ((s >> 16) % 1600) as f64 * 0.25)
+        })
+        .collect();
+    let config = IndexConfig {
+        tree_params: TreeParams::with_max_entries(100),
+        ..IndexConfig::default()
+    };
+    let arena = NwcIndex::build_with(points.clone(), config);
+    let disk = reopen_disk(&arena, "window-seq");
+
+    let anchors = [Point::new(0.0, 0.0), Point::new(250.25, 200.0), Point::new(499.75, 399.75)];
+    let specs = [
+        WindowSpec::square(8.0),
+        WindowSpec::square(60.0),
+        WindowSpec::new(120.0, 40.0),
+        WindowSpec::new(7.5, 400.0),
+    ];
+    for (ai, q) in anchors.iter().enumerate() {
+        for (si, spec) in specs.iter().enumerate() {
+            for quad in [Quadrant::I, Quadrant::II, Quadrant::III, Quadrant::IV] {
+                let w = search_region(q, quad, spec);
+                let tag = format!("anchor{ai}/spec{si}/{quad:?}");
+                let a: Vec<u32> = arena.tree().window_query(&w).iter().map(|e| e.id).collect();
+                let d: Vec<u32> = disk.tree().window_query(&w).iter().map(|e| e.id).collect();
+                assert_eq!(a, d, "{tag}: arena and disk id sequences differ");
+                let brute = points.iter().filter(|p| w.contains_point(p)).count();
+                assert_eq!(a.len(), brute, "{tag}: wrong answer size");
+                assert_eq!(disk.tree().window_count(&w), brute, "{tag}: count differs");
+            }
+        }
     }
 }
 
